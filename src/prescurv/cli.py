@@ -506,6 +506,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
         print(f"disk form D0={rep.D0} negative_count={rep.negative_count}")
         return 0
     fixed = None
+    eps = cfg.settings["eps"]
     if extra.get("state", "solve") == "family":
         states, params, fixed = _family_states(cfg)
         prob, u = states[-1]
@@ -514,16 +515,14 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     else:
         prob, result = _solve_problem(cfg)
         rep = result[-1] if isinstance(result, list) else result
-        u = rep.state
+        u, eps = rep.state, rep.eps
         solve_summary = {"state": "solve", "converged": rep.converged,
                          "residual_norm": rep.residual_norm}
         code = 0 if rep.converged else 2
-    spec_rep = morse_index(prob, u, eps=cfg.settings["eps"], fixed=fixed)
+    spec_rep = morse_index(prob, u, eps=eps, fixed=fixed)
     payload = {
         "negative_count": spec_rep.negative_count,
-        "eigenvalues": spec_rep.eigenvalues,
         "k_used": spec_rep.k_used,
-        "converged": spec_rep.converged,
         "neg_tol": spec_rep.neg_tol,
         "source": solve_summary,
     }

@@ -210,7 +210,9 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray, dofs: np.ndarray) -> np.ndarra
     order accurate even on one-sided boundary patches, where averaging
     the adjacent triangle gradients is not.
     """
-    adj = mesh._cache.setdefault("dof_adjacency", _dof_adjacency(mesh))
+    if "dof_adjacency" not in mesh._cache:
+        mesh._cache["dof_adjacency"] = _dof_adjacency(mesh)
+    adj = mesh._cache["dof_adjacency"]
     coords = mesh.dof_coords
     wrap = mesh.spec.kind == "cylinder"
     out = np.empty((len(dofs), 2))

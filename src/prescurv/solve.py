@@ -3,8 +3,9 @@
 Three entry points:
 
 * :func:`minimize` - damped Newton with an Armijo line search and a
-  diagonal trust regularization, certified by a positive-semidefinite
-  Hessian check at the accepted state.
+  diagonal trust regularization, certified as a local minimum by an
+  exact Morse index of zero at the accepted state, read from the pivots
+  of one LDL^T factorization of the Hessian.
 * :func:`mountain_pass` - deformation of a discrete path between two
   low states: repeated preconditioned descent at the path maximum with
   arclength reparametrization, then a Newton polish of the near-critical
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,10 +35,10 @@ import scipy.sparse.linalg as spla
 
 from .domain import BoundaryPoint
 from .energy import EnergyBreakdown, Problem
+from .spectral import morse_index, negative_count
 
 ARMIJO_C = 1e-4
 BLOWUP_SUP = 50.0
-PSD_TOL = 1e-8
 
 
 class PathCollapseError(RuntimeError):
@@ -65,7 +66,6 @@ class SolveReport:
     method: str
     eps: float = 0.0
     gauss_bonnet: float = math.nan
-    min_eigenvalue: Optional[float] = None
     morse_index: Optional[int] = None
     message: str = ""
     path: Optional[PathState] = None
@@ -85,7 +85,6 @@ class SolveReport:
             "gauss_bonnet": self.gauss_bonnet,
             "sup": self.sup,
             "energy": self.energy.as_dict(),
-            "min_eigenvalue": self.min_eigenvalue,
             "morse_index": self.morse_index,
             "message": self.message,
             "line_search_trace": self.line_search_trace,
@@ -96,30 +95,6 @@ class SolveReport:
 
     def to_json(self, include_state: bool = True) -> str:
         return json.dumps(self.as_dict(include_state), indent=2)
-
-
-def _gershgorin_lower(H: sp.spmatrix) -> float:
-    H = H.tocsr()
-    diag = H.diagonal()
-    rowabs = np.asarray(np.abs(H).sum(axis=1)).ravel() - np.abs(diag)
-    return float((diag - rowabs).min())
-
-
-def _smallest_eigenvalue(H: sp.spmatrix, needed_above: float) -> float:
-    """Smallest eigenvalue, or a certified lower bound if that already
-    clears ``needed_above``."""
-    bound = _gershgorin_lower(H)
-    if bound >= needed_above:
-        return bound
-    n = H.shape[0]
-    if n <= 600:
-        return float(np.linalg.eigvalsh(H.toarray())[0])
-    sigma = bound - max(1e-8, 0.01 * abs(bound))
-    # fixed start vector keeps repeated runs bit-identical
-    v0 = np.random.default_rng(0).standard_normal(n)
-    val = spla.eigsh(H.tocsc(), k=1, sigma=sigma, which="LM", v0=v0,
-                     return_eigenvectors=False)
-    return float(val[0])
 
 
 def _newton_direction(H: sp.spmatrix, g: np.ndarray, w: np.ndarray,
@@ -150,10 +125,12 @@ def minimize(prob: Problem, eps: float = 0.0,
              blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
     """Damped Newton descent on the (relaxed) energy.
 
-    ``converged`` demands both a residual below ``tol`` in the dual norm
-    and, when ``certify`` is set, a Hessian that is positive
-    semidefinite up to a small negative slack, so the report certifies a
-    local minimum rather than any critical point.
+    ``converged`` demands a residual below ``tol`` in the dual norm and,
+    when ``certify`` is set, a Morse index of zero: the Hessian at the
+    accepted state has no eigenvalue below ``-NEG_TOL``, counted exactly
+    by :func:`prescurv.spectral.negative_count`.  The index is stored in
+    ``morse_index``, so the report certifies a local minimum rather than
+    any critical point.
     """
     u = prob.zero_state() if init is None else np.array(init, dtype=float)
     w = prob.ops.w_int
@@ -175,7 +152,10 @@ def minimize(prob: Problem, eps: float = 0.0,
             message = str(exc)
             break
         gd = float(g @ d)
-        noise = 1e-13 * (1.0 + abs(e.total_eps))
+        # the floor of the energy difference scales with the terms that
+        # cancel in the total, not with the total itself
+        noise = 1e-13 * (1.0 + abs(e.dirichlet) + abs(e.linear) + abs(e.area)
+                         + abs(e.boundary) + eps * abs(e.j_total))
         t, ok, bt, mode = 1.0, False, 0, "armijo"
         if -gd < noise:
             # quadratic basin: energy decrements are below the floating
@@ -206,13 +186,13 @@ def minimize(prob: Problem, eps: float = 0.0,
             break
     final = prob.energy(u, eps)
     res = prob.residual_norm(u, eps)
-    converged = res < tol and not blow and not message
-    min_eig = None
+    if not message and res >= tol:
+        message = f"no convergence within max_iter={max_iter} iterations"
+    converged = not message
+    index = None
     if converged and certify:
-        H = prob.hessian(u, eps)
-        thr = -PSD_TOL * max(1.0, float(np.abs(H.diagonal()).max()))
-        min_eig = _smallest_eigenvalue(H, thr)
-        if min_eig < thr:
+        index = negative_count(prob.hessian(u, eps)).negative_count
+        if index:
             converged = False
             message = "stationary point is not a local minimum"
     return SolveReport(
@@ -220,7 +200,7 @@ def minimize(prob: Problem, eps: float = 0.0,
         line_search_trace=trace, converged=converged,
         blowup_flag=blow or final.blowup_flag, method="minimize", eps=eps,
         gauss_bonnet=prob.gauss_bonnet_residual(u),
-        min_eigenvalue=min_eig, message=message,
+        morse_index=index, message=message,
     )
 
 
@@ -277,8 +257,8 @@ def newton_polish(prob: Problem, init: np.ndarray, eps: float = 0.0,
     return SolveReport(
         state=u, energy=final, residual_norm=res, iterations=it,
         line_search_trace=trace, converged=converged,
-        blowup_flag=blow or final.blowup_flag, method="minimize", eps=eps,
-        gauss_bonnet=prob.gauss_bonnet_residual(u), message=message,
+        blowup_flag=blow or final.blowup_flag, method="newton-polish",
+        eps=eps, gauss_bonnet=prob.gauss_bonnet_residual(u), message=message,
     )
 
 
@@ -454,9 +434,15 @@ def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,
                       q2: float = 0.1, tol: float = 1e-8) -> tuple[SolveReport, np.ndarray]:
     """Pass endpoints adapted to the relaxation weight: the stable low
     state (a certified local minimum of the relaxed energy, found from
-    the best constant) and a concentrated state strictly below it."""
+    the best constant) and a concentrated state strictly below it.
+
+    Raises :class:`RuntimeError` when the low state is not certified, so
+    no pass starts from an uncertified endpoint.
+    """
     c0 = _constant_start(prob, eps)
     low = minimize(prob, eps=eps, init=np.full(prob.n_dof, c0), tol=tol)
+    if not low.converged:
+        raise RuntimeError(f"low endpoint at eps={eps} not certified: {low.message}")
     level = low.energy.total_eps
     u1 = build_u1(prob, point, q2=q2, eps=eps,
                   below=level - 0.01 * (1.0 + abs(level)),
@@ -494,7 +480,6 @@ def continuation(prob: Problem, point: BoundaryPoint,
             rep.method = "continuation"
         rep.eps = eps
         if with_index and not rep.blowup_flag:
-            from .spectral import morse_index
             rep.morse_index = morse_index(prob, rep.state, eps=eps).negative_count
         reports.append(rep)
         if rep.blowup_flag:

@@ -7,9 +7,11 @@ The stability form of a state u is
 discretized by :meth:`prescurv.energy.Problem.hessian_form` as stiffness
 plus diagonal.  The Morse index is the number of negative eigenvalues of
 Q against any positive inner product; by Sylvester's law of inertia that
-equals the number of negative eigenvalues of the plain symmetric matrix,
-which is what :func:`negative_count` computes (shift-invert Lanczos at a
-certified shift below the spectrum, with k escalation).
+equals the number of negative eigenvalues of the plain symmetric matrix.
+:func:`negative_count` reads it exactly from the pivots of one
+symmetric LDL^T factorization of the shifted matrix: the congruence
+Q + tau I = P^T L D L^T P preserves inertia, so the eigenvalues below
+-tau are as many as the negative entries of D.
 
 Truncated half-plane profiles restrict Q to fields vanishing on the
 artificial arc (Dirichlet truncation).  Restriction only shrinks the
@@ -34,7 +36,7 @@ eigenvalue from above, hence never reports it as spuriously negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,65 +56,54 @@ from .exact import (
 from .fields import CurvatureSpec
 
 NEG_TOL = 1e-10
+DENSE_CUTOFF = 600
 
 
 @dataclass
 class SpectrumReport:
     """Inertia of a stability form.
 
-    ``eigenvalues`` are raw matrix eigenvalues (the low end); only their
-    signs carry meaning for the index.  ``converged`` is False when the
-    escalation cap was hit with every computed eigenvalue still
-    negative, making ``negative_count`` a lower bound.
+    ``negative_count`` is the exact number of eigenvalues below
+    ``-neg_tol``.  ``k_used`` names the path that produced it: 0 when
+    the count was read from factorization pivots, n when it came from
+    the dense eigenvalue fallback.
     """
 
     negative_count: int
-    eigenvalues: np.ndarray
     k_used: int
-    converged: bool
     neg_tol: float = NEG_TOL
 
 
-def _gershgorin_lower(Q: sp.spmatrix) -> float:
-    Q = Q.tocsr()
-    diag = Q.diagonal()
-    rowabs = np.asarray(np.abs(Q).sum(axis=1)).ravel() - np.abs(diag)
-    return float((diag - rowabs).min())
+def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
+    """Count eigenvalues of the symmetric matrix Q below ``-neg_tol``.
 
-
-def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL, k0: int = 8,
-                   k_max: int = 256, dense_cutoff: int = 600) -> SpectrumReport:
-    """Count eigenvalues of the symmetric matrix Q below ``-neg_tol``."""
+    Factors Q + neg_tol I with SuperLU restricted to symmetric,
+    diagonal-pivot elimination, which makes U = D L^T and the diagonal
+    of U the pivots D.  The count is trusted only when no row pivoting
+    happened and every pivot is finite and nonzero; otherwise matrices
+    up to ``DENSE_CUTOFF`` fall back to dense eigenvalues and larger
+    ones raise a :class:`RuntimeError` naming the reason.
+    """
     n = Q.shape[0]
-    if n <= dense_cutoff:
-        vals = np.linalg.eigvalsh(Q.toarray())
-        return SpectrumReport(
-            negative_count=int((vals < -neg_tol).sum()),
-            eigenvalues=vals[: min(n, 32)],
-            k_used=n,
-            converged=True,
-            neg_tol=neg_tol,
-        )
-    bound = _gershgorin_lower(Q)
-    sigma = bound - max(1e-8, 0.01 * abs(bound))
-    Qc = Q.tocsc()
-    k = k0
-    cap = min(k_max, n - 2)
-    while True:
-        # fixed start vector keeps repeated runs bit-identical
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals = np.sort(spla.eigsh(Qc, k=k, sigma=sigma, which="LM", v0=v0,
-                                  return_eigenvectors=False))
-        if vals.max() >= 0 or k >= cap:
-            done = vals.max() >= 0
-            return SpectrumReport(
-                negative_count=int((vals < -neg_tol).sum()),
-                eigenvalues=vals,
-                k_used=k,
-                converged=bool(done),
-                neg_tol=neg_tol,
-            )
-        k = min(2 * k, cap)
+    A = (Q + neg_tol * sp.identity(n)).tocsc()
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        reason = f"factorization failed ({exc})"
+    else:
+        pivots = lu.U.diagonal()
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            reason = "the factorization pivoted off the diagonal"
+        elif not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+            reason = "a pivot is zero or not finite"
+        else:
+            return SpectrumReport(int((pivots < 0).sum()), 0, neg_tol)
+    if n > DENSE_CUTOFF:
+        raise RuntimeError(f"inertia count unavailable: {reason} and n={n}"
+                           f" exceeds the dense cutoff {DENSE_CUTOFF}")
+    vals = np.linalg.eigvalsh(Q.toarray())
+    return SpectrumReport(int((vals < -neg_tol).sum()), n, neg_tol)
 
 
 def morse_index(prob: Problem, u: np.ndarray, eps: float = 0.0,

@@ -301,6 +301,28 @@ class TestSpectrumMode:
         assert payload["negative_count"] == 0
         assert payload["source"]["state"] == "solve"
 
+    def test_solved_state_index_at_its_own_eps(self, tmp_path):
+        # the continuation ends at eps = 0.02 while [solver] eps keeps its
+        # default 0; at eps = 0 the same state has index 2
+        code, out = run_cli(tmp_path, "spectrum", """
+            [domain]
+            kind = annulus
+            r = 0.8
+            level = 3
+
+            [curvature]
+            K = -1
+            h = 2 ; -3
+            background = flat
+
+            [solver]
+            method = continuation
+            eps_schedule = 0.05, 0.02
+            anchor = argmax-d
+        """)
+        assert code == 0
+        assert read_json(out, "spectrum.json")["negative_count"] == 1
+
     def test_family_state(self, tmp_path):
         code, out = run_cli(tmp_path, "spectrum", SPECTRUM_FAMILY_CFG)
         assert code == 0

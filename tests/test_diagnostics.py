@@ -146,6 +146,20 @@ class TestRecoveredGradient:
                              2 * np.sin(s) * (t + 0.3)], axis=-1)[dofs]
         assert np.max(np.abs(g - expected)) < 0.02
 
+    def test_adjacency_built_once(self, monkeypatch):
+        import prescurv.diagnostics as diagnostics
+        calls = []
+        build = diagnostics._dof_adjacency
+        monkeypatch.setattr(diagnostics, "_dof_adjacency",
+                            lambda mesh: calls.append(1) or build(mesh))
+        mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
+        u = mesh.dof_coords[:, 0]
+        dofs = np.arange(5)
+        first = recovered_gradient(mesh, u, dofs)
+        second = recovered_gradient(mesh, u, dofs)
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
+
 
 class TestPohozaev:
     def test_zero_field_zero_residual(self, annulus3):

@@ -9,8 +9,10 @@ from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
 from prescurv.exact import annulus_gamma_problem, annulus_gamma_state
 from prescurv.fields import CurvatureSpec, background_for
+import prescurv.solve as solve
 from prescurv.solve import (
     PathCollapseError,
+    _constant_start,
     build_u1,
     continuation,
     minimize,
@@ -63,7 +65,7 @@ class TestMinimize:
         assert rep.converged
         assert rep.residual_norm < 1e-10
         assert abs(rep.gauss_bonnet) < 1e-9
-        assert rep.min_eigenvalue is not None and rep.min_eigenvalue > 0
+        assert rep.morse_index == 0
         assert rep.method == "minimize"
         # Armijo phase decreases the energy monotonically
         es = [t["energy"] for t in rep.line_search_trace if t["mode"] == "armijo"]
@@ -102,8 +104,24 @@ class TestMinimize:
         rep = minimize(prob, init=init, tol=1e-10)
         assert not rep.converged
         assert rep.residual_norm < 1e-10
-        assert rep.min_eigenvalue < 0
+        assert rep.morse_index >= 1
         assert "not a local minimum" in rep.message
+
+    def test_floor_does_not_stall_relaxed_low_state(self):
+        # the energy terms cancel to a small total, so a floor scaled by
+        # the total alone rejected every full Newton step near the minimum
+        prob = saddle_problem(level=4)
+        c0 = _constant_start(prob, 0.05)
+        rep = minimize(prob, eps=0.05, init=np.full(prob.n_dof, c0))
+        assert rep.converged, rep.message
+        assert rep.iterations <= 12
+        assert rep.morse_index == 0
+
+    def test_iteration_limit_sets_message(self):
+        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
+        rep = minimize(prob, tol=1e-10, max_iter=1)
+        assert not rep.converged
+        assert "max_iter=1" in rep.message
 
     def test_uniqueness_for_nonpositive_boundary_data(self):
         prob = cylinder_problem(h=-0.5, K_bg=-1.0, level=2)
@@ -150,6 +168,28 @@ class TestNewtonPolish:
         assert abs(back.energy.total_eps - rep.energy.total_eps) < 1e-8
         assert abs(back.sup - rep.sup) < 1e-3
         assert morse_index(prob, back.state, eps=0.05).negative_count == 1
+
+    def test_reports_its_own_method(self):
+        mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
+        prob = annulus_gamma_problem(mesh, gamma=2, h1=2.0)
+        rep = newton_polish(prob, annulus_gamma_state(mesh, gamma=2, h1=2.0))
+        assert rep.method == "newton-polish"
+
+
+class TestRelaxedEndpoints:
+    def test_uncertified_low_state_raises(self, monkeypatch):
+        prob = saddle_problem(level=2)
+        real = solve.minimize
+
+        def uncertified(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.converged = False
+            rep.message = "stationary point is not a local minimum"
+            return rep
+
+        monkeypatch.setattr(solve, "minimize", uncertified)
+        with pytest.raises(RuntimeError, match="not a local minimum"):
+            relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0), eps=0.05)
 
 
 class TestBuildU1:

@@ -4,8 +4,14 @@ import scipy.sparse as sp
 
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
-from prescurv.exact import bubble_profile, oneD_profile
-from prescurv.fields import CurvatureSpec
+from prescurv.exact import (
+    annulus_gamma_problem,
+    annulus_gamma_state,
+    bubble_profile,
+    oneD_profile,
+)
+from prescurv.fields import CurvatureSpec, background_for
+from prescurv.solve import minimize, mountain_pass, relaxed_endpoints
 from prescurv.spectral import (
     disk_form_report,
     disk_truncation_radius,
@@ -31,20 +37,88 @@ def test_negative_count_dense_path():
     Q, k = random_inertia_matrix(rng, 40, 7)
     rep = negative_count(Q)
     assert rep.negative_count == k
-    assert rep.converged
 
 
 def test_negative_count_iterative_path_and_escalation():
-    # above the dense cutoff, with more negatives than the initial block
+    # above the dense cutoff the count comes from the factorization pivots
     rng = np.random.default_rng(1)
     n = 700
     diag = rng.uniform(0.5, 2.0, size=n)
     diag[:23] = -rng.uniform(0.5, 2.0, size=23)
     Q = sp.diags(diag).tocsr()
-    rep = negative_count(Q, k0=4)
+    rep = negative_count(Q)
     assert rep.negative_count == 23
+
+
+def dense_count(Q, neg_tol=1e-10):
+    return int((np.linalg.eigvalsh(Q.toarray()) < -neg_tol).sum())
+
+
+@pytest.mark.parametrize("n,seed", [(700, 10), (850, 11), (1000, 12)])
+def test_factorization_count_matches_dense_on_sparse_indefinite(n, seed):
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=5.0 / n, random_state=rng)
+    Q = (R + R.T + sp.diags(rng.uniform(-1.0, 1.0, size=n))).tocsr()
+    rep = negative_count(Q)
+    assert rep.k_used == 0
+    assert 0 < rep.negative_count < n
+    assert rep.negative_count == dense_count(Q)
+
+
+def _cylinder_minimum():
+    mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=3))
+    prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[0.5, 0.5], K_bg=-1.0))
+    return prob.hessian(minimize(prob, tol=1e-10, certify=False).state), 0
+
+
+def _annulus_saddle():
+    mesh = build_mesh(DomainSpec("annulus", r=0.8, level=3))
+    K_bg, h_bg = background_for(mesh)
+    prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg))
+    low, u1 = relaxed_endpoints(prob, mesh.boundary_point(0, 0), eps=0.05)
+    rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-10)
     assert rep.converged
-    assert rep.k_used >= 24
+    return prob.hessian(rep.state, 0.05), 1
+
+
+def _gamma_state():
+    mesh = build_mesh(DomainSpec("annulus", r=0.5, level=3))
+    prob = annulus_gamma_problem(mesh, 2, 2.0)
+    return prob.hessian(annulus_gamma_state(mesh, 2, 2.0)), None
+
+
+@pytest.mark.parametrize("make", [_cylinder_minimum, _annulus_saddle, _gamma_state])
+def test_factorization_count_matches_dense_on_hessians(make):
+    H, index = make()
+    rep = negative_count(H)
+    assert rep.k_used == 0
+    assert rep.negative_count == dense_count(H)
+    if index is not None:
+        assert rep.negative_count == index
+
+
+def _swap_pairs(n):
+    # zero diagonal, eigenvalues +1 and -1: with no shift the
+    # factorization cannot take the diagonal pivots and must pivot
+    return sp.kron(sp.identity(n // 2), sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])).tocsr()
+
+
+def _singular_diagonal(n):
+    return sp.diags(np.concatenate([[0.0], np.ones(n - 1)])).tocsr()
+
+
+@pytest.mark.parametrize("make,count", [(_swap_pairs, 300), (_singular_diagonal, 0)])
+def test_guard_falls_back_to_dense_below_cutoff(make, count):
+    rep = negative_count(make(600), neg_tol=0.0)
+    assert rep.negative_count == count
+    assert rep.k_used == 600
+
+
+@pytest.mark.parametrize("make,reason", [(_swap_pairs, "pivoted"),
+                                         (_singular_diagonal, "singular")])
+def test_guard_raises_above_cutoff(make, reason):
+    with pytest.raises(RuntimeError, match=reason):
+        negative_count(make(700), neg_tol=0.0)
 
 
 def test_negative_count_psd():
@@ -66,7 +140,7 @@ def test_convex_problem_has_index_zero():
 def test_boundary_layer_instability_grows_with_state():
     # for h/sqrt(|K|) > sqrt(2) a constant state has a boundary layer of
     # negative directions, one per tangential mode m < c e^{u/2}, so the
-    # count climbs with u; this also exercises the k escalation path
+    # count climbs with u
     mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
     spec = CurvatureSpec(K=-1.0, h=[3.0, 3.0], K_bg=0.0)
     prob = Problem(mesh, spec)
@@ -79,14 +153,14 @@ def test_boundary_layer_instability_grows_with_state():
 def test_oneD_truncation_index_zero():
     mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=3, grade=2.0))
     rep = halfplane_profile_index(mesh, oneD_profile(lam=1.0))
-    assert rep.converged
+    assert rep.k_used == 0  # read from the factorization pivots
     assert rep.negative_count == 0
 
 
 def test_bubble_truncation_index_one():
     mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=3, grade=2.0))
     rep = halfplane_profile_index(mesh, bubble_profile(lam=1.0, h0=np.sqrt(2.0)))
-    assert rep.converged
+    assert rep.k_used == 0  # read from the factorization pivots
     assert rep.negative_count == 1
 
 
