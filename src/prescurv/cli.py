@@ -4,13 +4,12 @@ One experiment per invocation::
 
     prescurv <mode> --config <path> [--out <dir>] [--quick]
 
-Modes: solve, classify, spectrum, exact-sweep, blowup, pohozaev, testfn,
-verify.  Configs are plain INI files (key = value sections, ``#``
-comments); every run writes a ``manifest.json`` echoing the resolved
-settings next to the mode's own JSON/CSV/.dat artifacts, so repeated
-runs with the same config and seed produce bit-identical files.  Curve
-artifacts come with a generated gnuplot script instead of rendered
-images.
+Modes: solve, classify, spectrum, exact-sweep, blowup, pohozaev, testfn.
+Configs are plain INI files (key = value sections, ``#`` comments);
+every run writes a ``manifest.json`` echoing the resolved settings next
+to the mode's own JSON/CSV/.dat artifacts, so repeated runs with the
+same config and seed produce bit-identical files.  Curve artifacts come
+with a generated gnuplot script instead of rendered images.
 
 Exit codes: 0 success, 2 solver non-convergence, 3 config error.  The
 environment variable ``PRESCURV_THREADS`` caps the BLAS/OpenMP thread
@@ -69,7 +68,7 @@ from .solve import (
 from .spectral import disk_form_report, morse_index
 
 MODES = ("solve", "classify", "spectrum", "exact-sweep", "blowup",
-         "pohozaev", "testfn", "verify")
+         "pohozaev", "testfn")
 
 _REQUIRED = object()
 
@@ -140,20 +139,20 @@ class ExperimentConfig:
         return man
 
 
+# Shape keys read per domain kind.  configparser folds key case, so the
+# annulus r and the half-disk R are one key and each kind reads only its own.
+_SHAPE_KEYS = {"cylinder": ("L",), "annulus": ("r",), "halfdisk": ("R", "grade")}
+
+
 def _load_domain(cp: configparser.ConfigParser, quick: bool) -> DomainSpec:
     kind = _get(cp, "domain", "kind")
     level = _get(cp, "domain", "level", int, 0)
     if quick:
         level = min(level, 3)
+    shape = {key: _get(cp, "domain", key, float, getattr(DomainSpec, key))
+             for key in _SHAPE_KEYS.get(kind, ())}
     try:
-        return DomainSpec(
-            kind=kind,
-            L=_get(cp, "domain", "L", float, 1.0),
-            r=_get(cp, "domain", "r", float, 0.5),
-            R=_get(cp, "domain", "R", float, 1.0),
-            level=level,
-            grade=_get(cp, "domain", "grade", float, 1.0),
-        )
+        return DomainSpec(kind=kind, level=level, **shape)
     except ValueError as exc:
         raise ConfigError(f"bad [domain] section: {exc}") from exc
 
@@ -311,9 +310,9 @@ def _write_plot_script(out_dir: str, dat_name: str, x: int, ys: list[tuple[int, 
 
 
 def _write_state_csv(path: str, mesh, u: np.ndarray) -> None:
-    rows = [{"x": x, "y": y, "u": val}
-            for (x, y), val in zip(mesh.dof_coords, u)]
-    _write_csv(path, rows)
+    # 17 significant digits round-trip every double exactly
+    np.savetxt(path, np.column_stack([mesh.dof_coords, u]), fmt="%.17g",
+               delimiter=",", header="x,y,u", comments="")
 
 
 # -- shared pieces ------------------------------------------------------------
@@ -645,21 +644,6 @@ def _run_testfn(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_verify(out_dir: str, quick: bool) -> int:
-    from .acceptance import run_battery
-
-    results = run_battery(quick=quick)
-    rows = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] criterion {res.number:2d} {res.name}: {res.detail}")
-        rows.append(res.as_dict())
-    _write_json(os.path.join(out_dir, "acceptance.json"), rows)
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 1 if failed else 0
-
-
 # -- entry point --------------------------------------------------------------
 
 
@@ -671,14 +655,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", help="experiment config (INI)")
     parser.add_argument("--out", help="output directory (default: [output] dir or ./out)")
     parser.add_argument("--quick", action="store_true",
-                        help="clamp refinement to coarse levels; verify runs its short battery")
+                        help="clamp refinement to coarse levels")
     args = parser.parse_args(argv)
 
     try:
-        if args.mode == "verify":
-            out_dir = args.out or "out"
-            os.makedirs(out_dir, exist_ok=True)
-            return _run_verify(out_dir, args.quick)
         if args.mode not in MODES:
             raise ConfigError(
                 f"unknown mode {args.mode!r}; expected one of {', '.join(MODES)}")

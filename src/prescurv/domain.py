@@ -381,51 +381,12 @@ def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray,
     return deriv
 
 
-def export_mesh(mesh: Mesh, path: str) -> None:
-    """Plain-text dump: vertex, triangle and boundary-edge tables.
-
-    Column order is documented in the header lines.  Boundary edges are
-    listed per component as (component id, vertex a, vertex b, arc
-    length of a, arc length of b).
-    """
-    spec = mesh.spec
-    with open(path, "w") as fh:
-        fh.write("# prescurv mesh v1\n")
-        fh.write(f"kind {spec.kind}\n")
-        fh.write(f"params L={spec.L!r} r={spec.r!r} R={spec.R!r} "
-                 f"level={spec.level} grade={spec.grade!r}\n")
-        fh.write(f"vertices {mesh.n_vertices}\n")
-        fh.write("# x y dof\n")
-        for xy, d in zip(mesh.vertices, mesh.vertex_dof):
-            fh.write(f"{xy[0]!r} {xy[1]!r} {d}\n")
-        fh.write(f"triangles {len(mesh.triangles)}\n")
-        for tri in mesh.triangles:
-            fh.write(f"{tri[0]} {tri[1]} {tri[2]}\n")
-        fh.write(f"boundary_edges {sum(c.n_edges for c in mesh.components)}\n")
-        fh.write("# component va vb sa sb\n")
-        for ci, comp in enumerate(mesh.components):
-            for k in range(comp.n_edges):
-                fh.write(f"{ci} {comp.verts[k]} {comp.verts[k + 1]} "
-                         f"{comp.s[k]!r} {comp.s[k + 1]!r}\n")
-
-
-def load_mesh(path: str) -> Mesh:
-    """Rebuild a mesh from the header of an exported file.
-
-    The structured generators are deterministic, so the domain line is
-    sufficient; the tables are validated against the rebuilt mesh.
-    """
-    with open(path) as fh:
-        header = fh.readline()
-        if "prescurv mesh" not in header:
-            raise ValueError(f"{path} is not a mesh export")
-        kind = fh.readline().split()[1]
-        params = dict(tok.split("=") for tok in fh.readline().split()[1:])
-        n_vert = int(fh.readline().split()[1])
-    spec = DomainSpec(kind, L=float(params["L"]), r=float(params["r"]),
-                      R=float(params["R"]), level=int(params["level"]),
-                      grade=float(params["grade"]))
-    mesh = build_mesh(spec)
-    if mesh.n_vertices != n_vert:
-        raise ValueError("mesh file is inconsistent with its domain line")
-    return mesh
+def distance2(mesh: Mesh, q: np.ndarray) -> np.ndarray:
+    """Squared distance from each dof to the point q, measured across
+    the seam on the cylinder."""
+    xy = mesh.dof_coords
+    dx = xy[:, 0] - q[0]
+    if mesh.spec.kind == "cylinder":
+        dx = (dx + math.pi) % CIRCUMFERENCE - math.pi
+    dy = xy[:, 1] - q[1]
+    return dx**2 + dy**2

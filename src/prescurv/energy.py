@@ -41,7 +41,7 @@ from .fields import CurvatureSpec, Field, eval_K
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
 
 
-def _exp_lumped(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def exp_lumped(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Nodal e^u and e^{u/2} with overflow clamped and flagged."""
     blown = bool(u.size) and float(u.max()) > EXP_CLAMP
     cu = np.minimum(u, EXP_CLAMP)
@@ -57,12 +57,15 @@ class Operators:
     boundary weights of component ``c`` (trapezoid with analytic edge
     lengths, summing to the component length).  ``B = S + diag(w_int)``
     is the H1 Gram matrix used for dual norms and preconditioning.
+    ``grads[t, i]`` is the constant gradient of the i-th barycentric
+    function on triangle t.
     """
 
     mesh: Mesh
     S: sp.csr_matrix
     w_int: np.ndarray
     wb: list[np.ndarray]
+    grads: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -83,9 +86,6 @@ class Operators:
     def dual_norm(self, r: np.ndarray) -> float:
         """H1-dual norm sqrt(r^T B^{-1} r) of a residual covector."""
         return float(np.sqrt(max(r @ self.solve_B(r), 0.0)))
-
-    def h1_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(v @ (self.B @ v), 0.0)))
 
     def integral(self, vals: np.ndarray) -> float:
         return float(self.w_int @ vals)
@@ -127,7 +127,7 @@ def assemble(mesh: Mesh) -> Operators:
         np.add.at(w, dof[comp.verts[:-1]], half)
         np.add.at(w, dof[comp.verts[1:]], half)
         wb.append(w)
-    return Operators(mesh=mesh, S=S, w_int=w_int, wb=wb)
+    return Operators(mesh=mesh, S=S, w_int=w_int, wb=wb, grads=grads)
 
 
 @dataclass
@@ -210,7 +210,7 @@ class Problem:
     # -- energy and derivatives -------------------------------------------
 
     def _pieces(self, u: np.ndarray):
-        eu, ehalf, blown = _exp_lumped(u)
+        eu, ehalf, blown = exp_lumped(u)
         area_t = 2.0 * float(self.ops.w_int @ (-self.K_dof * eu))
         bnd_t = 4.0 * float(sum(bh @ ehalf for bh in self._bh))
         return eu, ehalf, blown, area_t, bnd_t
@@ -262,24 +262,28 @@ class Problem:
             return ((1.0 + 2.0 * eps) * self.ops.S + sp.diags(diag)).tocsr()
         return (self.ops.S + sp.diags(diag)).tocsr()
 
-    def hessian_form(self, u: np.ndarray) -> sp.csr_matrix:
-        """Stability form Q(psi) = int |grad psi|^2 + 2 int |K| e^u psi^2
-        - bd h e^{u/2} psi^2 as a symmetric matrix."""
-        return self.hessian(u, eps=0.0)
-
     # -- diagnostics -------------------------------------------------------
 
-    def gauss_bonnet_residual(self, u: np.ndarray) -> float:
-        """Total-curvature defect int K e^u + bd h e^{u/2} - chi_gen.
+    def gauss_bonnet_residual(self, u: np.ndarray, eps: float = 0.0) -> float:
+        """Total-curvature defect int K e^u + bd h e^{u/2} - chi_gen of
+        the data actually solved at relaxation weight ``eps``.
 
-        Equals -1/2 times the gradient paired with psi=1, hence zero at
-        discrete critical points up to solver tolerance.
+        For eps = 0 this equals -1/2 times the gradient paired with
+        psi=1, hence zero at discrete critical points up to solver
+        tolerance.  For eps > 0 it is the defect of the perturbed data of
+        :func:`prescurv.fields.perturb`, (GB_0 - eps/2 int (e^u - 1)) /
+        (1 + 2 eps), which vanishes at critical points of the relaxed
+        energy.
         """
         u = np.asarray(u, dtype=float)
         eu, ehalf, _, _, _ = self._pieces(u)
         interior = float(self.ops.w_int @ (self.K_dof * eu))
         boundary = float(sum(bh @ ehalf for bh in self._bh))
-        return interior + boundary - self.chi_gen
+        defect = interior + boundary - self.chi_gen
+        if eps:
+            defect = ((defect - 0.5 * eps * float(self.ops.w_int @ (eu - 1.0)))
+                      / (1.0 + 2.0 * eps))
+        return defect
 
     def trace_ratio(self, u: np.ndarray) -> float:
         """Boundary-to-bulk ratio 4 bd h e^{u/2} / (1/2 int |grad u|^2
@@ -293,12 +297,12 @@ class Problem:
 
     def interior_mass(self, u: np.ndarray) -> float:
         """Quadrature of |K| e^u over the surface."""
-        eu, _, _ = _exp_lumped(np.asarray(u, dtype=float))
+        eu, _, _ = exp_lumped(np.asarray(u, dtype=float))
         return float(self.ops.w_int @ (-self.K_dof * eu))
 
     def boundary_masses(self, u: np.ndarray) -> list[float]:
         """Quadrature of h e^{u/2} along each boundary component."""
-        _, ehalf, _ = _exp_lumped(np.asarray(u, dtype=float))
+        _, ehalf, _ = exp_lumped(np.asarray(u, dtype=float))
         return [float(bh @ ehalf) for bh in self._bh]
 
     def dual_norm(self, r: np.ndarray) -> float:

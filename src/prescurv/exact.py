@@ -237,37 +237,3 @@ def annulus_log_problem(mesh: Mesh, lam: float, ops=None) -> Problem:
 def annulus_gamma_problem(mesh: Mesh, gamma: int, h1: float, ops=None) -> Problem:
     h1, h2 = gamma_family_curvatures(gamma, h1, mesh.spec.r)
     return _annulus_problem(mesh, h1, h2, ops)
-
-
-def _sweep_row(prob: Problem, u: np.ndarray, parameter: float) -> dict:
-    bmass = prob.boundary_masses(u)
-    row = {
-        "parameter": float(parameter),
-        "sup_u": float(u.max()),
-        "inf_u": float(u.min()),
-        "area_mass": prob.interior_mass(u),
-        "gb_residual": prob.gauss_bonnet_residual(u),
-    }
-    for c, val in enumerate(bmass):
-        row[f"boundary_mass_{c}"] = val
-    return row
-
-
-def sweep_log_family(mesh: Mesh, lams) -> list[dict]:
-    """One diagnostics row per lam; reuses the assembled operators."""
-    rows, ops = [], None
-    for lam in lams:
-        prob = annulus_log_problem(mesh, lam, ops=ops)
-        ops = prob.ops
-        rows.append(_sweep_row(prob, annulus_log_state(mesh, lam), lam))
-    return rows
-
-
-def sweep_gamma_family(mesh: Mesh, gammas, h1: float) -> list[dict]:
-    """One diagnostics row per gamma at fixed h1."""
-    rows, ops = [], None
-    for gamma in gammas:
-        prob = annulus_gamma_problem(mesh, gamma, h1, ops=ops)
-        ops = prob.ops
-        rows.append(_sweep_row(prob, annulus_gamma_state(mesh, gamma, h1), gamma))
-    return rows

@@ -129,9 +129,6 @@ class CurvatureSpec:
         object.__setattr__(self, "K_bg", float(K_bg))
         object.__setattr__(self, "h_bg", h_bg)
 
-    def n_components(self) -> int:
-        return len(self.h)
-
 
 def background_for(mesh: Mesh) -> tuple[float, tuple[float, ...]]:
     """Geodesic-curvature background of the flat model carrying ``mesh``.

@@ -1,11 +1,17 @@
 """Critical-point search for the curvature energy.
 
-Three entry points:
+One Newton engine, a diagonally regularized Newton iteration with
+backtracking, serves two acceptance tests:
 
-* :func:`minimize` - damped Newton with an Armijo line search and a
-  diagonal trust regularization, certified as a local minimum by an
-  exact Morse index of zero at the accepted state, read from the pivots
-  of one LDL^T factorization of the Hessian.
+* :func:`minimize` - energy Armijo acceptance along descent directions,
+  certified as a local minimum by an exact Morse index of zero at the
+  accepted state, read from the pivots of one LDL^T factorization of
+  the Hessian.
+* :func:`newton_polish` - residual-decrease acceptance, which converges
+  to critical points of any index.
+
+Two drivers build on them:
+
 * :func:`mountain_pass` - deformation of a discrete path between two
   low states: repeated preconditioned descent at the path maximum with
   arclength reparametrization, then a Newton polish of the near-critical
@@ -33,12 +39,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import BoundaryPoint
+from .domain import BoundaryPoint, distance2
 from .energy import EnergyBreakdown, Problem
 from .spectral import morse_index, negative_count
 
 ARMIJO_C = 1e-4
 BLOWUP_SUP = 50.0
+# Newton regularization sigma * diag(w): first nonzero shift, number of
+# factorization tries (sigma grows 4x per try) and line-search halvings
+SIGMA_FLOOR = 1e-10
+SIGMA_TRIES = 60
+MAX_BACKTRACKS = 50
+# path stage of mountain_pass: sweep cap, max-point residual at which the
+# polish takes over, descent steps per sweep, sweeps without a lower pass
+MAX_SWEEPS = 1000
+SWITCH_TOL = 1e-3
+INNER_STEPS = 3
+STALL_LIMIT = 40
 
 
 class PathCollapseError(RuntimeError):
@@ -98,110 +115,134 @@ class SolveReport:
 
 
 def _newton_direction(H: sp.spmatrix, g: np.ndarray, w: np.ndarray,
-                      sigma: float) -> tuple[np.ndarray, float]:
-    """Descent direction from the (regularized) Newton system.
+                      sigma: float, descent: bool) -> tuple[np.ndarray, float]:
+    """Direction from the (regularized) Newton system.
 
-    The regularization sigma * diag(w) is grown until the factorization
-    succeeds and the direction points downhill; w carries the quadrature
-    weights so sigma is comparable to the potential coefficient.
+    The regularization sigma * diag(w) is grown from ``SIGMA_FLOOR`` until
+    the factorization succeeds with a finite direction that, when
+    ``descent`` is set, points downhill; w carries the quadrature weights
+    so sigma is comparable to the potential coefficient.
     """
     gn = float(np.linalg.norm(g))
-    for _ in range(60):
+    for _ in range(SIGMA_TRIES):
         Hs = H if sigma == 0.0 else H + sp.diags(sigma * w)
         try:
             d = spla.splu(Hs.tocsc()).solve(-g)
         except RuntimeError:
             d = None
-        if d is not None and np.all(np.isfinite(d)):
-            if float(g @ d) < -1e-14 * gn * float(np.linalg.norm(d)):
-                return d, sigma
-        sigma = max(4.0 * sigma, 1e-3)
-    raise RuntimeError("could not regularize the Newton system into a descent direction")
+        if d is not None and np.all(np.isfinite(d)) and (
+                not descent or float(g @ d) < -1e-14 * gn * float(np.linalg.norm(d))):
+            return d, sigma
+        sigma = max(4.0 * sigma, SIGMA_FLOOR)
+    raise RuntimeError("could not regularize the Newton system"
+                       + (" into a descent direction" if descent else ""))
 
 
-def minimize(prob: Problem, eps: float = 0.0,
-             init: Optional[np.ndarray] = None, tol: float = 1e-8,
-             max_iter: int = 100, certify: bool = True,
-             blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
-    """Damped Newton descent on the (relaxed) energy.
+def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
+            max_iter: int, blowup_threshold: float, armijo: bool) -> SolveReport:
+    """Regularized Newton iteration behind :func:`minimize` and
+    :func:`newton_polish`; ``armijo`` selects the acceptance test.
 
-    ``converged`` demands a residual below ``tol`` in the dual norm and,
-    when ``certify`` is set, a Morse index of zero: the Hessian at the
-    accepted state has no eigenvalue below ``-NEG_TOL``, counted exactly
-    by :func:`prescurv.spectral.negative_count`.  The index is stored in
-    ``morse_index``, so the report certifies a local minimum rather than
-    any critical point.
+    With ``armijo`` set, directions must descend and steps must satisfy
+    the Armijo condition on the energy, except at the floating point
+    floor, where energy decrements drown in rounding and steps are
+    accepted by residual decrease instead.  Without it every step is
+    accepted by residual decrease, so the iteration converges to
+    critical points of any index.  Both tests backtrack by halving.
     """
-    u = prob.zero_state() if init is None else np.array(init, dtype=float)
     w = prob.ops.w_int
     sigma = 0.0
     trace: list[dict] = []
     blow = False
     message = ""
+    g = prob.gradient(u, eps)
+    res = prob.dual_norm(g)
     it = 0
     for it in range(max_iter):
-        g = prob.gradient(u, eps)
-        res = prob.dual_norm(g)
-        e = prob.energy(u, eps)
         if res < tol:
             break
-        H = prob.hessian(u, eps)
+        e = prob.energy(u, eps) if armijo else None
         try:
-            d, sigma = _newton_direction(H, g, w, sigma)
+            d, sigma = _newton_direction(prob.hessian(u, eps), g, w, sigma, armijo)
         except RuntimeError as exc:
             message = str(exc)
             break
+        t, ok, bt, mode = 1.0, False, 0, "residual"
         gd = float(g @ d)
         # the floor of the energy difference scales with the terms that
         # cancel in the total, not with the total itself
-        noise = 1e-13 * (1.0 + abs(e.dirichlet) + abs(e.linear) + abs(e.area)
-                         + abs(e.boundary) + eps * abs(e.j_total))
-        t, ok, bt, mode = 1.0, False, 0, "armijo"
-        if -gd < noise:
-            # quadratic basin: energy decrements are below the floating
-            # point floor, so accept full steps by residual decrease
-            mode = "residual"
-            ok = prob.residual_norm(u + d, eps) < res
-        else:
-            for bt in range(50):
+        if e is not None and -gd >= 1e-13 * (
+                1.0 + abs(e.dirichlet) + abs(e.linear) + abs(e.area)
+                + abs(e.boundary) + eps * abs(e.j_total)):
+            mode = "armijo"
+            for bt in range(MAX_BACKTRACKS):
                 trial = prob.energy(u + t * d, eps)
                 if (math.isfinite(trial.total_eps)
                         and trial.total_eps <= e.total_eps + ARMIJO_C * t * gd):
                     ok = True
                     break
                 t *= 0.5
-        trace.append({"iter": it, "residual": res, "energy": e.total_eps,
-                      "step": t, "sigma": sigma, "backtracks": bt,
-                      "mode": mode})
+        else:
+            # under armijo this is the quadratic basin, where energy
+            # decrements fall below the floating point floor
+            for bt in range(MAX_BACKTRACKS):
+                g_trial = prob.gradient(u + t * d, eps)
+                res_trial = prob.dual_norm(g_trial)
+                if res_trial < (1.0 - ARMIJO_C * t) * res:
+                    ok = True
+                    break
+                t *= 0.5
+        trace.append({"iter": it, "residual": res,
+                      "energy": None if e is None else e.total_eps,
+                      "step": t, "sigma": sigma, "backtracks": bt, "mode": mode})
         if not ok:
-            message = ("stalled at the floating point floor"
-                       if mode == "residual"
-                       else "line search failed to reduce the energy")
+            message = ("line search failed to reduce the "
+                       + ("energy" if mode == "armijo" else "residual"))
             break
         u = u + t * d
         sigma = 0.0 if sigma < 1e-14 else 0.5 * sigma
+        if mode == "armijo":
+            g = prob.gradient(u, eps)
+            res = prob.dual_norm(g)
+        else:
+            g, res = g_trial, res_trial
         if u.max() > blowup_threshold:
             blow = True
-            message = "state escaped upward during descent"
+            message = "state escaped upward"
             break
-    final = prob.energy(u, eps)
-    res = prob.residual_norm(u, eps)
     if not message and res >= tol:
         message = f"no convergence within max_iter={max_iter} iterations"
-    converged = not message
-    index = None
-    if converged and certify:
-        index = negative_count(prob.hessian(u, eps)).negative_count
-        if index:
-            converged = False
-            message = "stationary point is not a local minimum"
+    final = prob.energy(u, eps)
     return SolveReport(
         state=u, energy=final, residual_norm=res, iterations=it,
-        line_search_trace=trace, converged=converged,
-        blowup_flag=blow or final.blowup_flag, method="minimize", eps=eps,
-        gauss_bonnet=prob.gauss_bonnet_residual(u),
-        morse_index=index, message=message,
+        line_search_trace=trace, converged=not message,
+        blowup_flag=blow or final.blowup_flag,
+        method="minimize" if armijo else "newton-polish", eps=eps,
+        gauss_bonnet=prob.gauss_bonnet_residual(u, eps), message=message,
     )
+
+
+def minimize(prob: Problem, eps: float = 0.0,
+             init: Optional[np.ndarray] = None, tol: float = 1e-8,
+             max_iter: int = 100,
+             blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
+    """Damped Newton descent on the (relaxed) energy.
+
+    ``converged`` demands a residual below ``tol`` in the dual norm and a
+    Morse index of zero: the Hessian at the accepted state has no
+    eigenvalue below ``-NEG_TOL``, counted exactly by
+    :func:`prescurv.spectral.negative_count`.  The index is stored in
+    ``morse_index``, so the report certifies a local minimum rather than
+    any critical point.
+    """
+    u = prob.zero_state() if init is None else np.array(init, dtype=float)
+    rep = _newton(prob, u, eps, tol, max_iter, blowup_threshold, armijo=True)
+    if rep.converged:
+        rep.morse_index = negative_count(prob.hessian(rep.state, eps)).negative_count
+        if rep.morse_index:
+            rep.converged = False
+            rep.message = "stationary point is not a local minimum"
+    return rep
 
 
 def newton_polish(prob: Problem, init: np.ndarray, eps: float = 0.0,
@@ -209,57 +250,8 @@ def newton_polish(prob: Problem, init: np.ndarray, eps: float = 0.0,
                   blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
     """Residual-driven Newton iteration; converges to critical points of
     any index, so it finishes saddle searches."""
-    u = np.array(init, dtype=float)
-    w = prob.ops.w_int
-    trace: list[dict] = []
-    blow = False
-    message = ""
-    it = 0
-    res = prob.residual_norm(u, eps)
-    for it in range(max_iter):
-        if res < tol:
-            break
-        H = prob.hessian(u, eps)
-        g = prob.gradient(u, eps)
-        d = None
-        sigma = 0.0
-        for _ in range(40):
-            Hs = H if sigma == 0.0 else H + sp.diags(sigma * w)
-            try:
-                d = spla.splu(Hs.tocsc()).solve(-g)
-            except RuntimeError:
-                d = None
-            if d is not None and np.all(np.isfinite(d)):
-                break
-            sigma = max(4.0 * sigma, 1e-10)
-        if d is None:
-            message = "Newton system remained singular"
-            break
-        t, ok, new_res = 1.0, False, res
-        for bt in range(40):
-            new_res = prob.residual_norm(u + t * d, eps)
-            if new_res < (1.0 - ARMIJO_C * t) * res:
-                ok = True
-                break
-            t *= 0.5
-        trace.append({"iter": it, "residual": res, "step": t, "backtracks": bt})
-        if not ok:
-            message = "line search failed to reduce the residual"
-            break
-        u = u + t * d
-        res = new_res
-        if u.max() > blowup_threshold:
-            blow = True
-            message = "state escaped upward during polish"
-            break
-    converged = res < tol and not blow and not message
-    final = prob.energy(u, eps)
-    return SolveReport(
-        state=u, energy=final, residual_norm=res, iterations=it,
-        line_search_trace=trace, converged=converged,
-        blowup_flag=blow or final.blowup_flag, method="newton-polish",
-        eps=eps, gauss_bonnet=prob.gauss_bonnet_residual(u), message=message,
-    )
+    return _newton(prob, np.array(init, dtype=float), eps, tol, max_iter,
+                   blowup_threshold, armijo=False)
 
 
 # -- concentrated test functions ---------------------------------------------
@@ -268,40 +260,28 @@ def newton_polish(prob: Problem, init: np.ndarray, eps: float = 0.0,
 MU_RATIOS = (1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 1.01, 1.005, 1.002, 1.001)
 
 
-def _distance2(prob: Problem, q: np.ndarray) -> np.ndarray:
-    xy = prob.mesh.dof_coords
-    dx = xy[:, 0] - q[0]
-    if prob.mesh.spec.kind == "cylinder":
-        dx = (dx + math.pi) % (2.0 * math.pi) - math.pi
-    dy = xy[:, 1] - q[1]
-    return dx**2 + dy**2
-
-
 def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
-             mu_ratios: Sequence[float] = MU_RATIOS,
-             delta: Optional[float] = None,
              u0: Optional[np.ndarray] = None, eps: float = 0.0,
              below: Optional[float] = None) -> np.ndarray:
     """Concentrated state of negative energy near a boundary point.
 
-    Walks a schedule of bubbles centered at q = point + q2 * n (outside
-    the surface) and returns the first whose energy falls below
-    ``below`` (zero by default) and whose boundary mass exceeds
-    ``delta``, the separation level below which states are
-    indistinguishable from the flat end u0.  Fails when the schedule
+    Walks the ``MU_RATIOS`` schedule of bubbles centered at
+    q = point + q2 * n (outside the surface) and returns the first whose
+    energy falls below ``below`` (zero by default) and whose boundary
+    mass exceeds half that of the flat end u0, the separation level
+    below which states are indistinguishable from it.  Fails when the schedule
     exhausts, which is the expected outcome wherever the boundary ratio
     h/sqrt(|K|) stays at or below one.
     """
     if u0 is None:
         u0 = prob.zero_state() - 16.0
-    if delta is None:
-        delta = 0.5 * prob.ops.boundary_integral(np.exp(0.5 * u0))
+    delta = 0.5 * prob.ops.boundary_integral(np.exp(0.5 * u0))
     if below is None:
         below = 0.0
     q = point.coords + q2 * point.normal
-    d2 = _distance2(prob, q)
+    d2 = distance2(prob.mesh, q)
     logK = np.log(-prob.K_dof)
-    for ratio in mu_ratios:
+    for ratio in MU_RATIOS:
         mu = ratio / q2
         wall = mu**2 * d2 - 1.0
         if wall.min() <= 0:
@@ -342,8 +322,6 @@ def _resample_path(prob: Problem, pts: np.ndarray) -> np.ndarray:
 
 def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
                   n_points: int = 17, tol: float = 1e-8,
-                  max_sweeps: int = 1000, switch_tol: float = 1e-3,
-                  inner_steps: int = 3, stall_limit: int = 40,
                   blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
     """Deform the segment [u0, u1] until its maximum is near-critical,
     then polish that maximum with Newton.
@@ -366,7 +344,7 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
     best_level = math.inf
     best_state = pts[1 + int(np.argmax(energies[1:-1]))].copy()
     stall = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if energies.max() <= collapse_level:
             raise PathCollapseError(
                 "path maximum fell to the endpoint level: no pass between the endpoints")
@@ -382,9 +360,9 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
             stall = 0
         else:
             stall += 1
-        if res < switch_tol or stall >= stall_limit:
+        if res < SWITCH_TOL or stall >= STALL_LIMIT:
             break
-        for _ in range(inner_steps):
+        for _ in range(INNER_STEPS):
             d = -prob.ops.solve_B(g)
             gd = float(g @ d)
             t, ok = 1.0, False
@@ -453,15 +431,14 @@ def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,
 def continuation(prob: Problem, point: BoundaryPoint,
                  eps_schedule: Sequence[float] = (0.05, 0.02, 0.01, 0.005),
                  tol: float = 1e-8, n_points: int = 17, q2: float = 0.1,
-                 blowup_threshold: float = BLOWUP_SUP,
-                 with_index: bool = True) -> list[SolveReport]:
+                 blowup_threshold: float = BLOWUP_SUP) -> list[SolveReport]:
     """Mountain-pass solve at the first relaxation weight, then warm
     started Newton polishes down the schedule.
 
     Stops early with the blow-up flag set when a state escapes above the
     threshold, which is the verdict the relaxation family is designed to
     expose.  Each report carries the Morse index of the relaxed form at
-    its state when ``with_index`` is set.
+    its state.
     """
     reports: list[SolveReport] = []
     u = None
@@ -479,7 +456,7 @@ def continuation(prob: Problem, point: BoundaryPoint,
                                     tol=tol, blowup_threshold=blowup_threshold)
             rep.method = "continuation"
         rep.eps = eps
-        if with_index and not rep.blowup_flag:
+        if not rep.blowup_flag:
             rep.morse_index = morse_index(prob, rep.state, eps=eps).negative_count
         reports.append(rep)
         if rep.blowup_flag:

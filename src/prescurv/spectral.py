@@ -4,8 +4,8 @@ The stability form of a state u is
 
     Q(psi) = int |grad psi|^2 + 2 int |K| e^u psi^2 - bd h e^{u/2} psi^2,
 
-discretized by :meth:`prescurv.energy.Problem.hessian_form` as stiffness
-plus diagonal.  The Morse index is the number of negative eigenvalues of
+discretized by :meth:`prescurv.energy.Problem.hessian` at eps = 0 as
+stiffness plus diagonal.  The Morse index is the number of negative eigenvalues of
 Q against any positive inner product; by Sylvester's law of inertia that
 equals the number of negative eigenvalues of the plain symmetric matrix.
 :func:`negative_count` reads it exactly from the pivots of one

@@ -113,6 +113,12 @@ class TestConfigErrors:
         assert code == 3
         assert "unknown mode" in capsys.readouterr().err
 
+    def test_verify_is_an_unknown_mode(self, capsys):
+        assert cli.main(["verify"]) == 3
+        err = capsys.readouterr().err
+        assert "unknown mode" in err
+        assert "Traceback" not in err
+
     def test_missing_config_flag(self, capsys):
         assert cli.main(["solve"]) == 3
         assert "requires --config" in capsys.readouterr().err
@@ -263,6 +269,8 @@ class TestSolveMode:
         for i in range(3):
             rep = read_json(out, f"report_{i}.json")
             assert rep["converged"] is True
+            # the identity of the relaxed data solved at the stage's eps
+            assert abs(rep["gauss_bonnet"]) < 1e-8
         assert not (out / "report.json").exists()
 
 
@@ -438,42 +446,30 @@ class TestTestfnMode:
         assert "mu" in capsys.readouterr().err
 
 
-class TestVerifyMode:
-    def _patch_battery(self, monkeypatch, results):
-        import sys
-        import types
-
-        mod = types.ModuleType("prescurv.acceptance")
-        mod.run_battery = lambda quick=False: results
-        monkeypatch.setitem(sys.modules, "prescurv.acceptance", mod)
-
-    class FakeResult:
-        def __init__(self, number, passed):
-            self.number = number
-            self.name = f"criterion-{number}"
-            self.passed = passed
-            self.detail = "stub"
-
-        def as_dict(self):
-            return {"number": self.number, "passed": self.passed}
-
-    def test_all_pass(self, tmp_path, monkeypatch, capsys):
-        self._patch_battery(monkeypatch, [self.FakeResult(1, True),
-                                          self.FakeResult(2, True)])
-        code = cli.main(["verify", "--out", str(tmp_path / "v")])
+class TestDomainKeys:
+    # configparser folds key case; each kind must read only its own key
+    def test_annulus_r_leaves_R(self, tmp_path):
+        code, out = run_cli(tmp_path, "classify", SADDLE_CFG.format(method="minimize"))
         assert code == 0
-        out = capsys.readouterr().out
-        assert "[PASS] criterion  1" in out
-        assert "2/2 criteria passed" in out
-        rows = read_json(tmp_path / "v", "acceptance.json")
-        assert [r["number"] for r in rows] == [1, 2]
+        dom = read_json(out, "manifest.json")["domain"]
+        assert dom["r"] == 0.8
+        assert dom["R"] == 1.0
 
-    def test_failure_exits_1(self, tmp_path, monkeypatch, capsys):
-        self._patch_battery(monkeypatch, [self.FakeResult(1, True),
-                                          self.FakeResult(2, False)])
-        code = cli.main(["verify", "--out", str(tmp_path / "v")])
-        assert code == 1
-        assert "[FAIL] criterion  2" in capsys.readouterr().out
+    def test_halfdisk_R_leaves_r(self, tmp_path):
+        code, out = run_cli(tmp_path, "classify", """
+            [domain]
+            kind = halfdisk
+            R = 8
+            level = 1
+
+            [curvature]
+            K = -1
+            h = 2 ; 0
+        """)
+        assert code == 0
+        dom = read_json(out, "manifest.json")["domain"]
+        assert dom["R"] == 8.0
+        assert dom["r"] == 0.5
 
 
 class TestQuickFlag:

@@ -11,8 +11,6 @@ from hypothesis import given, strategies as st
 from prescurv.domain import (
     DomainSpec,
     build_mesh,
-    export_mesh,
-    load_mesh,
     refine,
     tangential_derivative,
 )
@@ -168,13 +166,3 @@ def test_spec_validation():
 def test_orientation_property(kind, level):
     mesh = build_mesh(DomainSpec(kind, level=level))
     assert mesh.tri_areas.min() > 0
-
-
-def test_export_load_roundtrip(tmp_path):
-    mesh = build_mesh(DomainSpec("annulus", r=0.5, level=1))
-    path = tmp_path / "mesh.txt"
-    export_mesh(mesh, str(path))
-    back = load_mesh(str(path))
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert len(back.components) == len(mesh.components)

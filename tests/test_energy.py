@@ -181,7 +181,7 @@ def test_convexity_when_h_nonpositive(ann):
     prob = Problem(ann, spec)
     for _ in range(5):
         u = RNG.normal(0, 1.0, prob.n_dof)
-        Q = prob.hessian_form(u).toarray()
+        Q = prob.hessian(u).toarray()
         lam = np.linalg.eigvalsh(Q)[0]
         assert lam >= -1e-10
 
@@ -190,7 +190,7 @@ def test_hessian_form_constant_vector_value(cyl):
     prob = random_problem(cyl, 1)
     u = RNG.normal(0, 0.5, prob.n_dof)
     one = np.ones(prob.n_dof)
-    val = one @ (prob.hessian_form(u) @ one)
+    val = one @ (prob.hessian(u) @ one)
     bd = prob.energy(u)
     # Q(1) = 2 int |K| e^u - bd h e^{u/2} = area - boundary/4 in breakdown terms
     assert val == pytest.approx(bd.area - bd.boundary / 4, rel=1e-12)
@@ -206,10 +206,21 @@ def test_relaxed_derivatives_match_perturbed_data(ann):
         g_pert = (1 + 2 * eps) * pert.gradient(u)
         assert np.abs(g_eps - g_pert).max() < 1e-12 * max(np.abs(g_eps).max(), 1.0)
         H_eps = prob.hessian(u, eps)
-        Q_pert = pert.hessian_form(u)
+        Q_pert = pert.hessian(u)
         diff = (H_eps - (1 + 2 * eps) * Q_pert).tocoo()
         scale = abs(H_eps).max()
         assert (np.abs(diff.data).max() if diff.nnz else 0.0) < 1e-12 * scale
+
+
+def test_relaxed_gauss_bonnet_matches_perturbed_data(ann):
+    spec = CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=0.0, h_bg=(1.0, -2.0))
+    prob = Problem(ann, spec)
+    u = np.random.default_rng(11).normal(0, 0.6, prob.n_dof)
+    assert prob.gauss_bonnet_residual(u, 0.0) == prob.gauss_bonnet_residual(u)
+    for eps in (0.02, 0.05, 0.5):
+        pert = Problem(ann, perturb(spec, eps), ops=prob.ops)
+        assert abs(prob.gauss_bonnet_residual(u, eps)
+                   - pert.gauss_bonnet_residual(u)) < 1e-12
 
 
 def test_trace_ratio_constants(cyl):

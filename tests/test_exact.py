@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prescurv import cli
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.exact import (
     annulus_gamma_problem,
@@ -24,8 +25,6 @@ from prescurv.exact import (
     log_family_curvatures,
     oneD_profile,
     profile_state,
-    sweep_gamma_family,
-    sweep_log_family,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -237,13 +236,18 @@ def test_gamma_family_gauss_bonnet_refines_to_zero():
 
 def test_sweep_outputs():
     mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
-    rows = sweep_gamma_family(mesh, [4, 8], 2.0)
+    rows = cli._sweep_rows(
+        [(annulus_gamma_problem(mesh, g, 2.0), annulus_gamma_state(mesh, g, 2.0))
+         for g in (4, 8)], [4, 8])
     keys = {"parameter", "sup_u", "inf_u", "area_mass",
             "boundary_mass_0", "boundary_mass_1", "gb_residual"}
     assert keys <= set(rows[0])
     assert rows[1]["sup_u"] > rows[0]["sup_u"]
     assert rows[1]["inf_u"] < rows[0]["inf_u"]
 
-    logs = sweep_log_family(mesh, [-0.5, -0.1])
+    lams = [-0.5, -0.1]
+    logs = cli._sweep_rows(
+        [(annulus_log_problem(mesh, lam), annulus_log_state(mesh, lam)) for lam in lams],
+        lams)
     assert logs[1]["sup_u"] > logs[0]["sup_u"]
     assert all(r["area_mass"] > 0 for r in logs)

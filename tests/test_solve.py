@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
 from prescurv.exact import annulus_gamma_problem, annulus_gamma_state
-from prescurv.fields import CurvatureSpec, background_for
+from prescurv.fields import CurvatureSpec, background_for, perturb
 import prescurv.solve as solve
 from prescurv.solve import (
     PathCollapseError,
@@ -87,10 +87,12 @@ class TestMinimize:
         assert morse_index(prob, rep.state).negative_count == 0
 
     def test_quadratic_convergence_from_exact_interpolant(self):
+        # the power-family state is a saddle, so the residual-driven
+        # polish finishes it
         mesh = build_mesh(DomainSpec("annulus", r=0.5, level=3))
         prob = annulus_gamma_problem(mesh, gamma=2, h1=2.0)
         init = annulus_gamma_state(mesh, gamma=2, h1=2.0)
-        rep = minimize(prob, init=init, tol=1e-10, certify=False)
+        rep = newton_polish(prob, init, tol=1e-10)
         assert rep.converged
         assert rep.iterations <= 5
         assert rep.residual_norm < 1e-10
@@ -116,6 +118,18 @@ class TestMinimize:
         assert rep.converged, rep.message
         assert rep.iterations <= 12
         assert rep.morse_index == 0
+
+    def test_regularization_path(self):
+        # at u = -10 the boundary term dominates, 1^T H 1 < 0, so the
+        # plain Newton system is indefinite and the shift must engage
+        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
+        init = np.full(prob.n_dof, -10.0)
+        one = np.ones(prob.n_dof)
+        assert one @ (prob.hessian(init) @ one) < 0
+        rep = minimize(prob, init=init, tol=1e-10)
+        assert rep.converged, rep.message
+        assert rep.morse_index == 0
+        assert any(entry["sigma"] > 0 for entry in rep.line_search_trace)
 
     def test_iteration_limit_sets_message(self):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
@@ -168,6 +182,19 @@ class TestNewtonPolish:
         assert abs(back.energy.total_eps - rep.energy.total_eps) < 1e-8
         assert abs(back.sup - rep.sup) < 1e-3
         assert morse_index(prob, back.state, eps=0.05).negative_count == 1
+
+    def test_trace_keys_match_minimize(self):
+        mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
+        prob = annulus_gamma_problem(mesh, gamma=2, h1=2.0)
+        init = annulus_gamma_state(mesh, gamma=2, h1=2.0) + 0.1
+        polish = newton_polish(prob, init)
+        descent = minimize(cylinder_problem(h=0.5, K_bg=-1.0, level=2))
+        keys = {"iter", "residual", "energy", "step", "sigma", "backtracks", "mode"}
+        assert polish.line_search_trace and descent.line_search_trace
+        for entry in polish.line_search_trace + descent.line_search_trace:
+            assert set(entry) == keys
+        assert all(e["mode"] == "residual" and e["energy"] is None
+                   for e in polish.line_search_trace)
 
     def test_reports_its_own_method(self):
         mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
@@ -299,3 +326,8 @@ class TestContinuation:
         assert reports[1].method == "continuation"
         assert all(r.morse_index == 1 for r in reports)
         assert abs(reports[1].sup - reports[0].sup) < 1.0
+        # each report carries the identity of the relaxed data it solved
+        for rep in reports:
+            relaxed = Problem(prob.mesh, perturb(prob.spec, rep.eps), ops=prob.ops)
+            assert abs(rep.gauss_bonnet - relaxed.gauss_bonnet_residual(rep.state)) < 1e-12
+            assert abs(rep.gauss_bonnet) < 1e-8

@@ -68,7 +68,7 @@ def test_factorization_count_matches_dense_on_sparse_indefinite(n, seed):
 def _cylinder_minimum():
     mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=3))
     prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[0.5, 0.5], K_bg=-1.0))
-    return prob.hessian(minimize(prob, tol=1e-10, certify=False).state), 0
+    return prob.hessian(minimize(prob, tol=1e-10).state), 0
 
 
 def _annulus_saddle():
