@@ -5,6 +5,10 @@ One experiment per invocation::
     prescurv <mode> --config <path> [--out <dir>] [--quick]
 
 Modes: solve, classify, spectrum, exact-sweep, blowup, pohozaev, testfn.
+The solve mode runs every method through the nested driver of
+:mod:`prescurv.solve`: coarser levels first, a Newton finish at the
+configured level, a direct solve wherever that fails.  Reports list the
+levels tried; their wall seconds go to standard output.
 Configs are plain INI files (key = value sections, ``#`` comments);
 every run writes a ``manifest.json`` echoing the resolved settings next
 to the mode's own JSON/CSV/.dat artifacts, so repeated runs with the
@@ -58,13 +62,7 @@ from .exact import (
     profile_state,
 )
 from .fields import CurvatureSpec, Field, background_for, regime_classify
-from .solve import (
-    PathCollapseError,
-    continuation,
-    minimize,
-    mountain_pass,
-    relaxed_endpoints,
-)
+from .solve import PathCollapseError, continuation, minimize, nested
 from .spectral import disk_form_report, morse_index
 
 MODES = ("solve", "classify", "spectrum", "exact-sweep", "blowup",
@@ -335,6 +333,9 @@ def _initial_state(cfg: ExperimentConfig, prob: Problem) -> np.ndarray:
 
 
 def _resolve_anchor(cfg: ExperimentConfig, prob: Problem) -> BoundaryPoint:
+    """Anchor on ``prob``'s mesh, which may be coarser than the config's:
+    named anchors are resolved on it, an explicit ``c,i`` (indexing the
+    config's mesh) maps to its vertex nearest in arclength."""
     text = cfg.settings["anchor"]
     mesh = prob.mesh
     if text == "argmax-d":
@@ -346,9 +347,10 @@ def _resolve_anchor(cfg: ExperimentConfig, prob: Problem) -> BoundaryPoint:
         return mesh.boundary_point(0, i)
     try:
         comp_idx, vert_idx = (int(t) for t in text.split(","))
-        return mesh.boundary_point(comp_idx, vert_idx)
+        s = cfg.mesh.boundary_point(comp_idx, vert_idx).s
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad [solver] anchor {text!r}: {exc}") from exc
+    return mesh.boundary_point_at(comp_idx, s)
 
 
 def _boundary_point_dict(pt: BoundaryPoint) -> dict:
@@ -424,40 +426,37 @@ def _sweep_rows(states: list, params: list[float]) -> list[dict]:
     return rows
 
 
-def _solve_problem(cfg: ExperimentConfig) -> tuple[Problem, object]:
+def _solve_problem(cfg: ExperimentConfig) -> tuple[Problem, list]:
+    """The configured solve; one report per eps of a continuation,
+    otherwise a single report."""
     prob = Problem(cfg.mesh, _need_curvature(cfg))
     s = cfg.settings
     if s["method"] == "minimize":
-        rep = minimize(prob, eps=s["eps"], init=_initial_state(cfg, prob),
-                       tol=s["tol"], max_iter=s["max_iter"],
-                       blowup_threshold=s["blowup_threshold"])
-        return prob, rep
-    point = _resolve_anchor(cfg, prob)
-    if s["method"] == "mountain-pass":
-        low, u1 = relaxed_endpoints(prob, point, s["eps"], q2=s["q2"], tol=s["tol"])
-        rep = mountain_pass(prob, s["eps"], low.state, u1,
-                            n_points=s["path_points"], tol=s["tol"],
+        def descend(p, u):
+            return minimize(p, eps=s["eps"], init=u, tol=s["tol"],
+                            max_iter=s["max_iter"],
                             blowup_threshold=s["blowup_threshold"])
-        return prob, rep
-    reports = continuation(prob, point, eps_schedule=s["eps_schedule"],
-                           tol=s["tol"], n_points=s["path_points"], q2=s["q2"],
-                           blowup_threshold=s["blowup_threshold"])
-    return prob, reports
+        return prob, [nested(prob, _initial_state(cfg, prob), descend, descend)]
+    # a mountain-pass solve is a continuation over the single weight eps
+    schedule = [s["eps"]] if s["method"] == "mountain-pass" else s["eps_schedule"]
+    return prob, continuation(prob, lambda p: _resolve_anchor(cfg, p),
+                              eps_schedule=schedule, tol=s["tol"],
+                              n_points=s["path_points"], q2=s["q2"],
+                              blowup_threshold=s["blowup_threshold"])
 
 
 # -- mode runners -------------------------------------------------------------
 
 
 def _run_solve(cfg: ExperimentConfig) -> int:
-    prob, result = _solve_problem(cfg)
-    reports = result if isinstance(result, list) else [result]
+    prob, reports = _solve_problem(cfg)
     final = reports[-1]
-    if final.converged and final.morse_index is None:
-        final.morse_index = morse_index(prob, final.state,
-                                        eps=final.eps).negative_count
     for i, rep in enumerate(reports):
         name = "report.json" if len(reports) == 1 else f"report_{i}.json"
         _write_json(os.path.join(cfg.out_dir, name), rep.as_dict(include_state=False))
+        for e in rep.levels:
+            print(f"eps={rep.eps:g} level={e['level']} n_dof={e['n_dof']} "
+                  f"{e['method']} seconds={e['seconds']:.3f} {e.get('message', 'ok')}")
     _write_state_csv(os.path.join(cfg.out_dir, "state.csv"), prob.mesh, final.state)
     if final.path is not None:
         _write_dat(os.path.join(cfg.out_dir, "path.dat"), ["index", "energy"],
@@ -512,8 +511,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
         solve_summary = {"state": "family", "parameter": params[-1]}
         code = 0
     else:
-        prob, result = _solve_problem(cfg)
-        rep = result[-1] if isinstance(result, list) else result
+        prob, reports = _solve_problem(cfg)
+        rep = reports[-1]
         u, eps = rep.state, rep.eps
         solve_summary = {"state": "solve", "converged": rep.converged,
                          "residual_norm": rep.residual_norm}
@@ -570,8 +569,8 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
         prob, u = states[-1]
         source = {"state": "family", "parameter": params[-1]}
     else:
-        prob, result = _solve_problem(cfg)
-        rep = result[-1] if isinstance(result, list) else result
+        prob, reports = _solve_problem(cfg)
+        rep = reports[-1]
         u = rep.state
         source = {"state": "solve", "converged": rep.converged}
         if not rep.converged:

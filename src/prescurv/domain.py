@@ -20,6 +20,11 @@ geometrically and maps them onto shared degrees of freedom through
 on the quotient.  Boundary components are stored as ordered vertex
 paths carrying the analytic arc-length parameter and analytic outward
 normals/tangents of the model curve.
+
+Levels nest: :func:`refine` doubles both counts of the logical grid
+``Mesh.grid``, so coarse vertex (i, j) is fine vertex (2i, 2j).
+:func:`coarsen` is its inverse and :func:`prolong` the P1 prolongation
+from a mesh to its refinement, which carries nested solves up a level.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 _KINDS = ("cylinder", "annulus", "halfdisk")
 CIRCUMFERENCE = 2.0 * math.pi  # cylinder cross-section length is fixed
@@ -122,6 +128,9 @@ class Mesh:
     n_dof: int
     components: list[BoundaryComponent]
     periodic_pairs: np.ndarray  # (P, 2) identified geometric vertex pairs
+    # logical (i, j) -> geometric vertex: i along the periodic or angular
+    # direction with its seam column, j across (half-disk centre: j = 0)
+    grid: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -170,6 +179,11 @@ class Mesh:
             tangent=comp.tangents[index].copy(),
         )
 
+    def boundary_point_at(self, component: int, s: float) -> BoundaryPoint:
+        """Vertex of ``component`` nearest to arclength ``s``."""
+        return self.boundary_point(
+            component, int(np.argmin(np.abs(self.components[component].s - s))))
+
 
 def build_mesh(spec: DomainSpec) -> Mesh:
     if spec.kind == "cylinder":
@@ -188,11 +202,42 @@ def refine(mesh: Mesh) -> Mesh:
     return build_mesh(replace(mesh.spec, level=mesh.spec.level + 1))
 
 
+def coarsen(mesh: Mesh) -> Mesh:
+    """Inverse of :func:`refine`: the same domain one level coarser."""
+    return build_mesh(replace(mesh.spec, level=mesh.spec.level - 1))
+
+
+def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """P1 prolongation from ``coarse`` to ``fine = refine(coarse)``, the
+    sparse ``n_fine_dof x n_coarse_dof`` matrix, cached on ``fine``.
+
+    Coarse vertex (i, j) is fine vertex (2i, 2j).  A fine vertex between
+    two coarse ones takes their mean, along a grid line or along the
+    (i, j)-(i+1, j+1) diagonal that :func:`_grid_triangles` cuts each
+    cell by, so fields linear in the logical grid prolong exactly.  On
+    the half-disk fan, where the centre is grid row 0, it is a start for
+    Newton rather than the exact interpolant.
+    """
+    if fine.spec != replace(coarse.spec, level=coarse.spec.level + 1):
+        raise ValueError("fine mesh is not the refinement of the coarse mesh")
+    if "prolong" not in fine._cache:
+        I, J = np.indices(fine.grid.shape)
+        ends = (coarse.grid[I // 2, J // 2], coarse.grid[(I + 1) // 2, (J + 1) // 2])
+        rows = fine.vertex_dof[fine.grid].ravel()
+        # seam twins repeat a dof; keep one row each
+        dofs, first = np.unique(rows, return_index=True)
+        cols = np.concatenate([coarse.vertex_dof[e].ravel()[first] for e in ends])
+        fine._cache["prolong"] = sp.csr_matrix(
+            (np.full(len(cols), 0.5), (np.tile(dofs, 2), cols)),
+            shape=(fine.n_dof, coarse.n_dof))
+    return fine._cache["prolong"]
+
+
 def _grid_triangles(cell_a, cell_b, cell_c, cell_d):
-    """Split quad cells (a, b, c, d) in CCW order into two CCW triangles."""
-    t1 = np.stack([cell_a, cell_b, cell_c], axis=1)
-    t2 = np.stack([cell_a, cell_c, cell_d], axis=1)
-    return np.concatenate([t1, t2])
+    """Split quad cells (a, b, c, d) in CCW order into two CCW triangles
+    along a-c, which every builder takes from grid (i, j)-(i+1, j+1)."""
+    a, b, c, d = (x.ravel() for x in (cell_a, cell_b, cell_c, cell_d))
+    return np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
 
 
 def _build_cylinder(spec: DomainSpec) -> Mesh:
@@ -207,9 +252,9 @@ def _build_cylinder(spec: DomainSpec) -> Mesh:
     def vid(i, j):
         return j * (n_s + 1) + i
 
-    ii, jj = np.meshgrid(np.arange(n_s), np.arange(n_t))
-    ii, jj = ii.ravel(), jj.ravel()
-    triangles = _grid_triangles(vid(ii, jj), vid(ii + 1, jj), vid(ii + 1, jj + 1), vid(ii, jj + 1))
+    grid = vid(*np.meshgrid(np.arange(n_s + 1), np.arange(n_t + 1), indexing="ij"))
+    g = grid.T  # cells in row-major (j, i) order
+    triangles = _grid_triangles(g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1])
 
     # seam vertices i = n_s share dofs with i = 0
     row = np.arange(n_s + 1) % n_s
@@ -234,7 +279,7 @@ def _build_cylinder(spec: DomainSpec) -> Mesh:
         tangents=np.tile([-1.0, 0.0], (n_s + 1, 1)),
         closed=True,
     )
-    return Mesh(spec, vertices, triangles, vertex_dof, n_dof, [bottom, top], pairs)
+    return Mesh(spec, vertices, triangles, vertex_dof, n_dof, [bottom, top], pairs, grid)
 
 
 def _build_annulus(spec: DomainSpec) -> Mesh:
@@ -249,10 +294,10 @@ def _build_annulus(spec: DomainSpec) -> Mesh:
     def vid(i, j):
         return j * n_th + np.asarray(i) % n_th
 
-    ii, jj = np.meshgrid(np.arange(n_th), np.arange(n_r))
-    ii, jj = ii.ravel(), jj.ravel()
+    grid = vid(*np.meshgrid(np.arange(n_th + 1), np.arange(n_r + 1), indexing="ij"))
+    g = grid.T
     # counterclockwise quad order: radially out first, then along the circle
-    triangles = _grid_triangles(vid(ii, jj), vid(ii, jj + 1), vid(ii + 1, jj + 1), vid(ii + 1, jj))
+    triangles = _grid_triangles(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
     n_vert = n_th * (n_r + 1)
     vertex_dof = np.arange(n_vert)
 
@@ -272,7 +317,7 @@ def _build_annulus(spec: DomainSpec) -> Mesh:
     outer = circle_component(n_r, 1.0, outward=True)
     inner = circle_component(0, spec.r, outward=False)
     return Mesh(spec, vertices, triangles, vertex_dof, n_vert,
-                [outer, inner], np.zeros((0, 2), dtype=int))
+                [outer, inner], np.zeros((0, 2), dtype=int), grid)
 
 
 def _build_halfdisk(spec: DomainSpec) -> Mesh:
@@ -291,16 +336,13 @@ def _build_halfdisk(spec: DomainSpec) -> Mesh:
     ring_coords = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
     vertices = np.vstack([[0.0, 0.0], ring_coords])
 
-    i = np.arange(n_th)
-    fan = np.column_stack([np.zeros(n_th, dtype=int), vid(1, i), vid(1, i + 1)])
-    tris = [fan]
-    if n_r > 1:
-        ii, kk2 = np.meshgrid(i, np.arange(1, n_r))
-        ii, kk2 = ii.ravel(), kk2.ravel()
-        # counterclockwise quad order: radially out first, then along the arc
-        tris.append(_grid_triangles(vid(kk2, ii), vid(kk2 + 1, ii),
-                                    vid(kk2 + 1, ii + 1), vid(kk2, ii + 1)))
-    triangles = np.concatenate(tris)
+    kk, ii = np.meshgrid(np.arange(n_r + 1), np.arange(n_th + 1))
+    grid = np.where(kk == 0, 0, vid(kk, ii))
+    g = grid.T  # row k = 0 is the centre
+    fan = np.column_stack([g[0, :-1], g[1, :-1], g[1, 1:]])
+    # counterclockwise quad order: radially out first, then along the arc
+    triangles = np.concatenate([fan, _grid_triangles(g[1:-1, :-1], g[2:, :-1],
+                                                     g[2:, 1:], g[1:-1, 1:])])
     n_vert = len(vertices)
     vertex_dof = np.arange(n_vert)
 
@@ -325,7 +367,7 @@ def _build_halfdisk(spec: DomainSpec) -> Mesh:
         closed=False,
     )
     return Mesh(spec, vertices, triangles, vertex_dof, n_vert,
-                [flat, arc], np.zeros((0, 2), dtype=int))
+                [flat, arc], np.zeros((0, 2), dtype=int), grid)
 
 
 def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray,

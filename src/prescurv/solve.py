@@ -10,16 +10,21 @@ backtracking, serves two acceptance tests:
 * :func:`newton_polish` - residual-decrease acceptance, which converges
   to critical points of any index.
 
-Two drivers build on them:
+Three drivers build on them:
 
 * :func:`mountain_pass` - deformation of a discrete path between two
   low states: repeated preconditioned descent at the path maximum with
   arclength reparametrization, then a Newton polish of the near-critical
   maximum.  Raises :class:`PathCollapseError` when the landscape carries
   no pass (the path maximum sinks to the endpoint level).
-* :func:`continuation` - solves along a decreasing schedule of
-  relaxation weights eps, warm starting each solve from the previous
-  one, and reports a blow-up verdict when the states escape upward.
+* :func:`nested` - nested iteration on the meshes ``refine`` nests
+  (full multigrid; Brandt 1977, Bank & Rose 1982): solve one level
+  coarser, prolong, finish with Newton.  Where that fails the level is
+  solved directly, which is also the base case at level 0.
+* :func:`continuation` - a nested saddle solve (mountain pass at the
+  coarsest level where it succeeds) at the first relaxation weight eps,
+  then warm started polishes down the schedule; reports a blow-up
+  verdict when the states escape upward.
 
 The relaxed functional I_eps = I + eps J with J = int |grad u|^2 +
 e^u - u is handled inside :class:`prescurv.energy.Problem`; its critical
@@ -30,16 +35,18 @@ without extra bookkeeping.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import time
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import BoundaryPoint, distance2
+from .domain import BoundaryPoint, coarsen, distance2, prolong
 from .energy import EnergyBreakdown, Problem
 from .spectral import morse_index, negative_count
 
@@ -86,6 +93,8 @@ class SolveReport:
     morse_index: Optional[int] = None
     message: str = ""
     path: Optional[PathState] = None
+    # one entry per level tried, coarsest first (see nested)
+    levels: list = field(default_factory=list)
 
     @property
     def sup(self) -> float:
@@ -105,6 +114,9 @@ class SolveReport:
             "morse_index": self.morse_index,
             "message": self.message,
             "line_search_trace": self.line_search_trace,
+            # wall seconds stay out so that reruns write identical reports
+            "levels": [{k: v for k, v in entry.items() if k != "seconds"}
+                       for entry in self.levels],
         }
         if include_state:
             d["state"] = np.asarray(self.state, dtype=float).tolist()
@@ -200,7 +212,9 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
                        + ("energy" if mode == "armijo" else "residual"))
             break
         u = u + t * d
-        sigma = 0.0 if sigma < 1e-14 else 0.5 * sigma
+        # a full step means the shift is no longer needed, so the last
+        # steps of the basin converge quadratically
+        sigma = 0.0 if t == 1.0 or sigma < 1e-14 else 0.5 * sigma
         if mode == "armijo":
             g = prob.gradient(u, eps)
             res = prob.dual_norm(g)
@@ -290,9 +304,13 @@ def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
         e = prob.energy(phi, eps)
         if e.total_eps < below and prob.ops.boundary_integral(np.exp(0.5 * phi)) > delta:
             return phi
+    comp = prob.mesh.components[point.component]
+    edge = comp.edge_lengths[min(point.index, comp.n_edges - 1)]
     raise RuntimeError(
         "test function schedule exhausted without reaching a negative level;"
-        " the boundary ratio may not exceed one near the anchor point")
+        " the boundary ratio may not exceed one near the anchor point, or the"
+        f" mesh (boundary edge {edge:.3g} at the anchor) may be too coarse for"
+        f" the bubble width q2={q2:g}")
 
 
 # -- path deformation ---------------------------------------------------------
@@ -428,36 +446,126 @@ def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,
     return low, u1
 
 
-def continuation(prob: Problem, point: BoundaryPoint,
+# -- nested iteration ---------------------------------------------------------
+
+
+def _attempt(levels: list, prob: Problem, method: str, solve: Callable,
+             u: Optional[np.ndarray], index: Optional[int] = None) -> SolveReport:
+    """``solve(prob, u)``, timed and recorded as one entry of ``levels``,
+    which becomes the report's table; a converged result whose Morse
+    index is not ``index`` counts as failed."""
+    entry = {"level": prob.mesh.spec.level, "n_dof": prob.n_dof, "method": method}
+    levels.append(entry)
+    start = time.perf_counter()
+    try:
+        rep = solve(prob, u)
+    except RuntimeError as exc:
+        entry["message"] = str(exc)
+        raise
+    finally:
+        entry["seconds"] = time.perf_counter() - start
+    if index is not None and rep.converged and rep.morse_index != index:
+        rep.converged = False
+        rep.message = f"Morse index {rep.morse_index} differs from {index} one level coarser"
+    entry.update(iterations=rep.iterations, residual_norm=rep.residual_norm,
+                 energy=rep.energy.total_eps, sup=rep.sup, morse_index=rep.morse_index)
+    if not rep.converged:
+        entry["message"] = rep.message
+    rep.levels = levels
+    return rep
+
+
+def nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
+           finish: Callable, levels: Optional[list] = None) -> SolveReport:
+    """Coarse-to-fine nested solve of ``prob``.
+
+    Solves the same data one level coarser (recursively, down to level
+    0), prolongs that state and returns ``finish(prob, state)``.  Returns
+    ``direct(prob, init)`` instead when the coarse solve fails or raises,
+    or the finish fails or changes the Morse index.  Coarser levels get
+    ``init`` (a state on ``prob``'s mesh, or None) at their own dofs.  A
+    ``RuntimeError`` of ``direct`` at ``prob``'s level propagates.  The
+    report's ``levels`` (appended to ``levels`` when given) lists each
+    level tried, coarsest first: level, n_dof, method (``direct`` or
+    ``finish``), iterations, residual_norm, energy (relaxed total), sup,
+    morse_index, seconds, and the message of a failed attempt.
+    """
+    levels = [] if levels is None else levels
+    mesh, coarse = prob.mesh, None
+    if mesh.spec.level > 0:
+        coarse_mesh = coarsen(mesh)
+        coarse_init = init
+        if init is not None:  # injection: coarse vertex (i, j) is fine (2i, 2j)
+            coarse_init = np.empty(coarse_mesh.n_dof)
+            coarse_init[coarse_mesh.vertex_dof[coarse_mesh.grid]] = (
+                init[mesh.vertex_dof[mesh.grid[::2, ::2]]])
+        with contextlib.suppress(RuntimeError):
+            coarse = nested(Problem(coarse_mesh, prob.spec), coarse_init,
+                            direct, finish, levels)
+    if coarse is not None and coarse.converged:
+        with contextlib.suppress(RuntimeError):
+            rep = _attempt(levels, prob, "finish", finish,
+                           prolong(coarse_mesh, mesh) @ coarse.state, coarse.morse_index)
+            if rep.converged:
+                rep.path = rep.path or coarse.path
+                return rep
+    return _attempt(levels, prob, "direct", direct, init)
+
+
+def _saddle_steps(anchor: Callable, eps: float, tol: float, n_points: int,
+                  q2: float, blowup_threshold: float) -> tuple[Callable, Callable]:
+    """(direct, finish) of :func:`nested` for a saddle at ``eps``: a
+    mountain pass from the relaxed endpoints at ``anchor(prob)``, or a
+    Newton polish; both index the state unless it blew up."""
+
+    def indexed(prob, rep):
+        if not rep.blowup_flag:
+            rep.morse_index = morse_index(prob, rep.state, eps=eps).negative_count
+        return rep
+
+    def direct(prob, _init):
+        low, u1 = relaxed_endpoints(prob, anchor(prob), eps, q2=q2, tol=tol)
+        return indexed(prob, mountain_pass(prob, eps, low.state, u1, n_points=n_points,
+                                           tol=tol, blowup_threshold=blowup_threshold))
+
+    def finish(prob, u):
+        return indexed(prob, newton_polish(prob, u, eps=eps, tol=tol,
+                                           blowup_threshold=blowup_threshold))
+
+    return direct, finish
+
+
+def continuation(prob: Problem,
+                 point: Union[BoundaryPoint, Callable[[Problem], BoundaryPoint]],
                  eps_schedule: Sequence[float] = (0.05, 0.02, 0.01, 0.005),
                  tol: float = 1e-8, n_points: int = 17, q2: float = 0.1,
                  blowup_threshold: float = BLOWUP_SUP) -> list[SolveReport]:
-    """Mountain-pass solve at the first relaxation weight, then warm
-    started Newton polishes down the schedule.
+    """Nested mountain-pass solve at the first relaxation weight, then
+    warm started Newton polishes at ``prob``'s level down the schedule;
+    a polish that fails without blowing up falls back to the nested solve.
 
-    Stops early with the blow-up flag set when a state escapes above the
+    ``point`` anchors the concentrated endpoint: a function giving it on
+    each level's problem, or a boundary point of ``prob``'s mesh, which
+    coarser levels replace by their vertex nearest in arclength.  Stops
+    early with the blow-up flag set when a state escapes above the
     threshold, which is the verdict the relaxation family is designed to
     expose.  Each report carries the Morse index of the relaxed form at
-    its state.
+    its state and its ``levels`` table (see :func:`nested`).
     """
+    anchor = point if callable(point) else (
+        lambda p: p.mesh.boundary_point_at(point.component, point.s))
     reports: list[SolveReport] = []
     u = None
     for eps in eps_schedule:
-        if u is None:
-            low, u1 = relaxed_endpoints(prob, point, eps, q2=q2, tol=tol)
-            rep = mountain_pass(prob, eps, low.state, u1, n_points=n_points,
-                                tol=tol, blowup_threshold=blowup_threshold)
-        else:
-            rep = newton_polish(prob, u, eps=eps, tol=tol,
-                                blowup_threshold=blowup_threshold)
-            if not rep.converged and not rep.blowup_flag:
-                low, u1 = relaxed_endpoints(prob, point, eps, q2=q2, tol=tol)
-                rep = mountain_pass(prob, eps, low.state, u1, n_points=n_points,
-                                    tol=tol, blowup_threshold=blowup_threshold)
+        direct, finish = _saddle_steps(anchor, eps, tol, n_points, q2, blowup_threshold)
+        levels: list[dict] = []
+        if u is not None:
+            rep = _attempt(levels, prob, "finish", finish, u)
+        if u is None or not (rep.converged or rep.blowup_flag):
+            rep = nested(prob, None, direct, finish, levels)
+        if u is not None:
             rep.method = "continuation"
         rep.eps = eps
-        if not rep.blowup_flag:
-            rep.morse_index = morse_index(prob, rep.state, eps=eps).negative_count
         reports.append(rep)
         if rep.blowup_flag:
             break

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from prescurv import cli
+from prescurv.domain import DomainSpec, build_mesh
+from prescurv.energy import Problem
 
 MINIMIZE_CFG = """
     [domain]
@@ -272,6 +274,43 @@ class TestSolveMode:
             # the identity of the relaxed data solved at the stage's eps
             assert abs(rep["gauss_bonnet"]) < 1e-8
         assert not (out / "report.json").exists()
+
+
+class TestLevelsTable:
+    def test_minimize_lists_every_level(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "solve", MINIMIZE_CFG)
+        assert code == 0
+        levels = read_json(out, "report.json")["levels"]
+        assert [(e["level"], e["method"]) for e in levels] == [
+            (0, "direct"), (1, "finish"), (2, "finish")]
+        for e in levels:
+            assert e["morse_index"] == 0 and "message" not in e
+            assert "seconds" not in e  # reruns stay bit-identical
+        assert {"n_dof", "iterations", "residual_norm", "energy", "sup"} <= set(levels[0])
+        assert "level=2 n_dof=832 finish seconds=" in capsys.readouterr().out
+
+    def test_continuation_records_failed_coarse_levels(self, tmp_path):
+        code, out = run_cli(tmp_path, "solve", CONTINUATION_CFG)
+        assert code == 0
+        levels = read_json(out, "report_0.json")["levels"]
+        assert [(e["level"], e["method"]) for e in levels] == [
+            (0, "direct"), (1, "direct"), (2, "direct"), (3, "direct")]
+        for e in levels[:3]:
+            assert "schedule exhausted" in e["message"]
+            assert "boundary edge" in e["message"]
+        assert levels[3]["morse_index"] == 1
+        later = read_json(out, "report_1.json")["levels"]
+        assert [(e["level"], e["method"]) for e in later] == [(3, "finish")]
+
+    def test_explicit_anchor_maps_by_arclength(self, tmp_path):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(textwrap.dedent(SADDLE_CFG.format(method="continuation")
+                                            ).replace("argmax-d", "0,6"))
+        cfg = cli.load_config(str(cfg_path), "solve", str(tmp_path), False)
+        coarse = Problem(build_mesh(DomainSpec("annulus", r=0.8, level=2)), cfg.curvature)
+        point = cli._resolve_anchor(cfg, coarse)
+        assert point.index == 3
+        assert point.s == cfg.mesh.boundary_point(0, 6).s
 
 
 class TestClassifyMode:

@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 from prescurv.domain import (
     DomainSpec,
     build_mesh,
+    coarsen,
+    prolong,
     refine,
     tangential_derivative,
 )
@@ -149,6 +151,48 @@ def test_tangential_derivative_open_component():
     x = mesh.vertices[comp.verts][:, 0]
     d = tangential_derivative(mesh, 0, x**2)
     assert np.abs(d - 2 * x).max() < 1e-8  # quadratic is differenced exactly
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + str(s.grade))
+def test_coarsen_inverts_refine(spec):
+    mesh = build_mesh(spec)
+    assert coarsen(refine(mesh)).spec == mesh.spec
+    assert coarsen(mesh).spec.level == spec.level - 1
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + str(s.grade))
+def test_prolong_rows_and_coarse_dofs(spec):
+    fine = refine(build_mesh(spec))
+    coarse = coarsen(fine)
+    P = prolong(coarse, fine)
+    assert P.shape == (fine.n_dof, coarse.n_dof)
+    assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(fine.n_dof))
+    # coarse vertex (i, j) is fine vertex (2i, 2j), and keeps its value
+    assert np.array_equal(fine.vertices[fine.grid[::2, ::2]], coarse.vertices[coarse.grid])
+    u = np.random.default_rng(5).standard_normal(coarse.n_dof)
+    v = P @ u
+    assert np.array_equal(v[fine.vertex_dof[fine.grid[::2, ::2]]],
+                          u[coarse.vertex_dof[coarse.grid]])
+    assert prolong(coarse, fine) is P
+    with pytest.raises(ValueError):
+        prolong(fine, coarse)
+
+
+@pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind)
+def test_prolong_exact_for_logically_linear_fields(spec):
+    coarse = build_mesh(spec)
+    fine = refine(coarse)
+    P = prolong(coarse, fine)
+    ci, cj = np.indices(coarse.grid.shape)
+    fi, fj = np.indices(fine.grid.shape)
+    # the last grid column is the seam twin of the first, so a field
+    # linear in i is checked only where neither coarse end is that column
+    away = fi < fi.max() - 1
+    for a, b in ((0.0, 1.0), (1.0, 0.0), (0.7, -2.0)):
+        u = np.empty(coarse.n_dof)
+        u[coarse.vertex_dof[coarse.grid[:-1]]] = (a * ci + b * cj)[:-1]
+        v = (P @ u)[fine.vertex_dof[fine.grid]]
+        assert np.allclose(v[away], (0.5 * (a * fi + b * fj))[away], rtol=0, atol=1e-12)
 
 
 def test_spec_validation():

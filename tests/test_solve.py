@@ -17,6 +17,7 @@ from prescurv.solve import (
     continuation,
     minimize,
     mountain_pass,
+    nested,
     newton_polish,
     relaxed_endpoints,
     _resample_path,
@@ -130,6 +131,8 @@ class TestMinimize:
         assert rep.converged, rep.message
         assert rep.morse_index == 0
         assert any(entry["sigma"] > 0 for entry in rep.line_search_trace)
+        assert rep.line_search_trace[-1]["sigma"] == 0
+        assert rep.iterations <= 6
 
     def test_iteration_limit_sets_message(self):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
@@ -238,6 +241,14 @@ class TestBuildU1:
         with pytest.raises(RuntimeError, match="schedule exhausted"):
             build_u1(prob, mesh.boundary_point(0, 0))
 
+    def test_exhausted_schedule_names_the_resolution(self):
+        prob = saddle_problem(level=2)
+        edge = prob.mesh.components[0].edge_lengths[0]
+        with pytest.raises(RuntimeError, match="schedule exhausted") as exc:
+            build_u1(prob, prob.mesh.boundary_point(0, 0))
+        assert f"boundary edge {edge:.3g}" in str(exc.value)
+        assert "q2=0.1" in str(exc.value)
+
     def test_concentrates_at_the_anchor(self):
         prob = saddle_problem(level=3)
         p = prob.mesh.boundary_point(0, 0)
@@ -312,6 +323,76 @@ class TestResample:
         pts = np.zeros((5, prob.n_dof))
         with pytest.raises(ValueError):
             _resample_path(prob, pts)
+
+
+def _descend(prob, u):
+    return minimize(prob, init=u, tol=1e-10)
+
+
+class TestNested:
+    def test_minimizer_matches_direct_solve(self):
+        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=3)
+        rep = nested(prob, prob.zero_state(), _descend, _descend)
+        assert [(e["level"], e["method"]) for e in rep.levels] == [
+            (0, "direct"), (1, "finish"), (2, "finish"), (3, "finish")]
+        assert rep.converged and rep.morse_index == 0
+        direct = minimize(prob, tol=1e-10)
+        assert np.max(np.abs(rep.state - direct.state)) < 1e-8
+
+    def test_saddle_matches_direct_solve(self):
+        # q2 = 0.2 resolves the bubble from level 2, so level 3 is a finish
+        prob = saddle_problem(level=3)
+        p = prob.mesh.boundary_point(0, 0)
+        rep = continuation(prob, p, eps_schedule=(0.05,), q2=0.2)[0]
+        assert [(e["level"], e["method"]) for e in rep.levels][-2:] == [
+            (2, "direct"), (3, "finish")]
+        low, u1 = relaxed_endpoints(prob, p, 0.05, q2=0.2)
+        direct = mountain_pass(prob, 0.05, low.state, u1)
+        # states are not compared: the saddle Hessian has an exact zero
+        # mode along which the two Newton solves may end apart
+        assert abs(rep.energy.total_eps - direct.energy.total_eps) < 1e-10
+        assert abs(rep.sup - direct.sup) < 1e-5
+        assert rep.morse_index == morse_index(prob, direct.state, eps=0.05).negative_count == 1
+
+    def test_failed_coarse_levels_fall_back_to_direct(self):
+        prob = saddle_problem(level=3)
+        reports = continuation(prob, prob.mesh.boundary_point(0, 0),
+                               eps_schedule=(0.05, 0.02))
+        levels = reports[0].levels
+        assert [(e["level"], e["method"]) for e in levels] == [
+            (0, "direct"), (1, "direct"), (2, "direct"), (3, "direct")]
+        assert all("schedule exhausted" in e["message"] for e in levels[:3])
+        assert "message" not in levels[3] and levels[3]["morse_index"] == 1
+        assert all(r.converged and r.morse_index == 1 for r in reports)
+        assert [(e["level"], e["method"]) for e in reports[1].levels] == [(3, "finish")]
+
+    def test_finish_with_another_index_falls_back(self):
+        def finish(prob, u):
+            rep = _descend(prob, u)
+            rep.morse_index = 1
+            return rep
+
+        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
+        rep = nested(prob, prob.zero_state(), _descend, finish)
+        assert [(e["level"], e["method"]) for e in rep.levels] == [
+            (0, "direct"), (1, "finish"), (1, "direct"), (2, "finish"), (2, "direct")]
+        assert "Morse index 1 differs from 0" in rep.levels[1]["message"]
+        assert rep.converged and rep.morse_index == 0
+
+    def test_injects_the_initial_state(self):
+        seen = []
+
+        def record(prob, u):
+            seen.append(u)
+            return _descend(prob, u)
+
+        prob = cylinder_problem(h=-0.5, K_bg=-1.0, level=2)
+        init = np.random.default_rng(2).standard_normal(prob.n_dof)
+        nested(prob, init, record, _descend)
+        mesh = prob.mesh
+        coarse = build_mesh(DomainSpec("cylinder", L=1.0, level=0))
+        assert np.array_equal(seen[0][coarse.vertex_dof[coarse.grid]],
+                              init[mesh.vertex_dof[mesh.grid[::4, ::4]]])
 
 
 class TestContinuation:
