@@ -10,8 +10,9 @@ The solve mode runs every method through the nested driver of
 configured level, a direct solve wherever that fails.  Reports list the
 levels tried; their wall seconds go to standard output.
 Configs are plain INI files (key = value sections, ``#`` comments);
-every run writes a ``manifest.json`` echoing the resolved settings next
-to the mode's own JSON/CSV/.dat artifacts, so repeated runs with the
+every run writes a ``manifest.json`` echoing the resolved settings, the
+Python, NumPy and SciPy versions and the thread variables next to the
+mode's own JSON/CSV/.dat artifacts, so repeated runs with the
 same config and seed produce bit-identical files.  Curve artifacts come
 with a generated gnuplot script instead of rendered images.
 
@@ -24,9 +25,11 @@ from __future__ import annotations
 
 import os
 
+THREAD_VARS = ("PRESCURV_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS")
 _threads = os.environ.get("PRESCURV_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in THREAD_VARS[1:]:
         os.environ.setdefault(_var, _threads)
 
 import argparse
@@ -35,10 +38,12 @@ import csv
 import dataclasses
 import json
 import math
+import platform
 import sys
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .diagnostics import (
@@ -49,7 +54,7 @@ from .diagnostics import (
     position_field,
     testfunction_energy_curve,
 )
-from .domain import BoundaryPoint, DomainSpec, build_mesh
+from .domain import BoundaryPoint, DomainSpec, build_mesh, tangential_derivative
 from .energy import Problem
 from .exact import (
     annulus_gamma_problem,
@@ -61,7 +66,7 @@ from .exact import (
     oneD_profile,
     profile_state,
 )
-from .fields import CurvatureSpec, Field, background_for, regime_classify
+from .fields import CurvatureSpec, Field, background_for, eval_h, regime_classify
 from .solve import PathCollapseError, continuation, minimize, nested
 from .spectral import disk_form_report, morse_index
 
@@ -123,6 +128,13 @@ class ExperimentConfig:
         man = {
             "mode": self.mode,
             "version": __version__,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                # thread variables as set; None where unset
+                "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            },
             "quick": self.quick,
             "domain": dataclasses.asdict(self.domain),
             "settings": self.settings,
@@ -177,11 +189,29 @@ def _load_curvature(cp: configparser.ConfigParser, mesh) -> CurvatureSpec:
     try:
         K = _compile_field(K_text, "[curvature] K")
         h = [_compile_field(t, "[curvature] h") for t in h_parts]
-        return CurvatureSpec(K=K, h=h, K_bg=K_bg, h_bg=h_bg)
+        spec = CurvatureSpec(K=K, h=h, K_bg=K_bg, h_bg=h_bg)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad [curvature] section: {exc}") from exc
+    _check_seams(spec, mesh)
+    return spec
+
+
+def _check_seams(spec: CurvatureSpec, mesh) -> None:
+    """Reject data that jump across the seam of a closed boundary
+    component: the ratio D = h/sqrt(|K|) then has no tangential
+    derivative there, which the regime classifier and the anchors need."""
+    for c, comp in enumerate(mesh.components):
+        if not comp.closed:
+            continue
+        x, y = mesh.vertices[comp.verts].T
+        for name, vals in (("h", eval_h(spec, mesh, c)), ("K", spec.K(x, y))):
+            try:
+                tangential_derivative(mesh, c, vals)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"[curvature] {name} on boundary component {c}: {exc}") from exc
 
 
 def _compile_field(text: str, where: str) -> Field:
@@ -466,6 +496,8 @@ def _run_solve(cfg: ExperimentConfig) -> int:
                            "path index", "path")
     print(f"method={final.method} converged={final.converged} "
           f"residual={final.residual_norm:.3e} sup={final.sup:.6g}")
+    if final.message:
+        print(final.message)
     return 0 if final.converged and not final.blowup_flag else 2
 
 

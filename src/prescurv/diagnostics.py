@@ -12,8 +12,9 @@ Four instruments, all pure functions of a state and its problem data:
     which holds for any smooth field F when u solves the interior
     equation.  Boundary gradients are reconstructed by quadratic
     least-squares fits on two-ring vertex patches (the raw one-sided
-    P1 gradient would cap the convergence order at one), tangential
-    derivatives by centered differences along the arc.
+    P1 gradient would cap the convergence order at one), applied as one
+    sparse recovery operator cached per mesh and dof set; tangential
+    derivatives come from centered differences along the arc.
   * ``holomorphic_field`` builds fields F(z) = i z G(z) from a real
     trigonometric polynomial f on the unit circle, with G its Laurent
     extension to the annulus.  Holomorphy makes the Dirichlet terms of
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .domain import BoundaryPoint, Mesh, distance2, tangential_derivative
@@ -186,14 +188,59 @@ def holomorphic_field(mesh: Mesh, cos_coeffs: Sequence[float],
 # -- gradient recovery -------------------------------------------------------
 
 
-def _dof_adjacency(mesh: Mesh) -> list[set]:
-    adj: list[set] = [set() for _ in range(mesh.n_dof)]
+def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
+    """Sparse R of shape (2 len(dofs), n_dof) whose row pair 2i, 2i + 1
+    holds the linear part of the least-squares quadratic fit at dofs[i].
+
+    The patch of dofs[i] is its two-ring in the triangle connectivity,
+    center excluded.  The fit of u[patch] - u[center] on the scaled
+    monomials [1, x, y, x^2, xy, y^2] is pinv(V) (u[patch] - u[center]),
+    so rows 1-2 of pinv(V) over the scale are the patch weights and
+    minus their sum the center weight.  Patches of equal size share one
+    batched ``pinv``.
+    """
+    n = mesh.n_dof
     tris = mesh.vertex_dof[mesh.triangles]
-    for a, b, c in tris:
-        adj[a].update((b, c))
-        adj[b].update((a, c))
-        adj[c].update((a, b))
-    return adj
+    # only triangles touching the one-ring reach into the two-ring
+    near = np.zeros(n, dtype=bool)
+    near[dofs] = True
+    near[tris[near[tris].any(axis=1)]] = True
+    tris = tris[near[tris].any(axis=1)]
+    A = sp.csr_matrix((np.ones(6 * len(tris)),
+                       (tris[:, [0, 0, 1, 1, 2, 2]].ravel(),
+                        tris[:, [1, 2, 0, 2, 0, 1]].ravel())), shape=(n, n))
+    ring = A[dofs]
+    # nonnegative entries (edge multiplicities): no entry of the product
+    # cancels, so its pattern is the structural two-ring
+    patch = (ring @ A + ring).tocsr()
+    patch.sort_indices()
+    row = np.repeat(np.arange(len(dofs)), np.diff(patch.indptr))
+    keep = patch.indices != dofs[row]
+    row, col = row[keep], patch.indices[keep]
+    sizes = np.bincount(row, minlength=len(dofs))
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+
+    coords = mesh.dof_coords
+    rows, cols, vals = [], [], []
+    for m in np.unique(sizes):
+        sel = np.nonzero(sizes == m)[0]
+        idx = col[starts[sel, None] + np.arange(m)]
+        rel = coords[idx] - coords[dofs[sel]][:, None, :]
+        if mesh.spec.kind == "cylinder":
+            rel[..., 0] = (rel[..., 0] + math.pi) % TWO_PI - math.pi
+        scale = np.abs(rel).max(axis=(1, 2))
+        x, y = np.moveaxis(rel / scale[:, None, None], -1, 0)
+        V = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+        W = np.linalg.pinv(V)[:, 1:3, :] / scale[:, None, None]
+        W = np.concatenate([W, -W.sum(axis=2, keepdims=True)], axis=2)
+        idx = np.column_stack([idx, dofs[sel]])
+        rows.append(np.broadcast_to(2 * sel[:, None, None] + np.arange(2)[:, None],
+                                    W.shape).ravel())
+        cols.append(np.broadcast_to(idx[:, None, :], W.shape).ravel())
+        vals.append(W.ravel())
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 * len(dofs), n))
 
 
 def recovered_gradient(mesh: Mesh, u: np.ndarray, dofs: np.ndarray) -> np.ndarray:
@@ -202,34 +249,16 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray, dofs: np.ndarray) -> np.ndarra
     Each requested vertex gets a least-squares quadratic over its
     two-ring dof patch; the fit's linear part at the center is second
     order accurate even on one-sided boundary patches, where averaging
-    the adjacent triangle gradients is not.
+    the adjacent triangle gradients is not.  The fits are linear in u,
+    so they form one sparse recovery operator (patch recovery,
+    Zienkiewicz & Zhu 1992), built once per mesh and dof set and kept
+    in the mesh cache; each call is a single sparse product.
     """
-    if "dof_adjacency" not in mesh._cache:
-        mesh._cache["dof_adjacency"] = _dof_adjacency(mesh)
-    adj = mesh._cache["dof_adjacency"]
-    coords = mesh.dof_coords
-    wrap = mesh.spec.kind == "cylinder"
-    out = np.empty((len(dofs), 2))
-    for row, d in enumerate(np.asarray(dofs)):
-        ring1 = adj[d]
-        patch = set(ring1)
-        for n in ring1:
-            patch |= adj[n]
-        patch.discard(d)
-        idx = np.fromiter(patch, dtype=int)
-        rel = coords[idx] - coords[d]
-        if wrap:
-            rel[:, 0] = (rel[:, 0] + math.pi) % TWO_PI - math.pi
-        scale = np.abs(rel).max()
-        rel /= scale
-        A = np.column_stack([
-            np.ones(len(idx)), rel[:, 0], rel[:, 1],
-            rel[:, 0] ** 2, rel[:, 0] * rel[:, 1], rel[:, 1] ** 2,
-        ])
-        rhs = u[idx] - u[d]
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        out[row] = coef[1:3] / scale
-    return out
+    dofs = np.asarray(dofs, dtype=np.intp)
+    key = ("recovery", dofs.tobytes())
+    if key not in mesh._cache:
+        mesh._cache[key] = _recovery_matrix(mesh, dofs)
+    return (mesh._cache[key] @ u).reshape(-1, 2)
 
 
 # -- Pohozaev balance --------------------------------------------------------

@@ -48,6 +48,7 @@ import scipy.sparse.linalg as spla
 
 from .domain import BoundaryPoint, coarsen, distance2, prolong
 from .energy import EnergyBreakdown, Problem
+from .fields import eval_D_field
 from .spectral import morse_index, negative_count
 
 ARMIJO_C = 1e-4
@@ -63,6 +64,9 @@ MAX_SWEEPS = 1000
 SWITCH_TOL = 1e-3
 INNER_STEPS = 3
 STALL_LIMIT = 40
+# largest sup growth per refinement level of a converged nested solve; a
+# bubble one element wide grows by 2 log 2, smooth states by O(h^2)
+SUP_GROWTH = math.log(2.0)
 
 
 class PathCollapseError(RuntimeError):
@@ -489,8 +493,35 @@ def nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
     level tried, coarsest first: level, n_dof, method (``direct`` or
     ``finish``), iterations, residual_norm, energy (relaxed total), sup,
     morse_index, seconds, and the message of a failed attempt.
+
+    A converged result is then checked against the coarser level that
+    converged last: a sup that grows by more than ``SUP_GROWTH`` per
+    level is a bubble at the mesh scale, which the discrete energy
+    admits wherever the boundary ratio D exceeds one, so the report is
+    marked not converged.  Without a coarser converged level the report
+    stays converged and its message says it is unverified.
     """
-    levels = [] if levels is None else levels
+    rep = _nested(prob, init, direct, finish, [] if levels is None else levels)
+    if rep.converged:
+        done = [e for e in rep.levels if "message" not in e]
+        if len(done) < 2:
+            rep.message = "unverified: no coarser level converged to compare sup with"
+        else:
+            a, b = done[-2:]
+            growth = (b["sup"] - a["sup"]) / (b["level"] - a["level"])
+            if growth > SUP_GROWTH:
+                D_max = max(float(eval_D_field(prob.spec, prob.mesh, c).max())
+                            for c in range(len(prob.mesh.components)))
+                rep.converged = False
+                rep.message = b["message"] = (
+                    f"sup grows by {growth:.3g} per level from level {a['level']}"
+                    f" to {b['level']}, above log 2: a bubble at the mesh scale"
+                    f" that refinement does not resolve (D_max = {D_max:.3g})")
+    return rep
+
+
+def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
+            finish: Callable, levels: list) -> SolveReport:
     mesh, coarse = prob.mesh, None
     if mesh.spec.level > 0:
         coarse_mesh = coarsen(mesh)
@@ -500,8 +531,8 @@ def nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
             coarse_init[coarse_mesh.vertex_dof[coarse_mesh.grid]] = (
                 init[mesh.vertex_dof[mesh.grid[::2, ::2]]])
         with contextlib.suppress(RuntimeError):
-            coarse = nested(Problem(coarse_mesh, prob.spec), coarse_init,
-                            direct, finish, levels)
+            coarse = _nested(Problem(coarse_mesh, prob.spec), coarse_init,
+                             direct, finish, levels)
     if coarse is not None and coarse.converged:
         with contextlib.suppress(RuntimeError):
             rep = _attempt(levels, prob, "finish", finish,

@@ -57,6 +57,8 @@ from .fields import CurvatureSpec
 
 NEG_TOL = 1e-10
 DENSE_CUTOFF = 600
+# fill-reducing orderings tried in turn for the symmetric factorization
+ORDERINGS = ("MMD_AT_PLUS_A", "MMD_ATA")
 
 
 @dataclass
@@ -80,28 +82,32 @@ def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
     Factors Q + neg_tol I with SuperLU restricted to symmetric,
     diagonal-pivot elimination, which makes U = D L^T and the diagonal
     of U the pivots D.  The count is trusted only when no row pivoting
-    happened and every pivot is finite and nonzero; otherwise matrices
-    up to ``DENSE_CUTOFF`` fall back to dense eigenvalues and larger
-    ones raise a :class:`RuntimeError` naming the reason.
+    happened and every pivot is finite and nonzero.  A factorization
+    that fails this guard is retried once under the ``MMD_ATA``
+    ordering, at the same shift; if that fails too, matrices up to
+    ``DENSE_CUTOFF`` fall back to dense eigenvalues and larger ones
+    raise a :class:`RuntimeError` naming the reasons.
     """
     n = Q.shape[0]
     A = (Q + neg_tol * sp.identity(n)).tocsc()
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        reason = f"factorization failed ({exc})"
-    else:
+    reasons = []
+    for ordering in ORDERINGS:
+        try:
+            lu = spla.splu(A, permc_spec=ordering, diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            reasons.append(f"{ordering}: factorization failed ({exc})")
+            continue
         pivots = lu.U.diagonal()
         if not np.array_equal(lu.perm_r, lu.perm_c):
-            reason = "the factorization pivoted off the diagonal"
+            reasons.append(f"{ordering}: the factorization pivoted off the diagonal")
         elif not np.all(np.isfinite(pivots) & (pivots != 0.0)):
-            reason = "a pivot is zero or not finite"
+            reasons.append(f"{ordering}: a pivot is zero or not finite")
         else:
             return SpectrumReport(int((pivots < 0).sum()), 0, neg_tol)
     if n > DENSE_CUTOFF:
-        raise RuntimeError(f"inertia count unavailable: {reason} and n={n}"
-                           f" exceeds the dense cutoff {DENSE_CUTOFF}")
+        raise RuntimeError(f"inertia count unavailable: {'; '.join(reasons)};"
+                           f" n={n} exceeds the dense cutoff {DENSE_CUTOFF}")
     vals = np.linalg.eigvalsh(Q.toarray())
     return SpectrumReport(int((vals < -neg_tol).sum()), n, neg_tol)
 

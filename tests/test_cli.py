@@ -96,6 +96,40 @@ POHOZAEV_BAD_FIELD_CFG = GAMMA_SWEEP_CFG.format(parameters="2") + """
 """
 
 
+# a field linear in x differs between the seam's copies at x = 0 and 2 pi
+SEAM_JUMP_CFG = """
+    [domain]
+    kind = cylinder
+    L = 1.0
+    level = 3
+
+    [curvature]
+    K = {K}
+    h = {h}
+    K_bg = -1
+
+    [solver]
+    method = continuation
+"""
+
+
+# max D = 2 > 1: minimize finds bubbles one element wide on every level
+BUBBLE_CFG = """
+    [domain]
+    kind = cylinder
+    L = 1.0
+    level = 3
+
+    [curvature]
+    K = -1
+    h = 2*cos(x) ; 1
+    K_bg = -1
+
+    [solver]
+    method = minimize
+"""
+
+
 def run_cli(tmp_path, mode, text, out="out", name="exp.ini"):
     cfg = tmp_path / name
     cfg.write_text(textwrap.dedent(text))
@@ -208,6 +242,20 @@ class TestConfigErrors:
         assert "components" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mode,K,h,name", [
+        ("classify", "-1", "2*x ; 1", "h"),
+        ("solve", "-1", "2*x ; 1", "h"),
+        ("classify", "-1 - 0.1*x", "1", "K"),
+    ], ids=["h-classify", "h-solve", "K-classify"])
+    def test_seam_jump_is_a_config_error(self, tmp_path, capsys, mode, K, h, name):
+        code, _ = run_cli(tmp_path, mode, SEAM_JUMP_CFG.format(K=K, h=h))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"[curvature] {name} on boundary component 0" in err
+        assert "periodic seam" in err
+        assert "Traceback" not in err
+
+
 class TestSolveMode:
     def test_minimize_artifacts(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "solve", MINIMIZE_CFG)
@@ -231,10 +279,38 @@ class TestSolveMode:
         for name in ("manifest.json", "report.json", "state.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_manifest_records_versions_and_threads(self, tmp_path, monkeypatch):
+        import platform
+
+        import scipy
+        monkeypatch.setenv("PRESCURV_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        _, out_a = run_cli(tmp_path, "classify", MINIMIZE_CFG, out="out_a")
+        _, out_b = run_cli(tmp_path, "classify", MINIMIZE_CFG, out="out_b")
+        env = read_json(out_a, "manifest.json")["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["threads"]) == {"PRESCURV_THREADS", "OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["threads"]["PRESCURV_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert ((out_a / "manifest.json").read_bytes()
+                == (out_b / "manifest.json").read_bytes())
+
     def test_non_convergence_exits_2(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", STALLED_CFG)
         assert code == 2
         assert read_json(out, "report.json")["converged"] is False
+
+    def test_mesh_scale_bubble_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "solve", BUBBLE_CFG)
+        assert code == 2
+        rep = read_json(out, "report.json")
+        assert rep["converged"] is False
+        assert "sup grows by" in rep["message"] and "D_max = 2" in rep["message"]
+        assert "converged=False" in capsys.readouterr().out
 
     def test_mountain_pass(self, tmp_path):
         code, out = run_cli(tmp_path, "solve",

@@ -145,19 +145,69 @@ class TestRecoveredGradient:
                              2 * np.sin(s) * (t + 0.3)], axis=-1)[dofs]
         assert np.max(np.abs(g - expected)) < 0.02
 
-    def test_adjacency_built_once(self, monkeypatch):
+    def test_operator_built_once_per_mesh_and_dofs(self, monkeypatch):
         import prescurv.diagnostics as diagnostics
         calls = []
-        build = diagnostics._dof_adjacency
-        monkeypatch.setattr(diagnostics, "_dof_adjacency",
-                            lambda mesh: calls.append(1) or build(mesh))
-        mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
+        build = diagnostics._recovery_matrix
+        monkeypatch.setattr(diagnostics, "_recovery_matrix",
+                            lambda mesh, dofs: calls.append(1) or build(mesh, dofs))
+        spec = DomainSpec("annulus", r=0.5, level=2)
+        mesh = build_mesh(spec)
         u = mesh.dof_coords[:, 0]
-        dofs = np.arange(5)
-        first = recovered_gradient(mesh, u, dofs)
-        second = recovered_gradient(mesh, u, dofs)
+        first = recovered_gradient(mesh, u, np.arange(5))
+        second = recovered_gradient(mesh, 2.0 * u, np.arange(5))
         assert len(calls) == 1
-        assert np.array_equal(first, second)
+        assert np.array_equal(2.0 * first, second)
+        recovered_gradient(mesh, u, np.arange(6))
+        assert len(calls) == 2
+        fresh = recovered_gradient(build_mesh(spec), u, np.arange(5))
+        assert len(calls) == 3
+        assert np.array_equal(first, fresh)
+
+    @pytest.mark.parametrize("spec", [
+        DomainSpec("annulus", r=0.5, level=4),
+        DomainSpec("cylinder", L=1.0, level=4),
+        DomainSpec("halfdisk", R=2.0, grade=2.0, level=3),
+    ], ids=["annulus", "cylinder", "graded-halfdisk"])
+    def test_matches_per_vertex_fits(self, spec):
+        mesh = build_mesh(spec)
+        x, y = mesh.dof_coords.T
+        u = 30.0 * np.sin(3.0 * x) * np.cos(2.0 * y) + 5.0 * np.cos(x) * y
+        for comp in mesh.components:
+            dofs = mesh.vertex_dof[comp.verts[:-1] if comp.closed else comp.verts]
+            expected = _per_vertex_fits(mesh, u, dofs)
+            g = recovered_gradient(mesh, u, dofs)
+            assert np.max(np.abs(g - expected)) < 1e-12 * np.abs(expected).max()
+
+
+def _per_vertex_fits(mesh, u, dofs):
+    """One least-squares quadratic per vertex over its two-ring patch,
+    the reference the sparse recovery operator must reproduce."""
+    adj = [set() for _ in range(mesh.n_dof)]
+    for a, b, c in mesh.vertex_dof[mesh.triangles]:
+        adj[a].update((b, c))
+        adj[b].update((a, c))
+        adj[c].update((a, b))
+    coords = mesh.dof_coords
+    out = np.empty((len(dofs), 2))
+    for row, d in enumerate(dofs):
+        patch = set(adj[d])
+        for n in adj[d]:
+            patch |= adj[n]
+        patch.discard(d)
+        idx = np.fromiter(patch, dtype=int)
+        rel = coords[idx] - coords[d]
+        if mesh.spec.kind == "cylinder":
+            rel[:, 0] = (rel[:, 0] + math.pi) % TWO_PI - math.pi
+        scale = np.abs(rel).max()
+        rel /= scale
+        A = np.column_stack([
+            np.ones(len(idx)), rel[:, 0], rel[:, 1],
+            rel[:, 0] ** 2, rel[:, 0] * rel[:, 1], rel[:, 1] ** 2,
+        ])
+        coef, *_ = np.linalg.lstsq(A, u[idx] - u[d], rcond=None)
+        out[row] = coef[1:3] / scale
+    return out
 
 
 class TestPohozaev:

@@ -379,6 +379,30 @@ class TestNested:
         assert "Morse index 1 differs from 0" in rep.levels[1]["message"]
         assert rep.converged and rep.morse_index == 0
 
+    def test_mesh_scale_bubble_is_not_converged(self):
+        # D = 2 cos(x) peaks at 2, where the energy is unbounded below:
+        # the discrete minima are bubbles one element wide
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=3))
+        prob = Problem(mesh, CurvatureSpec(K=-1.0, h=["2*cos(x)", 1.0], K_bg=-1.0))
+        rep = nested(prob, prob.zero_state(), _descend, _descend)
+        assert [(e["level"], e["method"]) for e in rep.levels] == [
+            (0, "direct"), (1, "finish"), (2, "finish"), (3, "finish")]
+        sups = [e["sup"] for e in rep.levels]
+        assert min(np.diff(sups)) > 1.3
+        assert not rep.converged
+        assert "sup grows by 1.38 per level from level 2 to 3" in rep.message
+        assert "D_max = 2" in rep.message
+        assert rep.levels[-1]["message"] == rep.message
+
+    def test_smooth_minimum_is_verified(self):
+        rep = nested(cylinder_problem(h=0.5, K_bg=-1.0, level=2), None,
+                     _descend, _descend)
+        assert rep.converged and rep.message == ""
+        single = nested(cylinder_problem(h=0.5, K_bg=-1.0, level=0), None,
+                        _descend, _descend)
+        assert single.converged
+        assert single.message.startswith("unverified")
+
     def test_injects_the_initial_state(self):
         seen = []
 

@@ -121,6 +121,44 @@ def test_guard_raises_above_cutoff(make, reason):
         negative_count(make(700), neg_tol=0.0)
 
 
+def _failing_splu(monkeypatch, failing):
+    import prescurv.spectral as spectral
+    real = spectral.spla.splu
+
+    def splu(A, permc_spec=None, **kwargs):
+        if permc_spec in failing:
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+
+
+@pytest.mark.parametrize("n,seed", [(700, 20), (900, 21)])
+def test_failed_factorization_retries_with_second_ordering(monkeypatch, n, seed):
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=5.0 / n, random_state=rng)
+    Q = (R + R.T + sp.diags(rng.uniform(-1.0, 1.0, size=n))).tocsr()
+    _failing_splu(monkeypatch, {"MMD_AT_PLUS_A"})
+    rep = negative_count(Q)
+    assert rep.k_used == 0
+    assert 0 < rep.negative_count == dense_count(Q)
+
+
+def test_retry_keeps_hessian_index(monkeypatch):
+    H, index = _cylinder_minimum()
+    assert H.shape[0] > 600
+    _failing_splu(monkeypatch, {"MMD_AT_PLUS_A"})
+    rep = negative_count(H)
+    assert rep.k_used == 0
+    assert rep.negative_count == index == dense_count(H)
+
+
+def test_raises_when_both_orderings_fail(monkeypatch):
+    _failing_splu(monkeypatch, {"MMD_AT_PLUS_A", "MMD_ATA"})
+    with pytest.raises(RuntimeError, match="MMD_AT_PLUS_A.*MMD_ATA.*dense cutoff"):
+        negative_count(sp.identity(700, format="csr"))
+
+
 def test_negative_count_psd():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((30, 30))
