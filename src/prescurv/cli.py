@@ -102,15 +102,6 @@ def _floats(raw: str) -> list[float]:
     return [float(t) for t in raw.replace(",", " ").split()]
 
 
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 @dataclasses.dataclass
 class ExperimentConfig:
     """Parsed experiment: domain, curvature data, settings, mode, output."""

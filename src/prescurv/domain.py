@@ -134,10 +134,6 @@ class Mesh:
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def tri_areas(self) -> np.ndarray:
         if "tri_areas" not in self._cache:
             p = self.vertices[self.triangles]

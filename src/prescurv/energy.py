@@ -36,9 +36,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import Mesh
-from .fields import CurvatureSpec, Field, eval_K
+from .fields import CurvatureSpec, eval_K
 
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
+B_ORDERING = "MMD_AT_PLUS_A"  # fill-reducing order of the cached factorization of B
 
 
 def exp_lumped(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -56,7 +57,8 @@ class Operators:
     (vertex rule, summing to the mesh area), ``wb[c]`` the lumped
     boundary weights of component ``c`` (trapezoid with analytic edge
     lengths, summing to the component length).  ``B = S + diag(w_int)``
-    is the H1 Gram matrix used for dual norms and preconditioning.
+    is the H1 Gram matrix of dual norms, and, by one cached factorization,
+    the preconditioner of MINRES Newton steps and mountain-pass descent.
     ``grads[t, i]`` is the constant gradient of the i-th barycentric
     function on triangle t.
     """
@@ -80,7 +82,7 @@ class Operators:
 
     def solve_B(self, r: np.ndarray) -> np.ndarray:
         if "B_lu" not in self._cache:
-            self._cache["B_lu"] = spla.splu(self.B)
+            self._cache["B_lu"] = spla.splu(self.B, permc_spec=B_ORDERING)
         return self._cache["B_lu"].solve(r)
 
     def dual_norm(self, r: np.ndarray) -> float:
@@ -285,16 +287,6 @@ class Problem:
                       / (1.0 + 2.0 * eps))
         return defect
 
-    def trace_ratio(self, u: np.ndarray) -> float:
-        """Boundary-to-bulk ratio 4 bd h e^{u/2} / (1/2 int |grad u|^2
-        + 2 int |K| e^u) controlling coercivity."""
-        u = np.asarray(u, dtype=float)
-        _, _, _, area_t, bnd_t = self._pieces(u)
-        denom = 0.5 * float(u @ (self.ops.S @ u)) + area_t
-        if denom <= 0:
-            raise ValueError("trace ratio undefined: vanishing gradient and area")
-        return bnd_t / denom
-
     def interior_mass(self, u: np.ndarray) -> float:
         """Quadrature of |K| e^u over the surface."""
         eu, _, _ = exp_lumped(np.asarray(u, dtype=float))
@@ -324,9 +316,3 @@ class Problem:
 def restrict_matrix(A: sp.spmatrix, free: np.ndarray) -> sp.csr_matrix:
     """Principal submatrix on the ``free`` index set."""
     return A.tocsr()[free][:, free]
-
-
-def nodal_field(mesh: Mesh, f) -> np.ndarray:
-    """Sample a callable/expression/constant at the dof coordinates."""
-    xy = mesh.dof_coords
-    return Field(f)(xy[:, 0], xy[:, 1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import EnergyBreakdown, Problem, assemble, nodal_field
+from prescurv.energy import EnergyBreakdown, Problem, assemble
 from prescurv.fields import CurvatureSpec, perturb
 
 RNG = np.random.default_rng(7)
@@ -223,19 +223,6 @@ def test_relaxed_gauss_bonnet_matches_perturbed_data(ann):
                    - pert.gauss_bonnet_residual(u)) < 1e-12
 
 
-def test_trace_ratio_constants(cyl):
-    prob = Problem(cyl, CurvatureSpec(K=-1.0, h=[1.0, 1.0]))
-    for c in (2.0, 4.0, 6.0):
-        u = np.full(prob.n_dof, c)
-        expected = 2 * (1.0 * 4 * math.pi / (2 * math.pi)) * math.exp(-c / 2)
-        assert prob.trace_ratio(u) == pytest.approx(expected, rel=1e-10)
-    assert Problem(cyl, CurvatureSpec(K=-1.0, h=[0.0, 0.0])).trace_ratio(
-        np.full(prob.n_dof, 1.0)
-    ) == 0.0
-    with pytest.raises(ValueError, match="undefined"):
-        prob.trace_ratio(np.full(prob.n_dof, -1500.0))
-
-
 def test_blowup_flag_and_clamp(cyl):
     prob = Problem(cyl, CurvatureSpec(K=-1.0, h=[1.0, 1.0]))
     u = prob.zero_state()
@@ -271,9 +258,3 @@ def test_dual_norm_is_Binv_quadratic(cyl_small):
     r = RNG.normal(0, 1, ops.n_dof)
     direct = math.sqrt(r @ spla.spsolve(ops.B.tocsc(), r))
     assert ops.dual_norm(r) == pytest.approx(direct, rel=1e-10)
-
-
-def test_nodal_field_matches_coords(cyl_small):
-    u = nodal_field(cyl_small, "x + 2*y")
-    xy = cyl_small.dof_coords
-    assert np.allclose(u, xy[:, 0] + 2 * xy[:, 1])

@@ -192,10 +192,12 @@ class TestNewtonPolish:
         init = annulus_gamma_state(mesh, gamma=2, h1=2.0) + 0.1
         polish = newton_polish(prob, init)
         descent = minimize(cylinder_problem(h=0.5, K_bg=-1.0, level=2))
-        keys = {"iter", "residual", "energy", "step", "sigma", "backtracks", "mode"}
+        keys = {"iter", "residual", "energy", "step", "sigma", "backtracks", "mode",
+                "linear", "krylov_its"}
         assert polish.line_search_trace and descent.line_search_trace
         for entry in polish.line_search_trace + descent.line_search_trace:
             assert set(entry) == keys
+            assert entry["linear"] in ("minres", "lu")
         assert all(e["mode"] == "residual" and e["energy"] is None
                    for e in polish.line_search_trace)
 
@@ -204,6 +206,56 @@ class TestNewtonPolish:
         prob = annulus_gamma_problem(mesh, gamma=2, h1=2.0)
         rep = newton_polish(prob, annulus_gamma_state(mesh, gamma=2, h1=2.0))
         assert rep.method == "newton-polish"
+
+
+class TestKrylovNewton:
+    def test_nested_finish_factors_only_B_and_the_certificate(self, monkeypatch):
+        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=4)
+        sizes = []
+        real = solve.spla.splu
+
+        def counted(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(solve.spla, "splu", counted)
+        rep = nested(prob, prob.zero_state(), _descend, _descend)
+        assert rep.converged and rep.levels[-1]["method"] == "finish"
+        assert sizes.count(prob.n_dof) == 2
+        assert all(e["linear"] == "minres" for e in rep.line_search_trace)
+
+    def test_iterations_do_not_grow_with_level(self):
+        for level in (2, 3, 4):
+            rep = minimize(cylinder_problem(h=0.5, K_bg=-1.0, level=level), tol=1e-10)
+            assert rep.converged, rep.message
+            its = [e["krylov_its"] for e in rep.line_search_trace]
+            assert all(e["linear"] == "minres" for e in rep.line_search_trace)
+            assert 0 < max(its) <= 10, (level, its)
+
+    @staticmethod
+    def _stalled(A, b, **kwargs):
+        return np.zeros_like(b), solve.KRYLOV_MAXITER
+
+    @staticmethod
+    def _raising(A, b, **kwargs):
+        raise ValueError("non-symmetric matrix")
+
+    @staticmethod
+    def _inaccurate(A, b, **kwargs):
+        # a descent direction that SciPy reports as converged, but whose
+        # linear residual is far above KRYLOV_ACCEPT
+        return 1e-3 * b, 0
+
+    @pytest.mark.parametrize("fake", ["_stalled", "_raising", "_inaccurate"])
+    def test_failed_minres_falls_back_to_lu(self, monkeypatch, fake):
+        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=3)
+        krylov = minimize(prob, tol=1e-10)
+        monkeypatch.setattr(solve.spla, "minres", getattr(self, fake))
+        lu = minimize(prob, tol=1e-10)
+        assert krylov.converged and lu.converged
+        assert all(e["linear"] == "lu" for e in lu.line_search_trace)
+        assert lu.iterations == krylov.iterations
+        assert np.max(np.abs(lu.state - krylov.state)) < 1e-10
 
 
 class TestRelaxedEndpoints:
