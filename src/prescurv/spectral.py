@@ -45,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import Mesh
-from .energy import Problem, restrict_matrix
+from .energy import B_ORDERING, Problem, restrict_matrix
 from .exact import (
     HalfPlaneProfile,
     disk_eigenfunction,
@@ -58,7 +58,7 @@ from .fields import CurvatureSpec
 NEG_TOL = 1e-10
 DENSE_CUTOFF = 600
 # fill-reducing orderings tried in turn for the symmetric factorization
-ORDERINGS = ("MMD_AT_PLUS_A", "MMD_ATA")
+ORDERINGS = (B_ORDERING, "MMD_ATA")
 
 
 @dataclass
