@@ -330,8 +330,10 @@ def _write_plot_script(out_dir: str, dat_name: str, x: int, ys: list[tuple[int, 
 
 def _write_state_csv(path: str, mesh, u: np.ndarray) -> None:
     # 17 significant digits round-trip every double exactly
-    np.savetxt(path, np.column_stack([mesh.dof_coords, u]), fmt="%.17g",
-               delimiter=",", header="x,y,u", comments="")
+    table = np.column_stack([mesh.dof_coords, u])
+    text = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write("x,y,u\n" + text)
 
 
 # -- shared pieces ------------------------------------------------------------

@@ -98,19 +98,6 @@ def position_field() -> VectorField:
     return VectorField(func, jac)
 
 
-def constant_field(v1: float, v2: float) -> VectorField:
-    def func(x, y):
-        F = np.empty(x.shape + (2,))
-        F[..., 0] = v1
-        F[..., 1] = v2
-        return F
-
-    def jac(x, y):
-        return np.zeros(x.shape + (2, 2))
-
-    return VectorField(func, jac)
-
-
 class HolomorphicField:
     """F(z) = i z G(z) with G(z) = c0 + sum_k (c_k z^k + conj(c_k) z^-k).
 

@@ -23,6 +23,13 @@ discretely and exactly,
 with the data map of :func:`prescurv.fields.perturb`, which is what
 transfers Morse-index bounds from the relaxed problems to the original
 one along a continuation run.
+
+The H1 Gram matrix ``B = S + diag(w_int)`` is inverted without a
+factorization where the grid is periodic (cylinder, annulus): B is then
+block-circulant with tridiagonal blocks, and an rfft along the periodic
+index splits it into one Hermitian tridiagonal system per Fourier mode
+(Hockney 1965; Buzbee, Golub & Nielson 1970).  The half-disk, or a B
+that departs from its circulant symbol, is factored by SuperLU.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from .domain import Mesh
 from .fields import CurvatureSpec, eval_K
 
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
-B_ORDERING = "MMD_AT_PLUS_A"  # fill-reducing order of the cached factorization of B
+B_ORDERING = "MMD_AT_PLUS_A"  # fill-reducing order of the SuperLU factorizations of B
+CIRCULANT_RTOL = 1e-12  # B's largest departure from its circulant symbol, relative
 
 
 def exp_lumped(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -57,8 +65,9 @@ class Operators:
     (vertex rule, summing to the mesh area), ``wb[c]`` the lumped
     boundary weights of component ``c`` (trapezoid with analytic edge
     lengths, summing to the component length).  ``B = S + diag(w_int)``
-    is the H1 Gram matrix of dual norms, and, by one cached factorization,
-    the preconditioner of MINRES Newton steps and mountain-pass descent.
+    is the H1 Gram matrix of dual norms and, through the cached solver of
+    :meth:`solve_B`, the preconditioner of MINRES Newton steps and
+    mountain-pass descent.
     ``grads[t, i]`` is the constant gradient of the i-th barycentric
     function on triangle t.
     """
@@ -81,9 +90,11 @@ class Operators:
         return self._cache["B"]
 
     def solve_B(self, r: np.ndarray) -> np.ndarray:
-        if "B_lu" not in self._cache:
-            self._cache["B_lu"] = spla.splu(self.B, permc_spec=B_ORDERING)
-        return self._cache["B_lu"].solve(r)
+        """B^{-1} r: Fourier-diagonal on periodic grids, else by SuperLU."""
+        if "B_solve" not in self._cache:
+            self._cache["B_solve"] = (_fourier_solver(self.B, self.mesh)
+                                      or spla.splu(self.B, permc_spec=B_ORDERING).solve)
+        return self._cache["B_solve"](r)
 
     def dual_norm(self, r: np.ndarray) -> float:
         """H1-dual norm sqrt(r^T B^{-1} r) of a residual covector."""
@@ -96,6 +107,51 @@ class Operators:
         if component is not None:
             return float(self.wb[component] @ vals)
         return float(sum(w @ vals for w in self.wb))
+
+
+def _fourier_solver(B: sp.csc_matrix, mesh: Mesh):
+    """B^{-1} as rfft along the periodic grid index i, one tridiagonal
+    solve in j per Fourier mode and irfft, or None where B is not
+    block-circulant with tridiagonal blocks on ``mesh.grid``."""
+    D = mesh.vertex_dof[mesh.grid].T  # (j, i) -> dof
+    periodic, D = np.array_equal(D[:, -1], D[:, 0]), D[:, :-1]
+    if not periodic or not np.all(np.bincount(D.ravel(), minlength=B.shape[0]) == 1):
+        return None
+    (m, n), pos = D.shape, np.empty(B.shape[0], dtype=int)
+    pos[D.ravel()] = np.arange(D.size)
+    C = B.tocoo()
+    (j, i), (jc, ic) = np.divmod(pos[C.row], n), np.divmod(pos[C.col], n)
+    di, dj = (ic - i + 1) % n - 1, jc - j
+    if np.abs(di).max() > 1 or np.abs(dj).max() > 1:
+        return None
+    # A[di, j, dj, i] = B[(i, j), (i + di, j + dj)]; the symbol is its mean over i
+    A = np.zeros((3, m, 3, n))
+    A[di + 1, j, dj + 1, i] = C.data
+    c = A.mean(axis=3)
+    if np.abs(A - c[..., None]).max() > CIRCULANT_RTOL * np.abs(C.data).max():
+        return None
+    w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    # M[j, dj, k]: the mode-k block, sum over di of c[di, j, dj] w_k^di
+    M = c[1][..., None] + c[2][..., None] * w + c[0][..., None] * w.conj()
+    piv = M[:, 1].copy()
+    for jj in range(1, m):
+        piv[jj] -= M[jj, 0] * M[jj - 1, 2] / piv[jj - 1]
+    if not np.all(piv.real > 0):
+        return None
+    lower, upper = M[1:, 0] / piv[:-1], M[:-1, 2]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = np.fft.rfft(r[D], axis=1)
+        for jj in range(1, m):
+            y[jj] -= lower[jj - 1] * y[jj - 1]
+        y[-1] /= piv[-1]
+        for jj in range(m - 2, -1, -1):
+            y[jj] = (y[jj] - upper[jj] * y[jj + 1]) / piv[jj]
+        x = np.empty(B.shape[0])
+        x[D] = np.fft.irfft(y, n, axis=1)
+        return x
+
+    return solve
 
 
 def assemble(mesh: Mesh) -> Operators:

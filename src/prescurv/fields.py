@@ -164,13 +164,6 @@ def eval_h(spec: CurvatureSpec, mesh: Mesh, component: int) -> np.ndarray:
     return spec.h[component](xy[:, 0], xy[:, 1], comp.s)
 
 
-def eval_D(spec: CurvatureSpec, p: BoundaryPoint) -> float:
-    """Scale-invariant boundary ratio h/sqrt(|K|) at one boundary point."""
-    K = float(eval_K(spec, p.coords[0], p.coords[1]))
-    h = float(spec.h[p.component](p.coords[0], p.coords[1], p.s))
-    return h / math.sqrt(-K)
-
-
 def eval_D_field(spec: CurvatureSpec, mesh: Mesh, component: int) -> np.ndarray:
     """Ratio h/sqrt(|K|) along one component's vertex path."""
     comp = mesh.components[component]

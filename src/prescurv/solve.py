@@ -14,7 +14,8 @@ Its directions come from MINRES (Paige & Saunders 1975) preconditioned
 by the H1 Gram matrix B, to which the Hessian is spectrally equivalent
 uniformly in the mesh size (Mardal & Winther 2011), so the iteration
 count does not grow under refinement; a sparse LU factorization of the
-shifted Hessian is the fallback.
+shifted Hessian is the fallback.  The MINRES preconditioner and the
+mountain-pass descent both apply B^{-1} through ``Operators.solve_B``.
 
 Three drivers build on them:
 
@@ -53,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import BoundaryPoint, coarsen, distance2, prolong
-from .energy import EnergyBreakdown, Problem
+from .energy import B_ORDERING, EnergyBreakdown, Problem
 from .fields import eval_D_field
 from .spectral import morse_index, negative_count
 
@@ -172,7 +173,7 @@ def _newton_direction(prob: Problem, H: sp.spmatrix, g: np.ndarray, res: float,
     for _ in range(SIGMA_TRIES):
         Hs = H if sigma == 0.0 else H + sp.diags(sigma * w)
         try:
-            d = spla.splu(Hs.tocsc()).solve(-g)
+            d = spla.splu(Hs.tocsc(), permc_spec=B_ORDERING).solve(-g)
         except RuntimeError:
             d = None
         if acceptable(d):

@@ -279,6 +279,21 @@ class TestSolveMode:
         for name in ("manifest.json", "report.json", "state.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_state_csv_matches_savetxt_and_round_trips(self, tmp_path):
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
+        u = np.random.default_rng(7).standard_normal(mesh.n_dof) * np.logspace(
+            -300, 300, mesh.n_dof)
+        u[:3] = (-0.0, -1.0 / 3.0, -np.finfo(float).max)
+        assert (u < 0).sum() > mesh.n_dof // 4
+        cli._write_state_csv(str(tmp_path / "state.csv"), mesh, u)
+        table = np.column_stack([mesh.dof_coords, u])
+        np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",",
+                   header="x,y,u", comments="")
+        assert (tmp_path / "state.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = np.loadtxt(tmp_path / "state.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(back, table)
+        assert np.signbit(back[0, 2])
+
     def test_manifest_records_versions_and_threads(self, tmp_path, monkeypatch):
         import platform
 

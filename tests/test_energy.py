@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import EnergyBreakdown, Problem, assemble
+from prescurv.energy import B_ORDERING, EnergyBreakdown, Problem, assemble
 from prescurv.fields import CurvatureSpec, perturb
 
 RNG = np.random.default_rng(7)
@@ -258,3 +259,55 @@ def test_dual_norm_is_Binv_quadratic(cyl_small):
     r = RNG.normal(0, 1, ops.n_dof)
     direct = math.sqrt(r @ spla.spsolve(ops.B.tocsc(), r))
     assert ops.dual_norm(r) == pytest.approx(direct, rel=1e-10)
+
+
+class TestSolveB:
+    """B^{-1} by rfft and per-mode tridiagonal solves on periodic grids,
+    by a SuperLU factorization elsewhere."""
+
+    @staticmethod
+    def counted_splu(monkeypatch):
+        sizes, real = [], spla.splu
+
+        def counted(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        return sizes
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["cylinder", "annulus"])
+    def test_fourier_solve_matches_superlu(self, monkeypatch, kind, level):
+        ops = assemble(build_mesh(DomainSpec(kind, L=1.0, r=0.8, level=level)))
+        lu = spla.splu(ops.B, permc_spec=B_ORDERING)
+        sizes = self.counted_splu(monkeypatch)
+        rng = np.random.default_rng(level)
+        for _ in range(3):
+            r = rng.standard_normal(ops.n_dof)
+            x = ops.solve_B(r)
+            assert np.linalg.norm(ops.B @ x - r) <= 1e-11 * np.linalg.norm(r)
+            assert ops.dual_norm(r) == pytest.approx(math.sqrt(r @ lu.solve(r)), rel=1e-9)
+        assert sizes == []
+
+    def test_halfdisk_factors_B_once(self, monkeypatch):
+        ops = assemble(build_mesh(DomainSpec("halfdisk", level=2)))
+        sizes = self.counted_splu(monkeypatch)
+        for seed in (1, 2):
+            r = np.random.default_rng(seed).standard_normal(ops.n_dof)
+            assert np.linalg.norm(ops.B @ ops.solve_B(r) - r) <= 1e-11 * np.linalg.norm(r)
+        assert sizes == [ops.n_dof]
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_non_circulant_B_factors(self, monkeypatch, far):
+        # one diagonal entry off its circulant symbol by 1e-9, or a
+        # symmetric coupling of dofs more than one grid step apart
+        ops = assemble(build_mesh(DomainSpec("cylinder", L=1.0, level=2)))
+        n = ops.n_dof
+        rows, cols = ([0, n // 2], [n // 2, 0]) if far else ([5], [5])
+        bump = sp.csc_matrix((np.full(len(rows), 1e-9), (rows, cols)), shape=(n, n))
+        B = ops._cache["B"] = (ops.B + bump).tocsc()
+        sizes = self.counted_splu(monkeypatch)
+        r = np.random.default_rng(3).standard_normal(n)
+        assert np.linalg.norm(B @ ops.solve_B(r) - r) <= 1e-11 * np.linalg.norm(r)
+        assert sizes == [n]

@@ -12,7 +12,6 @@ from prescurv.fields import (
     RegimeKind,
     background_for,
     boundary_integral_h,
-    eval_D,
     eval_D_field,
     eval_D_tau,
     eval_h,
@@ -57,9 +56,8 @@ def test_eval_K_rejects_nonnegative(cyl):
 
 
 def test_eval_D_direct_values(cyl):
-    p = cyl.boundary_point(0, 3)
-    assert eval_D(CurvatureSpec(K=-4.0, h=[2.0, 2.0]), p) == pytest.approx(1.0)
-    assert eval_D(CurvatureSpec(K=-1.0, h=[0.0, 0.0]), p) == pytest.approx(0.0)
+    assert eval_D_field(CurvatureSpec(K=-4.0, h=[2.0, 2.0]), cyl, 0)[3] == pytest.approx(1.0)
+    assert eval_D_field(CurvatureSpec(K=-1.0, h=[0.0, 0.0]), cyl, 0)[3] == pytest.approx(0.0)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0))
@@ -68,8 +66,8 @@ def test_eval_D_scale_invariant(c):
     base = CurvatureSpec(K=-2.0, h=[0.7, -0.3])
     scaled = CurvatureSpec(K=-2.0 * c**2, h=[0.7 * c, -0.3 * c])
     for comp in (0, 1):
-        p = mesh.boundary_point(comp, 1)
-        assert eval_D(scaled, p) == pytest.approx(eval_D(base, p), rel=1e-12)
+        assert eval_D_field(scaled, mesh, comp)[1] == pytest.approx(
+            eval_D_field(base, mesh, comp)[1], rel=1e-12)
 
 
 def test_eval_D_tau_constant_is_zero(cyl):
@@ -161,7 +159,8 @@ def test_regime_min_negative_bg(cyl):
     reg = regime_classify(spec, cyl)
     assert reg.kind is RegimeKind.MIN_NEGATIVE_BG
     assert reg.D_max == pytest.approx(0.5)
-    assert eval_D(spec, reg.D_argmax) == pytest.approx(reg.D_max)
+    p = reg.D_argmax
+    assert eval_D_field(spec, cyl, p.component)[p.index] == pytest.approx(reg.D_max)
 
 
 def test_regime_min_zero_bg_and_annulus_case_i(ann):
