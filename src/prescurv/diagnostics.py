@@ -270,29 +270,30 @@ def pohozaev_report(prob: Problem, u: np.ndarray, field) -> PohozaevReport:
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
 
-    # interior side, 3-point edge-midpoint quadrature per triangle
+    # interior side, 3-point edge-midpoint quadrature per triangle; slot s
+    # is the midpoint of the edge from vertex s to vertex s + 1
     tris = mesh.vertex_dof[mesh.triangles]
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.tri_areas
+    px, py = mesh.vertices[mesh.triangles].transpose(2, 0, 1)
     grads = prob.ops.grads
-
-    ut = u[tris]
-    Kt = prob.K_dof[tris]
-    w = np.einsum("ti,tik->tk", ut, grads)
-    gK = np.einsum("ti,tik->tk", Kt, grads)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))
-    u_mid = 0.5 * (ut + np.roll(ut, -1, axis=1))
-    K_mid = 0.5 * (Kt + np.roll(Kt, -1, axis=1))
-    F_mid = field(mids[..., 0], mids[..., 1])
-    J_mid = field.jacobian(mids[..., 0], mids[..., 1])
-    div = J_mid[..., 0, 0] + J_mid[..., 1, 1]
-    wF = np.einsum("tk,tmk->tm", w, F_mid)
-    DFww = np.einsum("tk,tmkl,tl->tm", w, J_mid, w)
-    w2 = np.einsum("tk,tk->t", w, w)
-    vals = (4.0 * prob.spec.K_bg * wF
-            + 4.0 * exp_lumped(u_mid)[0] * (np.einsum("tk,tmk->tm", gK, F_mid) + K_mid * div)
-            + 2.0 * DFww - div * w2[:, None])
-    interior = float((areas / 3.0) @ vals.sum(axis=1))
+    ut, Kt = u[tris], prob.K_dof[tris]
+    wx, wy = np.einsum("ti,tik->kt", ut, grads)
+    gKx, gKy = np.einsum("ti,tik->kt", Kt, grads)
+    w2 = wx * wx + wy * wy
+    vals = np.zeros(len(tris))
+    for s in range(3):
+        a, b = s, (s + 1) % 3
+        mx, my = 0.5 * (px[:, a] + px[:, b]), 0.5 * (py[:, a] + py[:, b])
+        F, J = field(mx, my), field.jacobian(mx, my)
+        Fx, Fy = F[:, 0], F[:, 1]
+        div = J[:, 0, 0] + J[:, 1, 1]
+        DFww = (wx * J[:, 0, 0] * wx + wx * J[:, 0, 1] * wy
+                + wy * J[:, 1, 0] * wx + wy * J[:, 1, 1] * wy)
+        e_mid = exp_lumped(0.5 * (ut[:, a] + ut[:, b]))[0]
+        K_mid = 0.5 * (Kt[:, a] + Kt[:, b])
+        vals += (4.0 * prob.spec.K_bg * (wx * Fx + wy * Fy)
+                 + 4.0 * e_mid * (gKx * Fx + gKy * Fy + K_mid * div)
+                 + 2.0 * DFww - div * w2)
+    interior = float((mesh.tri_areas / 3.0) @ vals)
 
     # boundary side, trapezoid over each component with recovered normals
     boundary_terms = []

@@ -29,7 +29,9 @@ factorization where the grid is periodic (cylinder, annulus): B is then
 block-circulant with tridiagonal blocks, and an rfft along the periodic
 index splits it into one Hermitian tridiagonal system per Fourier mode
 (Hockney 1965; Buzbee, Golub & Nielson 1970).  The half-disk, or a B
-that departs from its circulant symbol, is factored by SuperLU.
+that departs from its circulant symbol, is factored by SuperLU.  The
+same symbol reader, :func:`circulant_symbol`, gives the Morse counts of
+:mod:`prescurv.spectral` on rotation-invariant states.
 """
 
 from __future__ import annotations
@@ -109,30 +111,64 @@ class Operators:
         return float(sum(w @ vals for w in self.wb))
 
 
-def _fourier_solver(B: sp.csc_matrix, mesh: Mesh):
-    """B^{-1} as rfft along the periodic grid index i, one tridiagonal
-    solve in j per Fourier mode and irfft, or None where B is not
-    block-circulant with tridiagonal blocks on ``mesh.grid``."""
+@dataclass
+class CirculantSymbol:
+    """A matrix on a periodic grid split by an rfft along the periodic
+    index i into one tridiagonal block in j per Fourier mode.
+
+    ``grid[j, i]`` is the dof at grid point (i, j), each dof once.
+    ``blocks[j, dj, k]`` is the (j, j + dj - 1) entry of the mode-k block,
+    k = 0 .. n // 2, of the block-circulant matrix C whose symbol is the
+    matrix's entries averaged over i.  ``departure`` is the largest
+    absolute row sum of the matrix minus C and ``norm`` that of C.
+    """
+
+    grid: np.ndarray
+    blocks: np.ndarray
+    departure: float
+    norm: float
+
+
+def circulant_symbol(A: sp.spmatrix, mesh: Mesh) -> Optional[CirculantSymbol]:
+    """The Fourier mode blocks of A on ``mesh.grid``, or None where the
+    grid is not periodic, A couples dofs more than one grid step apart,
+    or A's diagonal varies along i by more than ``CIRCULANT_RTOL``
+    relative; that last test is O(n) and runs before the symbol is built."""
     D = mesh.vertex_dof[mesh.grid].T  # (j, i) -> dof
     periodic, D = np.array_equal(D[:, -1], D[:, 0]), D[:, :-1]
-    if not periodic or not np.all(np.bincount(D.ravel(), minlength=B.shape[0]) == 1):
+    if not periodic or not np.all(np.bincount(D.ravel(), minlength=A.shape[0]) == 1):
         return None
-    (m, n), pos = D.shape, np.empty(B.shape[0], dtype=int)
+    diag = A.diagonal()[D]
+    if np.abs(diag - diag[:, :1]).max() > CIRCULANT_RTOL * np.abs(diag).max():
+        return None
+    (m, n), pos = D.shape, np.empty(A.shape[0], dtype=int)
     pos[D.ravel()] = np.arange(D.size)
-    C = B.tocoo()
-    (j, i), (jc, ic) = np.divmod(pos[C.row], n), np.divmod(pos[C.col], n)
+    coo = A.tocoo()
+    (j, i), (jc, ic) = np.divmod(pos[coo.row], n), np.divmod(pos[coo.col], n)
     di, dj = (ic - i + 1) % n - 1, jc - j
     if np.abs(di).max() > 1 or np.abs(dj).max() > 1:
         return None
-    # A[di, j, dj, i] = B[(i, j), (i + di, j + dj)]; the symbol is its mean over i
-    A = np.zeros((3, m, 3, n))
-    A[di + 1, j, dj + 1, i] = C.data
-    c = A.mean(axis=3)
-    if np.abs(A - c[..., None]).max() > CIRCULANT_RTOL * np.abs(C.data).max():
-        return None
+    # band[di, j, dj, i] = A[(i, j), (i + di, j + dj)]; the symbol is its mean over i
+    band = np.zeros((3, m, 3, n))
+    band[di + 1, j, dj + 1, i] = coo.data
+    c = band.mean(axis=3)
+    departure = float(np.abs(band - c[..., None]).sum(axis=(0, 2)).max())
     w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
-    # M[j, dj, k]: the mode-k block, sum over di of c[di, j, dj] w_k^di
-    M = c[1][..., None] + c[2][..., None] * w + c[0][..., None] * w.conj()
+    # blocks[j, dj, k]: sum over di of c[di, j, dj] w_k^di
+    blocks = c[1][..., None] + c[2][..., None] * w + c[0][..., None] * w.conj()
+    return CirculantSymbol(D, blocks, departure, float(np.abs(c).sum(axis=(0, 2)).max()))
+
+
+def _fourier_solver(B: sp.csc_matrix, mesh: Mesh):
+    """B^{-1} as rfft along the periodic grid index i, one tridiagonal
+    solve in j per Fourier mode and irfft, or None where B departs from
+    a block-circulant matrix with tridiagonal blocks on ``mesh.grid`` by
+    more than ``CIRCULANT_RTOL`` relative."""
+    sym = circulant_symbol(B, mesh)
+    if sym is None or sym.departure > CIRCULANT_RTOL * sym.norm:
+        return None
+    D, M = sym.grid, sym.blocks
+    m, n = D.shape
     piv = M[:, 1].copy()
     for jj in range(1, m):
         piv[jj] -= M[jj, 0] * M[jj - 1, 2] / piv[jj - 1]
@@ -169,22 +205,21 @@ def assemble(mesh: Mesh) -> Operators:
     e2 = p[:, 1] - p[:, 0]
     grads = np.stack([e0, e1, e2], axis=1)[:, :, ::-1] * np.array([-1.0, 1.0])
     grads /= (2 * areas)[:, None, None]
-    local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
+    gx, gy = grads[..., 0], grads[..., 1]
+    local = ((gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+             * areas[:, None, None])
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     S = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof))
     S = S.tocsr()
 
-    w_int = np.zeros(mesh.n_dof)
-    np.add.at(w_int, tris.ravel(), np.repeat(areas / 3.0, 3))
+    w_int = np.bincount(tris.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=mesh.n_dof)
 
     wb = []
     for comp in mesh.components:
-        w = np.zeros(mesh.n_dof)
         half = 0.5 * comp.edge_lengths
-        np.add.at(w, dof[comp.verts[:-1]], half)
-        np.add.at(w, dof[comp.verts[1:]], half)
-        wb.append(w)
+        wb.append(np.bincount(np.concatenate([dof[comp.verts[:-1]], dof[comp.verts[1:]]]),
+                              weights=np.concatenate([half, half]), minlength=mesh.n_dof))
     return Operators(mesh=mesh, S=S, w_int=w_int, wb=wb, grads=grads)
 
 

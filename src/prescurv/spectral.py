@@ -13,6 +13,18 @@ symmetric LDL^T factorization of the shifted matrix: the congruence
 Q + tau I = P^T L D L^T P preserves inertia, so the eigenvalues below
 -tau are as many as the negative entries of D.
 
+On the periodic grids of cylinders and annuli, a rotation-invariant
+state makes Q block-circulant, and an rfft along the periodic index
+splits it into one Hermitian tridiagonal block per Fourier mode
+(Hockney 1965), so the count is a sum of Sturm counts of the blocks
+(Demmel 1997, section 5.3) and needs no factorization.  The symbol is
+read from the assembled Q, as for the H1 Gram matrix in
+:mod:`prescurv.energy`; Q's departure eta from it enters a Weyl
+bracket: the count is returned only when it is the same at -tau - 2 eta
+and -tau + 2 eta (widened by rounding), which makes it exact for Q.
+Non-radial states, the half-disk, restricted forms and any count the
+bracket does not settle go to the factorization.
+
 Truncated half-plane profiles restrict Q to fields vanishing on the
 artificial arc (Dirichlet truncation).  Restriction only shrinks the
 admissible space, so the computed counts are lower bounds for the index
@@ -45,7 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import Mesh
-from .energy import B_ORDERING, Problem, restrict_matrix
+from .energy import B_ORDERING, Problem, circulant_symbol, restrict_matrix
 from .exact import (
     HalfPlaneProfile,
     disk_eigenfunction,
@@ -67,8 +79,9 @@ class SpectrumReport:
 
     ``negative_count`` is the exact number of eigenvalues below
     ``-neg_tol``.  ``k_used`` names the path that produced it: 0 when
-    the count was read from factorization pivots, n when it came from
-    the dense eigenvalue fallback.
+    the count was read from pivots (SuperLU's, or the Sturm sequences
+    of the Fourier mode blocks), n when it came from the dense
+    eigenvalue fallback.
     """
 
     negative_count: int
@@ -76,12 +89,20 @@ class SpectrumReport:
     neg_tol: float = NEG_TOL
 
 
-def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
+def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL,
+                   mesh: Optional[Mesh] = None) -> SpectrumReport:
     """Count eigenvalues of the symmetric matrix Q below ``-neg_tol``.
 
-    Factors Q + neg_tol I with SuperLU restricted to symmetric,
-    diagonal-pivot elimination, which makes U = D L^T and the diagonal
-    of U the pivots D.  The count is trusted only when no row pivoting
+    When ``mesh`` is given and Q's diagonal is constant along the
+    periodic index of ``mesh.grid``, Q is split into Fourier mode blocks
+    and the count is the sum of their Sturm counts
+    (:func:`_fourier_count`), with no factorization.  It is returned
+    only when the counts at -neg_tol -/+ (2 eta + rounding) agree, eta
+    being Q's departure from its block-circulant symbol, and every
+    Sturm pivot is finite and nonzero; by Weyl's bound it is then the
+    exact count for Q.  Otherwise Q + neg_tol I is factored with
+    SuperLU restricted to symmetric, diagonal-pivot elimination, which
+    makes U = D L^T and the diagonal of U the pivots D.  That count is trusted only when no row pivoting
     happened and every pivot is finite and nonzero.  A factorization
     that fails this guard is retried once under the ``MMD_ATA``
     ordering, at the same shift; if that fails too, matrices up to
@@ -89,6 +110,9 @@ def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
     raise a :class:`RuntimeError` naming the reasons.
     """
     n = Q.shape[0]
+    count = None if mesh is None else _fourier_count(Q, mesh, neg_tol)
+    if count is not None:
+        return SpectrumReport(count, 0, neg_tol)
     A = (Q + neg_tol * sp.identity(n)).tocsc()
     reasons = []
     for ordering in ORDERINGS:
@@ -112,15 +136,52 @@ def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
     return SpectrumReport(int((vals < -neg_tol).sum()), n, neg_tol)
 
 
+def _fourier_count(Q: sp.spmatrix, mesh: Mesh, neg_tol: float) -> Optional[int]:
+    """Eigenvalues of Q below ``-neg_tol`` from its circulant symbol on
+    ``mesh.grid``, or None where the count is not certain.
+
+    Q = C + E with C block-circulant (:func:`prescurv.energy.circulant_symbol`)
+    and |E| at most the departure eta.  C's eigenvalues are those of its
+    Hermitian tridiagonal Fourier mode blocks, counted below a shift by
+    the signs of the pivots of the block's LDL^T, a Sturm sequence
+    (Demmel 1997, section 5.3).  By Weyl's bound every eigenvalue of Q
+    lies within eta of one of C, so when the counts at -neg_tol - delta
+    and -neg_tol + delta agree, with delta = 2 eta plus rounding of the
+    symbol and of the recurrence, no eigenvalue of Q is near the cut and
+    the count is exactly Q's.  Modes 0 < k < n/2 stand for the pair k,
+    n - k and count twice.
+    """
+    sym = circulant_symbol(Q, mesh)
+    if sym is None:
+        return None
+    M, n = sym.blocks, sym.grid.shape[1]
+    # rounding of the mean over i (pairwise, log2 n ulps), of the mode
+    # sums and of the recurrence (a few ulps per entry, Demmel 1997,
+    # section 5.3): 32 ulps of |C| cover grids up to 2^20 points around
+    delta = 2.0 * sym.departure + 32.0 * np.finfo(float).eps * sym.norm
+    shifts = np.array([[-neg_tol - delta], [-neg_tol + delta]])
+    diag, offdiag2 = M[:, 1].real, (M[1:, 0] * M[:-1, 2]).real
+    piv = np.empty((len(M), 2, M.shape[2]))
+    piv[0] = diag[0] - shifts
+    for jj in range(1, len(M)):
+        piv[jj] = diag[jj] - shifts - offdiag2[jj - 1] / piv[jj - 1]
+    if not np.all(np.isfinite(piv) & (piv != 0.0)):
+        return None
+    k = np.arange(M.shape[2])
+    below, above = (piv < 0).sum(axis=0) @ np.where((k == 0) | (2 * k == n), 1, 2)
+    return int(below) if below == above else None
+
+
 def morse_index(prob: Problem, u: np.ndarray, eps: float = 0.0,
                 fixed: Optional[np.ndarray] = None,
                 neg_tol: float = NEG_TOL) -> SpectrumReport:
     """Index of a state: negative directions of the stability form,
-    optionally restricted away from Dirichlet-fixed dofs."""
+    optionally restricted away from Dirichlet-fixed dofs.  Unrestricted
+    forms are counted on ``prob``'s mesh (see :func:`negative_count`)."""
     Q = prob.hessian(u, eps)
     if fixed is not None:
-        Q = restrict_matrix(Q, np.nonzero(~fixed)[0])
-    return negative_count(Q, neg_tol=neg_tol)
+        return negative_count(restrict_matrix(Q, np.nonzero(~fixed)[0]), neg_tol=neg_tol)
+    return negative_count(Q, neg_tol=neg_tol, mesh=prob.mesh)
 
 
 def halfplane_profile_index(mesh: Mesh, profile: HalfPlaneProfile,

@@ -221,7 +221,8 @@ class TestKrylovNewton:
         monkeypatch.setattr(solve.spla, "splu", counted)
         rep = nested(prob, prob.zero_state(), _descend, _descend)
         assert rep.converged and rep.levels[-1]["method"] == "finish"
-        assert sizes.count(prob.n_dof) == 1
+        # the radial minimum's certificate is a Fourier-mode Sturm count
+        assert sizes.count(prob.n_dof) == 0
         assert all(e["linear"] == "minres" for e in rep.line_search_trace)
 
     def test_iterations_do_not_grow_with_level(self):

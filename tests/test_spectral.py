@@ -11,7 +11,7 @@ from prescurv.exact import (
     oneD_profile,
 )
 from prescurv.fields import CurvatureSpec, background_for
-from prescurv.solve import minimize, mountain_pass, relaxed_endpoints
+from prescurv.solve import minimize, mountain_pass, nested, relaxed_endpoints
 from prescurv.spectral import (
     disk_form_report,
     disk_truncation_radius,
@@ -258,3 +258,124 @@ def test_disk_form_kernel_rayleigh_refines():
     coarse = disk_form_report(1.5, n_r=400).kernel_rayleigh
     fine = disk_form_report(1.5, n_r=1600).kernel_rayleigh
     assert fine < coarse / 4
+
+
+class TestFourierInertia:
+    """Counts on periodic grids from Sturm sequences of the Fourier mode
+    blocks, with SuperLU only where the matrix is not circulant."""
+
+    @staticmethod
+    def counted_splu(monkeypatch):
+        import prescurv.spectral as spectral
+        sizes, real = [], spectral.spla.splu
+
+        def counted(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "splu", counted)
+        return sizes
+
+    @staticmethod
+    def problem(kind, level):
+        mesh = build_mesh(DomainSpec(kind, L=1.0, r=0.8, level=level))
+        if kind == "cylinder":
+            return Problem(mesh, CurvatureSpec(K=-1.0, h=[3.0, 3.0], K_bg=0.0))
+        K_bg, h_bg = background_for(mesh)
+        return Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg))
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["cylinder", "annulus"])
+    def test_matches_superlu_on_rotation_invariant_states(self, monkeypatch, kind, level):
+        # Q - s I counts the eigenvalues of Q below s: from a handful to
+        # thousands, odd counts included (modes 0 and n/2 count once)
+        prob = self.problem(kind, level)
+        cases = []
+        for c in (0.0, 1.0):
+            Q = prob.hessian(np.full(prob.n_dof, c))
+            for s in (0.0, 0.05, 0.3, 1.0, 3.0):
+                Qs = (Q - s * sp.identity(prob.n_dof)).tocsr()
+                cases.append((Qs, negative_count(Qs).negative_count))
+        sizes = self.counted_splu(monkeypatch)
+        for Qs, count in cases:
+            rep = negative_count(Qs, mesh=prob.mesh)
+            assert (rep.negative_count, rep.k_used) == (count, 0)
+        assert sizes == []
+        assert any(count % 2 for _, count in cases)
+
+    def test_departure_brackets_the_cut(self, monkeypatch):
+        # Q bumps one off-diagonal pair by 1e-3, leaving its diagonal
+        # circulant; C spreads the bump over the grid index i.  Away from
+        # the spectrum the Fourier count is Q's; at a cut between an
+        # eigenvalue of Q and the matching one of C, Weyl's bracket of
+        # twice the departure leaves the count to SuperLU
+        prob = self.problem("cylinder", 1)
+        D = prob.mesh.vertex_dof[prob.mesh.grid[:-1]].T
+        n, H = D.shape[1], prob.hessian(np.full(prob.n_dof, 1.0))
+
+        def bumped(pairs, size):
+            rows, cols = np.concatenate([pairs, pairs[::-1]], axis=1)
+            return (H + sp.csr_matrix((np.full(len(rows), size), (rows, cols)),
+                                      shape=H.shape)).tocsr()
+
+        Q = bumped(np.array([[D[0, 5]], [D[1, 5]]]), 1e-3)
+        C = bumped(D[:2], 1e-3 / n)
+        lq, lc = np.linalg.eigvalsh(Q.toarray()), np.linalg.eigvalsh(C.toarray())
+        k = int(np.argmax(np.abs(lq - lc)))
+        cut = 0.5 * (lq[k] + lc[k])
+        assert (lq < cut).sum() != (lc < cut).sum()
+        sizes = self.counted_splu(monkeypatch)
+        assert negative_count(Q, mesh=prob.mesh).negative_count == dense_count(Q)
+        assert sizes == []
+        assert negative_count(Q, neg_tol=-cut, mesh=prob.mesh).negative_count == (lq < cut).sum()
+        assert sizes == [prob.n_dof]
+
+    def test_eigenvalue_at_the_cut_reaches_splu(self, monkeypatch):
+        # the stiffness matrix's constant null vector sits on the cut at
+        # neg_tol = 0, so the two Sturm counts differ
+        prob = self.problem("cylinder", 1)
+        sizes = self.counted_splu(monkeypatch)
+        negative_count(prob.ops.S, neg_tol=0.0, mesh=prob.mesh)
+        assert sizes and sizes[0] == prob.n_dof
+
+    @pytest.mark.parametrize("case", ["bumped", "saddle", "halfdisk", "fixed"])
+    def test_fallbacks_reach_splu(self, monkeypatch, case):
+        # a diagonal off its symbol, a non-radial state, a grid that is not
+        # periodic, and a restriction that drops the mesh
+        if case == "saddle":
+            mesh = build_mesh(DomainSpec("annulus", r=0.8, level=3))
+            Q, index = _annulus_saddle()
+        elif case == "halfdisk":
+            mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=2, grade=2.0))
+            prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, 0.0], K_bg=0.0))
+            Q, index = prob.hessian(prob.zero_state()), None
+        else:
+            prob = self.problem("cylinder", 2)
+            mesh, Q, index = prob.mesh, prob.hessian(np.full(prob.n_dof, 1.0)), None
+            if case == "bumped":
+                Q = (Q + sp.csr_matrix(([1e-9], ([5], [5])), shape=Q.shape)).tocsr()
+        if case == "fixed":
+            fixed = np.zeros(prob.n_dof, dtype=bool)
+            fixed[prob.mesh.vertex_dof[prob.mesh.components[0].verts]] = True
+            free = np.nonzero(~fixed)[0]
+            Q = Q.tocsr()[free][:, free]
+        sizes = self.counted_splu(monkeypatch)
+        if case == "fixed":
+            rep = morse_index(prob, np.full(prob.n_dof, 1.0), fixed=fixed)
+        else:
+            rep = negative_count(Q, mesh=mesh)
+        assert sizes[0] == Q.shape[0]
+        assert rep.negative_count == (dense_count(Q) if index is None else index)
+
+    def test_nested_cylinder_minimize_factors_nothing(self, monkeypatch):
+        prob = Problem(build_mesh(DomainSpec("cylinder", L=1.0, level=4)),
+                       CurvatureSpec(K=-1.0, h=[0.5, 0.5], K_bg=-1.0))
+        sizes = self.counted_splu(monkeypatch)
+
+        def descend(p, u):
+            return minimize(p, init=u, tol=1e-10)
+
+        rep = nested(prob, prob.zero_state(), descend, descend)
+        assert rep.converged and rep.morse_index == 0
+        assert [e["morse_index"] for e in rep.levels] == [0] * 5
+        assert sizes == []
