@@ -64,22 +64,6 @@ class DomainSpec:
         if self.grade < 1:
             raise ValueError("grading exponent must be >= 1")
 
-    @property
-    def analytic_area(self) -> float:
-        if self.kind == "cylinder":
-            return CIRCUMFERENCE * self.L
-        if self.kind == "annulus":
-            return math.pi * (1.0 - self.r**2)
-        return 0.5 * math.pi * self.R**2
-
-    @property
-    def analytic_boundary_lengths(self) -> tuple[float, ...]:
-        if self.kind == "cylinder":
-            return (CIRCUMFERENCE, CIRCUMFERENCE)
-        if self.kind == "annulus":
-            return (2 * math.pi, 2 * math.pi * self.r)
-        return (2 * self.R, math.pi * self.R)
-
 
 @dataclass
 class BoundaryComponent:

@@ -13,16 +13,15 @@ Its directions come from MINRES (Paige & Saunders 1975) preconditioned
 by the H1 Gram matrix B, to which the Hessian is spectrally equivalent
 uniformly in the mesh size (Mardal & Winther 2011), so the iteration
 count does not grow under refinement; a sparse LU factorization of the
-shifted Hessian is the fallback.  The MINRES preconditioner and the
-mountain-pass descent both apply B^{-1} through ``Operators.solve_B``.
+shifted Hessian is the fallback.  The preconditioner applies B^{-1}
+through ``Operators.solve_B``.
 
 Three drivers build on them:
 
-* :func:`mountain_pass` - deformation of a discrete path between two
-  low states: repeated preconditioned descent at the path maximum with
-  arclength reparametrization, then a Newton polish of the near-critical
-  maximum.  Raises :class:`PathCollapseError` when the landscape carries
-  no pass (the path maximum sinks to the endpoint level).
+* :func:`mountain_pass` - samples the segment between a low state and
+  a concentrated one, raises :class:`PathCollapseError` when its
+  maximum lies at the endpoint level (no pass along it), and otherwise
+  polishes the interior maximum with Newton.
 * :func:`nested` - nested iteration on the meshes ``refine`` nests
   (full multigrid; Brandt 1977, Bank & Rose 1982): solve one level
   coarser, prolong, finish with Newton.  Where that fails the level is
@@ -69,24 +68,18 @@ MAX_BACKTRACKS = 50
 KRYLOV_RTOL = 1e-10
 KRYLOV_MAXITER = 200
 KRYLOV_ACCEPT = 1e-6
-# path stage of mountain_pass: sweep cap, max-point residual at which the
-# polish takes over, descent steps per sweep, sweeps without a lower pass
-MAX_SWEEPS = 1000
-SWITCH_TOL = 1e-3
-INNER_STEPS = 3
-STALL_LIMIT = 40
 # largest sup growth per refinement level of a converged nested solve; a
 # bubble one element wide grows by 2 log 2, smooth states by O(h^2)
 SUP_GROWTH = math.log(2.0)
 
 
 class PathCollapseError(RuntimeError):
-    """The deformed path's maximum fell to the endpoint level."""
+    """The sampled path's maximum lies at the endpoint level."""
 
 
 @dataclass
 class PathState:
-    """Discrete path after deformation: row j is the j-th state."""
+    """Sampled segment of a mountain pass: row j is the j-th state."""
 
     points: np.ndarray
     energies: np.ndarray
@@ -347,97 +340,37 @@ def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
         f" the bubble width q2={q2:g}")
 
 
-# -- path deformation ---------------------------------------------------------
-
-
-def _resample_path(prob: Problem, pts: np.ndarray) -> np.ndarray:
-    """Even arclength spacing in the H1 metric, endpoints pinned."""
-    diffs = np.diff(pts, axis=0)
-    seg = np.sqrt(np.maximum(
-        np.einsum("jn,jn->j", diffs, (prob.ops.B @ diffs.T).T), 0.0))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total <= 0:
-        raise ValueError("path endpoints coincide")
-    targets = np.linspace(0.0, total, len(pts))
-    out = np.empty_like(pts)
-    out[0], out[-1] = pts[0], pts[-1]
-    j = 0
-    for i in range(1, len(pts) - 1):
-        s = targets[i]
-        while cum[j + 1] < s:
-            j += 1
-        frac = (s - cum[j]) / seg[j] if seg[j] > 0 else 0.0
-        out[i] = pts[j] + frac * diffs[j]
-    return out
+# -- mountain pass ------------------------------------------------------------
 
 
 def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
                   n_points: int = 17, tol: float = 1e-8,
                   blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
-    """Deform the segment [u0, u1] until its maximum is near-critical,
-    then polish that maximum with Newton.
+    """Sample the segment [u0, u1] at ``n_points`` states and polish its
+    interior maximum with Newton.
 
-    Each sweep applies a few H1-preconditioned descent steps to the
-    current path maximum and re-spaces the path at even H1 arclength.
-    Sweeping stops when the max-point residual is small or the running
-    pass level stops improving (the coarse path then straddles the
-    saddle, and the polish finishes from the best state seen).  If the
-    running maximum ever drops to the endpoint level the landscape has
-    no pass between the endpoints and :class:`PathCollapseError` is
-    raised.
+    When no interior state rises above the endpoint level the landscape
+    carries no pass between the endpoints along the segment and
+    :class:`PathCollapseError` is raised.  The report's first trace
+    entry records the maximum the polish starts from (its index, level
+    and residual), and ``path`` holds the sampled segment.
     """
     ts = np.linspace(0.0, 1.0, n_points)[:, None]
     pts = (1.0 - ts) * np.asarray(u0, float)[None, :] + ts * np.asarray(u1, float)[None, :]
     energies = np.array([prob.energy(v, eps).total_eps for v in pts])
     e_end = max(energies[0], energies[-1])
-    collapse_level = e_end + 1e-9 * (1.0 + abs(e_end))
-    trace: list[dict] = []
-    best_level = math.inf
-    best_state = pts[1 + int(np.argmax(energies[1:-1]))].copy()
-    stall = 0
-    for sweep in range(MAX_SWEEPS):
-        if energies.max() <= collapse_level:
-            raise PathCollapseError(
-                "path maximum fell to the endpoint level: no pass between the endpoints")
-        # endpoints stay pinned; only interior points may move
-        k = 1 + int(np.argmax(energies[1:-1]))
-        g = prob.gradient(pts[k], eps)
-        res = prob.dual_norm(g)
-        trace.append({"sweep": sweep, "max_index": k, "level": energies[k],
-                      "residual": res})
-        if energies[k] < best_level - 1e-6 * (1.0 + abs(best_level)):
-            best_level = energies[k]
-            best_state = pts[k].copy()
-            stall = 0
-        else:
-            stall += 1
-        if res < SWITCH_TOL or stall >= STALL_LIMIT:
-            break
-        for _ in range(INNER_STEPS):
-            d = -prob.ops.solve_B(g)
-            gd = float(g @ d)
-            t, ok = 1.0, False
-            for _bt in range(30):
-                trial = prob.energy(pts[k] + t * d, eps).total_eps
-                if trial <= energies[k] + ARMIJO_C * t * gd:
-                    ok = True
-                    break
-                t *= 0.5
-            if not ok:
-                break
-            pts[k] = pts[k] + t * d
-            energies[k] = trial
-            g = prob.gradient(pts[k], eps)
-        pts = _resample_path(prob, pts)
-        energies = np.array([prob.energy(v, eps).total_eps for v in pts])
-
-    polished = newton_polish(prob, best_state, eps=eps, tol=tol,
+    if energies.max() <= e_end + 1e-9 * (1.0 + abs(e_end)):
+        raise PathCollapseError(
+            "path maximum lies at the endpoint level: no pass between the endpoints")
+    k = 1 + int(np.argmax(energies[1:-1]))
+    trace = [{"sweep": 0, "max_index": k, "level": energies[k],
+              "residual": prob.dual_norm(prob.gradient(pts[k], eps))}]
+    polished = newton_polish(prob, pts[k], eps=eps, tol=tol,
                              blowup_threshold=blowup_threshold)
-    report = SolveReport(
+    return SolveReport(
         state=polished.state, energy=polished.energy,
         residual_norm=polished.residual_norm,
-        iterations=len(trace) + polished.iterations,
+        iterations=1 + polished.iterations,
         line_search_trace=trace + polished.line_search_trace,
         converged=polished.converged, blowup_flag=polished.blowup_flag,
         method="mountain-pass", eps=eps,
@@ -445,7 +378,6 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
         path=PathState(points=pts, energies=energies,
                        max_index=int(np.argmax(energies))),
     )
-    return report
 
 
 def _constant_start(prob: Problem, eps: float) -> float:

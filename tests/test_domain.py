@@ -49,9 +49,10 @@ def test_positive_areas_and_conformity(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + str(s.grade))
-def test_area_within_h2_of_analytic(spec):
+def test_area_within_h2_of_analytic(spec, analytic):
     mesh = build_mesh(spec)
-    rel = abs(mesh.area - spec.analytic_area) / spec.analytic_area
+    area, _ = analytic(spec)
+    rel = abs(mesh.area - area) / area
     assert rel <= 10 * mesh.h_max**2
 
 
@@ -78,12 +79,13 @@ def test_halfdisk_boundary_lengths():
     assert arc.length == pytest.approx(2 * math.pi, rel=1e-12)
 
 
-def test_annulus_area_converges_and_refine_quarters():
+def test_annulus_area_converges_and_refine_quarters(analytic):
     spec = DomainSpec("annulus", r=0.5, level=1)
     mesh = build_mesh(spec)
+    area, _ = analytic(spec)
     errors = []
     for _ in range(3):
-        errors.append(abs(mesh.area - spec.analytic_area))
+        errors.append(abs(mesh.area - area))
         n_tri = len(mesh.triangles)
         mesh = refine(mesh)
         assert len(mesh.triangles) == 4 * n_tri

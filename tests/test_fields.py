@@ -131,7 +131,7 @@ def test_perturb_keeps_K_negative(cyl):
         assert vals.max() < 0
 
 
-def test_background_for_closes_gauss_bonnet():
+def test_background_for_closes_gauss_bonnet(analytic):
     # flat models: K_bg*area + sum h_bg*length equals 2*pi*Euler characteristic
     # (up to corner angles, which only the half disk has: two right angles)
     for spec, chi, corners in [
@@ -141,9 +141,8 @@ def test_background_for_closes_gauss_bonnet():
     ]:
         mesh = build_mesh(spec)
         K_bg, h_bg = background_for(mesh)
-        total = K_bg * spec.analytic_area + sum(
-            hb * lg for hb, lg in zip(h_bg, spec.analytic_boundary_lengths)
-        )
+        area, lengths = analytic(spec)
+        total = K_bg * area + sum(hb * lg for hb, lg in zip(h_bg, lengths))
         assert total + corners == pytest.approx(2 * math.pi * chi, abs=1e-12)
 
 

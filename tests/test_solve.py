@@ -20,7 +20,6 @@ from prescurv.solve import (
     nested,
     newton_polish,
     relaxed_endpoints,
-    _resample_path,
 )
 from prescurv.spectral import morse_index
 
@@ -338,6 +337,26 @@ class TestMountainPass:
         # endpoints stay pinned to the inputs
         assert np.array_equal(path.points[0], low.state)
         assert np.array_equal(path.points[-1], u1)
+        # the path is the sampled segment, not a deformation of it
+        ts = np.linspace(0.0, 1.0, 9)[:, None]
+        assert np.array_equal(path.points, (1.0 - ts) * low.state + ts * u1)
+
+    def test_polishes_the_sampled_maximum(self):
+        prob = saddle_problem(level=3)
+        p = prob.mesh.boundary_point(0, 0)
+        low, u1 = relaxed_endpoints(prob, p, eps=0.05)
+        rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-8)
+        ts = np.linspace(0.0, 1.0, 17)[:, None]
+        segment = (1.0 - ts) * low.state + ts * u1
+        maxima = [e for e in rep.line_search_trace if "sweep" in e]
+        assert len(maxima) == 1
+        k = maxima[0]["max_index"]
+        assert k == 1 + int(np.argmax(rep.path.energies[1:-1]))
+        assert maxima[0]["level"] == rep.path.energies[k]
+        polish = newton_polish(prob, segment[k], eps=0.05, tol=1e-8)
+        assert np.array_equal(rep.state, polish.state)
+        assert rep.iterations == 1 + polish.iterations
+        assert rep.line_search_trace[1:] == polish.line_search_trace
 
     def test_collapse_on_convex_landscape(self):
         # nonpositive boundary data: the energy is convex, every segment
@@ -347,35 +366,6 @@ class TestMountainPass:
         bump = rep.state + 1.0
         with pytest.raises(PathCollapseError):
             mountain_pass(prob, 0.0, rep.state, bump, tol=1e-8)
-
-
-class TestResample:
-    def test_even_arclength_sampling(self):
-        prob = cylinder_problem(h=-0.5, K_bg=-1.0, level=1)
-        rng = np.random.default_rng(3)
-        n = prob.n_dof
-        pts = np.cumsum(rng.standard_normal((7, n)), axis=0)
-        out = _resample_path(prob, pts)
-        assert np.array_equal(out[0], pts[0])
-        assert np.array_equal(out[-1], pts[-1])
-        # oracle: interpolate the input polyline at even fractions of its
-        # cumulative metric arclength
-        diffs = np.diff(pts, axis=0)
-        B = prob.ops.B
-        seg = np.sqrt(np.einsum("jn,jn->j", diffs, (B @ diffs.T).T))
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        targets = np.linspace(0.0, s[-1], len(pts))
-        for j, t in enumerate(targets[1:-1], start=1):
-            k = np.searchsorted(s, t, side="right") - 1
-            w = (t - s[k]) / (s[k + 1] - s[k])
-            expected = (1 - w) * pts[k] + w * pts[k + 1]
-            assert np.allclose(out[j], expected, atol=1e-10)
-
-    def test_coincident_endpoints_rejected(self):
-        prob = cylinder_problem(h=-0.5, K_bg=-1.0, level=1)
-        pts = np.zeros((5, prob.n_dof))
-        with pytest.raises(ValueError):
-            _resample_path(prob, pts)
 
 
 def _descend(prob, u):
