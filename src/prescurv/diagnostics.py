@@ -113,10 +113,6 @@ class HolomorphicField:
             raise ValueError("constant coefficient must be real")
         self.coeffs = coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def _G(self, z: np.ndarray) -> np.ndarray:
         G = np.full(z.shape, self.coeffs[0])
         for k in range(1, len(self.coeffs)):

@@ -5,7 +5,7 @@ backtracking, serves two acceptance tests:
 
 * :func:`minimize` - energy Armijo acceptance along descent directions,
   certified as a local minimum by an exact Morse index of zero at the
-  accepted state (:func:`prescurv.spectral.negative_count`).
+  accepted state (:func:`prescurv.spectral.morse_index`).
 * :func:`newton_polish` - residual-decrease acceptance, which converges
   to critical points of any index.
 
@@ -54,7 +54,7 @@ import scipy.sparse.linalg as spla
 from .domain import BoundaryPoint, coarsen, distance2, prolong
 from .energy import B_ORDERING, EnergyBreakdown, Problem
 from .fields import eval_D_field
-from .spectral import morse_index, negative_count
+from .spectral import morse_index
 
 ARMIJO_C = 1e-4
 BLOWUP_SUP = 50.0
@@ -269,17 +269,16 @@ def minimize(prob: Problem, eps: float = 0.0,
     ``converged`` demands a residual below ``tol`` in the dual norm and a
     Morse index of zero: the Hessian at the accepted state has no
     eigenvalue below ``-NEG_TOL``, counted exactly by
-    :func:`prescurv.spectral.negative_count` on ``prob``'s mesh, from
-    Fourier-mode Sturm counts where the state is rotation invariant on
-    a periodic grid and from an LDL^T factorization otherwise.  The
-    index is stored in ``morse_index``, so the report certifies a local
-    minimum rather than any critical point.
+    :func:`prescurv.spectral.morse_index`, from Fourier-mode Sturm
+    counts where the state is rotation invariant on a periodic grid and
+    from an LDL^T factorization otherwise.  The index is stored in
+    ``morse_index``, so the report certifies a local minimum rather than
+    any critical point.
     """
     u = prob.zero_state() if init is None else np.array(init, dtype=float)
     rep = _newton(prob, u, eps, tol, max_iter, blowup_threshold, armijo=True)
     if rep.converged:
-        rep.morse_index = negative_count(prob.hessian(rep.state, eps),
-                                         mesh=prob.mesh).negative_count
+        rep.morse_index = morse_index(prob, rep.state, eps).negative_count
         if rep.morse_index:
             rep.converged = False
             rep.message = "stationary point is not a local minimum"

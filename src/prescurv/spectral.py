@@ -14,14 +14,16 @@ Q + tau I = P^T L D L^T P preserves inertia, so the eigenvalues below
 -tau are as many as the negative entries of D.
 
 On the periodic grids of cylinders and annuli, a rotation-invariant
-state makes Q block-circulant, and an rfft along the periodic index
-splits it into one Hermitian tridiagonal block per Fourier mode
-(Hockney 1965), so the count is a sum of Sturm counts of the blocks
-(Demmel 1997, section 5.3) and needs no factorization.  The symbol is
-read from the assembled Q, as for the H1 Gram matrix in
-:mod:`prescurv.energy`; Q's departure eta from it enters a Weyl
-bracket: the count is returned only when it is the same at -tau - 2 eta
-and -tau + 2 eta (widened by rounding), which makes it exact for Q.
+state makes Q = scale * S + diag(d) block-circulant up to rounding, and
+an rfft along the periodic index splits it into one Hermitian
+tridiagonal block per Fourier mode (Hockney 1965), so the count is a
+sum of Sturm counts of the blocks (Demmel 1997, section 5.3) and needs
+no factorization.  The symbol is S's, read once per mesh
+(:meth:`prescurv.energy.Operators.symbol`), times scale plus the mean
+d_bar of d.  By the triangle inequality Q departs from it by at most
+eta = scale * eta_S + max |d - d_bar|, and eta enters a Weyl bracket:
+the count is returned only when it is the same at -tau - 2 eta and
+-tau + 2 eta (widened by rounding), which makes it exact for Q.
 Non-radial states, the half-disk, restricted forms and any count the
 bracket does not settle go to the factorization.
 
@@ -57,7 +59,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import Mesh
-from .energy import B_ORDERING, Problem, circulant_symbol, restrict_matrix
+from .energy import B_ORDERING, CirculantSymbol, Problem
 from .exact import (
     HalfPlaneProfile,
     disk_eigenfunction,
@@ -89,20 +91,12 @@ class SpectrumReport:
     neg_tol: float = NEG_TOL
 
 
-def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL,
-                   mesh: Optional[Mesh] = None) -> SpectrumReport:
+def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
     """Count eigenvalues of the symmetric matrix Q below ``-neg_tol``.
 
-    When ``mesh`` is given and Q's diagonal is constant along the
-    periodic index of ``mesh.grid``, Q is split into Fourier mode blocks
-    and the count is the sum of their Sturm counts
-    (:func:`_fourier_count`), with no factorization.  It is returned
-    only when the counts at -neg_tol -/+ (2 eta + rounding) agree, eta
-    being Q's departure from its block-circulant symbol, and every
-    Sturm pivot is finite and nonzero; by Weyl's bound it is then the
-    exact count for Q.  Otherwise Q + neg_tol I is factored with
-    SuperLU restricted to symmetric, diagonal-pivot elimination, which
-    makes U = D L^T and the diagonal of U the pivots D.  That count is trusted only when no row pivoting
+    Q + neg_tol I is factored with SuperLU restricted to symmetric,
+    diagonal-pivot elimination, which makes U = D L^T and the diagonal
+    of U the pivots D.  That count is trusted only when no row pivoting
     happened and every pivot is finite and nonzero.  A factorization
     that fails this guard is retried once under the ``MMD_ATA``
     ordering, at the same shift; if that fails too, matrices up to
@@ -110,9 +104,6 @@ def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL,
     raise a :class:`RuntimeError` naming the reasons.
     """
     n = Q.shape[0]
-    count = None if mesh is None else _fourier_count(Q, mesh, neg_tol)
-    if count is not None:
-        return SpectrumReport(count, 0, neg_tol)
     A = (Q + neg_tol * sp.identity(n)).tocsc()
     reasons = []
     for ordering in ORDERINGS:
@@ -136,31 +127,29 @@ def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL,
     return SpectrumReport(int((vals < -neg_tol).sum()), n, neg_tol)
 
 
-def _fourier_count(Q: sp.spmatrix, mesh: Mesh, neg_tol: float) -> Optional[int]:
-    """Eigenvalues of Q below ``-neg_tol`` from its circulant symbol on
-    ``mesh.grid``, or None where the count is not certain.
+def _fourier_count(sym: Optional[CirculantSymbol], neg_tol: float) -> Optional[int]:
+    """Eigenvalues below ``-neg_tol`` of Q = scale S + diag(d) from its
+    symbol ``sym``, or None where there is none or the count is not certain.
 
-    Q = C + E with C block-circulant (:func:`prescurv.energy.circulant_symbol`)
-    and |E| at most the departure eta.  C's eigenvalues are those of its
-    Hermitian tridiagonal Fourier mode blocks, counted below a shift by
-    the signs of the pivots of the block's LDL^T, a Sturm sequence
-    (Demmel 1997, section 5.3).  By Weyl's bound every eigenvalue of Q
-    lies within eta of one of C, so when the counts at -neg_tol - delta
-    and -neg_tol + delta agree, with delta = 2 eta plus rounding of the
-    symbol and of the recurrence, no eigenvalue of Q is near the cut and
-    the count is exactly Q's.  Modes 0 < k < n/2 stand for the pair k,
-    n - k and count twice.
+    Q = C + E with C block-circulant and |E| <= eta = scale eta_S +
+    max |d - d_bar|, the symbol's departure (triangle inequality).  C's
+    eigenvalues are those of its Hermitian tridiagonal Fourier mode
+    blocks, counted below a shift by the signs of the pivots of the
+    block's LDL^T, a Sturm sequence.  By Weyl's bound every eigenvalue
+    of Q lies within eta of one of C, so when the counts at -neg_tol -
+    delta and -neg_tol + delta agree, with delta = 2 eta plus rounding,
+    no eigenvalue of Q is near the cut and the count is exactly Q's.
+    Modes 0 < k < n/2 stand for the pair k, n - k and count twice.
     """
-    sym = circulant_symbol(Q, mesh)
     if sym is None:
         return None
-    M, n = sym.blocks, sym.grid.shape[1]
+    M = sym.blocks
     # rounding of the mean over i (pairwise, log2 n ulps), of the mode
     # sums and of the recurrence (a few ulps per entry, Demmel 1997,
     # section 5.3): 32 ulps of |C| cover grids up to 2^20 points around
     delta = 2.0 * sym.departure + 32.0 * np.finfo(float).eps * sym.norm
     shifts = np.array([[-neg_tol - delta], [-neg_tol + delta]])
-    diag, offdiag2 = M[:, 1].real, (M[1:, 0] * M[:-1, 2]).real
+    diag, offdiag2 = M[:, 1].real, np.abs(M[:-1, 2]) ** 2
     piv = np.empty((len(M), 2, M.shape[2]))
     piv[0] = diag[0] - shifts
     for jj in range(1, len(M)):
@@ -168,20 +157,27 @@ def _fourier_count(Q: sp.spmatrix, mesh: Mesh, neg_tol: float) -> Optional[int]:
     if not np.all(np.isfinite(piv) & (piv != 0.0)):
         return None
     k = np.arange(M.shape[2])
-    below, above = (piv < 0).sum(axis=0) @ np.where((k == 0) | (2 * k == n), 1, 2)
+    below, above = (piv < 0).sum(axis=0) @ np.where((k == 0) | (2 * k == sym.n), 1, 2)
     return int(below) if below == above else None
 
 
 def morse_index(prob: Problem, u: np.ndarray, eps: float = 0.0,
                 fixed: Optional[np.ndarray] = None,
                 neg_tol: float = NEG_TOL) -> SpectrumReport:
-    """Index of a state: negative directions of the stability form,
-    optionally restricted away from Dirichlet-fixed dofs.  Unrestricted
-    forms are counted on ``prob``'s mesh (see :func:`negative_count`)."""
-    Q = prob.hessian(u, eps)
+    """Index of a state: eigenvalues of the Hessian of ``prob`` at ``u``
+    and ``eps`` below ``-neg_tol``, optionally restricted away from
+    Dirichlet-fixed dofs.  Unrestricted rotation-invariant states on
+    periodic grids are counted from the Fourier mode blocks
+    (:func:`_fourier_count`); everything else by :func:`negative_count`.
+    """
     if fixed is not None:
-        return negative_count(restrict_matrix(Q, np.nonzero(~fixed)[0]), neg_tol=neg_tol)
-    return negative_count(Q, neg_tol=neg_tol, mesh=prob.mesh)
+        free = np.nonzero(~fixed)[0]
+        return negative_count(prob.hessian(u, eps)[free][:, free], neg_tol=neg_tol)
+    scale, d = prob.hessian_parts(u, eps)
+    count = _fourier_count(prob.ops.symbol(scale, d), neg_tol)
+    if count is not None:
+        return SpectrumReport(count, 0, neg_tol)
+    return negative_count(prob.ops.plus_diagonal(scale, d), neg_tol=neg_tol)
 
 
 def halfplane_profile_index(mesh: Mesh, profile: HalfPlaneProfile,

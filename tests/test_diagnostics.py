@@ -261,7 +261,7 @@ class TestMassMeasures:
         prob = Problem(annulus3, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=0.0))
         mm = mass_measures(prob, np.zeros(annulus3.n_dof))
         assert np.isclose(mm.interior_density.sum(), 1.0, atol=1e-12)
-        assert np.isclose(mm.interior_total, prob.ops.integral(np.ones(annulus3.n_dof)))
+        assert np.isclose(mm.interior_total, prob.ops.w_int.sum())
         # negative inner boundary drops out of the normalized density
         assert mm.boundary_density[1].max() == 0.0
         per_len = mm.boundary_density[0] / annulus3.components[0].edge_lengths

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import B_ORDERING, EnergyBreakdown, Problem, assemble
+from prescurv.energy import (
+    B_ORDERING,
+    EnergyBreakdown,
+    Operators,
+    Problem,
+    assemble,
+    circulant_symbol,
+)
 from prescurv.fields import CurvatureSpec, perturb
 
 RNG = np.random.default_rng(7)
@@ -237,7 +245,7 @@ def test_blowup_flag_and_clamp(cyl):
 
 def test_breakdown_json_keys(cyl):
     prob = Problem(cyl, CurvatureSpec(K=-1.0, h=[0.5, 0.5]))
-    d = json.loads(prob.energy(prob.zero_state(), eps=0.1).to_json())
+    d = json.loads(json.dumps(prob.energy(prob.zero_state(), eps=0.1).as_dict()))
     for key in ("dirichlet", "linear", "area", "boundary", "total",
                 "chi_gen", "blowup_flag", "eps", "j_total", "total_eps"):
         assert key in d
@@ -262,8 +270,8 @@ def test_dual_norm_is_Binv_quadratic(cyl_small):
 
 
 class TestSolveB:
-    """B^{-1} by rfft and per-mode tridiagonal solves on periodic grids,
-    by a SuperLU factorization elsewhere."""
+    """B^{-1} by rfft and one LAPACK solve over the stacked Fourier mode
+    blocks on periodic grids, by a SuperLU factorization elsewhere."""
 
     @staticmethod
     def counted_splu(monkeypatch):
@@ -276,17 +284,22 @@ class TestSolveB:
         monkeypatch.setattr(spla, "splu", counted)
         return sizes
 
-    @pytest.mark.parametrize("level", [2, 3, 4])
+    @staticmethod
+    def residual(ops, seed):
+        r = np.random.default_rng(seed).standard_normal(ops.n_dof)
+        return np.linalg.norm(ops.B @ ops.solve_B(r) - r) / np.linalg.norm(r)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["cylinder", "annulus"])
     def test_fourier_solve_matches_superlu(self, monkeypatch, kind, level):
         ops = assemble(build_mesh(DomainSpec(kind, L=1.0, r=0.8, level=level)))
-        lu = spla.splu(ops.B, permc_spec=B_ORDERING)
+        lu = spla.splu(ops.B.tocsc(), permc_spec=B_ORDERING)
         sizes = self.counted_splu(monkeypatch)
         rng = np.random.default_rng(level)
         for _ in range(3):
             r = rng.standard_normal(ops.n_dof)
             x = ops.solve_B(r)
-            assert np.linalg.norm(ops.B @ x - r) <= 1e-11 * np.linalg.norm(r)
+            assert np.linalg.norm(ops.B @ x - r) <= 1e-12 * np.linalg.norm(r)
             assert ops.dual_norm(r) == pytest.approx(math.sqrt(r @ lu.solve(r)), rel=1e-9)
         assert sizes == []
 
@@ -294,20 +307,100 @@ class TestSolveB:
         ops = assemble(build_mesh(DomainSpec("halfdisk", level=2)))
         sizes = self.counted_splu(monkeypatch)
         for seed in (1, 2):
-            r = np.random.default_rng(seed).standard_normal(ops.n_dof)
-            assert np.linalg.norm(ops.B @ ops.solve_B(r) - r) <= 1e-11 * np.linalg.norm(r)
+            assert self.residual(ops, seed) <= 1e-11
         assert sizes == [ops.n_dof]
 
     @pytest.mark.parametrize("far", [False, True])
     def test_non_circulant_B_factors(self, monkeypatch, far):
-        # one diagonal entry off its circulant symbol by 1e-9, or a
-        # symmetric coupling of dofs more than one grid step apart
-        ops = assemble(build_mesh(DomainSpec("cylinder", L=1.0, level=2)))
-        n = ops.n_dof
+        # S with one diagonal entry off its circulant symbol by 1e-9, or
+        # a symmetric coupling of dofs more than one grid step apart
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
+        ops, n = assemble(mesh), mesh.n_dof
         rows, cols = ([0, n // 2], [n // 2, 0]) if far else ([5], [5])
-        bump = sp.csc_matrix((np.full(len(rows), 1e-9), (rows, cols)), shape=(n, n))
-        B = ops._cache["B"] = (ops.B + bump).tocsc()
+        bump = sp.csr_matrix((np.full(len(rows), 1e-9), (rows, cols)), shape=(n, n))
+        ops = Operators(mesh, (ops.S + bump).tocsr(), ops.w_int, ops.wb, ops.grads)
         sizes = self.counted_splu(monkeypatch)
-        r = np.random.default_rng(3).standard_normal(n)
-        assert np.linalg.norm(B @ ops.solve_B(r) - r) <= 1e-11 * np.linalg.norm(r)
+        assert self.residual(ops, 3) <= 1e-11
         assert sizes == [n]
+
+    def test_indefinite_mode_block_factors(self, monkeypatch):
+        # S - diag(w_int) is circulant, but the constants make its mode-0
+        # block indefinite, so zpttrf stops on a nonpositive pivot
+        mesh = build_mesh(DomainSpec("annulus", r=0.8, level=2))
+        ops = assemble(mesh)
+        ops = Operators(mesh, ops.S, -ops.w_int, ops.wb, ops.grads)
+        assert ops.symbol(1.0, ops.w_int) is not None
+        sizes = self.counted_splu(monkeypatch)
+        assert self.residual(ops, 4) <= 1e-10
+        assert sizes == [mesh.n_dof]
+
+    @pytest.mark.parametrize("numbering", ["rolled", "random"])
+    def test_other_numbering_factors(self, monkeypatch, numbering):
+        # the same cylinder with dof j * n + i renumbered j * n + (i + 1) % n,
+        # which keeps every coupling one grid step long, or permuted at random
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
+        j, i = np.divmod(np.arange(mesh.n_dof), 64)
+        perm = (j * 64 + (i + 1) % 64 if numbering == "rolled"
+                else np.random.default_rng(5).permutation(mesh.n_dof))
+        mesh = dataclasses.replace(mesh, vertex_dof=perm[mesh.vertex_dof], _cache={})
+        ops = assemble(mesh)
+        assert circulant_symbol(ops.S, mesh) is None
+        sizes = self.counted_splu(monkeypatch)
+        assert self.residual(ops, 6) <= 1e-11
+        assert sizes == [mesh.n_dof]
+
+
+def reference_stiffness(mesh):
+    """Per-triangle 9-entry P1 stiffness assembly and the barycentric
+    gradients, as a check on :func:`assemble`'s edge weights."""
+    tris = mesh.vertex_dof[mesh.triangles]
+    p = mesh.vertices[mesh.triangles]
+    areas = mesh.tri_areas
+    e0, e1, e2 = p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]
+    grads = np.stack([e0, e1, e2], axis=1)[:, :, ::-1] * np.array([-1.0, 1.0])
+    grads /= (2 * areas)[:, None, None]
+    gx, gy = grads[..., 0], grads[..., 1]
+    local = ((gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+             * areas[:, None, None])
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    S = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof))
+    return S.tocsr(), grads
+
+
+class TestAssembly:
+    """Edge-weight stiffness against the per-triangle reference."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", [
+        DomainSpec("cylinder", L=1.0), DomainSpec("annulus", r=0.8),
+        DomainSpec("halfdisk", R=8.0, grade=2.0)], ids=["cylinder", "annulus", "halfdisk"])
+    def test_matches_reference(self, spec, level):
+        mesh = build_mesh(dataclasses.replace(spec, level=level))
+        ops = assemble(mesh)
+        S_ref, grads_ref = reference_stiffness(mesh)
+        assert abs(ops.S - S_ref).max() <= 1e-14 * abs(S_ref).max()
+        assert (ops.S != ops.S.T).nnz == 0
+        assert np.array_equal(ops.grads, grads_ref)
+        assert ops.grads.flags["C_CONTIGUOUS"]
+
+    def test_cylinder_stores_no_diagonal_coupling(self):
+        # the quads are rectangles, split along (i, j)-(i+1, j+1): the
+        # right angle opposite that diagonal makes its weight exactly 0
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=3))
+        S = assemble(mesh).S.tocoo()
+        dof = mesh.vertex_dof[mesh.grid]
+        a, c = dof[:-1, :-1].ravel(), dof[1:, 1:].ravel()
+        stored = set(zip(S.row.tolist(), S.col.tolist()))
+        assert not any((x, y) in stored or (y, x) in stored for x, y in zip(a, c))
+        n_s = mesh.grid.shape[0] - 1
+        assert S.nnz == 5 * mesh.n_dof - 2 * n_s
+
+    def test_hessian_is_S_plus_diagonal(self, ann):
+        prob = random_problem(ann, 1)
+        u = RNG.normal(0, 0.5, prob.n_dof)
+        for eps in (0.0, 0.3):
+            scale, d = prob.hessian_parts(u, eps)
+            H = prob.hessian(u, eps)
+            assert abs(H - (scale * prob.ops.S + sp.diags(d))).max() == 0.0
+            assert np.shares_memory(H.indices, prob.ops.S.indices)

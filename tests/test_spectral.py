@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import Problem
+from prescurv.energy import Operators, Problem, assemble
 from prescurv.exact import (
     annulus_gamma_problem,
     annulus_gamma_state,
@@ -13,6 +15,7 @@ from prescurv.exact import (
 from prescurv.fields import CurvatureSpec, background_for
 from prescurv.solve import minimize, mountain_pass, nested, relaxed_endpoints
 from prescurv.spectral import (
+    NEG_TOL,
     disk_form_report,
     disk_truncation_radius,
     halfplane_profile_index,
@@ -71,14 +74,21 @@ def _cylinder_minimum():
     return prob.hessian(minimize(prob, tol=1e-10).state), 0
 
 
-def _annulus_saddle():
+@functools.cache
+def _saddle():
+    """The relaxed L3 annulus saddle at eps = 0.05: (problem, state)."""
     mesh = build_mesh(DomainSpec("annulus", r=0.8, level=3))
     K_bg, h_bg = background_for(mesh)
     prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg))
     low, u1 = relaxed_endpoints(prob, mesh.boundary_point(0, 0), eps=0.05)
     rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-10)
     assert rep.converged
-    return prob.hessian(rep.state, 0.05), 1
+    return prob, rep.state
+
+
+def _annulus_saddle():
+    prob, u = _saddle()
+    return prob.hessian(u, 0.05), 1
 
 
 def _gamma_state():
@@ -261,8 +271,9 @@ def test_disk_form_kernel_rayleigh_refines():
 
 
 class TestFourierInertia:
-    """Counts on periodic grids from Sturm sequences of the Fourier mode
-    blocks, with SuperLU only where the matrix is not circulant."""
+    """Counts of morse_index on periodic grids from Sturm sequences of the
+    Fourier mode blocks, with SuperLU only where the Hessian is not
+    circulant."""
 
     @staticmethod
     def counted_splu(monkeypatch):
@@ -277,100 +288,135 @@ class TestFourierInertia:
         return sizes
 
     @staticmethod
-    def problem(kind, level):
+    def problem(kind, level, ops=None):
         mesh = build_mesh(DomainSpec(kind, L=1.0, r=0.8, level=level))
         if kind == "cylinder":
-            return Problem(mesh, CurvatureSpec(K=-1.0, h=[3.0, 3.0], K_bg=0.0))
+            return Problem(mesh, CurvatureSpec(K=-1.0, h=[3.0, 3.0], K_bg=0.0), ops=ops)
         K_bg, h_bg = background_for(mesh)
-        return Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg))
+        return Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg),
+                       ops=ops)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["cylinder", "annulus"])
     def test_matches_superlu_on_rotation_invariant_states(self, monkeypatch, kind, level):
-        # Q - s I counts the eigenvalues of Q below s: from a handful to
-        # thousands, odd counts included (modes 0 and n/2 count once)
+        # the count below s of the Hessian at a constant state: from a
+        # handful to thousands, odd counts included (modes 0 and n/2
+        # count once); SuperLU counts Q - s I below -NEG_TOL
         prob = self.problem(kind, level)
         cases = []
         for c in (0.0, 1.0):
-            Q = prob.hessian(np.full(prob.n_dof, c))
+            u = np.full(prob.n_dof, c)
+            Q = prob.hessian(u)
             for s in (0.0, 0.05, 0.3, 1.0, 3.0):
                 Qs = (Q - s * sp.identity(prob.n_dof)).tocsr()
-                cases.append((Qs, negative_count(Qs).negative_count))
+                cases.append((u, s, negative_count(Qs).negative_count))
         sizes = self.counted_splu(monkeypatch)
-        for Qs, count in cases:
-            rep = negative_count(Qs, mesh=prob.mesh)
+        for u, s, count in cases:
+            rep = morse_index(prob, u, neg_tol=NEG_TOL - s)
             assert (rep.negative_count, rep.k_used) == (count, 0)
         assert sizes == []
-        assert any(count % 2 for _, count in cases)
+        assert any(count % 2 for _, _, count in cases)
 
     def test_departure_brackets_the_cut(self, monkeypatch):
-        # Q bumps one off-diagonal pair by 1e-3, leaving its diagonal
-        # circulant; C spreads the bump over the grid index i.  Away from
-        # the spectrum the Fourier count is Q's; at a cut between an
-        # eigenvalue of Q and the matching one of C, Weyl's bracket of
-        # twice the departure leaves the count to SuperLU
-        prob = self.problem("cylinder", 1)
-        D = prob.mesh.vertex_dof[prob.mesh.grid[:-1]].T
-        n, H = D.shape[1], prob.hessian(np.full(prob.n_dof, 1.0))
+        # S bumps one off-diagonal pair by 1e-3, leaving its diagonal
+        # circulant; its symbol C spreads the bump over the grid index i.
+        # Away from the spectrum the Fourier count is the Hessian's; at a
+        # cut between an eigenvalue of Q and the matching one of C, Weyl's
+        # bracket of twice the departure leaves the count to SuperLU
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=1))
+        ops = assemble(mesh)
+        D = np.arange(mesh.n_dof).reshape(-1, 16 * 2)
 
         def bumped(pairs, size):
             rows, cols = np.concatenate([pairs, pairs[::-1]], axis=1)
-            return (H + sp.csr_matrix((np.full(len(rows), size), (rows, cols)),
-                                      shape=H.shape)).tocsr()
+            return (ops.S + sp.csr_matrix((np.full(len(rows), size), (rows, cols)),
+                                          shape=ops.S.shape)).tocsr()
 
-        Q = bumped(np.array([[D[0, 5]], [D[1, 5]]]), 1e-3)
-        C = bumped(D[:2], 1e-3 / n)
+        S = bumped(np.array([[D[0, 5]], [D[1, 5]]]), 1e-3)
+        prob = self.problem("cylinder", 1, ops=Operators(mesh, S, ops.w_int, ops.wb, ops.grads))
+        u = np.full(prob.n_dof, 1.0)
+        Q = prob.hessian(u)
+        C = Q + bumped(D[:2], 1e-3 / D.shape[1]) - S
         lq, lc = np.linalg.eigvalsh(Q.toarray()), np.linalg.eigvalsh(C.toarray())
         k = int(np.argmax(np.abs(lq - lc)))
         cut = 0.5 * (lq[k] + lc[k])
         assert (lq < cut).sum() != (lc < cut).sum()
         sizes = self.counted_splu(monkeypatch)
-        assert negative_count(Q, mesh=prob.mesh).negative_count == dense_count(Q)
+        assert morse_index(prob, u).negative_count == dense_count(Q)
         assert sizes == []
-        assert negative_count(Q, neg_tol=-cut, mesh=prob.mesh).negative_count == (lq < cut).sum()
+        assert morse_index(prob, u, neg_tol=-cut).negative_count == (lq < cut).sum()
+        assert sizes == [prob.n_dof]
+
+    def test_diagonal_spread_brackets_the_cut(self, monkeypatch):
+        # one interior diagonal entry off its ring mean by 5e-13 of the
+        # largest, inside CIRCULANT_RTOL: the symbol takes the state, and a
+        # cut a quarter of that spread above an eigenvalue of the
+        # unperturbed Hessian must leave the count to SuperLU
+        prob = self.problem("cylinder", 1)
+        u = np.full(prob.n_dof, 1.0)
+        lam = np.linalg.eigvalsh(prob.hessian(u).toarray())[prob.n_dof // 2]
+        _, d = prob.hessian_parts(u)
+        i = 32 + 5  # grid point (5, 1)
+        delta = 5e-13 * np.abs(prob.hessian(u).diagonal()).max()
+        u[i] += delta / d[i]
+        assert prob.ops.symbol(*prob.hessian_parts(u)) is not None
+        sizes = self.counted_splu(monkeypatch)
+        morse_index(prob, u, neg_tol=-(lam + delta / 4))
         assert sizes == [prob.n_dof]
 
     def test_eigenvalue_at_the_cut_reaches_splu(self, monkeypatch):
-        # the stiffness matrix's constant null vector sits on the cut at
-        # neg_tol = 0, so the two Sturm counts differ
-        prob = self.problem("cylinder", 1)
+        # with h = 0 and e^u = 0 the Hessian is the stiffness matrix,
+        # whose constant null vector sits on the cut at neg_tol = 0, so
+        # the two Sturm counts differ
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=1))
+        prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[0.0, 0.0], K_bg=0.0))
+        u = np.full(prob.n_dof, -800.0)
+        assert (prob.hessian(u) != prob.ops.S).nnz == 0
         sizes = self.counted_splu(monkeypatch)
-        negative_count(prob.ops.S, neg_tol=0.0, mesh=prob.mesh)
+        morse_index(prob, u, neg_tol=0.0)
         assert sizes and sizes[0] == prob.n_dof
 
     @pytest.mark.parametrize("case", ["bumped", "saddle", "halfdisk", "fixed"])
     def test_fallbacks_reach_splu(self, monkeypatch, case):
-        # a diagonal off its symbol, a non-radial state, a grid that is not
-        # periodic, and a restriction that drops the mesh
+        # a diagonal off its symbol (a state that is constant but at one
+        # dof), a non-radial state, a grid that is not periodic, and a
+        # restriction that drops the mesh
+        eps, fixed, index = 0.0, None, None
         if case == "saddle":
-            mesh = build_mesh(DomainSpec("annulus", r=0.8, level=3))
-            Q, index = _annulus_saddle()
+            (prob, u), eps, index = _saddle(), 0.05, 1
         elif case == "halfdisk":
             mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=2, grade=2.0))
             prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, 0.0], K_bg=0.0))
-            Q, index = prob.hessian(prob.zero_state()), None
+            u = prob.zero_state()
         else:
             prob = self.problem("cylinder", 2)
-            mesh, Q, index = prob.mesh, prob.hessian(np.full(prob.n_dof, 1.0)), None
+            u = np.full(prob.n_dof, 1.0)
             if case == "bumped":
-                Q = (Q + sp.csr_matrix(([1e-9], ([5], [5])), shape=Q.shape)).tocsr()
+                u[5] += 1e-6
+        Q = prob.hessian(u, eps)
         if case == "fixed":
             fixed = np.zeros(prob.n_dof, dtype=bool)
             fixed[prob.mesh.vertex_dof[prob.mesh.components[0].verts]] = True
             free = np.nonzero(~fixed)[0]
             Q = Q.tocsr()[free][:, free]
         sizes = self.counted_splu(monkeypatch)
-        if case == "fixed":
-            rep = morse_index(prob, np.full(prob.n_dof, 1.0), fixed=fixed)
-        else:
-            rep = negative_count(Q, mesh=mesh)
+        rep = morse_index(prob, u, eps, fixed=fixed)
         assert sizes[0] == Q.shape[0]
         assert rep.negative_count == (dense_count(Q) if index is None else index)
 
     def test_nested_cylinder_minimize_factors_nothing(self, monkeypatch):
+        # one symbol read per level: the stiffness matrix's, shared by B
+        # and the certificate's Hessian
+        import prescurv.energy as energy
         prob = Problem(build_mesh(DomainSpec("cylinder", L=1.0, level=4)),
                        CurvatureSpec(K=-1.0, h=[0.5, 0.5], K_bg=-1.0))
-        sizes = self.counted_splu(monkeypatch)
+        sizes, reads, real = self.counted_splu(monkeypatch), [], energy.circulant_symbol
+
+        def counted(A, mesh):
+            reads.append(mesh.spec.level)
+            return real(A, mesh)
+
+        monkeypatch.setattr(energy, "circulant_symbol", counted)
 
         def descend(p, u):
             return minimize(p, init=u, tol=1e-10)
@@ -378,4 +424,5 @@ class TestFourierInertia:
         rep = nested(prob, prob.zero_state(), descend, descend)
         assert rep.converged and rep.morse_index == 0
         assert [e["morse_index"] for e in rep.levels] == [0] * 5
+        assert sorted(reads) == [0, 1, 2, 3, 4]
         assert sizes == []
