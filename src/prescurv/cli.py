@@ -49,7 +49,6 @@ from . import __version__
 from .diagnostics import (
     blowup_monitor,
     holomorphic_field,
-    mass_measures,
     pohozaev_report,
     position_field,
     testfunction_energy_curve,
@@ -65,8 +64,9 @@ from .exact import (
     halfplane_problem,
     oneD_profile,
     profile_state,
+    strip_profile,
 )
-from .fields import CurvatureSpec, Field, background_for, eval_h, regime_classify
+from .fields import CurvatureSpec, Field, background_for, eval_h, eval_K, regime_classify
 from .solve import PathCollapseError, continuation, minimize, nested
 from .spectral import disk_form_report, morse_index
 
@@ -112,7 +112,6 @@ class ExperimentConfig:
     settings: dict
     out_dir: str
     quick: bool
-    path: str
     mesh: object = dataclasses.field(default=None, repr=False)
 
     def manifest(self) -> dict:
@@ -168,19 +167,20 @@ def _load_curvature(cp: configparser.ConfigParser, mesh) -> CurvatureSpec:
     if len(h_parts) != n_comp:
         raise ConfigError(
             f"[curvature] h lists {len(h_parts)} components, domain has {n_comp}")
-    if _get(cp, "curvature", "background", str, "") == "flat":
-        K_bg, h_bg = background_for(mesh)
-    else:
-        K_bg = _get(cp, "curvature", "K_bg", float, 0.0)
-        h_bg_text = _get(cp, "curvature", "h_bg", str, "")
-        if h_bg_text:
-            h_bg = tuple(float(t) for t in h_bg_text.split(";"))
-        else:
-            h_bg = (0.0,) * n_comp
     try:
+        if _get(cp, "curvature", "background", str, "") == "flat":
+            K_bg, h_bg = background_for(mesh)
+        else:
+            K_bg = _get(cp, "curvature", "K_bg", float, 0.0)
+            h_bg_text = _get(cp, "curvature", "h_bg", str, "")
+            if h_bg_text:
+                h_bg = tuple(float(t) for t in h_bg_text.split(";"))
+            else:
+                h_bg = (0.0,) * n_comp
         K = _compile_field(K_text, "[curvature] K")
         h = [_compile_field(t, "[curvature] h") for t in h_parts]
         spec = CurvatureSpec(K=K, h=h, K_bg=K_bg, h_bg=h_bg)
+        eval_K(spec, *mesh.dof_coords.T)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -232,6 +232,14 @@ def _load_settings(cp: configparser.ConfigParser) -> dict:
         raise ConfigError(f"unknown [solver] method {s['method']!r}")
     if s["init"] not in ("zero", "constant", "random"):
         raise ConfigError(f"unknown [solver] init {s['init']!r}")
+    if s["eps"] < 0 or not s["eps_schedule"] or min(s["eps_schedule"]) < 0:
+        raise ConfigError("[solver] eps and eps_schedule need weights >= 0,"
+                          " and the schedule at least one")
+    if s["path_points"] < 3:
+        raise ConfigError("[solver] path_points must be at least 3,"
+                          " so that the path has an interior sample")
+    if not s["q2"] > 0:
+        raise ConfigError("[solver] q2, the bubble's offset, must be positive")
     return s
 
 
@@ -251,7 +259,10 @@ def load_config(path: str, mode: str, out: Optional[str], quick: bool
     if not cp.has_section("domain"):
         raise ConfigError("missing required section [domain]")
     domain = _load_domain(cp, quick)
-    mesh = build_mesh(domain)
+    try:
+        mesh = build_mesh(domain)
+    except ValueError as exc:
+        raise ConfigError(f"bad [domain] section: {exc}") from exc
 
     curvature = _load_curvature(cp, mesh) if cp.has_section("curvature") else None
 
@@ -262,8 +273,7 @@ def load_config(path: str, mode: str, out: Optional[str], quick: bool
 
     out_dir = out or _get(cp, "output", "dir", str, "out")
     return ExperimentConfig(mode=mode, domain=domain, curvature=curvature,
-                            settings=settings, out_dir=out_dir, quick=quick,
-                            path=path, mesh=mesh)
+                            settings=settings, out_dir=out_dir, quick=quick, mesh=mesh)
 
 
 # -- artifact writers ---------------------------------------------------------
@@ -402,11 +412,11 @@ def _family_states(cfg: ExperimentConfig) -> tuple[list, list[float], Optional[n
     if not params:
         raise ConfigError("missing required key [sweep] parameters")
     mesh = cfg.mesh
-    h1 = float(sweep.get("h1", 2.0))
-    h0 = float(sweep.get("h0", math.sqrt(2.0)))
-    K0 = float(sweep.get("k0", -1.0))
     states, ops, fixed = [], None, None
     try:
+        h1 = float(sweep.get("h1", 2.0))
+        h0 = float(sweep.get("h0", math.sqrt(2.0)))
+        K0 = float(sweep.get("k0", -1.0))
         for p in params:
             if family == "gamma":
                 prob = annulus_gamma_problem(mesh, int(p), h1, ops=ops)
@@ -414,16 +424,17 @@ def _family_states(cfg: ExperimentConfig) -> tuple[list, list[float], Optional[n
             elif family == "log":
                 prob = annulus_log_problem(mesh, p, ops=ops)
                 u = annulus_log_state(mesh, p)
-            elif family == "bubble":
-                prof = bubble_profile(p, K0, h0)
-                prob, fixed = halfplane_problem(mesh, prof)
-                u = profile_state(mesh, prof)
-            elif family == "oned":
-                prof = oneD_profile(p, K0)
-                prob, fixed = halfplane_problem(mesh, prof)
-                u = profile_state(mesh, prof)
             else:
-                raise ConfigError(f"unknown [sweep] family {family!r}")
+                if family == "bubble":
+                    prof = bubble_profile(p, K0, h0)
+                elif family == "oned":
+                    prof = oneD_profile(p, K0)
+                elif family == "strip":
+                    prof = strip_profile(p)
+                else:
+                    raise ConfigError(f"unknown [sweep] family {family!r}")
+                prob, fixed = halfplane_problem(mesh, prof)
+                u = profile_state(mesh, prof)
             ops = prob.ops
             states.append((prob, u))
     except ConfigError:
@@ -476,15 +487,14 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     final = reports[-1]
     for i, rep in enumerate(reports):
         name = "report.json" if len(reports) == 1 else f"report_{i}.json"
-        _write_json(os.path.join(cfg.out_dir, name), rep.as_dict(include_state=False))
+        _write_json(os.path.join(cfg.out_dir, name), rep.as_dict())
         for e in rep.levels:
             print(f"eps={rep.eps:g} level={e['level']} n_dof={e['n_dof']} "
                   f"{e['method']} seconds={e['seconds']:.3f} {e.get('message', 'ok')}")
     _write_state_csv(os.path.join(cfg.out_dir, "state.csv"), prob.mesh, final.state)
     if final.path is not None:
         _write_dat(os.path.join(cfg.out_dir, "path.dat"), ["index", "energy"],
-                   [np.arange(len(final.path.energies), dtype=float),
-                    final.path.energies])
+                   [np.arange(len(final.path), dtype=float), final.path])
         _write_plot_script(cfg.out_dir, "path.dat", 1, [(2, "path energy")],
                            "path index", "path")
     print(f"method={final.method} converged={final.converged} "
@@ -513,19 +523,14 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     extra = cfg.settings.get("spectrum", {})
     if extra.get("disk_form"):
         try:
-            D0 = float(extra["disk_form"])
             n_r = int(extra.get("n_r", 3000))
-            m_cap = int(extra.get("m_cap", 128))
+            if n_r < 2:
+                raise ValueError("n_r must be at least 2")
+            rep = disk_form_report(float(extra["disk_form"]), n_r=n_r,
+                                   m_cap=int(extra.get("m_cap", 128)))
         except ValueError as exc:
             raise ConfigError(f"bad [spectrum] section: {exc}") from exc
-        rep = disk_form_report(D0, n_r=n_r, m_cap=m_cap)
-        payload = {
-            "D0": rep.D0,
-            "R": rep.R,
-            "negative_count": rep.negative_count,
-            "mode_counts": [[m, c, s] for m, c, s in rep.mode_counts],
-        }
-        _write_json(os.path.join(cfg.out_dir, "spectrum.json"), payload)
+        _write_json(os.path.join(cfg.out_dir, "spectrum.json"), dataclasses.asdict(rep))
         print(f"disk form D0={rep.D0} negative_count={rep.negative_count}")
         return 0
     fixed = None
@@ -543,13 +548,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
                          "residual_norm": rep.residual_norm}
         code = 0 if rep.converged else 2
     spec_rep = morse_index(prob, u, eps=eps, fixed=fixed)
-    payload = {
-        "negative_count": spec_rep.negative_count,
-        "k_used": spec_rep.k_used,
-        "neg_tol": spec_rep.neg_tol,
-        "source": solve_summary,
-    }
-    _write_json(os.path.join(cfg.out_dir, "spectrum.json"), payload)
+    _write_json(os.path.join(cfg.out_dir, "spectrum.json"),
+                {**dataclasses.asdict(spec_rep), "source": solve_summary})
     print(f"negative_count={spec_rep.negative_count}")
     return code
 
@@ -617,11 +617,7 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
     payload = {"source": source}
     for name, field in fields.items():
         rep = pohozaev_report(prob, u, field)
-        payload[name] = {
-            "residual": rep.residual,
-            "boundary_terms": rep.boundary_terms,
-            "interior_term": rep.interior_term,
-        }
+        payload[name] = dataclasses.asdict(rep)
         print(f"{name}: residual={rep.residual:.6e}")
     _write_json(os.path.join(cfg.out_dir, "pohozaev.json"), payload)
     return code

@@ -41,7 +41,6 @@ their suprema reach any fixed magnitude.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -50,8 +49,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .domain import BoundaryPoint, Mesh, distance2, tangential_derivative
+from .domain import BoundaryPoint, Mesh, tangential_derivative
 from .energy import Problem, exp_lumped
+from .exact import boundary_bubble_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -255,10 +255,6 @@ class PohozaevReport:
     boundary_terms: list[float]
     interior_term: float
 
-    @property
-    def boundary_total(self) -> float:
-        return float(sum(self.boundary_terms))
-
 
 def pohozaev_report(prob: Problem, u: np.ndarray, field) -> PohozaevReport:
     """Both sides of the balance for ``field``; the residual tends to zero
@@ -326,14 +322,13 @@ class MassMeasures:
 
     ``interior_density`` holds per-triangle masses of |K| e^u normalized
     to one; ``boundary_density`` per-edge positive parts of h e^{u/2},
-    normalized to one across all components.  Raw totals keep their
-    signs.
+    normalized to one across all components.  The raw masses and
+    ``interior_total`` keep their signs.
     """
 
     interior_density: np.ndarray
     boundary_density: list[np.ndarray]
     interior_total: float
-    boundary_total: float
     interior_masses: np.ndarray
     boundary_masses: list[np.ndarray]
 
@@ -350,8 +345,6 @@ def mass_measures(prob: Problem, u: np.ndarray) -> MassMeasures:
         dofs = mesh.vertex_dof[comp.verts]
         f = prob.h_dof[c][dofs] * exp_lumped(u[dofs])[1]
         edge_masses.append(0.5 * comp.edge_lengths * (f[:-1] + f[1:]))
-    boundary_total = float(sum(e.sum() for e in edge_masses))
-
     pos = [np.clip(e, 0.0, None) for e in edge_masses]
     total_pos = float(sum(p.sum() for p in pos))
     if interior_total <= 0.0 or total_pos <= 0.0:
@@ -360,7 +353,6 @@ def mass_measures(prob: Problem, u: np.ndarray) -> MassMeasures:
         interior_density=tri_masses / interior_total,
         boundary_density=[p / total_pos for p in pos],
         interior_total=interior_total,
-        boundary_total=boundary_total,
         interior_masses=tri_masses,
         boundary_masses=edge_masses,
     )
@@ -415,7 +407,6 @@ class BlowupCandidate:
     """One clustered singular-point candidate on the boundary."""
 
     component: int
-    dof: int
     coords: np.ndarray
     arc_s: float
     D: float
@@ -481,9 +472,6 @@ class BlowupDiagnostics:
             "interior_breach": self.interior_breach,
             "window": self.window,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def _clusters(mask: np.ndarray, closed: bool) -> list[np.ndarray]:
@@ -559,7 +547,6 @@ def blowup_monitor(states: Sequence[tuple[Problem, np.ndarray]],
                 member_coords.append(mesh.vertices[path[run]])
                 candidates.append(BlowupCandidate(
                     component=c,
-                    dof=int(dofs[rep]),
                     coords=mesh.vertices[path[rep]].copy(),
                     arc_s=float(comp.s[rep]),
                     D=float(Dvals[rep]),
@@ -673,6 +660,8 @@ class TestFunctionCurve:
         """
         if len(self.mu) < 2:
             raise ValueError("need at least two schedule rows to fit slopes")
+        if tail < 2:
+            raise ValueError(f"need at least two tail rows to fit slopes, not {tail}")
         tail = min(tail, len(self.mu))
         x = 1.0 / self.delta[-tail:]
         out = {}
@@ -717,18 +706,15 @@ def testfunction_energy_curve(prob: Problem, point: BoundaryPoint,
     if (mu_schedule * q2 <= 1.0).any():
         raise ValueError("schedule violates mu q2 > 1")
 
-    q = point.coords + q2 * point.normal
-    d2 = distance2(prob.mesh, q)
     logK = np.log(-prob.K_dof)
     Dvals = [prob.h_dof[c] / np.sqrt(-prob.K_dof) for c in range(len(prob.mesh.components))]
 
     cols = {k: np.zeros(len(mu_schedule)) for k in
             ("delta", "dirichlet", "area", "boundary", "background", "energy")}
     for i, mu in enumerate(mu_schedule):
-        wall = mu**2 * d2 - 1.0
-        if wall.min() <= 0.0:
+        phi = boundary_bubble_state(prob.mesh, point, q2, mu)
+        if phi is None:
             raise ValueError("mu d(x, q) > 1 fails on the mesh at mu = %g" % mu)
-        phi = math.log(4.0 * mu**2) - 2.0 * np.log(wall)
         phit = phi - logK
         cols["delta"][i] = math.sqrt(mu**2 * q2**2 - 1.0)
         cols["dirichlet"][i] = float(phi @ (prob.ops.S @ phi))

@@ -21,10 +21,11 @@ on the quotient.  Boundary components are stored as ordered vertex
 paths carrying the analytic arc-length parameter and analytic outward
 normals/tangents of the model curve.
 
-Levels nest: :func:`refine` doubles both counts of the logical grid
-``Mesh.grid``, so coarse vertex (i, j) is fine vertex (2i, 2j).
-:func:`coarsen` is its inverse and :func:`prolong` the P1 prolongation
-from a mesh to its refinement, which carries nested solves up a level.
+Levels nest: :func:`build_mesh` at level + 1 doubles both counts of
+the logical grid ``Mesh.grid``, so coarse vertex (i, j) is fine vertex
+(2i, 2j).  :func:`coarsen` builds the level below and :func:`prolong`
+the P1 prolongation from a mesh to the one a level finer, which carries
+nested solves up a level.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.L, self.r, self.R, self.grade)):
+            raise ValueError("domain sizes must be finite")
         if self.kind == "cylinder" and not self.L > 0:
             raise ValueError("cylinder length L must be positive")
         if self.kind == "annulus" and not 0 < self.r < 1:
@@ -81,10 +84,6 @@ class BoundaryComponent:
     closed: bool
 
     @property
-    def length(self) -> float:
-        return float(self.s[-1] - self.s[0])
-
-    @property
     def n_edges(self) -> int:
         return len(self.verts) - 1
 
@@ -100,7 +99,6 @@ class BoundaryPoint:
     s: float
     coords: np.ndarray
     normal: np.ndarray
-    tangent: np.ndarray
 
 
 @dataclass
@@ -111,7 +109,6 @@ class Mesh:
     vertex_dof: np.ndarray  # (N,) geometric vertex -> degree of freedom
     n_dof: int
     components: list[BoundaryComponent]
-    periodic_pairs: np.ndarray  # (P, 2) identified geometric vertex pairs
     # logical (i, j) -> geometric vertex: i along the periodic or angular
     # direction with its seam column, j across (half-disk centre: j = 0)
     grid: np.ndarray
@@ -125,18 +122,6 @@ class Mesh:
             d2 = p[:, 2] - p[:, 0]
             self._cache["tri_areas"] = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         return self._cache["tri_areas"]
-
-    @property
-    def area(self) -> float:
-        return float(self.tri_areas.sum())
-
-    @property
-    def h_max(self) -> float:
-        if "h_max" not in self._cache:
-            p = self.vertices[self.triangles]
-            e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-            self._cache["h_max"] = float(np.sqrt((e**2).sum(axis=2)).max())
-        return self._cache["h_max"]
 
     @property
     def dof_coords(self) -> np.ndarray:
@@ -156,7 +141,6 @@ class Mesh:
             s=float(comp.s[index]),
             coords=self.vertices[comp.verts[index]].copy(),
             normal=comp.normals[index].copy(),
-            tangent=comp.tangents[index].copy(),
         )
 
     def boundary_point_at(self, component: int, s: float) -> BoundaryPoint:
@@ -177,19 +161,15 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     return mesh
 
 
-def refine(mesh: Mesh) -> Mesh:
-    """Return the same domain meshed one level finer (halved element size)."""
-    return build_mesh(replace(mesh.spec, level=mesh.spec.level + 1))
-
-
 def coarsen(mesh: Mesh) -> Mesh:
-    """Inverse of :func:`refine`: the same domain one level coarser."""
+    """The same domain one level coarser."""
     return build_mesh(replace(mesh.spec, level=mesh.spec.level - 1))
 
 
 def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """P1 prolongation from ``coarse`` to ``fine = refine(coarse)``, the
-    sparse ``n_fine_dof x n_coarse_dof`` matrix, cached on ``fine``.
+    """P1 prolongation from ``coarse`` to ``fine``, the same domain one
+    level finer, as the sparse ``n_fine_dof x n_coarse_dof`` matrix,
+    cached on ``fine``.
 
     Coarse vertex (i, j) is fine vertex (2i, 2j).  A fine vertex between
     two coarse ones takes their mean, along a grid line or along the
@@ -240,8 +220,6 @@ def _build_cylinder(spec: DomainSpec) -> Mesh:
     row = np.arange(n_s + 1) % n_s
     vertex_dof = (row[None, :] + np.arange(n_t + 1)[:, None] * n_s).ravel()
     n_dof = n_s * (n_t + 1)
-    pairs = np.column_stack([vid(np.full(n_t + 1, n_s), np.arange(n_t + 1)),
-                             vid(np.zeros(n_t + 1, dtype=int), np.arange(n_t + 1))])
 
     i_path = np.arange(n_s + 1)
     bottom = BoundaryComponent(
@@ -259,7 +237,7 @@ def _build_cylinder(spec: DomainSpec) -> Mesh:
         tangents=np.tile([-1.0, 0.0], (n_s + 1, 1)),
         closed=True,
     )
-    return Mesh(spec, vertices, triangles, vertex_dof, n_dof, [bottom, top], pairs, grid)
+    return Mesh(spec, vertices, triangles, vertex_dof, n_dof, [bottom, top], grid)
 
 
 def _build_annulus(spec: DomainSpec) -> Mesh:
@@ -296,8 +274,7 @@ def _build_annulus(spec: DomainSpec) -> Mesh:
 
     outer = circle_component(n_r, 1.0, outward=True)
     inner = circle_component(0, spec.r, outward=False)
-    return Mesh(spec, vertices, triangles, vertex_dof, n_vert,
-                [outer, inner], np.zeros((0, 2), dtype=int), grid)
+    return Mesh(spec, vertices, triangles, vertex_dof, n_vert, [outer, inner], grid)
 
 
 def _build_halfdisk(spec: DomainSpec) -> Mesh:
@@ -346,8 +323,7 @@ def _build_halfdisk(spec: DomainSpec) -> Mesh:
         tangents=np.column_stack([-np.sin(theta), np.cos(theta)]),
         closed=False,
     )
-    return Mesh(spec, vertices, triangles, vertex_dof, n_vert,
-                [flat, arc], np.zeros((0, 2), dtype=int), grid)
+    return Mesh(spec, vertices, triangles, vertex_dof, n_vert, [flat, arc], grid)
 
 
 def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray,

@@ -274,20 +274,6 @@ class EnergyBreakdown:
     j_total: float = 0.0
     total_eps: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "dirichlet": self.dirichlet,
-            "linear": self.linear,
-            "area": self.area,
-            "boundary": self.boundary,
-            "total": self.total,
-            "chi_gen": self.chi_gen,
-            "blowup_flag": self.blowup_flag,
-            "eps": self.eps,
-            "j_total": self.j_total,
-            "total_eps": self.total_eps,
-        }
-
 
 class Problem:
     """Curvature data bound to a mesh: evaluates I, its derivatives, and

@@ -15,6 +15,10 @@ boundary curvature h0 on {t = 0}):
     with t0 = D0 lam, requiring D0 = h0/sqrt(|K0|) > 1; its interior and
     boundary masses are finite, lam-independent, and differ by exactly
     2 pi.
+  * strip:  v(s,t) = 2 log(e^{-t}/(h0 + e^{-t} cos s)) with K0 = -1 and
+    h0 > 1, the limit the power family below rescales to; it is 2 pi
+    periodic in s, so its area mass diverges with the truncation radius,
+    and so does its Morse index.
 
 Annulus families on A(r,1) with K = -1 (flat background, outer
 background curvature +1, inner -1/r):
@@ -33,10 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .domain import Mesh
+from .domain import BoundaryPoint, Mesh, distance2
 from .energy import Problem
 from .fields import CurvatureSpec, background_for
 
@@ -89,27 +94,18 @@ def bubble_masses(lam: float, K0: float, h0: float) -> tuple[float, float]:
 class HalfPlaneProfile:
     """A concrete half-plane solution, evaluable at (s, t) points."""
 
-    kind: str  # "oned" or "bubble"
+    kind: str  # "oned", "bubble" or "strip"
     K0: float
     h0: float
     lam: float
     s0: float = 0.0
 
-    @property
-    def D0(self) -> float:
-        return self.h0 / math.sqrt(-self.K0)
-
-    @property
-    def t0(self) -> float:
-        return self.D0 * self.lam
-
     def __call__(self, s, t) -> np.ndarray:
         if self.kind == "oned":
             return eval_oneD(self.lam, self.K0, s, t)
+        if self.kind == "strip":
+            return eval_rescaled_limit(self.h0, s, t)
         return eval_bubble(self.lam, self.s0, self.K0, self.h0, s, t)
-
-    def masses(self) -> tuple[float, float]:
-        return bubble_masses(self.lam, self.K0, self.h0)
 
 
 def oneD_profile(lam: float, K0: float = -1.0) -> HalfPlaneProfile:
@@ -121,10 +117,14 @@ def oneD_profile(lam: float, K0: float = -1.0) -> HalfPlaneProfile:
 
 def bubble_profile(lam: float, K0: float = -1.0, h0: float = math.sqrt(2.0),
                    s0: float = 0.0) -> HalfPlaneProfile:
-    prof = HalfPlaneProfile(kind="bubble", K0=K0, h0=h0, lam=lam, s0=s0)
-    if K0 >= 0 or prof.D0 <= 1:
-        raise ValueError("bubble profile needs K0 < 0 and boundary ratio above one")
-    return prof
+    """Bubble profile; :func:`eval_bubble` checks K0 < 0 and h0 > sqrt(|K0|)."""
+    return HalfPlaneProfile(kind="bubble", K0=K0, h0=h0, lam=lam, s0=s0)
+
+
+def strip_profile(h1: float) -> HalfPlaneProfile:
+    """Strip limit of the power family with boundary curvature h1 > 1;
+    its period fixes the scale, so ``lam`` is one."""
+    return HalfPlaneProfile(kind="strip", K0=-1.0, h0=h1, lam=1.0)
 
 
 # -- annulus families -------------------------------------------------------
@@ -194,6 +194,17 @@ def profile_state(mesh: Mesh, profile: HalfPlaneProfile) -> np.ndarray:
     """Interpolate a half-plane profile on a half-disk mesh (s, t) = (x, y)."""
     xy = mesh.dof_coords
     return profile(xy[:, 0], xy[:, 1])
+
+
+def boundary_bubble_state(mesh: Mesh, point: BoundaryPoint, q2: float,
+                          mu: float) -> Optional[np.ndarray]:
+    """phi_mu = log 4 mu^2 - 2 log(mu^2 |x - q|^2 - 1) at the dofs, the
+    hyperbolic metric (K = -1) outside the disk of radius 1/mu about
+    q = point + q2 * normal; None where that disk reaches a dof."""
+    wall = mu**2 * distance2(mesh, point.coords + q2 * point.normal) - 1.0
+    if wall.min() <= 0:
+        return None
+    return math.log(4.0 * mu**2) - 2.0 * np.log(wall)
 
 
 def halfplane_problem(mesh: Mesh, profile: HalfPlaneProfile) -> tuple[Problem, np.ndarray]:

@@ -107,7 +107,3 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self.text!r})"
-
-
-def compile_expr(text: str, names: tuple[str, ...] = ("x", "y", "s")) -> Expr:
-    return Expr(text, names)

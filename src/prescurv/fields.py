@@ -166,11 +166,8 @@ def eval_h(spec: CurvatureSpec, mesh: Mesh, component: int) -> np.ndarray:
 
 def eval_D_field(spec: CurvatureSpec, mesh: Mesh, component: int) -> np.ndarray:
     """Ratio h/sqrt(|K|) along one component's vertex path."""
-    comp = mesh.components[component]
-    xy = mesh.vertices[comp.verts]
-    K = eval_K(spec, xy[:, 0], xy[:, 1])
-    h = spec.h[component](xy[:, 0], xy[:, 1], comp.s)
-    return h / np.sqrt(-K)
+    xy = mesh.vertices[mesh.components[component].verts]
+    return eval_h(spec, mesh, component) / np.sqrt(-eval_K(spec, xy[:, 0], xy[:, 1]))
 
 
 def eval_D_tau(spec: CurvatureSpec, mesh: Mesh) -> list[np.ndarray]:

@@ -22,10 +22,10 @@ Three drivers build on them:
   a concentrated one, raises :class:`PathCollapseError` when its
   maximum lies at the endpoint level (no pass along it), and otherwise
   polishes the interior maximum with Newton.
-* :func:`nested` - nested iteration on the meshes ``refine`` nests
-  (full multigrid; Brandt 1977, Bank & Rose 1982): solve one level
-  coarser, prolong, finish with Newton.  Where that fails the level is
-  solved directly, which is also the base case at level 0.
+* :func:`nested` - nested iteration over the refinement levels of one
+  domain (full multigrid; Brandt 1977, Bank & Rose 1982): solve one
+  level coarser, prolong, finish with Newton.  Where that fails the
+  level is solved directly, which is also the base case at level 0.
 * :func:`continuation` - a nested saddle solve (mountain pass at the
   coarsest level where it succeeds) at the first relaxation weight eps,
   then warm started polishes down the schedule; reports a blow-up
@@ -41,18 +41,18 @@ without extra bookkeeping.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import BoundaryPoint, coarsen, distance2, prolong
-from .energy import B_ORDERING, EnergyBreakdown, Problem
+from .domain import BoundaryPoint, coarsen, prolong
+from .energy import B_ORDERING, EnergyBreakdown, Problem, exp_lumped
+from .exact import boundary_bubble_state
 from .fields import eval_D_field
 from .spectral import morse_index
 
@@ -78,15 +78,6 @@ class PathCollapseError(RuntimeError):
 
 
 @dataclass
-class PathState:
-    """Sampled segment of a mountain pass: row j is the j-th state."""
-
-    points: np.ndarray
-    energies: np.ndarray
-    max_index: int
-
-
-@dataclass
 class SolveReport:
     state: np.ndarray
     energy: EnergyBreakdown
@@ -100,7 +91,8 @@ class SolveReport:
     gauss_bonnet: float = math.nan
     morse_index: Optional[int] = None
     message: str = ""
-    path: Optional[PathState] = None
+    # relaxed energies along the sampled segment of a mountain pass
+    path: Optional[np.ndarray] = None
     # one entry per level tried, coarsest first (see nested)
     levels: list = field(default_factory=list)
 
@@ -108,8 +100,9 @@ class SolveReport:
     def sup(self) -> float:
         return float(self.state.max())
 
-    def as_dict(self, include_state: bool = True) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        """Everything but the state, which goes to its own file."""
+        return {
             "method": self.method,
             "eps": self.eps,
             "converged": self.converged,
@@ -118,7 +111,7 @@ class SolveReport:
             "residual_norm": self.residual_norm,
             "gauss_bonnet": self.gauss_bonnet,
             "sup": self.sup,
-            "energy": self.energy.as_dict(),
+            "energy": asdict(self.energy),
             "morse_index": self.morse_index,
             "message": self.message,
             "line_search_trace": self.line_search_trace,
@@ -126,12 +119,6 @@ class SolveReport:
             "levels": [{k: v for k, v in entry.items() if k != "seconds"}
                        for entry in self.levels],
         }
-        if include_state:
-            d["state"] = np.asarray(self.state, dtype=float).tolist()
-        return d
-
-    def to_json(self, include_state: bool = True) -> str:
-        return json.dumps(self.as_dict(include_state), indent=2)
 
 
 def _newton_direction(prob: Problem, H: sp.spmatrix, g: np.ndarray, res: float,
@@ -315,20 +302,17 @@ def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
     """
     if u0 is None:
         u0 = prob.zero_state() - 16.0
-    delta = 0.5 * prob.ops.boundary_integral(np.exp(0.5 * u0))
+    delta = 0.5 * prob.ops.boundary_integral(exp_lumped(u0)[1])
     if below is None:
         below = 0.0
-    q = point.coords + q2 * point.normal
-    d2 = distance2(prob.mesh, q)
     logK = np.log(-prob.K_dof)
     for ratio in MU_RATIOS:
-        mu = ratio / q2
-        wall = mu**2 * d2 - 1.0
-        if wall.min() <= 0:
+        phi = boundary_bubble_state(prob.mesh, point, q2, ratio / q2)
+        if phi is None:
             continue
-        phi = np.log(4.0 * mu**2) - 2.0 * np.log(wall) - logK
+        phi = phi - logK
         e = prob.energy(phi, eps)
-        if e.total_eps < below and prob.ops.boundary_integral(np.exp(0.5 * phi)) > delta:
+        if e.total_eps < below and prob.ops.boundary_integral(exp_lumped(phi)[1]) > delta:
             return phi
     comp = prob.mesh.components[point.component]
     edge = comp.edge_lengths[min(point.index, comp.n_edges - 1)]
@@ -352,7 +336,7 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
     carries no pass between the endpoints along the segment and
     :class:`PathCollapseError` is raised.  The report's first trace
     entry records the maximum the polish starts from (its index, level
-    and residual), and ``path`` holds the sampled segment.
+    and residual), and ``path`` holds the energies along the segment.
     """
     ts = np.linspace(0.0, 1.0, n_points)[:, None]
     pts = (1.0 - ts) * np.asarray(u0, float)[None, :] + ts * np.asarray(u1, float)[None, :]
@@ -374,21 +358,33 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
         converged=polished.converged, blowup_flag=polished.blowup_flag,
         method="mountain-pass", eps=eps,
         gauss_bonnet=polished.gauss_bonnet, message=polished.message,
-        path=PathState(points=pts, energies=energies,
-                       max_index=int(np.argmax(energies))),
+        path=energies,
     )
 
 
 def _constant_start(prob: Problem, eps: float) -> float:
-    """Constant minimizing the relaxed energy; the -eps u term lifts the
-    deep end, so a finite minimizer exists for every positive eps."""
-    from scipy.optimize import minimize_scalar
+    """Constant c minimizing the relaxed energy E over constant states.
 
-    ones = np.ones(prob.n_dof)
-    res = minimize_scalar(lambda c: prob.energy(c * ones, eps).total_eps,
-                          bounds=(-60.0, 10.0), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x)
+    S annihilates constants, so E'(c) = q(e^{c/2}) with q(x) = a x^2 -
+    2 H x + c0, a = 2 int |K| + eps |Omega|, H = sum bd h and c0 =
+    2 chi_gen - eps |Omega|; E' turns positive at the larger root x+ of
+    q, so c = 2 log x+.  Raises :class:`RuntimeError` when x+ is not
+    real and positive.
+    """
+    zero = prob.zero_state()
+    area = float(prob.ops.w_int.sum())
+    a = 2.0 * prob.interior_mass(zero) + eps * area
+    H = sum(prob.boundary_masses(zero))
+    c0 = 2.0 * prob.chi_gen - eps * area
+    disc = H * H - a * c0
+    if disc >= 0:
+        # the form that does not cancel H against the root
+        x = (H + math.sqrt(disc)) / a if H >= 0 else c0 / (H - math.sqrt(disc))
+        if x > 0:
+            return 2.0 * math.log(x)
+    raise RuntimeError(
+        f"no constant minimizes the relaxed energy at eps={eps:g}: E'(c) ="
+        f" {a:.6g} x^2 - {2 * H:.6g} x + {c0:.6g}, x = e^(c/2), has no positive root")
 
 
 def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,
@@ -499,7 +495,8 @@ def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
             rep = _attempt(levels, prob, "finish", finish,
                            prolong(coarse_mesh, mesh) @ coarse.state, coarse.morse_index)
             if rep.converged:
-                rep.path = rep.path or coarse.path
+                if rep.path is None:
+                    rep.path = coarse.path
                 return rep
     return _attempt(levels, prob, "direct", direct, init)
 

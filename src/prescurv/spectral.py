@@ -28,10 +28,12 @@ Non-radial states, the half-disk, restricted forms and any count the
 bracket does not settle go to the factorization.
 
 Truncated half-plane profiles restrict Q to fields vanishing on the
-artificial arc (Dirichlet truncation).  Restriction only shrinks the
-admissible space, so the computed counts are lower bounds for the index
-of the profile on the full half plane, which is the monotonicity the
-truncation-family checks rely on.
+artificial arc (Dirichlet truncation), the ``fixed`` mask of
+:func:`morse_index`; ``prescurv spectrum`` counts them for the
+``bubble``, ``oned`` and ``strip`` families of ``[sweep]``.  Restriction
+only shrinks the admissible space, so the computed counts are lower
+bounds for the index of the profile on the full half plane, which is
+the monotonicity the truncation-family checks rely on.
 
 The disk-model stability form
 
@@ -40,11 +42,15 @@ The disk-model stability form
 
 at the special radius R = D0 - sqrt(D0^2 - 1) separates in polar
 coordinates, so :func:`disk_form_report` reduces it to one-dimensional
-radial pencils per angular frequency m.  The m^2/r^2 potential makes the
-per-mode ground states increase with m, so scanning stops at the first
-nonnegative mode.  The m=1 ground state is an exact zero mode (the
-fields x_i/(1-|x|^2)); a conforming discretization approximates its
-eigenvalue from above, hence never reports it as spuriously negative.
+radial pencils per angular frequency m, all tridiagonal.  The m^2/r^2
+potential makes the per-mode ground states increase with m, so scanning
+stops at the first nonnegative mode; each mode is counted by LAPACK's
+``stebz`` bisection (``eigvalsh_tridiagonal``).  The radial ground pair
+comes from bisection on ``dpttrf``'s positive-definiteness test and one
+inverse iteration with ``dpttrs``.  The m=1 ground state is an exact
+zero mode (the fields x_i/(1-|x|^2)); a conforming discretization
+approximates its eigenvalue from above, hence never reports it as
+spuriously negative.
 """
 
 from __future__ import annotations
@@ -57,17 +63,10 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .domain import Mesh
 from .energy import B_ORDERING, CirculantSymbol, Problem
-from .exact import (
-    HalfPlaneProfile,
-    disk_eigenfunction,
-    eval_rescaled_limit,
-    halfplane_problem,
-    profile_state,
-)
-from .fields import CurvatureSpec
+from .exact import disk_eigenfunction
 
 NEG_TOL = 1e-10
 DENSE_CUTOFF = 600
@@ -180,33 +179,6 @@ def morse_index(prob: Problem, u: np.ndarray, eps: float = 0.0,
     return negative_count(prob.ops.plus_diagonal(scale, d), neg_tol=neg_tol)
 
 
-def halfplane_profile_index(mesh: Mesh, profile: HalfPlaneProfile,
-                            neg_tol: float = NEG_TOL) -> SpectrumReport:
-    """Index of a half-plane profile on a half-disk truncation."""
-    prob, fixed = halfplane_problem(mesh, profile)
-    return morse_index(prob, profile_state(mesh, profile), fixed=fixed,
-                       neg_tol=neg_tol)
-
-
-def rescaled_profile_index(mesh: Mesh, h1: float,
-                           neg_tol: float = NEG_TOL) -> SpectrumReport:
-    """Index of the strip limit profile on a half-disk truncation.
-
-    The profile is 2 pi periodic along the flat edge; growing the
-    truncation radius admits more periods, so the count grows without
-    bound, unlike the finite-mass profiles.
-    """
-    if mesh.spec.kind != "halfdisk":
-        raise ValueError("profile truncations live on half-disk meshes")
-    spec = CurvatureSpec(K=-1.0, h=[h1, 0.0], K_bg=0.0, h_bg=(0.0, 0.0))
-    prob = Problem(mesh, spec)
-    fixed = np.zeros(mesh.n_dof, dtype=bool)
-    fixed[mesh.vertex_dof[mesh.components[1].verts]] = True
-    xy = mesh.dof_coords
-    u = eval_rescaled_limit(h1, xy[:, 0], xy[:, 1])
-    return morse_index(prob, u, fixed=fixed, neg_tol=neg_tol)
-
-
 # -- separable disk model ----------------------------------------------------
 
 
@@ -224,6 +196,12 @@ class DiskFormReport:
     ``mode_counts`` lists (m, negatives, smallest eigenvalue) per angular
     frequency up to the first nonnegative mode; counts for m >= 1 enter
     ``negative_count`` with multiplicity two (cos and sin).
+    ``radial_eigenvalue`` is the smallest eigenvalue of the m = 0 form
+    against the H1 inner product, ``correlation_with_gamma`` the
+    correlation of its eigenvector with the gamma direction
+    (1 + r^2)/(1 - r^2), and ``kernel_rayleigh`` the Rayleigh quotient
+    of the conformal field r/(1 - r^2) in the m = 1 form, zero in the
+    continuum.
     """
 
     D0: float
@@ -231,8 +209,6 @@ class DiskFormReport:
     negative_count: int
     mode_counts: list
     radial_eigenvalue: float
-    radial_vector: np.ndarray
-    r_grid: np.ndarray
     correlation_with_gamma: float
     kernel_rayleigh: float
 
@@ -296,15 +272,52 @@ def _count_below(d, e, cut):
     return len(vals), vals
 
 
-def disk_form_report(D0: float, n_r: int = 3000, m_cap: int = 128,
-                     neg_tol: float = 1e-11) -> DiskFormReport:
-    """Full inertia of the disk form via its angular decomposition."""
+def _quad(d, e, x) -> float:
+    """x^T T x for the symmetric tridiagonal T = (d, e)."""
+    return float(d @ (x * x) + 2.0 * e @ (x[:-1] * x[1:]))
+
+
+def _ground_pair(dA, eA, dB, eB) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of the tridiagonal pencil A - lam B (B positive
+    definite) and its eigenvector.
+
+    A - sigma B is positive definite exactly when sigma lies below that
+    eigenvalue, which ``dpttrf`` reports through ``info``, so bisection
+    on it brackets the eigenvalue to adjacent doubles; the Rayleigh
+    quotient of ones bounds it from above.  One inverse iteration
+    (``dpttrs``) at the definite end of the bracket gives the vector.
+    """
+    def definite(sigma):
+        return dpttrf(dA - sigma * dB, eA - sigma * eB)[2] == 0
+
+    ones = np.ones(len(dA))
+    hi = _quad(dA, eA, ones) / _quad(dB, eB, ones)
+    step = max(1.0, abs(hi))
+    while not definite(hi - step):
+        step *= 2.0
+    lo = hi - step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if definite(mid):
+            lo = mid
+        else:
+            hi = mid
+    d, e, _ = dpttrf(dA - lo * dB, eA - lo * eB)
+    Bx = dB.copy()  # B ones
+    Bx[:-1] += eB
+    Bx[1:] += eB
+    return hi, dpttrs(d, e, Bx)[0]
+
+
+def disk_form_report(D0: float, n_r: int = 3000, m_cap: int = 128) -> DiskFormReport:
+    """Full inertia of the disk form via its angular decomposition, and
+    the radial ground pair and conformal kernel, all from tridiagonal
+    radial pencils in O(n_r) work per mode."""
     r, stiff, pot, invr, mass, bnd = _radial_pieces(D0, n_r)
     mode_counts = []
     total = 0
     for m in range(m_cap + 1):
         d, e = _mode_matrix(m, r, stiff, pot, invr, bnd)
-        cnt, vals = _count_below(d, e, -neg_tol)
+        cnt, vals = _count_below(d, e, -NEG_TOL)
         smallest = vals[0] if len(vals) else None
         mode_counts.append((m, cnt, smallest))
         total += cnt * (2 if m else 1)
@@ -313,35 +326,21 @@ def disk_form_report(D0: float, n_r: int = 3000, m_cap: int = 128,
     else:
         raise RuntimeError("angular mode cap exhausted")
 
-    # radial ground pair for the eigenvector shape
-    d0, e0 = _mode_matrix(0, r, stiff, pot, invr, bnd)
-    A0 = sp.diags([e0, d0, e0], [-1, 0, 1]).toarray()
-    dB, eB = _tridiag(len(r) - 1, [stiff, mass])
-    B0 = sp.diags([eB, dB, eB], [-1, 0, 1]).toarray()
-    w, v = la.eigh(A0, B0, subset_by_index=[0, 0])
-    vec = v[:, 0]
-    gam = disk_eigenfunction(r, np.zeros_like(r))
-    corr = float(np.corrcoef(vec, gam)[0, 1])
-    if corr < 0:
-        vec = -vec
-        corr = -corr
+    lam, vec = _ground_pair(*_mode_matrix(0, r, stiff, pot, invr, bnd),
+                            *_tridiag(len(r) - 1, [stiff, mass]))
+    corr = abs(float(np.corrcoef(vec, disk_eigenfunction(r, np.zeros_like(r)))[0, 1]))
 
-    # exact zero mode of the m=1 block, interpolated
-    d1, e1 = _mode_matrix(1, r, stiff, pot, invr, bnd)
-    A1 = sp.diags([e1, d1, e1], [-1, 0, 1]).tocsr()
-    dB1, eB1 = _tridiag(len(r) - 1, [stiff, mass, invr])
-    B1 = sp.diags([eB1[1:], dB1[1:], eB1[1:]], [-1, 0, 1]).tocsr()
+    # the m = 1 zero mode x_i/(1 - |x|^2), interpolated; r = 0 is clamped
     f = (r / (1.0 - r**2))[1:]
-    kern = float(abs(f @ (A1 @ f)) / (f @ (B1 @ f)))
+    dB1, eB1 = _tridiag(len(r) - 1, [stiff, mass, invr])
+    kern = abs(_quad(*_mode_matrix(1, r, stiff, pot, invr, bnd), f)) / _quad(dB1[1:], eB1[1:], f)
 
     return DiskFormReport(
         D0=D0,
         R=r[-1],
         negative_count=total,
         mode_counts=mode_counts,
-        radial_eigenvalue=float(w[0]),
-        radial_vector=vec,
-        r_grid=r,
+        radial_eigenvalue=lam,
         correlation_with_gamma=corr,
         kernel_rayleigh=kern,
     )

@@ -96,6 +96,39 @@ POHOZAEV_BAD_FIELD_CFG = GAMMA_SWEEP_CFG.format(parameters="2") + """
 """
 
 
+TESTFN_CFG = """
+    [domain]
+    kind = halfdisk
+    R = 10
+    level = 4
+    grade = 2
+
+    [curvature]
+    K = -1
+    h = 2 ; 0
+
+    [solver]
+    anchor = origin
+
+    [testfn]
+    q2 = 0.1
+"""
+
+STRIP_CFG = """
+    [domain]
+    kind = {kind}
+    R = {R}
+    level = 3
+
+    [sweep]
+    family = strip
+    parameters = 2
+
+    [spectrum]
+    state = family
+"""
+
+
 # a field linear in x differs between the seam's copies at x = 0 and 2 pi
 SEAM_JUMP_CFG = """
     [domain]
@@ -255,6 +288,38 @@ class TestConfigErrors:
         assert "periodic seam" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode,text", [
+        ("classify", MINIMIZE_CFG.replace("K = -1", "K = 1")),
+        ("solve", MINIMIZE_CFG.replace("K_bg = -1", "K_bg = -1\n    h_bg = a;b")),
+        ("classify", MINIMIZE_CFG.replace("L = 1.0", "L = inf")),
+        ("solve", TESTFN_CFG.replace("R = 10", "R = inf")),
+        ("classify", TESTFN_CFG.replace("grade = 2", "grade = inf")),
+        ("classify", TESTFN_CFG.replace("grade = 2", "grade = 1e6")),
+        ("solve", CONTINUATION_CFG.replace("eps_schedule = 0.05, 0.02, 0.01",
+                                           "eps_schedule = ,")),
+        ("solve", CONTINUATION_CFG.replace("eps_schedule = 0.05, 0.02, 0.01",
+                                           "eps_schedule = 0.05, -0.01")),
+        ("solve", SADDLE_CFG.format(method="mountain-pass").replace("eps = 0.05", "eps = -0.05")),
+        ("solve", SADDLE_CFG.format(method="mountain-pass") + "    path_points = 0\n"),
+        ("solve", SADDLE_CFG.format(method="mountain-pass") + "    path_points = 2\n"),
+        ("solve", SADDLE_CFG.format(method="mountain-pass") + "    q2 = 0\n"),
+        ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 0.5\n"),
+        ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 1.2\nn_r = 0\n"),
+        ("spectrum", STRIP_CFG.format(kind="cylinder", R=5)),
+        ("exact-sweep", GAMMA_SWEEP_CFG.format(parameters="2").replace("h1 = 2.0", "h1 = x")),
+        ("testfn", TESTFN_CFG + "    tail = 1\n"),
+        ("testfn", TESTFN_CFG + "    tail = 0\n"),
+    ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
+            "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
+            "q2-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
+            "tail-1", "tail-0"])
+    def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
+        code, _ = run_cli(tmp_path, mode, text)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("config error")
+        assert "Traceback" not in err
+
 
 class TestSolveMode:
     def test_minimize_artifacts(self, tmp_path, capsys):
@@ -356,6 +421,15 @@ class TestSolveMode:
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 
+    def test_mountain_pass_at_eps_0_has_no_constant_start(self, tmp_path, capsys):
+        # flat background and a negative boundary datum: at eps = 0 no
+        # constant state minimizes the energy, so no pass can start
+        code, _ = run_cli(tmp_path, "solve", SADDLE_CFG.format(method="mountain-pass")
+                          .replace("eps = 0.05", "eps = 0"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: no constant minimizes")
+
     def test_continuation_writes_stage_reports(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", CONTINUATION_CFG)
         assert code == 0
@@ -430,6 +504,11 @@ class TestSpectrumMode:
         payload = read_json(out, "spectrum.json")
         assert payload["negative_count"] == 1
         assert payload["D0"] == pytest.approx(1.2)
+        # the one negative direction is the gamma direction, and the
+        # conformal fields span the m = 1 kernel
+        assert payload["radial_eigenvalue"] < 0
+        assert payload["correlation_with_gamma"] > 0.999
+        assert 0 <= payload["kernel_rayleigh"] < 1e-5
         assert "negative_count=1" in capsys.readouterr().out
 
     def test_solved_minimizer_has_empty_negative_spectrum(self, tmp_path):
@@ -467,6 +546,14 @@ class TestSpectrumMode:
         payload = read_json(out, "spectrum.json")
         assert payload["source"] == {"state": "family", "parameter": 2.0}
         assert payload["negative_count"] >= 1
+
+    @pytest.mark.parametrize("R,count", [(5, 3), (10, 6)])
+    def test_strip_index_grows_with_truncation(self, tmp_path, R, count):
+        code, out = run_cli(tmp_path, "spectrum", STRIP_CFG.format(kind="halfdisk", R=R))
+        assert code == 0
+        payload = read_json(out, "spectrum.json")
+        assert payload["source"] == {"state": "family", "parameter": 2.0}
+        assert payload["negative_count"] == count
 
 
 class TestExactSweepMode:
@@ -524,23 +611,7 @@ class TestPohozaevMode:
 
 class TestTestfnMode:
     def test_graded_halfdisk_slopes(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "testfn", """
-            [domain]
-            kind = halfdisk
-            R = 10
-            level = 4
-            grade = 2
-
-            [curvature]
-            K = -1
-            h = 2 ; 0
-
-            [solver]
-            anchor = origin
-
-            [testfn]
-            q2 = 0.1
-        """)
+        code, out = run_cli(tmp_path, "testfn", TESTFN_CFG)
         assert code == 0
         payload = read_json(out, "testfn.json")
         assert payload["d_at_point"] == pytest.approx(2.0)

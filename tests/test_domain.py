@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,22 @@ from prescurv.domain import (
     build_mesh,
     coarsen,
     prolong,
-    refine,
     tangential_derivative,
 )
+
+def refine(mesh):
+    return build_mesh(replace(mesh.spec, level=mesh.spec.level + 1))
+
+
+def h_max(mesh):
+    p = mesh.vertices[mesh.triangles]
+    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    return float(np.sqrt((e**2).sum(axis=2)).max())
+
+
+def length(comp):
+    return float(comp.s[-1] - comp.s[0])
+
 
 SPECS = [
     DomainSpec("cylinder", L=1.0, level=1),
@@ -52,31 +66,34 @@ def test_positive_areas_and_conformity(spec):
 def test_area_within_h2_of_analytic(spec, analytic):
     mesh = build_mesh(spec)
     area, _ = analytic(spec)
-    rel = abs(mesh.area - area) / area
-    assert rel <= 10 * mesh.h_max**2
+    rel = abs(mesh.tri_areas.sum() - area) / area
+    assert rel <= 10 * h_max(mesh)**2
 
 
 def test_cylinder_geometry():
     mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
-    assert mesh.area == pytest.approx(2 * math.pi, rel=1e-12)
+    assert mesh.tri_areas.sum() == pytest.approx(2 * math.pi, rel=1e-12)
     for comp in mesh.components:
-        assert comp.length == pytest.approx(2 * math.pi, rel=1e-12)
-    # periodic pairs are a bijection between the two identified sides
-    pairs = mesh.periodic_pairs
-    assert len(set(pairs[:, 0])) == len(pairs)
-    assert len(set(pairs[:, 1])) == len(pairs)
-    assert np.array_equal(mesh.vertex_dof[pairs[:, 0]], mesh.vertex_dof[pairs[:, 1]])
+        assert length(comp) == pytest.approx(2 * math.pi, rel=1e-12)
+    # the seam columns grid[0] (x = 0) and grid[-1] (x = 2 pi) are distinct
+    # vertices carrying the same dofs
+    left, right = mesh.grid[0], mesh.grid[-1]
+    assert np.all(mesh.vertices[left, 0] == 0.0)
+    assert np.allclose(mesh.vertices[right, 0], 2 * math.pi, rtol=0, atol=1e-12)
+    assert np.array_equal(mesh.vertices[left, 1], mesh.vertices[right, 1])
+    assert np.array_equal(mesh.vertex_dof[left], mesh.vertex_dof[right])
+    assert len(set(mesh.vertex_dof[left])) == len(left)
     # transporting a nodal field across the seam round-trips identically
     u = np.sin(mesh.dof_coords[:, 0]) + mesh.dof_coords[:, 1]
     vals = u[mesh.vertex_dof]
-    assert np.array_equal(vals[pairs[:, 0]], vals[pairs[:, 1]])
+    assert np.array_equal(vals[left], vals[right])
 
 
 def test_halfdisk_boundary_lengths():
     mesh = build_mesh(DomainSpec("halfdisk", R=2.0, level=3))
     flat, arc = mesh.components
-    assert flat.length == pytest.approx(4.0, rel=1e-12)
-    assert arc.length == pytest.approx(2 * math.pi, rel=1e-12)
+    assert length(flat) == pytest.approx(4.0, rel=1e-12)
+    assert length(arc) == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 def test_annulus_area_converges_and_refine_quarters(analytic):
@@ -85,7 +102,7 @@ def test_annulus_area_converges_and_refine_quarters(analytic):
     area, _ = analytic(spec)
     errors = []
     for _ in range(3):
-        errors.append(abs(mesh.area - area))
+        errors.append(abs(mesh.tri_areas.sum() - area))
         n_tri = len(mesh.triangles)
         mesh = refine(mesh)
         assert len(mesh.triangles) == 4 * n_tri
@@ -107,7 +124,7 @@ def test_boundary_length_convergence_order():
     assert order > 1.9
     # the stored arc-length parameter is exact by construction
     mesh = build_mesh(spec)
-    assert mesh.components[0].length == pytest.approx(2 * math.pi, rel=1e-12)
+    assert length(mesh.components[0]) == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 def test_normals_and_tangents_unit_orthogonal():
@@ -206,6 +223,10 @@ def test_spec_validation():
         DomainSpec("halfdisk", R=0.0)
     with pytest.raises(ValueError):
         DomainSpec("moebius")
+    for size in ("L", "r", "R", "grade"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                DomainSpec("halfdisk", **{size: bad})
 
 
 @given(st.sampled_from(["cylinder", "annulus", "halfdisk"]), st.integers(0, 2))

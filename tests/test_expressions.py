@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prescurv.expressions import Expr, ExpressionError, compile_expr
+from prescurv.expressions import Expr, ExpressionError
 
 
 def test_scalar_arithmetic():
-    f = compile_expr("2*x + y**2 - 1")
+    f = Expr("2*x + y**2 - 1")
     assert f(x=3.0, y=2.0) == pytest.approx(9.0)
 
 
 def test_functions_and_constants():
-    f = compile_expr("sin(pi*x) + exp(0) + sqrt(4)")
+    f = Expr("sin(pi*x) + exp(0) + sqrt(4)")
     assert f(x=0.5) == pytest.approx(4.0)
-    g = compile_expr("log(e)")
+    g = Expr("log(e)")
     assert g() == pytest.approx(1.0)
 
 
 def test_vectorized_broadcast():
-    f = compile_expr("x*y")
+    f = Expr("x*y")
     x = np.linspace(0, 1, 5)
     out = f(x=x, y=2.0)
     assert out.shape == (5,)
@@ -29,19 +29,19 @@ def test_vectorized_broadcast():
 
 
 def test_constant_expression_broadcasts_to_input_shape():
-    f = compile_expr("-1")
+    f = Expr("-1")
     out = f(x=np.zeros(7))
     assert out.shape == (7,)
     assert np.all(out == -1.0)
 
 
 def test_min_max_are_elementwise():
-    f = compile_expr("max(x, y)")
+    f = Expr("max(x, y)")
     assert np.allclose(f(x=np.array([0.0, 2.0]), y=1.0), [1.0, 2.0])
 
 
 def test_missing_variable_defaults_to_zero():
-    f = compile_expr("x + s")
+    f = Expr("x + s")
     assert f(x=1.5) == pytest.approx(1.5)
 
 
@@ -62,19 +62,19 @@ def test_missing_variable_defaults_to_zero():
 )
 def test_rejects_forbidden_syntax(bad):
     with pytest.raises(ExpressionError):
-        compile_expr(bad)
+        Expr(bad)
 
 
 def test_rejects_unknown_function_even_if_builtin():
     with pytest.raises(ExpressionError):
-        compile_expr("eval('1')")
+        Expr("eval('1')")
 
 
 def test_custom_names():
-    f = compile_expr("a + b", names=("a", "b"))
+    f = Expr("a + b", names=("a", "b"))
     assert f(a=1.0, b=2.0) == pytest.approx(3.0)
     with pytest.raises(ExpressionError):
-        compile_expr("x", names=("a", "b"))
+        Expr("x", names=("a", "b"))
 
 
 def test_repr_shows_source():
@@ -86,11 +86,11 @@ def test_repr_shows_source():
     st.floats(min_value=-10, max_value=10),
 )
 def test_matches_python_eval_on_polynomial(x, y):
-    f = compile_expr("0.5*x**2 - 3*y + x*y")
+    f = Expr("0.5*x**2 - 3*y + x*y")
     assert f(x=x, y=y) == pytest.approx(0.5 * x**2 - 3 * y + x * y, abs=1e-12)
 
 
 @given(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi))
 def test_trig_matches_numpy(s):
-    f = compile_expr("sin(s)*cos(s)")
+    f = Expr("sin(s)*cos(s)")
     assert f(s=s) == pytest.approx(math.sin(s) * math.cos(s), abs=1e-14)

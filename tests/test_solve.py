@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -159,12 +157,10 @@ class TestMinimize:
     def test_report_serialization(self):
         prob = cylinder_problem(h=-0.5, K_bg=-1.0, level=1)
         rep = minimize(prob, tol=1e-10)
-        d = json.loads(rep.to_json())
+        d = rep.as_dict()
         assert d["converged"] is True
         assert d["method"] == "minimize"
-        assert len(d["state"]) == prob.n_dof
-        slim = rep.as_dict(include_state=False)
-        assert "state" not in slim
+        assert "state" not in d
 
 
 class TestNewtonPolish:
@@ -273,6 +269,24 @@ class TestRelaxedEndpoints:
         with pytest.raises(RuntimeError, match="not a local minimum"):
             relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0), eps=0.05)
 
+    @pytest.mark.parametrize("level", [2, 4])
+    @pytest.mark.parametrize("kind,eps", [("annulus", 0.005), ("annulus", 0.05),
+                                          ("annulus", 0.5), ("cylinder", 0.0)])
+    def test_constant_start_minimizes_over_constants(self, kind, eps, level):
+        prob = (saddle_problem(level=level) if kind == "annulus"
+                else cylinder_problem(h=0.5, K_bg=-1.0, level=level))
+        c = _constant_start(prob, eps)
+        ones = np.ones(prob.n_dof)
+        e = prob.energy(c * ones, eps).total_eps
+        for dc in (-1e-4, 1e-4):
+            assert prob.energy((c + dc) * ones, eps).total_eps > e
+
+    def test_constant_start_needs_a_positive_root(self):
+        # flat background: chi_gen = 0, and the boundary datum is negative,
+        # so at eps = 0 the energy of constants decreases all the way down
+        with pytest.raises(RuntimeError, match="no constant minimizes"):
+            _constant_start(saddle_problem(level=2), 0.0)
+
 
 class TestBuildU1:
     def test_negative_energy_on_saddle_data(self):
@@ -329,17 +343,11 @@ class TestMountainPass:
         p = prob.mesh.boundary_point(0, 0)
         low, u1 = relaxed_endpoints(prob, p, eps=0.05)
         rep = mountain_pass(prob, 0.05, low.state, u1, n_points=9, tol=1e-8)
-        path = rep.path
-        assert path.points.shape == (9, prob.n_dof)
-        recomputed = [prob.energy(v, 0.05).total_eps for v in path.points]
-        assert np.allclose(recomputed, path.energies)
-        assert path.max_index == int(np.argmax(path.energies))
-        # endpoints stay pinned to the inputs
-        assert np.array_equal(path.points[0], low.state)
-        assert np.array_equal(path.points[-1], u1)
-        # the path is the sampled segment, not a deformation of it
+        # the path is the energy along the sampled segment, endpoints included
         ts = np.linspace(0.0, 1.0, 9)[:, None]
-        assert np.array_equal(path.points, (1.0 - ts) * low.state + ts * u1)
+        segment = (1.0 - ts) * low.state + ts * u1
+        assert np.array_equal(rep.path, [prob.energy(v, 0.05).total_eps for v in segment])
+        assert rep.path[0] == low.energy.total_eps
 
     def test_polishes_the_sampled_maximum(self):
         prob = saddle_problem(level=3)
@@ -351,8 +359,8 @@ class TestMountainPass:
         maxima = [e for e in rep.line_search_trace if "sweep" in e]
         assert len(maxima) == 1
         k = maxima[0]["max_index"]
-        assert k == 1 + int(np.argmax(rep.path.energies[1:-1]))
-        assert maxima[0]["level"] == rep.path.energies[k]
+        assert k == 1 + int(np.argmax(rep.path[1:-1]))
+        assert maxima[0]["level"] == rep.path[k]
         polish = newton_polish(prob, segment[k], eps=0.05, tol=1e-8)
         assert np.array_equal(rep.state, polish.state)
         assert rep.iterations == 1 + polish.iterations

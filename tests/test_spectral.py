@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from prescurv.domain import DomainSpec, build_mesh
@@ -10,18 +11,21 @@ from prescurv.exact import (
     annulus_gamma_problem,
     annulus_gamma_state,
     bubble_profile,
+    disk_eigenfunction,
+    halfplane_problem,
     oneD_profile,
+    profile_state,
+    strip_profile,
 )
 from prescurv.fields import CurvatureSpec, background_for
 from prescurv.solve import minimize, mountain_pass, nested, relaxed_endpoints
+import prescurv.spectral as spectral
 from prescurv.spectral import (
     NEG_TOL,
     disk_form_report,
     disk_truncation_radius,
-    halfplane_profile_index,
     morse_index,
     negative_count,
-    rescaled_profile_index,
 )
 
 
@@ -198,31 +202,40 @@ def test_boundary_layer_instability_grows_with_state():
     assert counts[0] < counts[1] < counts[2]
 
 
+def profile_index(mesh, profile):
+    """Index of a half-plane profile on a half-disk truncation, the way
+    ``prescurv spectrum`` counts a ``[sweep]`` family state."""
+    prob, fixed = halfplane_problem(mesh, profile)
+    return morse_index(prob, profile_state(mesh, profile), fixed=fixed)
+
+
 def test_oneD_truncation_index_zero():
     mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=3, grade=2.0))
-    rep = halfplane_profile_index(mesh, oneD_profile(lam=1.0))
+    rep = profile_index(mesh, oneD_profile(lam=1.0))
     assert rep.k_used == 0  # read from the factorization pivots
     assert rep.negative_count == 0
 
 
 def test_bubble_truncation_index_one():
     mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=3, grade=2.0))
-    rep = halfplane_profile_index(mesh, bubble_profile(lam=1.0, h0=np.sqrt(2.0)))
+    rep = profile_index(mesh, bubble_profile(lam=1.0, h0=np.sqrt(2.0)))
     assert rep.k_used == 0  # read from the factorization pivots
     assert rep.negative_count == 1
 
 
 def test_bubble_index_stable_under_refinement():
     mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=4, grade=2.0))
-    rep = halfplane_profile_index(mesh, bubble_profile(lam=1.0, h0=np.sqrt(2.0)))
+    rep = profile_index(mesh, bubble_profile(lam=1.0, h0=np.sqrt(2.0)))
     assert rep.negative_count == 1
 
 
 def test_rescaled_limit_index_grows_with_truncation():
+    # the strip is 2 pi periodic along the edge: a longer truncation
+    # admits more periods, so the count grows without bound
     counts = []
     for R in (5.0, 10.0):
         mesh = build_mesh(DomainSpec("halfdisk", R=R, level=3))
-        counts.append(rescaled_profile_index(mesh, 2.0).negative_count)
+        counts.append(profile_index(mesh, strip_profile(2.0)).negative_count)
     assert counts[0] >= 1
     assert counts[1] > counts[0]
 
@@ -230,7 +243,7 @@ def test_rescaled_limit_index_grows_with_truncation():
 def test_rescaled_limit_rejects_other_domains():
     mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=1))
     with pytest.raises(ValueError):
-        rescaled_profile_index(mesh, 2.0)
+        halfplane_problem(mesh, strip_profile(2.0))
 
 
 def test_disk_truncation_radius():
@@ -253,9 +266,31 @@ def test_disk_form_single_negative_direction(D0):
 def test_disk_form_radial_vector_matches_eigenfunction():
     rep = disk_form_report(1.5, n_r=1500)
     assert rep.correlation_with_gamma > 0.999
-    # same qualitative shape as (1+r^2)/(1-r^2): positive and increasing
-    assert np.all(rep.radial_vector > 0)
-    assert np.all(np.diff(rep.radial_vector) > -1e-12)
+
+
+def dense_ground_pair(D0, n_r):
+    """Radial ground pair from a dense generalized eigensolve."""
+    r, stiff, pot, invr, mass, bnd = spectral._radial_pieces(D0, n_r)
+    d0, e0 = spectral._mode_matrix(0, r, stiff, pot, invr, bnd)
+    dB, eB = spectral._tridiag(n_r, [stiff, mass])
+    A = np.diag(d0) + np.diag(e0, 1) + np.diag(e0, -1)
+    B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
+    w, v = scipy.linalg.eigh(A, B, subset_by_index=[0, 0])
+    gam = disk_eigenfunction(r, np.zeros_like(r))
+    return w[0], abs(np.corrcoef(v[:, 0], gam)[0, 1])
+
+
+@pytest.mark.parametrize("D0", [1.2, 1.5, 2.0])
+def test_disk_form_ground_pair_matches_dense(D0, monkeypatch):
+    lam, corr = dense_ground_pair(D0, 600)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the disk form needs no dense eigensolve")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    rep = disk_form_report(D0, n_r=600)
+    assert rep.radial_eigenvalue == pytest.approx(lam, rel=1e-8)
+    assert abs(rep.correlation_with_gamma - corr) < 1e-12
 
 
 def test_disk_form_kernel_fields_are_flat():
