@@ -395,53 +395,66 @@ def _boundary_point_dict(pt: BoundaryPoint) -> dict:
     }
 
 
-def _family_states(cfg: ExperimentConfig) -> tuple[list, list[float], Optional[np.ndarray]]:
-    """States of one closed-form family over its parameter list.
+# [sweep] keys each closed-form family reads besides family and parameters
+_FAMILY_KEYS = {"gamma": ("h1",), "log": (), "bubble": ("k0", "h0"),
+                "oned": ("k0",), "strip": ()}
 
-    The third return value is the Dirichlet mask of half-disk
-    truncations (None on the annulus families).
-    """
+
+def _sweep_section(cfg: ExperimentConfig) -> tuple[str, list[float], dict]:
+    """The [sweep] family, its whole parameter list and its own keys."""
     sweep = cfg.settings.get("sweep")
     if not sweep:
         raise ConfigError("missing required section [sweep]")
     family = sweep.get("family", "")
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown [sweep] family {family!r}")
+    unused = sorted(set(sweep) - {"family", "parameters", *_FAMILY_KEYS[family]})
+    if unused:
+        raise ConfigError(f"[sweep] {', '.join(unused)} not used by family {family!r}")
     try:
         params = _floats(sweep.get("parameters", ""))
-    except ValueError as exc:
-        raise ConfigError(f"bad [sweep] parameters: {exc}") from exc
-    if not params:
-        raise ConfigError("missing required key [sweep] parameters")
-    mesh = cfg.mesh
-    states, ops, fixed = [], None, None
-    try:
-        h1 = float(sweep.get("h1", 2.0))
-        h0 = float(sweep.get("h0", math.sqrt(2.0)))
-        K0 = float(sweep.get("k0", -1.0))
-        for p in params:
-            if family == "gamma":
-                prob = annulus_gamma_problem(mesh, int(p), h1, ops=ops)
-                u = annulus_gamma_state(mesh, int(p), h1)
-            elif family == "log":
-                prob = annulus_log_problem(mesh, p, ops=ops)
-                u = annulus_log_state(mesh, p)
-            else:
-                if family == "bubble":
-                    prof = bubble_profile(p, K0, h0)
-                elif family == "oned":
-                    prof = oneD_profile(p, K0)
-                elif family == "strip":
-                    prof = strip_profile(p)
-                else:
-                    raise ConfigError(f"unknown [sweep] family {family!r}")
-                prob, fixed = halfplane_problem(mesh, prof)
-                u = profile_state(mesh, prof)
-            ops = prob.ops
-            states.append((prob, u))
-    except ConfigError:
-        raise
+        keys = {k: float(sweep[k]) for k in _FAMILY_KEYS[family] if k in sweep}
     except ValueError as exc:
         raise ConfigError(f"bad [sweep] section: {exc}") from exc
-    return states, params, fixed
+    if not params:
+        raise ConfigError("missing required key [sweep] parameters")
+    return family, params, keys
+
+
+def _family_state(mesh, family: str, keys: dict, p: float, ops=None
+                  ) -> tuple[Problem, np.ndarray, Optional[np.ndarray]]:
+    """Problem and state of one family member; the third value is the
+    Dirichlet mask of half-disk truncations (None on the annulus)."""
+    try:
+        if family == "gamma":
+            h1 = keys.get("h1", 2.0)
+            return (annulus_gamma_problem(mesh, int(p), h1, ops=ops),
+                    annulus_gamma_state(mesh, int(p), h1), None)
+        if family == "log":
+            return annulus_log_problem(mesh, p, ops=ops), annulus_log_state(mesh, p), None
+        K0 = keys.get("k0", -1.0)
+        if family == "bubble":
+            prof = bubble_profile(p, K0, keys.get("h0", math.sqrt(2.0)))
+        elif family == "oned":
+            prof = oneD_profile(p, K0)
+        else:
+            prof = strip_profile(p)
+        prob, fixed = halfplane_problem(mesh, prof)
+        return prob, profile_state(mesh, prof), fixed
+    except ValueError as exc:
+        raise ConfigError(f"bad [sweep] section: {exc}") from exc
+
+
+def _family_states(cfg: ExperimentConfig) -> tuple[list, list[float]]:
+    """States of the [sweep] family over its parameter list, sharing
+    one assembly."""
+    family, params, keys = _sweep_section(cfg)
+    states, ops = [], None
+    for p in params:
+        prob, u, _ = _family_state(cfg.mesh, family, keys, p, ops)
+        ops = prob.ops
+        states.append((prob, u))
+    return states, params
 
 
 def _sweep_rows(states: list, params: list[float]) -> list[dict]:
@@ -524,10 +537,12 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     if extra.get("disk_form"):
         try:
             n_r = int(extra.get("n_r", 3000))
+            m_cap = int(extra.get("m_cap", 128))
             if n_r < 2:
                 raise ValueError("n_r must be at least 2")
-            rep = disk_form_report(float(extra["disk_form"]), n_r=n_r,
-                                   m_cap=int(extra.get("m_cap", 128)))
+            if m_cap < 0:
+                raise ValueError("m_cap must be at least 0")
+            rep = disk_form_report(float(extra["disk_form"]), n_r=n_r, m_cap=m_cap)
         except ValueError as exc:
             raise ConfigError(f"bad [spectrum] section: {exc}") from exc
         _write_json(os.path.join(cfg.out_dir, "spectrum.json"), dataclasses.asdict(rep))
@@ -536,8 +551,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     fixed = None
     eps = cfg.settings["eps"]
     if extra.get("state", "solve") == "family":
-        states, params, fixed = _family_states(cfg)
-        prob, u = states[-1]
+        family, params, keys = _sweep_section(cfg)
+        prob, u, fixed = _family_state(cfg.mesh, family, keys, params[-1])
         solve_summary = {"state": "family", "parameter": params[-1]}
         code = 0
     else:
@@ -555,7 +570,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def _run_exact_sweep(cfg: ExperimentConfig) -> int:
-    states, params, _ = _family_states(cfg)
+    states, params = _family_states(cfg)
     rows = _sweep_rows(states, params)
     _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), rows)
     cols = list(rows[0])
@@ -570,7 +585,7 @@ def _run_exact_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _run_blowup(cfg: ExperimentConfig) -> int:
-    states, params, _ = _family_states(cfg)
+    states, params = _family_states(cfg)
     mon = cfg.settings.get("monitor", {})
     try:
         kwargs = {k: float(mon[k]) for k in
@@ -590,8 +605,8 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
     extra = cfg.settings.get("pohozaev", {})
     code = 0
     if extra.get("state", "solve") == "family":
-        states, params, _ = _family_states(cfg)
-        prob, u = states[-1]
+        family, params, keys = _sweep_section(cfg)
+        prob, u, _ = _family_state(cfg.mesh, family, keys, params[-1])
         source = {"state": "family", "parameter": params[-1]}
     else:
         prob, reports = _solve_problem(cfg)

@@ -3,23 +3,25 @@
 Four instruments, all pure functions of a state and its problem data:
 
   * ``pohozaev_report`` audits the interior equation through the
-    vector-field balance
+    balance of a holomorphic domain variation F,
 
       oint [4K e^u (F.nu) + 2(du/dnu)(grad u.F) - |grad u|^2 (F.nu)]
-        = int [4 K_bg grad u.F + 4 e^u (grad K.F + K div F)
-               + 2 DF(grad u, grad u) - div F |grad u|^2],
+        = int [4 K_bg grad u.F + 4 e^u (grad K.F + 2 K Re F')],
 
-    which holds for any smooth field F when u solves the interior
-    equation.  Boundary gradients are reconstructed by quadratic
+    which holds when u solves the interior equation.  For a general
+    plane field the right side also carries 2 DF(grad u, grad u)
+    - div F |grad u|^2; a conformal F cancels it pointwise, so the
+    identity needs no control on the Dirichlet energy, and div F is
+    2 Re F'.  Boundary gradients are reconstructed by quadratic
     least-squares fits on two-ring vertex patches (the raw one-sided
     P1 gradient would cap the convergence order at one), applied as one
     sparse recovery operator cached per mesh and dof set; tangential
     derivatives come from centered differences along the arc.
-  * ``holomorphic_field`` builds fields F(z) = i z G(z) from a real
+  * ``HolomorphicField`` evaluates F and F' together from one Laurent
+    series.  ``position_field`` is the dilation F = z, and
+    ``holomorphic_field`` builds F(z) = i z G(z) from a real
     trigonometric polynomial f on the unit circle, with G its Laurent
-    extension to the annulus.  Holomorphy makes the Dirichlet terms of
-    the balance cancel pointwise, 2 DF(w,w) = div F |w|^2, so the
-    identity survives without any control on the Dirichlet energy.
+    extension to the annulus, so F = f tau on |z| = 1.
   * ``mass_measures`` and ``blowup_monitor`` discretize the measure
     statements: normalized per-triangle interior masses |K|e^u and
     per-edge boundary masses h e^{u/2}, singular candidates clustered
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,93 +57,54 @@ from .exact import boundary_bubble_state
 
 TWO_PI = 2.0 * math.pi
 
+# slack of the D >= 1 verdict at blow-up candidates
+D_TOL = 1e-6
+
 # mu q2 values of the default test-function schedule, decreasing to 1
 TEST_RATIOS = (1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 1.01, 1.005, 1.002)
 
 
-# -- vector fields -----------------------------------------------------------
-
-
-class VectorField:
-    """Plane field with an exact Jacobian, evaluable on coordinate arrays.
-
-    ``func(x, y)`` returns values of shape ``(..., 2)``; ``jac(x, y)``
-    returns Jacobians of shape ``(..., 2, 2)`` with ``jac[..., i, j]``
-    holding dF_i/dx_j.
-    """
-
-    def __init__(self, func: Callable, jac: Callable):
-        self._func = func
-        self._jac = jac
-
-    def __call__(self, x, y) -> np.ndarray:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return self._func(x, y)
-
-    def jacobian(self, x, y) -> np.ndarray:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return self._jac(x, y)
-
-
-def position_field() -> VectorField:
-    """F(x) = x, the dilation field."""
-
-    def func(x, y):
-        return np.stack([x, y], axis=-1)
-
-    def jac(x, y):
-        J = np.zeros(x.shape + (2, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        return J
-
-    return VectorField(func, jac)
+# -- domain-variation fields -------------------------------------------------
 
 
 class HolomorphicField:
     """F(z) = i z G(z) with G(z) = c0 + sum_k (c_k z^k + conj(c_k) z^-k).
 
-    On |z| = 1 the function G is real and equals the trigonometric
-    polynomial encoded by the coefficients, so F = f tau there.  Off the
-    circle F stays holomorphic, hence its Jacobian is a conformal
-    rotation-scaling and 2 DF(w, w) = div F |w|^2 for every vector w.
+    For real c0, G is real on |z| = 1 and equals the trigonometric
+    polynomial the coefficients encode, so F = f tau there.  A complex
+    c0 adds i c0 z: c0 = -i is the dilation F = z.  As a plane field,
+    F = (Re F, Im F) has the conformal Jacobian of the complex
+    derivative F', so its divergence is 2 Re F'.
     """
 
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if abs(coeffs[0].imag) > 1e-14:
-            raise ValueError("constant coefficient must be real")
-        self.coeffs = coeffs
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
 
-    def _G(self, z: np.ndarray) -> np.ndarray:
-        G = np.full(z.shape, self.coeffs[0])
-        for k in range(1, len(self.coeffs)):
-            c = self.coeffs[k]
-            G += c * z**k + np.conj(c) * z ** (-k)
-        return G
-
-    def _Gp(self, z: np.ndarray) -> np.ndarray:
-        Gp = np.zeros(z.shape, dtype=complex)
-        for k in range(1, len(self.coeffs)):
-            c = self.coeffs[k]
-            Gp += k * c * z ** (k - 1) - k * np.conj(c) * z ** (-k - 1)
-        return Gp
+    def values(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """F and F' at the points x + iy, from one Laurent evaluation:
+        G and z G' share the powers z^k and z^-k."""
+        z = np.asarray(x, float) + 1j * np.asarray(y, float)
+        G, zGp = self.coeffs[0], 0.0
+        d = len(self.coeffs) - 1
+        if d:
+            w = 1.0 / z
+            zk, wk = z, w
+            for k in range(1, d + 1):
+                pos, neg = self.coeffs[k] * zk, np.conj(self.coeffs[k]) * wk
+                G = G + (pos + neg)
+                zGp = zGp + k * (pos - neg)
+                if k < d:
+                    zk, wk = zk * z, wk * w
+        return z * (1j * G), np.broadcast_to(1j * (G + zGp), z.shape)
 
     def __call__(self, x, y) -> np.ndarray:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        Phi = 1j * (x + 1j * y) * self._G(x + 1j * y)
-        return np.stack([Phi.real, Phi.imag], axis=-1)
+        F = self.values(x, y)[0]
+        return np.stack([F.real, F.imag], axis=-1)
 
-    def jacobian(self, x, y) -> np.ndarray:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        z = x + 1j * y
-        dPhi = 1j * (self._G(z) + z * self._Gp(z))
-        J = np.empty(x.shape + (2, 2))
-        J[..., 0, 0] = dPhi.real
-        J[..., 0, 1] = -dPhi.imag
-        J[..., 1, 0] = dPhi.imag
-        J[..., 1, 1] = dPhi.real
-        return J
+
+def position_field() -> HolomorphicField:
+    """F(z) = z, the dilation field; F' = 1 exactly."""
+    return HolomorphicField([-1j])
 
 
 def holomorphic_field(mesh: Mesh, cos_coeffs: Sequence[float],
@@ -249,42 +212,38 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray, dofs: np.ndarray) -> np.ndarra
 
 @dataclass
 class PohozaevReport:
-    """Two sides of the vector-field balance and their mismatch."""
+    """Two sides of the domain-variation balance and their mismatch."""
 
     residual: float
     boundary_terms: list[float]
     interior_term: float
 
 
-def pohozaev_report(prob: Problem, u: np.ndarray, field) -> PohozaevReport:
+def pohozaev_report(prob: Problem, u: np.ndarray, field: HolomorphicField) -> PohozaevReport:
     """Both sides of the balance for ``field``; the residual tends to zero
     under refinement when u solves the interior equation."""
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
 
     # interior side, 3-point edge-midpoint quadrature per triangle; slot s
-    # is the midpoint of the edge from vertex s to vertex s + 1
-    tris = mesh.vertex_dof[mesh.triangles]
-    px, py = mesh.vertices[mesh.triangles].transpose(2, 0, 1)
+    # is the midpoint of the edge from vertex s to vertex s + 1, where e^u
+    # is e^{u_a/2} e^{u_b/2}.  The linear K_bg term takes the slot sum of F.
+    tri, K = mesh.triangles, prob.K_dof
+    tris = mesh.vertex_dof[tri]
     grads = prob.ops.grads
-    ut, Kt = u[tris], prob.K_dof[tris]
-    wx, wy = np.einsum("ti,tik->kt", ut, grads)
-    gKx, gKy = np.einsum("ti,tik->kt", Kt, grads)
-    w2 = wx * wx + wy * wy
-    vals = np.zeros(len(tris))
-    for s in range(3):
-        a, b = s, (s + 1) % 3
-        mx, my = 0.5 * (px[:, a] + px[:, b]), 0.5 * (py[:, a] + py[:, b])
-        F, J = field(mx, my), field.jacobian(mx, my)
-        Fx, Fy = F[:, 0], F[:, 1]
-        div = J[:, 0, 0] + J[:, 1, 1]
-        DFww = (wx * J[:, 0, 0] * wx + wx * J[:, 0, 1] * wy
-                + wy * J[:, 1, 0] * wx + wy * J[:, 1, 1] * wy)
-        e_mid = exp_lumped(0.5 * (ut[:, a] + ut[:, b]))[0]
-        K_mid = 0.5 * (Kt[:, a] + Kt[:, b])
-        vals += (4.0 * prob.spec.K_bg * (wx * Fx + wy * Fy)
-                 + 4.0 * e_mid * (gKx * Fx + gKy * Fy + K_mid * div)
-                 + 2.0 * DFww - div * w2)
+    wx, wy = np.einsum("ti,tik->kt", u[tris], grads)
+    gKx, gKy = np.einsum("ti,tik->kt", K[tris], grads)
+    eh = exp_lumped(u)[1]
+    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    F_sum, vals = 0.0, 0.0
+    for s, t in ((0, 1), (1, 2), (2, 0)):
+        F, dF = field.values(0.5 * (vx[tri[:, s]] + vx[tri[:, t]]),
+                             0.5 * (vy[tri[:, s]] + vy[tri[:, t]]))
+        a, b = tris[:, s], tris[:, t]
+        K_mid = 0.5 * (K[a] + K[b])
+        vals = vals + eh[a] * eh[b] * (gKx * F.real + gKy * F.imag + 2.0 * K_mid * dF.real)
+        F_sum = F_sum + F
+    vals = 4.0 * prob.spec.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
     interior = float((mesh.tri_areas / 3.0) @ vals)
 
     # boundary side, trapezoid over each component with recovered normals
@@ -495,8 +454,7 @@ def blowup_monitor(states: Sequence[tuple[Problem, np.ndarray]],
                    growth_min: float = 1.0,
                    bounded_ratio: float = 2.0,
                    far_distance: float = 0.1,
-                   far_tol: float = 0.05,
-                   d_tol: float = 1e-6) -> BlowupDiagnostics:
+                   far_tol: float = 0.05) -> BlowupDiagnostics:
     """Classify an ordered family of states by its concentration pattern.
 
     Candidates are boundary vertices of the last state within
@@ -587,7 +545,7 @@ def blowup_monitor(states: Sequence[tuple[Problem, np.ndarray]],
         cand.local_boundary_mass = float(flat_edges[near_edges].sum())
 
     edge_scale = float(max(np.median(c.edge_lengths) for c in mesh.components))
-    d_geq_one = all(c.D >= 1.0 - d_tol for c in candidates)
+    d_geq_one = all(c.D >= 1.0 - D_TOL for c in candidates)
     d_tau_zero = all(abs(c.D_tau) < 10.0 * edge_scale for c in candidates)
     # far mass vanishes only in the limit; accept a clear downward trend
     # across the sweep when the last state has not yet crossed far_tol

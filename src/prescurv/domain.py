@@ -38,6 +38,9 @@ import scipy.sparse as sp
 
 _KINDS = ("cylinder", "annulus", "halfdisk")
 CIRCUMFERENCE = 2.0 * math.pi  # cylinder cross-section length is fixed
+# relative mismatch of a closed path's two seam values that still counts
+# as periodic in tangential_derivative
+SEAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,9 @@ class Mesh:
     @property
     def tri_areas(self) -> np.ndarray:
         if "tri_areas" not in self._cache:
-            p = self.vertices[self.triangles]
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            self._cache["tri_areas"] = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            x, y = self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
+            self._cache["tri_areas"] = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                                              - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
         return self._cache["tri_areas"]
 
     @property
@@ -326,14 +328,13 @@ def _build_halfdisk(spec: DomainSpec) -> Mesh:
     return Mesh(spec, vertices, triangles, vertex_dof, n_vert, [flat, arc], grid)
 
 
-def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray,
-                          seam_tol: float = 1e-8) -> np.ndarray:
+def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray) -> np.ndarray:
     """Second-order finite-difference derivative of f along arc length.
 
     ``f`` holds nodal values along the component path (one per path
     vertex; for closed components the repeated end value may be
     omitted).  Closed components use periodic centered differences; a
-    mismatch between the two seam values beyond ``seam_tol`` (relative)
+    mismatch between the two seam values beyond ``SEAM_TOL`` (relative)
     is rejected, since the input then has no periodic derivative.
     """
     comp = mesh.components[component]
@@ -349,7 +350,7 @@ def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray,
     s = comp.s
     if comp.closed:
         scale = max(np.abs(f).max(), 1.0)
-        if abs(f[-1] - f[0]) > seam_tol * scale:
+        if abs(f[-1] - f[0]) > SEAM_TOL * scale:
             raise ValueError("boundary field jumps across the periodic seam")
         fu = f[:-1]
         n = len(fu)

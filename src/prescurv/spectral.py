@@ -324,7 +324,8 @@ def disk_form_report(D0: float, n_r: int = 3000, m_cap: int = 128) -> DiskFormRe
         if cnt == 0:
             break  # per-mode minimum increases with m
     else:
-        raise RuntimeError("angular mode cap exhausted")
+        raise ValueError(f"angular mode cap m_cap = {m_cap} exhausted before"
+                         " a mode without negative directions")
 
     lam, vec = _ground_pair(*_mode_matrix(0, r, stiff, pot, invr, bnd),
                             *_tridiag(len(r) - 1, [stiff, mass]))

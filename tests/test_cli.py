@@ -309,16 +309,33 @@ class TestConfigErrors:
         ("exact-sweep", GAMMA_SWEEP_CFG.format(parameters="2").replace("h1 = 2.0", "h1 = x")),
         ("testfn", TESTFN_CFG + "    tail = 1\n"),
         ("testfn", TESTFN_CFG + "    tail = 0\n"),
+        ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 1.2\nm_cap = -1\n"),
+        ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 1.2\nm_cap = 0\n"),
+        ("pohozaev", POHOZAEV_FAMILY_CFG.replace("parameters = 2", "parameters = x 2")),
     ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
             "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
             "q2-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
-            "tail-1", "tail-0"])
+            "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
         code, _ = run_cli(tmp_path, mode, text)
         err = capsys.readouterr().err
         assert code == 3, err
         assert err.startswith("config error")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("mode,text,keys", [
+        ("spectrum", STRIP_CFG.format(kind="halfdisk", R=5).replace(
+            "parameters = 2", "parameters = 2\n    k0 = -4\n    h0 = 9"), "h0, k0"),
+        ("blowup", GAMMA_SWEEP_CFG.format(parameters="2, 4") + "    k0 = -2\n", "k0"),
+        ("exact-sweep", STRIP_CFG.format(kind="halfdisk", R=5).replace(
+            "family = strip", "family = bubble\n    h1 = 3"), "h1"),
+    ], ids=["strip-k0-h0", "gamma-k0", "bubble-h1"])
+    def test_sweep_key_the_family_ignores(self, tmp_path, capsys, mode, text, keys):
+        code, _ = run_cli(tmp_path, mode, text)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"[sweep] {keys} not used by family" in err
 
 
 class TestSolveMode:
@@ -602,6 +619,17 @@ class TestPohozaevMode:
         assert payload["position"]["residual"] < 0.5
         # f = cos(theta) is orthogonal to the gamma = 2 profile
         assert payload["holomorphic"]["residual"] < 1e-9
+
+    def test_builds_only_the_reported_state(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.annulus_gamma_problem
+        monkeypatch.setattr(cli, "annulus_gamma_problem",
+                            lambda mesh, p, h1, ops=None: built.append(p) or build(mesh, p, h1, ops))
+        code, out = run_cli(tmp_path, "pohozaev", POHOZAEV_FAMILY_CFG.replace(
+            "parameters = 2", "parameters = 4 3 2"))
+        assert code == 0
+        assert built == [2]
+        assert read_json(out, "pohozaev.json")["source"] == {"state": "family", "parameter": 2.0}
 
     def test_unknown_field_name(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "pohozaev", POHOZAEV_BAD_FIELD_CFG)

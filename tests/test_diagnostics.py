@@ -5,7 +5,7 @@ import pytest
 
 from prescurv.diagnostics import (
     TEST_RATIOS,
-    VectorField,
+    HolomorphicField,
     blowup_monitor,
     boundary_projection_tv,
     holomorphic_field,
@@ -16,7 +16,7 @@ from prescurv.diagnostics import (
 )
 from prescurv.diagnostics import testfunction_energy_curve as energy_curve
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import Problem
+from prescurv.energy import Problem, exp_lumped
 from prescurv.exact import (
     annulus_gamma_problem,
     annulus_gamma_state,
@@ -48,14 +48,22 @@ def origin_anchor(mesh):
     return mesh.boundary_point(0, i)
 
 
+def annulus_points(seed, n=100):
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.55, 0.95, size=n)
+    th = rng.uniform(0.0, TWO_PI, size=n)
+    return rho * np.cos(th), rho * np.sin(th), rng
+
+
 class TestVectorFields:
     def test_position_field(self):
-        F = position_field()
-        x = np.array([0.3, -1.2])
-        y = np.array([0.7, 2.0])
-        assert np.allclose(F(x, y), np.stack([x, y], axis=-1))
-        J = F.jacobian(x, y)
-        assert np.allclose(J, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        # the dilation is exact: F = z and F' = 1 with no rounding
+        x = np.array([0.3, -1.2, 1e-300, -0.0])
+        y = np.array([0.7, 2.0, -3.5, 1e300])
+        F, dF = position_field().values(x, y)
+        assert np.array_equal(F.real, x) and np.array_equal(F.imag, y)
+        assert np.array_equal(dF, np.ones(4))
+        assert np.array_equal(position_field()(x, y), np.stack([x, y], axis=-1))
 
 
 class TestHolomorphicField:
@@ -76,31 +84,41 @@ class TestHolomorphicField:
         vals = F(np.cos(th), np.sin(th))
         assert np.allclose(vals, f[:, None] * tau, atol=1e-12)
 
-    def test_jacobian_against_finite_differences(self, annulus3):
+    def test_derivative_against_centred_differences(self, annulus3):
+        # holomorphy: dF/dx = F' and dF/dy = i F'
         F = holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2, 0.7))
-        rng = np.random.default_rng(7)
-        rho = rng.uniform(0.55, 0.95, size=100)
-        th = rng.uniform(0.0, TWO_PI, size=100)
-        x, y = rho * np.cos(th), rho * np.sin(th)
-        J = F.jacobian(x, y)
+        x, y, _ = annulus_points(7)
+        dF = F.values(x, y)[1]
         eps = 1e-6
-        fd_x = (F(x + eps, y) - F(x - eps, y)) / (2 * eps)
-        fd_y = (F(x, y + eps) - F(x, y - eps)) / (2 * eps)
-        assert np.allclose(J[..., 0], fd_x, atol=1e-8)
-        assert np.allclose(J[..., 1], fd_y, atol=1e-8)
+        fd_x = (F.values(x + eps, y)[0] - F.values(x - eps, y)[0]) / (2 * eps)
+        fd_y = (F.values(x, y + eps)[0] - F.values(x, y - eps)[0]) / (2 * eps)
+        assert np.allclose(dF, fd_x, atol=1e-8)
+        assert np.allclose(1j * dF, fd_y, atol=1e-8)
 
     def test_conformal_cancellation(self, annulus3):
-        # 2 DF(w, w) = div F |w|^2 pointwise for holomorphic F
+        # 2 DF(w, w) = div F |w|^2 pointwise for holomorphic F, with DF
+        # taken by centred differences of the plane field itself
         F = holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2, 0.7))
-        rng = np.random.default_rng(11)
-        rho = rng.uniform(0.55, 0.95, size=100)
-        th = rng.uniform(0.0, TWO_PI, size=100)
-        x, y = rho * np.cos(th), rho * np.sin(th)
+        x, y, rng = annulus_points(11)
         w = rng.normal(size=(100, 2))
-        J = F.jacobian(x, y)
+        eps = 1e-6
+        J = np.stack([(F(x + eps, y) - F(x - eps, y)) / (2 * eps),
+                      (F(x, y + eps) - F(x, y - eps)) / (2 * eps)], axis=-1)
         quad = 2.0 * np.einsum("ni,nij,nj->n", w, J, w)
         div = J[..., 0, 0] + J[..., 1, 1]
-        assert np.max(np.abs(quad - div * np.einsum("ni,ni->n", w, w))) < 1e-12
+        assert np.max(np.abs(quad - div * np.einsum("ni,ni->n", w, w))) < 1e-7
+        assert np.allclose(div, 2.0 * F.values(x, y)[1].real, atol=1e-8)
+
+    def test_complex_constant_coefficient(self):
+        # c0 is complex in general: the term i c0 z rotates and dilates,
+        # and c0 = -i is the position field
+        c0 = 0.5 - 2.0j
+        x, y, _ = annulus_points(3)
+        F, dF = HolomorphicField([c0]).values(x, y)
+        assert np.allclose(F, 1j * c0 * (x + 1j * y), rtol=1e-15, atol=0)
+        assert np.array_equal(dF, np.full(len(x), 1j * c0))
+        P = HolomorphicField([-1j]).values(x, y)
+        assert all(np.array_equal(a, b) for a, b in zip(P, position_field().values(x, y)))
 
     def test_aliasing_guard(self, annulus3):
         d_bad = annulus3.components[0].n_edges // 4
@@ -111,11 +129,6 @@ class TestHolomorphicField:
         mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
         with pytest.raises(ValueError, match="annulus"):
             holomorphic_field(mesh, (1.0,))
-
-    def test_constant_coefficient_must_be_real(self):
-        from prescurv.diagnostics import HolomorphicField
-        with pytest.raises(ValueError, match="real"):
-            HolomorphicField(np.array([1j, 0.0]))
 
 
 class TestRecoveredGradient:
@@ -208,9 +221,46 @@ class TestPohozaev:
     def test_zero_field_zero_residual(self, annulus3):
         prob = annulus_gamma_problem(annulus3, 2, 2.0)
         u = annulus_gamma_state(annulus3, 2, 2.0)
-        zero = VectorField(lambda x, y: np.zeros(x.shape + (2,)),
-                           lambda x, y: np.zeros(x.shape + (2, 2)))
-        assert pohozaev_report(prob, u, zero).residual == 0.0
+        assert pohozaev_report(prob, u, HolomorphicField([0])).residual == 0.0
+
+    @pytest.mark.parametrize("coeffs", [None, ((0.3, 1.0, 0.5), (0.2, 0.7))],
+                             ids=["position", "holomorphic"])
+    def test_interior_matches_general_field_integrand(self, annulus3, coeffs):
+        # the integrand of a general plane field, with its Jacobian, the
+        # Dirichlet terms 2 DF(w, w) - div F |w|^2 and e^u of the midpoint
+        # mean; grad K != 0 and K_bg != 0 exercise every term
+        prob = Problem(annulus3, CurvatureSpec(K="-1 - 0.1*x + 0.05*y", h=[2.0, -3.0], K_bg=-0.5))
+        x, y = annulus3.dof_coords.T
+        u = 0.3 * np.sin(3 * x) + 0.1 * y + 0.2 * x * y
+        F = position_field() if coeffs is None else holomorphic_field(annulus3, *coeffs)
+        tris = annulus3.vertex_dof[annulus3.triangles]
+        pts = annulus3.vertices[annulus3.triangles]
+        grads = prob.ops.grads
+        w = np.einsum("ti,tik->tk", u[tris], grads)
+        gK = np.einsum("ti,tik->tk", prob.K_dof[tris], grads)
+        terms = np.zeros(len(tris))
+        for a in range(3):
+            b = (a + 1) % 3
+            z = 0.5 * (pts[:, a] + pts[:, b]) @ np.array([1.0, 1j])
+            G = np.full(z.shape, F.coeffs[0])
+            Gp = np.zeros(z.shape, dtype=complex)
+            for k, c in enumerate(F.coeffs[1:], start=1):
+                G += c * z**k + np.conj(c) * z ** (-k)
+                Gp += k * c * z ** (k - 1) - k * np.conj(c) * z ** (-k - 1)
+            Fz, dPhi = 1j * z * G, 1j * (G + z * Gp)
+            Fv = np.stack([Fz.real, Fz.imag], axis=-1)
+            J = np.stack([np.stack([dPhi.real, -dPhi.imag], axis=-1),
+                          np.stack([dPhi.imag, dPhi.real], axis=-1)], axis=-2)
+            div = J[:, 0, 0] + J[:, 1, 1]
+            e_mid = exp_lumped(0.5 * (u[tris[:, a]] + u[tris[:, b]]))[0]
+            K_mid = 0.5 * (prob.K_dof[tris[:, a]] + prob.K_dof[tris[:, b]])
+            terms += (annulus3.tri_areas / 3.0) * (
+                4.0 * prob.spec.K_bg * np.einsum("tk,tk->t", w, Fv)
+                + 4.0 * e_mid * (np.einsum("tk,tk->t", gK, Fv) + K_mid * div)
+                + 2.0 * np.einsum("ti,tij,tj->t", w, J, w)
+                - div * np.einsum("tk,tk->t", w, w))
+        interior = pohozaev_report(prob, u, F).interior_term
+        assert abs(interior - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
     def test_flat_state_divergence_identity(self):
         # u = 0, K constant: the residual is pure quadrature mismatch
