@@ -339,9 +339,25 @@ def _write_plot_script(out_dir: str, dat_name: str, x: int, ys: list[tuple[int, 
 
 
 def _write_state_csv(path: str, mesh, u: np.ndarray) -> None:
-    # 17 significant digits round-trip every double exactly
-    table = np.column_stack([mesh.dof_coords, u])
-    text = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
+    # 17 significant digits round-trip every double exactly.  Where the
+    # coordinates take fewer distinct values than there are rows, as on
+    # tensor grids (cylinder L5: 609 for 49,664 rows), each is formatted once
+    # and gathered, in 0.6x the time.  The annulus's polar grid has 1.4 per
+    # row, where gathering took 1.1x the time.  Values are told apart by bit
+    # pattern, which keeps -0.0 apart from 0.0
+    bits, inv = np.unique(mesh.dof_coords.view(np.int64), return_inverse=True)
+    if len(bits) < len(u):
+        vals = bits.view(np.float64)
+        strs = np.array((("%.17g," * len(vals)) % tuple(vals.tolist())).split(",")[:-1],
+                        dtype=object)
+        table = np.empty((len(u), 3), dtype=object)
+        table[:, :2] = strs[inv.reshape(-1, 2)]
+        table[:, 2] = u.tolist()
+        fmt = "%s,%s,%.17g\n"
+    else:
+        table = np.column_stack([mesh.dof_coords, u])
+        fmt = "%.17g,%.17g,%.17g\n"
+    text = (fmt * len(table)) % tuple(table.ravel().tolist())
     with open(path, "w") as fh:
         fh.write("x,y,u\n" + text)
 
@@ -418,6 +434,10 @@ def _sweep_section(cfg: ExperimentConfig) -> tuple[str, list[float], dict]:
         raise ConfigError(f"bad [sweep] section: {exc}") from exc
     if not params:
         raise ConfigError("missing required key [sweep] parameters")
+    if family == "gamma":
+        bad = [p for p in params if not p.is_integer()]
+        if bad:
+            raise ConfigError(f"[sweep] gamma must be an integer, got {bad[0]!r}")
     return family, params, keys
 
 

@@ -296,7 +296,7 @@ def mass_measures(prob: Problem, u: np.ndarray) -> MassMeasures:
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
     tris = mesh.vertex_dof[mesh.triangles]
-    tri_masses = (mesh.tri_areas / 3.0) * ((-prob.K_dof[tris]) * exp_lumped(u[tris])[0]).sum(axis=1)
+    tri_masses = (mesh.tri_areas / 3.0) * ((-prob.K_dof[tris]) * exp_lumped(u)[0][tris]).sum(axis=1)
     interior_total = float(tri_masses.sum())
 
     edge_masses = []
@@ -340,7 +340,8 @@ def _edge_midpoints(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centroids(mesh: Mesh) -> np.ndarray:
-    return mesh.vertices[mesh.triangles].mean(axis=1)
+    t0, t1, t2 = mesh.triangles.T
+    return np.column_stack([(x[t0] + x[t1] + x[t2]) / 3 for x in mesh.vertices.T])
 
 
 def boundary_projection_tv(prob: Problem, u: np.ndarray,

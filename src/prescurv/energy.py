@@ -40,8 +40,8 @@ blocks (Hockney 1965; Buzbee, Golub & Nielson 1970), stacked into one
 tridiagonal matrix that LAPACK's ``zpttrf`` factors once (L D L^H) and
 ``zpttrs`` solves.  The half-disk, a B off its symbol or a mode block
 that is not positive definite goes to SuperLU.  The same symbols give
-the Morse counts of :mod:`prescurv.spectral` on rotation-invariant
-states.
+the Morse counts of :mod:`prescurv.spectral` and the Newton
+preconditioner of :mod:`prescurv.solve` on rotation-invariant states.
 """
 
 from __future__ import annotations
@@ -110,10 +110,12 @@ def circulant_symbol(A: sp.spmatrix, mesh: Mesh) -> Optional[CirculantSymbol]:
 
 
 def _fourier_solver(sym: Optional[CirculantSymbol]):
-    """B^{-1} from B's symbol: rfft along i, one ``zpttrs`` over the mode
-    blocks stacked into one tridiagonal matrix, irfft.  None without a
-    symbol, off it by more than ``CIRCULANT_RTOL`` relative, or where
-    ``zpttrf`` finds a mode block that is not positive definite."""
+    """Inverse of the block-circulant matrix of ``sym`` (B^{-1} from B's
+    symbol, a Newton preconditioner from a Hessian's): rfft along i, one
+    ``zpttrs`` over the mode blocks stacked into one tridiagonal matrix,
+    irfft.  None without a symbol, off it by more than ``CIRCULANT_RTOL``
+    relative, or where ``zpttrf`` finds a mode block that is not positive
+    definite, so every solver it returns is symmetric positive definite."""
     if sym is None or sym.departure > CIRCULANT_RTOL * sym.norm:
         return None
     m, n, modes = sym.blocks.shape[0], sym.n, sym.blocks.shape[2]
@@ -141,8 +143,9 @@ class Operators:
     (trapezoid with analytic edge lengths, summing to the component
     length).  ``B = S + diag(w_int)`` is the H1 Gram matrix of dual norms
     and, through the cached solver of :meth:`solve_B`, the
-    preconditioner of MINRES Newton steps.  ``grads[t, i]`` is the
-    constant gradient of the i-th barycentric function on triangle t.
+    preconditioner of MINRES Newton steps away from rotation-invariant
+    states.  ``grads[t, i]`` is the constant gradient of the i-th
+    barycentric function on triangle t.
     """
 
     mesh: Mesh
@@ -175,7 +178,12 @@ class Operators:
         ``scale`` plus the mean d_bar of d over i, with departure at most
         ``scale * eta_S + max |d - d_bar|`` (triangle inequality).  None off
         periodic grids, or where d varies along i by more than
-        ``CIRCULANT_RTOL`` relative (states that are not rotation invariant)."""
+        ``CIRCULANT_RTOL`` relative (states that are not rotation invariant).
+
+        It has three consumers: B^{-1} (:meth:`solve_B`), the MINRES
+        preconditioner of Newton steps (``solve._newton_direction``, the
+        shifted Hessian's symbol) and the Sturm count of Morse indices
+        (``spectral._fourier_count``)."""
         if "symbol" not in self._cache:
             self._cache["symbol"] = circulant_symbol(self.S, self.mesh)
         sym = self._cache["symbol"]

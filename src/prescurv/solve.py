@@ -9,12 +9,18 @@ backtracking, serves two acceptance tests:
 * :func:`newton_polish` - residual-decrease acceptance, which converges
   to critical points of any index.
 
-Its directions come from MINRES (Paige & Saunders 1975) preconditioned
-by the H1 Gram matrix B, to which the Hessian is spectrally equivalent
-uniformly in the mesh size (Mardal & Winther 2011), so the iteration
-count does not grow under refinement; a sparse LU factorization of the
-shifted Hessian is the fallback.  The preconditioner applies B^{-1}
-through ``Operators.solve_B``.
+Its directions come from MINRES (Paige & Saunders 1975); a sparse LU
+factorization of the shifted Hessian is the fallback.  Where the shifted
+Hessian is block-circulant on a periodic grid (rotation-invariant states
+on the cylinder and the annulus) and every Fourier mode block of its
+symbol is positive definite, MINRES is preconditioned by the inverse of
+that symbol, T. Chan's optimal circulant (Chan 1988), which is the
+Hessian's exact inverse up to its departure from the symbol, so MINRES
+takes one iteration.  Everywhere else it is preconditioned by the H1
+Gram matrix B, to which the Hessian is spectrally equivalent uniformly
+in the mesh size (Mardal & Winther 2011), so the iteration count does
+not grow under refinement; B^{-1} is applied through
+``Operators.solve_B``.
 
 Three drivers build on them:
 
@@ -47,11 +53,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import BoundaryPoint, coarsen, prolong
-from .energy import B_ORDERING, EnergyBreakdown, Problem, exp_lumped
+from .energy import B_ORDERING, EnergyBreakdown, Problem, _fourier_solver, exp_lumped
 from .exact import boundary_bubble_state
 from .fields import eval_D_field
 from .spectral import morse_index
@@ -121,14 +126,21 @@ class SolveReport:
         }
 
 
-def _newton_direction(prob: Problem, H: sp.spmatrix, g: np.ndarray, res: float,
-                      sigma: float, descent: bool) -> tuple[np.ndarray, float, dict]:
-    """Direction from the Newton system (H + sigma diag(w)) d = -g, its shift,
-    and trace keys ``linear`` (the solver used) and ``krylov_its`` (MINRES iterations).
+def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarray,
+                      res: float, sigma: float,
+                      descent: bool) -> tuple[np.ndarray, float, dict]:
+    """Direction from the Newton system (H + sigma diag(w)) d = -g, where
+    H = ``scale * S + diag(diag)`` is the Hessian, its shift, and trace
+    keys ``linear`` (the solver used) and ``krylov_its`` (MINRES iterations).
 
-    MINRES preconditioned by B runs first, at the current shift, and its
-    direction is taken when the linear residual is below ``KRYLOV_ACCEPT``
-    times ``res``, the dual norm of g.  Otherwise sigma is grown from
+    MINRES runs first, at the current shift, and its direction is taken
+    when the linear residual is below ``KRYLOV_ACCEPT`` times ``res``, the
+    dual norm of g.  It is preconditioned by the inverse of the shifted
+    Hessian's own Fourier symbol (T. Chan's optimal circulant, Chan 1988;
+    ``Operators.symbol`` and ``_fourier_solver``) where the Hessian is
+    rotation invariant on a periodic grid and every mode block of the
+    symbol is positive definite, and by B^{-1} everywhere else, so the
+    preconditioner is always SPD.  When MINRES fails, sigma is grown from
     ``SIGMA_FLOOR`` until a sparse LU factorization succeeds; w carries
     the quadrature weights so sigma is comparable to the potential
     coefficient.  Either direction must be finite and, when ``descent``
@@ -140,17 +152,19 @@ def _newton_direction(prob: Problem, H: sp.spmatrix, g: np.ndarray, res: float,
         return d is not None and bool(np.all(np.isfinite(d))) and (
             not descent or float(g @ d) < -1e-14 * gn * float(np.linalg.norm(d)))
 
-    Hs = H if sigma == 0.0 else H + sp.diags(sigma * w)
-    B_inv = spla.LinearOperator(H.shape, matvec=prob.ops.solve_B, dtype=float)
+    shifted = diag + sigma * w
+    Hs = prob.ops.plus_diagonal(scale, shifted)
+    M = _fourier_solver(prob.ops.symbol(scale, shifted)) or prob.ops.solve_B
     try:
         d, info = spla.minres(Hs, -g, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAXITER,
-                              M=B_inv, callback=lambda _x: its.append(1))
-    except ValueError:  # a B-inner product fell below zero in rounding
+                              M=spla.LinearOperator(Hs.shape, matvec=M, dtype=float),
+                              callback=lambda _x: its.append(1))
+    except ValueError:  # a preconditioner inner product fell below zero in rounding
         d, info = None, -1
     if info == 0 and acceptable(d) and prob.dual_norm(Hs @ d + g) <= KRYLOV_ACCEPT * res:
         return d, sigma, {"linear": "minres", "krylov_its": len(its)}
     for _ in range(SIGMA_TRIES):
-        Hs = H if sigma == 0.0 else H + sp.diags(sigma * w)
+        Hs = prob.ops.plus_diagonal(scale, diag + sigma * w)
         try:
             d = spla.splu(Hs.tocsc(), permc_spec=B_ORDERING).solve(-g)
         except RuntimeError:
@@ -186,7 +200,8 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
             break
         e = prob.energy(u, eps) if armijo else None
         try:
-            d, sigma, linear = _newton_direction(prob, prob.hessian(u, eps), g, res, sigma, armijo)
+            d, sigma, linear = _newton_direction(prob, *prob.hessian_parts(u, eps),
+                                                 g, res, sigma, armijo)
         except RuntimeError as exc:
             message = str(exc)
             break

@@ -8,6 +8,7 @@ exit codes are all exercised on the real code path.
 import json
 import math
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,10 +313,15 @@ class TestConfigErrors:
         ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 1.2\nm_cap = -1\n"),
         ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 1.2\nm_cap = 0\n"),
         ("pohozaev", POHOZAEV_FAMILY_CFG.replace("parameters = 2", "parameters = x 2")),
+        # int(p) used to truncate gamma = 2.5 to the gamma = 2 state
+        ("pohozaev", POHOZAEV_FAMILY_CFG.replace("parameters = 2", "parameters = 2.5")),
+        ("exact-sweep", GAMMA_SWEEP_CFG.format(parameters="4, 2.5, 8")),
+        ("blowup", GAMMA_SWEEP_CFG.format(parameters="4, 8.000001")),
     ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
             "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
             "q2-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
-            "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text"])
+            "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text",
+            "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
         code, _ = run_cli(tmp_path, mode, text)
         err = capsys.readouterr().err
@@ -336,6 +342,11 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 3, err
         assert f"[sweep] {keys} not used by family" in err
+
+    def test_non_integer_gamma_names_the_value(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "blowup", GAMMA_SWEEP_CFG.format(parameters="4, 8.000001"))
+        assert code == 3
+        assert "[sweep] gamma must be an integer, got 8.000001\n" in capsys.readouterr().err
 
 
 class TestSolveMode:
@@ -375,6 +386,23 @@ class TestSolveMode:
         back = np.loadtxt(tmp_path / "state.csv", delimiter=",", skiprows=1)
         assert np.array_equal(back, table)
         assert np.signbit(back[0, 2])
+
+    @pytest.mark.parametrize("coords", [
+        # repeated coordinates (formatted once and gathered), -0.0 and 0.0 in each column
+        [[0.0, -0.0], [-0.0, 0.0], [1.0 / 3.0, -0.0], [0.0, 0.0],
+         [-1.0 / 3.0, 1e-300], [-0.0, -1e-300], [1.0 / 3.0, 1e-300]],
+        # more distinct values than rows (one formatting pass)
+        [[0.0, -0.0], [-0.0, 0.0], [1.0 / 3.0, -2.0], [0.5, 0.25],
+         [-1.0 / 3.0, 1e-300], [-0.5, -1e-300], [0.75, 3.0]],
+    ], ids=["gathered", "one-pass"])
+    def test_state_csv_keeps_signed_zero_coordinates(self, tmp_path, coords):
+        coords = np.array(coords)
+        u = np.array([-0.0, 0.0, 1.5, -2.0 / 3.0, 1e300, -0.0, 7.0])
+        cli._write_state_csv(str(tmp_path / "state.csv"), SimpleNamespace(dof_coords=coords), u)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack([coords, u]), fmt="%.17g",
+                   delimiter=",", header="x,y,u", comments="")
+        assert (tmp_path / "state.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "state.csv").read_text().splitlines()[1:3] == ["0,-0,-0", "-0,0,0"]
 
     def test_manifest_records_versions_and_threads(self, tmp_path, monkeypatch):
         import platform

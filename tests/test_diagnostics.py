@@ -6,6 +6,7 @@ import pytest
 from prescurv.diagnostics import (
     TEST_RATIOS,
     HolomorphicField,
+    _centroids,
     blowup_monitor,
     boundary_projection_tv,
     holomorphic_field,
@@ -332,6 +333,21 @@ class TestMassMeasures:
             halfdisk4.vertices[tri].mean(axis=0) for tri in halfdisk4.triangles])
         near = np.linalg.norm(cents, axis=1) <= 1.0
         assert mm.interior_density[near].sum() > 0.95
+
+    def test_gathers_match_row_gathers(self, annulus3):
+        # per-coordinate and nodal gathers replace the (T, 3, ...) row
+        # gathers bit for bit; u reaches past the exp clamp at one dof
+        prob = Problem(annulus3, CurvatureSpec(K=lambda x, y, s: -1.0 - 0.1 * x,
+                                               h=[2.0, -3.0], K_bg=0.0))
+        x, y = annulus3.dof_coords.T
+        u = 0.3 * np.sin(3 * x) + 0.1 * y
+        u[5] = 800.0
+        tris = annulus3.vertex_dof[annulus3.triangles]
+        old = (annulus3.tri_areas / 3.0) * (
+            (-prob.K_dof[tris]) * exp_lumped(u[tris])[0]).sum(axis=1)
+        assert np.array_equal(mass_measures(prob, u).interior_masses, old)
+        assert np.array_equal(_centroids(annulus3),
+                              annulus3.vertices[annulus3.triangles].mean(axis=1))
 
     def test_zero_mass_rejected(self, annulus3):
         prob = Problem(annulus3, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=0.0))

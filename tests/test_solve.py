@@ -220,13 +220,35 @@ class TestKrylovNewton:
         assert sizes.count(prob.n_dof) == 0
         assert all(e["linear"] == "minres" for e in rep.line_search_trace)
 
-    def test_iterations_do_not_grow_with_level(self):
+    def test_iterations_do_not_grow_with_level(self, monkeypatch):
         for level in (2, 3, 4):
-            rep = minimize(cylinder_problem(h=0.5, K_bg=-1.0, level=level), tol=1e-10)
+            prob = cylinder_problem(h=0.5, K_bg=-1.0, level=level)
+            # on radial states the Hessian's own symbol is its exact inverse
+            radial = minimize(prob, tol=1e-10)
+            assert radial.converged, radial.message
+            assert all(e["linear"] == "minres" and e["krylov_its"] == 1
+                       for e in radial.line_search_trace), (level, radial.line_search_trace)
+            # with that path off B preconditions every step, to the same iterates
+            with monkeypatch.context() as m:
+                m.setattr(solve, "_fourier_solver", lambda sym: None)
+                rep = minimize(prob, tol=1e-10)
             assert rep.converged, rep.message
             its = [e["krylov_its"] for e in rep.line_search_trace]
             assert all(e["linear"] == "minres" for e in rep.line_search_trace)
-            assert 0 < max(its) <= 10, (level, its)
+            assert 1 < max(its) <= 10, (level, its)
+            assert rep.iterations == radial.iterations
+            assert np.max(np.abs(rep.state - radial.state)) < 1e-12
+
+    def test_preconditioner_follows_rotation_invariance(self):
+        prob = saddle_problem(level=3)
+        low, u1 = relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0), eps=0.05)
+        # the low endpoint descends from a constant: radial throughout
+        assert all(e["krylov_its"] == 1 for e in low.line_search_trace)
+        rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-8)
+        assert rep.converged
+        # the saddle concentrates at a boundary point, so B preconditions it
+        steps = [e for e in rep.line_search_trace if "linear" in e]
+        assert steps and all(e["linear"] == "minres" and e["krylov_its"] > 1 for e in steps)
 
     @staticmethod
     def _stalled(A, b, **kwargs):
