@@ -67,7 +67,7 @@ from .exact import (
     strip_profile,
 )
 from .fields import CurvatureSpec, Field, background_for, eval_h, eval_K, regime_classify
-from .solve import PathCollapseError, continuation, minimize, nested
+from .solve import PathCollapseError, SolveReport, continuation, minimize, nested
 from .spectral import disk_form_report, morse_index
 
 MODES = ("solve", "classify", "spectrum", "exact-sweep", "blowup",
@@ -512,6 +512,14 @@ def _solve_problem(cfg: ExperimentConfig) -> tuple[Problem, list]:
                               blowup_threshold=s["blowup_threshold"])
 
 
+def _final_solve(cfg: ExperimentConfig) -> tuple[Problem, SolveReport]:
+    """The configured solve's last report, stating on stderr why it failed."""
+    prob, reports = _solve_problem(cfg)
+    if not reports[-1].converged:
+        print(f"solver failure: {reports[-1].message}", file=sys.stderr)
+    return prob, reports[-1]
+
+
 # -- mode runners -------------------------------------------------------------
 
 
@@ -576,8 +584,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
         solve_summary = {"state": "family", "parameter": params[-1]}
         code = 0
     else:
-        prob, reports = _solve_problem(cfg)
-        rep = reports[-1]
+        prob, rep = _final_solve(cfg)
         u, eps = rep.state, rep.eps
         solve_summary = {"state": "solve", "converged": rep.converged,
                          "residual_norm": rep.residual_norm}
@@ -629,12 +636,10 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
         prob, u, _ = _family_state(cfg.mesh, family, keys, params[-1])
         source = {"state": "family", "parameter": params[-1]}
     else:
-        prob, reports = _solve_problem(cfg)
-        rep = reports[-1]
+        prob, rep = _final_solve(cfg)
         u = rep.state
         source = {"state": "solve", "converged": rep.converged}
-        if not rep.converged:
-            code = 2
+        code = 0 if rep.converged else 2
     fields = {}
     names = [t.strip() for t in extra.get("fields", "position").split(",")]
     for name in names:

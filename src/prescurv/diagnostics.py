@@ -15,8 +15,8 @@ Four instruments, all pure functions of a state and its problem data:
     2 Re F'.  Boundary gradients are reconstructed by quadratic
     least-squares fits on two-ring vertex patches (the raw one-sided
     P1 gradient would cap the convergence order at one), applied as one
-    sparse recovery operator cached per mesh and dof set; tangential
-    derivatives come from centered differences along the arc.
+    sparse recovery operator over every component's path, cached per
+    mesh; tangential derivatives come from centered differences.
   * ``HolomorphicField`` evaluates F and F' together from one Laurent
     series.  ``position_field`` is the dilation F = z, and
     ``holomorphic_field`` builds F(z) = i z G(z) from a real
@@ -44,7 +44,7 @@ their suprema reach any fixed magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,6 +210,16 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray, dofs: np.ndarray) -> np.ndarra
 # -- Pohozaev balance --------------------------------------------------------
 
 
+def _p1_gradients(mesh: Mesh, *nodal: np.ndarray) -> list[np.ndarray]:
+    """Per-triangle gradients gx + i gy of the P1 fields ``nodal``: vertex r
+    weighs its opposite edge, turned by -90 degrees (times -i), over 2|T|."""
+    tri, z = mesh.triangles, mesh.vertices.view(complex).ravel()
+    dofs = [mesh.vertex_dof[tri[:, r]] for r in range(3)]
+    edges = [z[tri[:, (r + 1) % 3]] - z[tri[:, (r + 2) % 3]] for r in range(3)]
+    scale = -0.5j / mesh.tri_areas
+    return [scale * sum(f[d] * e for d, e in zip(dofs, edges)) for f in nodal]
+
+
 @dataclass
 class PohozaevReport:
     """Two sides of the domain-variation balance and their mismatch."""
@@ -230,11 +240,9 @@ def pohozaev_report(prob: Problem, u: np.ndarray, field: HolomorphicField) -> Po
     # is e^{u_a/2} e^{u_b/2}.  The linear K_bg term takes the slot sum of F.
     tri, K = mesh.triangles, prob.K_dof
     tris = mesh.vertex_dof[tri]
-    grads = prob.ops.grads
-    wx, wy = np.einsum("ti,tik->kt", u[tris], grads)
-    gKx, gKy = np.einsum("ti,tik->kt", K[tris], grads)
-    eh = exp_lumped(u)[1]
     vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    (wx, wy), (gKx, gKy) = ((g.real, g.imag) for g in _p1_gradients(mesh, u, K))
+    eh = exp_lumped(u)[1]
     F_sum, vals = 0.0, 0.0
     for s, t in ((0, 1), (1, 2), (2, 0)):
         F, dF = field.values(0.5 * (vx[tri[:, s]] + vx[tri[:, t]]),
@@ -246,16 +254,15 @@ def pohozaev_report(prob: Problem, u: np.ndarray, field: HolomorphicField) -> Po
     vals = 4.0 * prob.spec.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
     interior = float((mesh.tri_areas / 3.0) @ vals)
 
-    # boundary side, trapezoid over each component with recovered normals
+    # boundary side, trapezoid over each component with normals from one
+    # recovery along every component's path
+    paths = [mesh.vertex_dof[comp.verts] for comp in mesh.components]
+    grads = np.split(recovered_gradient(mesh, u, np.concatenate(paths)),
+                     np.cumsum([len(d) for d in paths])[:-1])
     boundary_terms = []
-    for c, comp in enumerate(mesh.components):
-        dofs = mesh.vertex_dof[comp.verts]
+    for c, (comp, dofs, g) in enumerate(zip(mesh.components, paths, grads)):
         upath = u[dofs]
         dtau = tangential_derivative(mesh, c, upath)
-        uniq = dofs[:-1] if comp.closed else dofs
-        g = recovered_gradient(mesh, u, uniq)
-        if comp.closed:
-            g = np.vstack([g, g[:1]])
         dnu = np.einsum("ik,ik->i", g, comp.normals)
         grad = dtau[:, None] * comp.tangents + dnu[:, None] * comp.normals
         pts = mesh.vertices[comp.verts]
@@ -381,19 +388,9 @@ class BlowupCandidate:
         return self.local_boundary_mass - self.local_interior_mass
 
     def as_dict(self) -> dict:
-        return {
-            "component": self.component,
-            "x": float(self.coords[0]),
-            "y": float(self.coords[1]),
-            "arc_s": self.arc_s,
-            "D": self.D,
-            "D_tau": self.D_tau,
-            "cluster_size": self.cluster_size,
-            "whole_component": self.whole_component,
-            "local_interior_mass": self.local_interior_mass,
-            "local_boundary_mass": self.local_boundary_mass,
-            "mass_gap": self.mass_gap,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "coords"}
+        return {**out, "x": float(self.coords[0]), "y": float(self.coords[1]),
+                "mass_gap": self.mass_gap}
 
 
 @dataclass
@@ -416,22 +413,10 @@ class BlowupDiagnostics:
     window: float
 
     def as_dict(self) -> dict:
-        return {
-            "sup_u": self.sup_u,
-            "inf_u": self.inf_u,
-            "interior_max": self.interior_max,
-            "diverging": self.diverging,
-            "bounded_mass": self.bounded_mass,
-            "candidates": [c.as_dict() for c in self.candidates],
-            "concentration": [float(v) for v in self.concentration],
-            "far_fractions": [float(v) for v in self.far_fractions],
-            "tv_projection": self.tv_projection,
-            "d_geq_one": self.d_geq_one,
-            "d_tau_zero": self.d_tau_zero,
-            "interior_vanishing": self.interior_vanishing,
-            "interior_breach": self.interior_breach,
-            "window": self.window,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "candidates": [c.as_dict() for c in self.candidates],
+                "concentration": [float(v) for v in self.concentration],
+                "far_fractions": [float(v) for v in self.far_fractions]}
 
 
 def _clusters(mask: np.ndarray, closed: bool) -> list[np.ndarray]:
@@ -596,18 +581,6 @@ class TestFunctionCurve:
     min_d_component: float
     q2: float
 
-    @property
-    def dirichlet_slope(self) -> np.ndarray:
-        return self.dirichlet * self.delta
-
-    @property
-    def area_slope(self) -> np.ndarray:
-        return self.area * self.delta
-
-    @property
-    def boundary_slope(self) -> np.ndarray:
-        return self.boundary * self.delta
-
     def extracted_slopes(self, tail: int = 4) -> dict[str, float]:
         """Fit the 1/delta coefficient of each term over the last rows.
 
@@ -632,18 +605,10 @@ class TestFunctionCurve:
     def rows(self) -> list[dict]:
         out = []
         for i in range(len(self.mu)):
-            out.append({
-                "mu": float(self.mu[i]),
-                "delta": float(self.delta[i]),
-                "dirichlet": float(self.dirichlet[i]),
-                "area": float(self.area[i]),
-                "boundary": float(self.boundary[i]),
-                "background": float(self.background[i]),
-                "energy": float(self.energy[i]),
-                "dirichlet_slope": float(self.dirichlet_slope[i]),
-                "area_slope": float(self.area_slope[i]),
-                "boundary_slope": float(self.boundary_slope[i]),
-            })
+            row = {name: float(getattr(self, name)[i]) for name in
+                   ("mu", "delta", "dirichlet", "area", "boundary", "background", "energy")}
+            out.append({**row, **{f"{name}_slope": row[name] * row["delta"]
+                                  for name in ("dirichlet", "area", "boundary")}})
         return out
 
 

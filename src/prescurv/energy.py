@@ -24,24 +24,25 @@ with the data map of :func:`prescurv.fields.perturb`, which is what
 transfers Morse-index bounds from the relaxed problems to the original
 one along a continuation run.
 
-S is assembled from one weight grad phi_a . grad phi_b |T| per triangle
-edge (a, b), its diagonal from its zero row sums; weights that vanish
-exactly (the cylinder's right angles) are not stored.  Every other
-matrix is ``scale * S + diag(d)``, the H1 Gram matrix ``B = S +
-diag(w_int)`` and each Hessian, written into a copy of S's values at
+S is written straight as CSR from the cells of the logical grid: the
+edge weights -cot/2 of each cell's two triangles fill a fixed 7-point
+stencil (5 points on the cylinder), the diagonal is minus the row sum.
+Every other matrix is ``scale * S + diag(d)``, the H1 Gram matrix ``B =
+S + diag(w_int)`` and each Hessian, written into a copy of S's values at
 the cached positions of its diagonal (:meth:`Operators.plus_diagonal`).
 
 On the periodic grids of the cylinder and the annulus (dofs ``j * n +
-i``, i periodic), :func:`circulant_symbol` reads S's Fourier mode blocks
-once per mesh; the symbol of ``scale * S + diag(d)`` is ``scale`` times
-it plus the mean of d over i (:meth:`Operators.symbol`).  An rfft along
-i then splits B into Hermitian positive definite tridiagonal mode
-blocks (Hockney 1965; Buzbee, Golub & Nielson 1970), stacked into one
-tridiagonal matrix that LAPACK's ``zpttrf`` factors once (L D L^H) and
-``zpttrs`` solves.  The half-disk, a B off its symbol or a mode block
-that is not positive definite goes to SuperLU.  The same symbols give
-the Morse counts of :mod:`prescurv.spectral` and the Newton
-preconditioner of :mod:`prescurv.solve` on rotation-invariant states.
+i``, i periodic), S's Fourier symbol is read off the stencil: the ring
+means over i of each slot, whose departure bounds a row sum; the symbol
+of ``scale * S + diag(d)`` is ``scale`` times it plus the mean of d over
+i (:meth:`Operators.symbol`).  An rfft along i then splits B into
+Hermitian positive definite tridiagonal mode blocks (Hockney 1965;
+Buzbee, Golub & Nielson 1970), stacked into one tridiagonal matrix that
+LAPACK's ``zpttrf`` factors once (L D L^H) and ``zpttrs`` solves.  The
+half-disk, a B off its symbol or a mode block that is not positive
+definite goes to SuperLU.  The same symbols give the Morse counts of
+:mod:`prescurv.spectral` and the Newton preconditioner of
+:mod:`prescurv.solve` on rotation-invariant states.
 """
 
 from __future__ import annotations
@@ -84,29 +85,24 @@ class CirculantSymbol:
     norm: float
 
 
-def circulant_symbol(A: sp.spmatrix, mesh: Mesh) -> Optional[CirculantSymbol]:
-    """The Fourier mode blocks of A on ``mesh.grid``, or None where the
-    grid is not periodic, its dofs are not exactly ``arange(m * n)``
-    reshaped to (m, n), or A couples dofs more than one grid step apart."""
-    D = mesh.vertex_dof[mesh.grid].T  # (j, i) -> dof
-    m, n = D.shape[0], D.shape[1] - 1
-    if not (np.array_equal(D[:, -1], D[:, 0])
-            and np.array_equal(D[:, :-1], np.arange(m * n).reshape(m, n))):
-        return None
-    coo = A.tocoo()
-    (j, i), (jc, ic) = np.divmod(coo.row, n), np.divmod(coo.col, n)
-    di, dj = (ic - i + 1) % n - 1, jc - j
-    if np.abs(di).max() > 1 or np.abs(dj).max() > 1:
-        return None
-    # band[di, j, dj, i] = A[(i, j), (i + di, j + dj)]; the symbol is its mean over i
-    band = np.zeros((3, m, 3, n))
-    band[di + 1, j, dj + 1, i] = coo.data
-    c = band.mean(axis=3)
-    departure = float(np.abs(band - c[..., None]).sum(axis=(0, 2)).max())
+# stencil slots (di, dj): row (i, j) couples to (i + di, j + dj).  Each
+# grid cell is cut along (i, j)-(i+1, j+1), so no other pair shares a
+# triangle; for dofs j * n + i this is ascending column order
+SLOTS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+CENTRE = SLOTS.index((0, 0))
+
+
+def _stencil_symbol(W: np.ndarray) -> CirculantSymbol:
+    """Symbol of the stencil ``W[slot, j, i]`` of a grid periodic in i:
+    the ring means of each slot, with their departure bounding a row sum."""
+    c, n = W.mean(axis=2), W.shape[2]
     w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
-    # blocks[j, dj, k]: sum over di of c[di, j, dj] w_k^di
-    blocks = c[1][..., None] + c[2][..., None] * w + c[0][..., None] * w.conj()
-    return CirculantSymbol(n, blocks, departure, float(np.abs(c).sum(axis=(0, 2)).max()))
+    blocks = np.zeros((W.shape[1], 3, len(w)), dtype=complex)
+    departure = np.zeros(W.shape[1:])
+    for s, (di, dj) in enumerate(SLOTS):  # blocks[j, dj + 1, k] sums c[s, j] w_k^di
+        blocks[:, dj + 1] += c[s][:, None] * {-1: w.conj(), 0: 1.0, 1: w}[di]
+        departure += np.abs(W[s] - c[s][:, None])
+    return CirculantSymbol(n, blocks, float(departure.max()), float(np.abs(c).sum(axis=0).max()))
 
 
 def _fourier_solver(sym: Optional[CirculantSymbol]):
@@ -144,15 +140,15 @@ class Operators:
     length).  ``B = S + diag(w_int)`` is the H1 Gram matrix of dual norms
     and, through the cached solver of :meth:`solve_B`, the
     preconditioner of MINRES Newton steps away from rotation-invariant
-    states.  ``grads[t, i]`` is the constant gradient of the i-th
-    barycentric function on triangle t.
+    states.  ``S_symbol``, read from S's stencil on periodic grids, is its
+    Fourier symbol; without one (the half-disk) B goes to SuperLU.
     """
 
     mesh: Mesh
     S: sp.csr_matrix
     w_int: np.ndarray
     wb: list[np.ndarray]
-    grads: np.ndarray
+    S_symbol: Optional[CirculantSymbol] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -174,19 +170,17 @@ class Operators:
         return sp.csr_matrix((data, self.S.indices, self.S.indptr), shape=self.S.shape)
 
     def symbol(self, scale: float, d: np.ndarray) -> Optional[CirculantSymbol]:
-        """Symbol of ``scale * S + diag(d)``: S's, read once per mesh, times
-        ``scale`` plus the mean d_bar of d over i, with departure at most
-        ``scale * eta_S + max |d - d_bar|`` (triangle inequality).  None off
-        periodic grids, or where d varies along i by more than
+        """Symbol of ``scale * S + diag(d)``: ``S_symbol`` times ``scale``
+        plus the mean d_bar of d over i, with departure at most ``scale *
+        eta_S + max |d - d_bar|`` (triangle inequality).  None without
+        ``S_symbol``, or where d varies along i by more than
         ``CIRCULANT_RTOL`` relative (states that are not rotation invariant).
 
         It has three consumers: B^{-1} (:meth:`solve_B`), the MINRES
         preconditioner of Newton steps (``solve._newton_direction``, the
         shifted Hessian's symbol) and the Sturm count of Morse indices
         (``spectral._fourier_count``)."""
-        if "symbol" not in self._cache:
-            self._cache["symbol"] = circulant_symbol(self.S, self.mesh)
-        sym = self._cache["symbol"]
+        sym = self.S_symbol
         if sym is None:
             return None
         dd = d.reshape(len(sym.blocks), sym.n)
@@ -216,49 +210,96 @@ class Operators:
         """H1-dual norm sqrt(r^T B^{-1} r) of a residual covector."""
         return float(np.sqrt(max(r @ self.solve_B(r), 0.0)))
 
-    def boundary_integral(self, vals: np.ndarray, component: Optional[int] = None) -> float:
-        if component is not None:
-            return float(self.wb[component] @ vals)
+    def boundary_integral(self, vals: np.ndarray) -> float:
         return float(sum(w @ vals for w in self.wb))
 
 
-def assemble(mesh: Mesh) -> Operators:
-    """Stiffness, interior and boundary quadrature weights in dof indexing."""
-    dof = mesh.vertex_dof
-    tris = dof[mesh.triangles]
-    areas = mesh.tri_areas
-    if areas.min() <= 0:
+def _cot_weights(p, q, r):
+    """Weights grad phi_a . grad phi_b |T| = -cot(opposite angle) / 2 of the
+    edges qr, rp, pq of triangles (p, q, r) of complex points; twice the areas."""
+    ep, eq, er = r - q, p - r, q - p  # the edge opposite each vertex
+    two_area = np.abs((er.conj() * eq).imag)
+    if two_area.min() <= 0:
         raise ValueError("degenerate triangle in mesh")
-    n = mesh.n_dof
+    return (*((e * f.conj()).real / (2.0 * two_area) for e, f in ((eq, er), (er, ep), (ep, eq))),
+            two_area)
 
-    # P1 stiffness: the gradient of barycentric k is the edge (a, b) = (k + 1,
-    # k + 2) opposite vertex k turned by +90 degrees, over 2|T|, and the
-    # weight of that edge is grad phi_a . grad phi_b |T|
-    a, b = [1, 2, 0], [2, 0, 1]
-    x, y = mesh.vertices[:, 0][mesh.triangles], mesh.vertices[:, 1][mesh.triangles]
-    two_area = (2 * areas)[:, None]
-    gx, gy = (y[:, a] - y[:, b]) / two_area, (x[:, b] - x[:, a]) / two_area
-    grads = np.empty(gx.shape + (2,))
-    grads[..., 0], grads[..., 1] = gx, gy
-    w = ((gx[:, a] * gx[:, b] + gy[:, a] * gy[:, b]) * areas[:, None]).ravel()
-    ta, tb = tris[:, a].ravel(), tris[:, b].ravel()
-    keep = w != 0.0  # right angles couple nothing
-    upper = sp.coo_matrix((w[keep], (np.minimum(ta, tb)[keep], np.maximum(ta, tb)[keep])),
-                          shape=(n, n)).tocsr().tocoo()
-    diag = -(np.bincount(upper.row, upper.data, n) + np.bincount(upper.col, upper.data, n))
-    idx = np.arange(n)  # S = upper + upper^T + diag: exactly symmetric, zero row sums
-    S = sp.csr_matrix((np.concatenate([upper.data, upper.data, diag]),
-                       (np.concatenate([upper.row, upper.col, idx]),
-                        np.concatenate([upper.col, upper.row, idx]))), shape=(n, n))
 
-    w_int = np.bincount(tris.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=n)
+def assemble(mesh: Mesh) -> Operators:
+    """Stiffness, interior and boundary quadrature weights in dof indexing,
+    written from the cells of the logical grid ``mesh.grid``."""
+    g = mesh.grid.T  # (j, i) -> vertex
+    G = mesh.vertex_dof[g]
+    fan = bool((G[0] == G[0, 0]).all())  # the half-disk's grid row 0 is its centre
+    seam = bool((G[:, -1] == G[:, 0]).all())  # column n twins column 0
+    (m, ni), lo = (G.shape[0], G.shape[1] - 1), int(fan)
+    n = ni if seam else ni + 1  # dof columns
+    D = G[:, :n].astype(np.int32)
+    if not np.array_equal(np.concatenate([D[0, :1], D[1:].ravel()]) if fan else D.ravel(),
+                          np.arange(mesh.n_dof)):
+        raise ValueError("dofs are not numbered j * n + i along the grid")
 
-    wb = []
-    for comp in mesh.components:
-        half = 0.5 * comp.edge_lengths
-        wb.append(np.bincount(np.concatenate([dof[comp.verts[:-1]], dof[comp.verts[1:]]]),
-                              weights=np.concatenate([half, half]), minlength=n))
-    return Operators(mesh=mesh, S=S, w_int=w_int, wb=wb, grads=grads)
+    # cell (i, j) holds the lower triangle (a, b, c) = (i, j), (i+1, j),
+    # (i+1, j+1) and the upper one (a, c, d), d = (i, j+1); the fan's lower
+    # triangles are points
+    z = mesh.vertices.view(complex).ravel()[g]
+    a, b, c, d = z[:-1, :-1], z[:-1, 1:], z[1:, 1:], z[1:, :-1]
+    bc, ca, ab, two_lower = _cot_weights(a[lo:], b[lo:], c[lo:])
+    cd, da, ac, two_upper = _cot_weights(a, c, d)
+
+    # edge weights at their lower-left point, along i, along j and along
+    # the cut; 0 where there is no edge
+    H, V, X = np.zeros((3, m, n))
+    H[1:, :ni], V[:-1, :ni], X[:-1, :ni] = cd, da, ac
+    H[lo:-1, :ni] += ab
+    V[lo:-1, (np.arange(ni) + 1) % n] += bc  # the seam folds column n onto 0
+    X[lo:-1, :ni] += ca
+    edges = {(1, 0): H, (0, 1): V, (1, 1): X}
+    # W[slot, j, i]: the stencil of row (i, j), C its columns; a slot is kept
+    # where the neighbour exists (ok padded by points that are none), unless
+    # every weight of its direction is exactly 0 (the cylinder's cut)
+    W, C = np.zeros((len(SLOTS), m, n)), np.empty((len(SLOTS), m, n), dtype=D.dtype)
+    keep = np.empty(W.shape, dtype=bool)
+    ok = np.pad(np.ones((m, n), dtype=bool), ((0, 1), (0, 1 - seam)))
+    for s, (di, dj) in enumerate(SLOTS):
+        C[s] = np.roll(D, (-dj, -di), axis=(0, 1))
+        if s != CENTRE:
+            E = edges[abs(di), abs(dj)]
+            W[s] = E if di + dj > 0 else np.roll(E, (-dj, -di), axis=(0, 1))
+        keep[s] = np.roll(ok, (-dj, -di), axis=(0, 1))[:m, :n] & (s == CENTRE or W[s].any())
+    if fan:  # ring 1 meets the centre through slots (-1, -1) and (0, -1): one spoke
+        W[1, 1] += W[0, 1]
+        W[0, 1], keep[0, 1] = 0.0, False
+    W[CENTRE] = -W.sum(axis=0)
+    symbol = _stencil_symbol(W) if seam else None
+
+    if seam:  # a wrapped neighbour sorts last (column 0) or first (column n - 1) in its j
+        for i in (0, n - 1):
+            order = sorted(range(len(SLOTS)), key=lambda s: (SLOTS[s][1], (i + SLOTS[s][0]) % n))
+            for Y in (W, C, keep):
+                Y[:, :, i] = Y[order, :, i]
+    # rows in dof order, the fan's centre first (its diagonal, then the spokes)
+    Wr, Cr, kr = (np.moveaxis(Y[:, lo:], 0, -1) for Y in (W, C, keep))  # [j, i, slot]
+    data, indices, counts = Wr[kr], Cr[kr], keep[:, lo:].sum(axis=0).ravel()
+    if fan:
+        data = np.concatenate([[-W[1, 1].sum()], W[1, 1], data])
+        indices = np.concatenate([D[0, :1], D[1], indices])
+        counts = np.concatenate([[n + 1], counts])
+    S = sp.csr_matrix((data, indices, np.concatenate([[0], np.cumsum(counts)]).astype(D.dtype)),
+                      shape=(mesh.n_dof, mesh.n_dof))
+
+    # vertex rule: a third of each triangle's area at each of its corners
+    third = np.zeros(g.shape)
+    for two_area, first, corners in ((two_lower, lo, ((0, 0), (0, 1), (1, 1))),
+                                     (two_upper, 0, ((0, 0), (1, 1), (1, 0)))):
+        for dj, di in corners:
+            third[first + dj:first + dj + len(two_area), di:di + ni] += two_area / 6.0
+    w_int = np.bincount(G.ravel(), third.ravel(), mesh.n_dof)
+
+    wb = [np.bincount(mesh.vertex_dof[np.concatenate([comp.verts[:-1], comp.verts[1:]])],
+                      np.tile(0.5 * comp.edge_lengths, 2), mesh.n_dof)
+          for comp in mesh.components]
+    return Operators(mesh=mesh, S=S, w_int=w_int, wb=wb, S_symbol=symbol)
 
 
 @dataclass
@@ -407,6 +448,3 @@ class Problem:
         """Quadrature of h e^{u/2} along each boundary component."""
         _, ehalf, _ = exp_lumped(np.asarray(u, dtype=float))
         return [float(bh @ ehalf) for bh in self._bh]
-
-    def dual_norm(self, r: np.ndarray) -> float:
-        return self.ops.dual_norm(r)

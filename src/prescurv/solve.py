@@ -49,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -106,24 +106,13 @@ class SolveReport:
         return float(self.state.max())
 
     def as_dict(self) -> dict:
-        """Everything but the state, which goes to its own file."""
-        return {
-            "method": self.method,
-            "eps": self.eps,
-            "converged": self.converged,
-            "blowup_flag": self.blowup_flag,
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "gauss_bonnet": self.gauss_bonnet,
-            "sup": self.sup,
-            "energy": asdict(self.energy),
-            "morse_index": self.morse_index,
-            "message": self.message,
-            "line_search_trace": self.line_search_trace,
-            # wall seconds stay out so that reruns write identical reports
-            "levels": [{k: v for k, v in entry.items() if k != "seconds"}
-                       for entry in self.levels],
-        }
+        """Everything but the state, which goes to its own file, and the path."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("state", "path")}
+        return {**out, "sup": self.sup, "energy": asdict(self.energy),
+                # wall seconds stay out so that reruns write identical reports
+                "levels": [{k: v for k, v in entry.items() if k != "seconds"}
+                           for entry in self.levels]}
 
 
 def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarray,
@@ -161,7 +150,7 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
                               callback=lambda _x: its.append(1))
     except ValueError:  # a preconditioner inner product fell below zero in rounding
         d, info = None, -1
-    if info == 0 and acceptable(d) and prob.dual_norm(Hs @ d + g) <= KRYLOV_ACCEPT * res:
+    if info == 0 and acceptable(d) and prob.ops.dual_norm(Hs @ d + g) <= KRYLOV_ACCEPT * res:
         return d, sigma, {"linear": "minres", "krylov_its": len(its)}
     for _ in range(SIGMA_TRIES):
         Hs = prob.ops.plus_diagonal(scale, diag + sigma * w)
@@ -193,7 +182,7 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
     blow = False
     message = ""
     g = prob.gradient(u, eps)
-    res = prob.dual_norm(g)
+    res = prob.ops.dual_norm(g)
     it = 0
     for it in range(max_iter):
         if res < tol:
@@ -225,7 +214,7 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
             # decrements fall below the floating point floor
             for bt in range(MAX_BACKTRACKS):
                 g_trial = prob.gradient(u + t * d, eps)
-                res_trial = prob.dual_norm(g_trial)
+                res_trial = prob.ops.dual_norm(g_trial)
                 if res_trial < (1.0 - ARMIJO_C * t) * res:
                     ok = True
                     break
@@ -243,7 +232,7 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
         sigma = 0.0 if t == 1.0 or sigma < 1e-14 else 0.5 * sigma
         if mode == "armijo":
             g = prob.gradient(u, eps)
-            res = prob.dual_norm(g)
+            res = prob.ops.dual_norm(g)
         else:
             g, res = g_trial, res_trial
         if u.max() > blowup_threshold:
@@ -362,7 +351,7 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
             "path maximum lies at the endpoint level: no pass between the endpoints")
     k = 1 + int(np.argmax(energies[1:-1]))
     trace = [{"sweep": 0, "max_index": k, "level": energies[k],
-              "residual": prob.dual_norm(prob.gradient(pts[k], eps))}]
+              "residual": prob.ops.dual_norm(prob.gradient(pts[k], eps))}]
     polished = newton_polish(prob, pts[k], eps=eps, tol=tol,
                              blowup_threshold=blowup_threshold)
     return SolveReport(
@@ -399,7 +388,7 @@ def _constant_start(prob: Problem, eps: float) -> float:
             return 2.0 * math.log(x)
     raise RuntimeError(
         f"no constant minimizes the relaxed energy at eps={eps:g}: E'(c) ="
-        f" {a:.6g} x^2 - {2 * H:.6g} x + {c0:.6g}, x = e^(c/2), has no positive root")
+        f" {a:.6g} x^2 {-2 * H:+.6g} x {c0:+.6g}, x = e^(c/2), has no positive root")
 
 
 def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,

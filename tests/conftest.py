@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from prescurv.domain import CIRCUMFERENCE
+from prescurv.energy import CirculantSymbol
 
 settings.register_profile(
     "ci",
@@ -29,3 +32,46 @@ def analytic_geometry(spec):
 def analytic():
     """:func:`analytic_geometry`, for tests that compare meshes with it."""
     return analytic_geometry
+
+
+def reference_stiffness(mesh):
+    """Per-triangle 9-entry P1 stiffness assembly and the barycentric
+    gradients ``grads[t, k]``, as a check on the grid assembly."""
+    tris = mesh.vertex_dof[mesh.triangles]
+    p = mesh.vertices[mesh.triangles]
+    areas = mesh.tri_areas
+    e0, e1, e2 = p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]
+    grads = np.stack([e0, e1, e2], axis=1)[:, :, ::-1] * np.array([-1.0, 1.0])
+    grads /= (2 * areas)[:, None, None]
+    gx, gy = grads[..., 0], grads[..., 1]
+    local = ((gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+             * areas[:, None, None])
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    on = local.ravel() != 0.0  # a right angle couples nothing
+    S = sp.coo_matrix((local.ravel()[on], (rows[on], cols[on])), shape=(mesh.n_dof, mesh.n_dof))
+    return S.tocsr(), grads
+
+
+def reference_symbol(A, mesh):
+    """The Fourier mode blocks of any sparse A on ``mesh.grid``, from its
+    COO entries, or None where the grid is not periodic, its dofs are not
+    ``j * n + i`` or A couples dofs more than one grid step apart."""
+    D = mesh.vertex_dof[mesh.grid].T  # (j, i) -> dof
+    m, n = D.shape[0], D.shape[1] - 1
+    if not (np.array_equal(D[:, -1], D[:, 0])
+            and np.array_equal(D[:, :-1], np.arange(m * n).reshape(m, n))):
+        return None
+    coo = A.tocoo()
+    (j, i), (jc, ic) = np.divmod(coo.row, n), np.divmod(coo.col, n)
+    di, dj = (ic - i + 1) % n - 1, jc - j
+    if np.abs(di).max() > 1 or np.abs(dj).max() > 1:
+        return None
+    # band[di, j, dj, i] = A[(i, j), (i + di, j + dj)]; the symbol is its mean over i
+    band = np.zeros((3, m, 3, n))
+    band[di + 1, j, dj + 1, i] = coo.data
+    c = band.mean(axis=3)
+    departure = float(np.abs(band - c[..., None]).sum(axis=(0, 2)).max())
+    w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    blocks = c[1][..., None] + c[2][..., None] * w + c[0][..., None] * w.conj()
+    return CirculantSymbol(n, blocks, departure, float(np.abs(c).sum(axis=(0, 2)).max()))

@@ -475,6 +475,29 @@ class TestSolveMode:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: no constant minimizes")
 
+    @pytest.mark.parametrize("mode", ["spectrum", "pohozaev"])
+    def test_failed_solve_states_its_reason(self, tmp_path, capsys, mode):
+        # a bubble at the mesh scale stops the nested minimize: the modes
+        # that report on the solved state exit 2 and say why on stderr
+        code, _ = run_cli(tmp_path, mode, """
+            [domain]
+            kind = annulus
+            r = 0.55
+            level = 1
+
+            [curvature]
+            K = -(2)
+            h = 0.2 + -0.079*sin(y) ; 2
+            background = flat
+
+            [solver]
+            method = minimize
+        """)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: sup grows by")
+        assert "a bubble at the mesh scale" in err
+
     def test_continuation_writes_stage_reports(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", CONTINUATION_CFG)
         assert code == 0

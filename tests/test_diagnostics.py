@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_stiffness
 from prescurv.diagnostics import (
     TEST_RATIOS,
     HolomorphicField,
@@ -236,7 +237,7 @@ class TestPohozaev:
         F = position_field() if coeffs is None else holomorphic_field(annulus3, *coeffs)
         tris = annulus3.vertex_dof[annulus3.triangles]
         pts = annulus3.vertices[annulus3.triangles]
-        grads = prob.ops.grads
+        grads = reference_stiffness(annulus3)[1]
         w = np.einsum("ti,tik->tk", u[tris], grads)
         gK = np.einsum("ti,tik->tk", prob.K_dof[tris], grads)
         terms = np.zeros(len(tris))
@@ -296,6 +297,46 @@ class TestPohozaev:
             res.append(abs(pohozaev_report(prob, u, position_field()).residual))
         orders = np.log2(np.array(res[:-1]) / res[1:])
         assert np.all(orders > 1.5)
+
+    # residuals of the gamma family at r = 0.5, h1 = 2, level 4: the
+    # position field and the holomorphic field of cos theta
+    GAMMA_L4 = {1: (0.0025696910300876397, 0.00045414819323105423),
+                2: (0.09428759820017163, None),
+                3: (0.949826957441747, None),
+                4: (3.9001250423783524, None)}
+
+    @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
+    def test_gamma_family_residuals_pinned(self, gamma):
+        mesh = build_mesh(DomainSpec("annulus", r=0.5, level=4))
+        prob = annulus_gamma_problem(mesh, gamma, 2.0)
+        u = annulus_gamma_state(mesh, gamma, 2.0)
+        position, holomorphic = self.GAMMA_L4[gamma]
+        assert pohozaev_report(prob, u, position_field()).residual == pytest.approx(
+            position, rel=1e-12)
+        res = pohozaev_report(prob, u, holomorphic_field(mesh, (0.0, 1.0))).residual
+        if holomorphic is None:  # both sides vanish by symmetry
+            assert res < 1e-12
+        else:
+            assert res == pytest.approx(holomorphic, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [DomainSpec("annulus", r=0.5, level=3),
+                                      DomainSpec("halfdisk", R=10.0, level=3, grade=2.0)],
+                             ids=["annulus", "halfdisk"])
+    def test_one_recovery_over_all_components(self, spec):
+        # one recovery operator serves every component's path, and each row
+        # is the one a recovery along that path alone gives, bit for bit
+        mesh = build_mesh(spec)
+        prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[1.0, 0.5], K_bg=0.0))
+        x, y = mesh.dof_coords.T
+        u = 0.3 * np.sin(3 * x) + 0.1 * y
+        pohozaev_report(prob, u, position_field())
+        assert sum(key[0] == "recovery" for key in mesh._cache) == 1
+        R = next(R for key, R in mesh._cache.items() if key[0] == "recovery")
+        fresh = build_mesh(spec)
+        alone = [recovered_gradient(fresh, u, fresh.vertex_dof[c.verts]) for c in fresh.components]
+        assert np.array_equal((R @ u).reshape(-1, 2), np.vstack(alone))
+        if spec.kind == "annulus":  # a closed path ends where it starts
+            assert all(np.array_equal(g[-1], g[0]) for g in alone)
 
     def test_holomorphic_zero_by_symmetry(self, annulus3):
         # cos th pairs with a rotation-symmetric state: both sides vanish

@@ -10,14 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from conftest import reference_stiffness, reference_symbol
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import (
     B_ORDERING,
+    CIRCULANT_RTOL,
     EnergyBreakdown,
     Operators,
     Problem,
     assemble,
-    circulant_symbol,
 )
 from prescurv.fields import CurvatureSpec, perturb
 
@@ -318,7 +319,10 @@ class TestSolveB:
         ops, n = assemble(mesh), mesh.n_dof
         rows, cols = ([0, n // 2], [n // 2, 0]) if far else ([5], [5])
         bump = sp.csr_matrix((np.full(len(rows), 1e-9), (rows, cols)), shape=(n, n))
-        ops = Operators(mesh, (ops.S + bump).tocsr(), ops.w_int, ops.wb, ops.grads)
+        S = (ops.S + bump).tocsr()
+        sym = reference_symbol(S, mesh)
+        assert (sym is None) == far
+        ops = Operators(mesh, S, ops.w_int, ops.wb, S_symbol=sym)
         sizes = self.counted_splu(monkeypatch)
         assert self.residual(ops, 3) <= 1e-11
         assert sizes == [n]
@@ -328,61 +332,81 @@ class TestSolveB:
         # block indefinite, so zpttrf stops on a nonpositive pivot
         mesh = build_mesh(DomainSpec("annulus", r=0.8, level=2))
         ops = assemble(mesh)
-        ops = Operators(mesh, ops.S, -ops.w_int, ops.wb, ops.grads)
+        ops = Operators(mesh, ops.S, -ops.w_int, ops.wb, S_symbol=ops.S_symbol)
         assert ops.symbol(1.0, ops.w_int) is not None
         sizes = self.counted_splu(monkeypatch)
         assert self.residual(ops, 4) <= 1e-10
         assert sizes == [mesh.n_dof]
 
     @pytest.mark.parametrize("numbering", ["rolled", "random"])
-    def test_other_numbering_factors(self, monkeypatch, numbering):
+    def test_other_numbering_is_rejected(self, numbering):
         # the same cylinder with dof j * n + i renumbered j * n + (i + 1) % n,
-        # which keeps every coupling one grid step long, or permuted at random
+        # which keeps every coupling one grid step long, or permuted at
+        # random: the grid assembly reads dof j * n + i off the grid
         mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
         j, i = np.divmod(np.arange(mesh.n_dof), 64)
         perm = (j * 64 + (i + 1) % 64 if numbering == "rolled"
                 else np.random.default_rng(5).permutation(mesh.n_dof))
         mesh = dataclasses.replace(mesh, vertex_dof=perm[mesh.vertex_dof], _cache={})
+        with pytest.raises(ValueError, match="numbered"):
+            assemble(mesh)
+
+    def test_off_symbol_geometry_factors(self, monkeypatch):
+        # one interior vertex of the cylinder moved by 1e-6: S leaves its
+        # ring means by far more than CIRCULANT_RTOL, so B goes to SuperLU
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
+        vertices = mesh.vertices.copy()
+        vertices[mesh.grid[5, 3]] += 1e-6
+        mesh = dataclasses.replace(mesh, vertices=vertices, _cache={})
         ops = assemble(mesh)
-        assert circulant_symbol(ops.S, mesh) is None
+        assert ops.S_symbol.departure > 1e-9 * ops.S_symbol.norm
         sizes = self.counted_splu(monkeypatch)
-        assert self.residual(ops, 6) <= 1e-11
+        assert self.residual(ops, 7) <= 1e-11
         assert sizes == [mesh.n_dof]
 
 
-def reference_stiffness(mesh):
-    """Per-triangle 9-entry P1 stiffness assembly and the barycentric
-    gradients, as a check on :func:`assemble`'s edge weights."""
-    tris = mesh.vertex_dof[mesh.triangles]
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.tri_areas
-    e0, e1, e2 = p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]
-    grads = np.stack([e0, e1, e2], axis=1)[:, :, ::-1] * np.array([-1.0, 1.0])
-    grads /= (2 * areas)[:, None, None]
-    gx, gy = grads[..., 0], grads[..., 1]
-    local = ((gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-             * areas[:, None, None])
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    S = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof))
-    return S.tocsr(), grads
-
-
 class TestAssembly:
-    """Edge-weight stiffness against the per-triangle reference."""
+    """Grid stiffness against the per-triangle reference."""
 
-    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    @staticmethod
+    def check_reference(mesh):
+        ops = assemble(mesh)
+        S_ref = reference_stiffness(mesh)[0]
+        assert abs(ops.S - S_ref).max() <= 1e-14 * abs(S_ref).max()
+        assert ops.S.nnz == S_ref.nnz
+        assert (ops.S != ops.S.T).nnz == 0
+        assert ops.S.has_canonical_format
+        w_ref = np.bincount(mesh.vertex_dof[mesh.triangles].ravel(),
+                            np.repeat(mesh.tri_areas / 3.0, 3), mesh.n_dof)
+        assert np.abs(ops.w_int - w_ref).max() <= 1e-14 * w_ref.max()
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("spec", [
         DomainSpec("cylinder", L=1.0), DomainSpec("annulus", r=0.8),
         DomainSpec("halfdisk", R=8.0, grade=2.0)], ids=["cylinder", "annulus", "halfdisk"])
     def test_matches_reference(self, spec, level):
-        mesh = build_mesh(dataclasses.replace(spec, level=level))
+        self.check_reference(build_mesh(dataclasses.replace(spec, level=level)))
+
+    def test_gamma_pohozaev_mesh_matches_reference(self):
+        self.check_reference(build_mesh(DomainSpec("annulus", r=0.5, level=6)))
+
+    @pytest.mark.parametrize("spec", [
+        DomainSpec("cylinder", L=1.0, level=1), DomainSpec("cylinder", L=1.0, level=5),
+        DomainSpec("annulus", r=0.8, level=0), DomainSpec("annulus", r=0.5, level=6)],
+        ids=["cylinder-L1", "cylinder-L5", "annulus-L0", "annulus-L6"])
+    def test_symbol_matches_reference(self, spec):
+        mesh = build_mesh(spec)
         ops = assemble(mesh)
-        S_ref, grads_ref = reference_stiffness(mesh)
-        assert abs(ops.S - S_ref).max() <= 1e-14 * abs(S_ref).max()
-        assert (ops.S != ops.S.T).nnz == 0
-        assert np.array_equal(ops.grads, grads_ref)
-        assert ops.grads.flags["C_CONTIGUOUS"]
+        sym, ref = ops.S_symbol, reference_symbol(ops.S, mesh)
+        assert sym.n == ref.n and sym.blocks.shape == ref.blocks.shape
+        assert np.abs(sym.blocks - ref.blocks).max() <= 1e-14 * ref.norm
+        assert sym.norm == pytest.approx(ref.norm, rel=1e-14)
+        assert sym.departure == pytest.approx(ref.departure, rel=1e-12, abs=1e-15 * ref.norm)
+        assert sym.departure <= CIRCULANT_RTOL * sym.norm
+
+    def test_halfdisk_has_no_symbol(self):
+        ops = assemble(build_mesh(DomainSpec("halfdisk", level=2)))
+        assert ops.S_symbol is None and reference_symbol(ops.S, ops.mesh) is None
 
     def test_cylinder_stores_no_diagonal_coupling(self):
         # the quads are rectangles, split along (i, j)-(i+1, j+1): the

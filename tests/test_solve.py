@@ -309,6 +309,17 @@ class TestRelaxedEndpoints:
         with pytest.raises(RuntimeError, match="no constant minimizes"):
             _constant_start(saddle_problem(level=2), 0.0)
 
+    def test_constant_start_message_signs_each_coefficient(self):
+        # K_bg = 1 and h < 0: every coefficient of E'(c) is positive; each
+        # is printed once, with its own sign
+        prob = cylinder_problem(h=-0.5, K_bg=1.0, level=1)
+        with pytest.raises(RuntimeError) as exc:
+            _constant_start(prob, 0.0)
+        assert "E'(c) = 12.5664 x^2 +12.5664 x +12.5664, x = e^(c/2)" in str(exc.value)
+        with pytest.raises(RuntimeError) as exc:
+            _constant_start(saddle_problem(level=2), 0.0)
+        assert "- -" not in str(exc.value) and "+-" not in str(exc.value)
+
 
 class TestBuildU1:
     def test_negative_energy_on_saddle_data(self):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from conftest import reference_symbol
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Operators, Problem, assemble
 from prescurv.exact import (
@@ -368,7 +369,8 @@ class TestFourierInertia:
                                           shape=ops.S.shape)).tocsr()
 
         S = bumped(np.array([[D[0, 5]], [D[1, 5]]]), 1e-3)
-        prob = self.problem("cylinder", 1, ops=Operators(mesh, S, ops.w_int, ops.wb, ops.grads))
+        prob = self.problem("cylinder", 1, ops=Operators(mesh, S, ops.w_int, ops.wb,
+                                                         S_symbol=reference_symbol(S, mesh)))
         u = np.full(prob.n_dof, 1.0)
         Q = prob.hessian(u)
         C = Q + bumped(D[:2], 1e-3 / D.shape[1]) - S
@@ -440,18 +442,18 @@ class TestFourierInertia:
         assert rep.negative_count == (dense_count(Q) if index is None else index)
 
     def test_nested_cylinder_minimize_factors_nothing(self, monkeypatch):
-        # one symbol read per level: the stiffness matrix's, shared by B
+        # one symbol read per level: the stiffness stencil's, shared by B
         # and the certificate's Hessian
         import prescurv.energy as energy
+        sizes, reads, real = self.counted_splu(monkeypatch), [], energy._stencil_symbol
+
+        def counted(W):
+            reads.append(W.shape[2])
+            return real(W)
+
+        monkeypatch.setattr(energy, "_stencil_symbol", counted)
         prob = Problem(build_mesh(DomainSpec("cylinder", L=1.0, level=4)),
                        CurvatureSpec(K=-1.0, h=[0.5, 0.5], K_bg=-1.0))
-        sizes, reads, real = self.counted_splu(monkeypatch), [], energy.circulant_symbol
-
-        def counted(A, mesh):
-            reads.append(mesh.spec.level)
-            return real(A, mesh)
-
-        monkeypatch.setattr(energy, "circulant_symbol", counted)
 
         def descend(p, u):
             return minimize(p, init=u, tol=1e-10)
@@ -459,5 +461,5 @@ class TestFourierInertia:
         rep = nested(prob, prob.zero_state(), descend, descend)
         assert rep.converged and rep.morse_index == 0
         assert [e["morse_index"] for e in rep.levels] == [0] * 5
-        assert sorted(reads) == [0, 1, 2, 3, 4]
+        assert sorted(reads) == [16 * 2**level for level in range(5)]
         assert sizes == []
