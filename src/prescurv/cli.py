@@ -9,16 +9,26 @@ The solve mode runs every method through the nested driver of
 :mod:`prescurv.solve`: coarser levels first, a Newton finish at the
 configured level, a direct solve wherever that fails.  Reports list the
 levels tried; their wall seconds go to standard output.
-Configs are plain INI files (key = value sections, ``#`` comments);
-every run writes a ``manifest.json`` echoing the resolved settings, the
-Python, NumPy and SciPy versions and the thread variables next to the
-mode's own JSON/CSV/.dat artifacts, so repeated runs with the
-same config and seed produce bit-identical files.  Curve artifacts come
-with a generated gnuplot script instead of rendered images.
 
-Exit codes: 0 success, 2 solver non-convergence, 3 config error.  The
-environment variable ``PRESCURV_THREADS`` caps the BLAS/OpenMP thread
-count; it is applied here before the numeric stack loads.
+Configs are plain INI files (key = value sections, ``#`` comments),
+checked whole against one table, :data:`SCHEMA`, which declares every
+section and key once with its cast, bound and default; an empty value
+takes the default.  An unknown section or key, [DEFAULT] keys included,
+is a config error that names it, and so is a shape key of another
+domain kind or a key of another [sweep] family; keys that the mode does
+not read are accepted.  configparser folds key case, so the annulus r
+and the half-disk R are one key, read by each kind as its own.  Runners
+read only typed values.  Every run writes a ``manifest.json`` echoing
+the resolved settings, the Python, NumPy and SciPy versions and the
+thread variables next to the mode's own JSON/CSV/.dat artifacts, so
+repeated runs with the same config and seed produce bit-identical
+files.  Curve artifacts come with a generated gnuplot script instead of
+rendered images.
+
+Exit codes: 0 success, 2 solver failure (its reason on stderr), 3 config
+error.  The environment variable ``PRESCURV_THREADS`` caps the
+BLAS/OpenMP thread count; it is applied here before the numeric stack
+loads.
 """
 
 from __future__ import annotations
@@ -67,11 +77,8 @@ from .exact import (
     strip_profile,
 )
 from .fields import CurvatureSpec, Field, background_for, eval_h, eval_K, regime_classify
-from .solve import PathCollapseError, SolveReport, continuation, minimize, nested
+from .solve import PathCollapseError, continuation, minimize, nested
 from .spectral import disk_form_report, morse_index
-
-MODES = ("solve", "classify", "spectrum", "exact-sweep", "blowup",
-         "pohozaev", "testfn")
 
 _REQUIRED = object()
 
@@ -80,17 +87,139 @@ class ConfigError(Exception):
     """Unusable experiment config; maps to exit code 3."""
 
 
-# -- config loading -----------------------------------------------------------
+# -- config schema ------------------------------------------------------------
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str,
-         cast: Callable = str, default=_REQUIRED):
-    if not cp.has_option(section, key):
+def _floats(raw: str) -> list[float]:
+    return [float(t) for t in raw.replace(",", " ").replace(";", " ").split()]
+
+
+def _checked(cast: Callable, ok: Callable, need: str) -> Callable:
+    """``cast``, then the bound ``ok``; ``need`` states the bound."""
+    def parse(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(f"{need}, not {value!r}")
+        return value
+    return parse
+
+
+def _one_of(*choices: str) -> Callable:
+    return _checked(str, lambda v: v in choices, f"expected one of {', '.join(choices)}")
+
+
+def _field(raw: str) -> Field:
+    try:
+        return Field(raw)
+    except Exception as exc:  # whatever the expression parser raises
+        raise ValueError(f"cannot parse expression: {exc}") from exc
+
+
+def _anchor(raw: str):
+    """'argmax-d', 'origin' or a boundary vertex (component, index)."""
+    if raw in ("argmax-d", "origin"):
+        return raw
+    try:
+        component, index = (int(t) for t in raw.split(","))
+    except ValueError:
+        raise ValueError("expected argmax-d, origin or component,index") from None
+    return component, index
+
+
+_PARAMETERS = _checked(_floats, bool, "needs at least one value")
+
+
+def _gammas(raw: str) -> list[float]:
+    params = _PARAMETERS(raw)
+    bad = [p for p in params if not p.is_integer()]
+    if bad:
+        raise ConfigError(f"[sweep] gamma must be an integer, got {bad[0]!r}")
+    return params
+
+
+_STATE = (_one_of("solve", "family"), "solve")
+_K0 = (float, -1.0)
+
+# Every section and key a config may hold: (cast, default), where the cast
+# also checks the value's bound and the default may be _REQUIRED.  A key
+# declared by a dict is a required switch: its value names the further keys
+# the section reads, and the keys of its other values are errors.
+SCHEMA = {
+    "domain": {
+        "kind": {"cylinder": {"L": (float, DomainSpec.L)},
+                 "annulus": {"r": (float, DomainSpec.r)},
+                 "halfdisk": {"R": (float, DomainSpec.R),
+                              "grade": (float, DomainSpec.grade)}},
+        "level": (int, 0),
+    },
+    "curvature": {
+        "K": (_field, _REQUIRED),
+        "h": (lambda raw: [_field(t.strip()) for t in raw.split(";")], _REQUIRED),
+        "background": (_one_of("flat"), None),
+        "K_bg": (float, 0.0),
+        "h_bg": (_floats, None),
+    },
+    "solver": {
+        "method": (_one_of("minimize", "mountain-pass", "continuation"), "minimize"),
+        "tol": (float, 1e-8),
+        "max_iter": (int, 100),
+        "eps": (_checked(float, lambda v: v >= 0, "needs a weight >= 0"), 0.0),
+        "eps_schedule": (_checked(_floats, lambda v: v and min(v) >= 0,
+                                  "needs at least one weight, all >= 0"),
+                         [0.05, 0.02, 0.01, 0.005]),
+        "path_points": (_checked(int, lambda v: v >= 3, "must be at least 3,"
+                                 " so that the path has an interior sample"), 17),
+        "q2": (_checked(float, lambda v: v > 0, "the bubble's offset, must be positive"), 0.1),
+        "anchor": (_anchor, "argmax-d"),
+        "init": (_one_of("zero", "constant", "random"), "zero"),
+        "init_value": (float, 0.0),
+        "blowup_threshold": (float, 50.0),
+        "seed": (int, 0),
+    },
+    "output": {"dir": (str, "out")},
+    "sweep": {
+        "family": {"gamma": {"parameters": (_gammas, _REQUIRED), "h1": (float, 2.0)},
+                   "log": {},
+                   "bubble": {"k0": _K0, "h0": (float, math.sqrt(2.0))},
+                   "oned": {"k0": _K0},
+                   "strip": {}},
+        "parameters": (_PARAMETERS, _REQUIRED),
+    },
+    "pohozaev": {
+        "state": _STATE,
+        "fields": (_checked(lambda raw: [t.strip() for t in raw.split(",")],
+                            lambda v: set(v) <= {"position", "holomorphic"},
+                            "expected fields among position, holomorphic"), ["position"]),
+        "cos_coeffs": (_floats, [0.0, 1.0]),
+        "sin_coeffs": (_floats, []),
+    },
+    "spectrum": {
+        "state": _STATE,
+        "disk_form": (float, None),
+        "n_r": (_checked(int, lambda v: v >= 2, "must be at least 2"), 3000),
+        "m_cap": (_checked(int, lambda v: v >= 0, "must be at least 0"), 128),
+    },
+    "testfn": {"q2": (float, None), "tail": (int, 4), "ratios": (_floats, None)},
+    # None leaves the monitor's own default
+    "monitor": {key: (float, None) for key in ("window", "sup_window", "growth_min",
+                                               "bounded_ratio", "far_distance", "far_tol")},
+}
+
+
+def _declared(name: str) -> set[str]:
+    """Every key of section ``name``, in configparser's lower case."""
+    keys = set()
+    for key, spec in SCHEMA[name].items():
+        keys.add(key.lower())
+        if isinstance(spec, dict):
+            keys.update(k.lower() for variant in spec.values() for k in variant)
+    return keys
+
+
+def _value(section: str, key: str, raw: str, cast: Callable, default):
+    if raw == "":
         if default is _REQUIRED:
             raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    raw = cp.get(section, key).strip()
-    if raw == "" and default is not _REQUIRED:
         return default
     try:
         return cast(raw)
@@ -98,13 +227,35 @@ def _get(cp: configparser.ConfigParser, section: str, key: str,
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(t) for t in raw.replace(",", " ").split()]
+def _section(name: str, raw: dict[str, str]) -> dict:
+    """Typed values of section ``name`` from its text, defaults filled in."""
+    declared = _declared(name)
+    for key in raw:
+        if key not in declared:
+            raise ConfigError(f"unknown key [{name}] {key}")
+    keys, typed = dict(SCHEMA[name]), {}
+    for key, variants in SCHEMA[name].items():
+        if isinstance(variants, dict):
+            choice = typed[key] = _value(name, key, raw.get(key, ""),
+                                         _one_of(*variants), _REQUIRED)
+            keys.update(variants[choice])
+            unused = sorted((declared - {k.lower() for k in keys}) & raw.keys())
+            if unused:
+                raise ConfigError(f"[{name}] {', '.join(unused)} not used by {key} {choice!r}")
+            del keys[key]
+    for key, (cast, default) in keys.items():
+        typed[key] = _value(name, key, raw.get(key.lower(), ""), cast, default)
+    return typed
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Parsed experiment: domain, curvature data, settings, mode, output."""
+    """Parsed experiment: domain, curvature data, settings, mode, output.
+
+    ``sections`` holds the typed values of each section given;
+    ``settings`` is what the manifest echoes: the [solver] values and
+    the text of every other optional section.
+    """
 
     mode: str
     domain: DomainSpec
@@ -113,76 +264,40 @@ class ExperimentConfig:
     out_dir: str
     quick: bool
     mesh: object = dataclasses.field(default=None, repr=False)
+    sections: dict = dataclasses.field(default_factory=dict, repr=False)
+
+    def section(self, name: str) -> dict:
+        """Typed values of [name]; an absent section has its defaults."""
+        return self.sections[name] if name in self.sections else _section(name, {})
 
     def manifest(self) -> dict:
-        man = {
-            "mode": self.mode,
-            "version": __version__,
-            "environment": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                # thread variables as set; None where unset
-                "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-            },
-            "quick": self.quick,
-            "domain": dataclasses.asdict(self.domain),
-            "settings": self.settings,
-        }
+        man = {"mode": self.mode, "version": __version__, "quick": self.quick,
+               "environment": {
+                   "python": platform.python_version(), "numpy": np.__version__,
+                   "scipy": scipy.__version__,
+                   # thread variables as set; None where unset
+                   "threads": {var: os.environ.get(var) for var in THREAD_VARS}},
+               "domain": dataclasses.asdict(self.domain), "settings": self.settings}
         if self.curvature is not None:
-            man["curvature"] = {
-                "K": self.curvature.K.describe(),
-                "h": [f.describe() for f in self.curvature.h],
-                "K_bg": self.curvature.K_bg,
-                "h_bg": list(self.curvature.h_bg),
-            }
+            c = self.curvature
+            man["curvature"] = {"K": c.K.describe(), "h": [f.describe() for f in c.h],
+                                "K_bg": c.K_bg, "h_bg": list(c.h_bg)}
         return man
 
 
-# Shape keys read per domain kind.  configparser folds key case, so the
-# annulus r and the half-disk R are one key and each kind reads only its own.
-_SHAPE_KEYS = {"cylinder": ("L",), "annulus": ("r",), "halfdisk": ("R", "grade")}
-
-
-def _load_domain(cp: configparser.ConfigParser, quick: bool) -> DomainSpec:
-    kind = _get(cp, "domain", "kind")
-    level = _get(cp, "domain", "level", int, 0)
-    if quick:
-        level = min(level, 3)
-    shape = {key: _get(cp, "domain", key, float, getattr(DomainSpec, key))
-             for key in _SHAPE_KEYS.get(kind, ())}
-    try:
-        return DomainSpec(kind=kind, level=level, **shape)
-    except ValueError as exc:
-        raise ConfigError(f"bad [domain] section: {exc}") from exc
-
-
-def _load_curvature(cp: configparser.ConfigParser, mesh) -> CurvatureSpec:
+def _load_curvature(c: dict, mesh) -> CurvatureSpec:
     n_comp = len(mesh.components)
-    K_text = _get(cp, "curvature", "K")
-    h_text = _get(cp, "curvature", "h")
-    h_parts = [t.strip() for t in h_text.split(";")]
-    if len(h_parts) == 1:
-        h_parts = h_parts * n_comp
-    if len(h_parts) != n_comp:
+    h = c["h"] * n_comp if len(c["h"]) == 1 else c["h"]
+    if len(h) != n_comp:
         raise ConfigError(
-            f"[curvature] h lists {len(h_parts)} components, domain has {n_comp}")
+            f"[curvature] h lists {len(h)} components, domain has {n_comp}")
     try:
-        if _get(cp, "curvature", "background", str, "") == "flat":
+        if c["background"] == "flat":
             K_bg, h_bg = background_for(mesh)
         else:
-            K_bg = _get(cp, "curvature", "K_bg", float, 0.0)
-            h_bg_text = _get(cp, "curvature", "h_bg", str, "")
-            if h_bg_text:
-                h_bg = tuple(float(t) for t in h_bg_text.split(";"))
-            else:
-                h_bg = (0.0,) * n_comp
-        K = _compile_field(K_text, "[curvature] K")
-        h = [_compile_field(t, "[curvature] h") for t in h_parts]
-        spec = CurvatureSpec(K=K, h=h, K_bg=K_bg, h_bg=h_bg)
+            K_bg, h_bg = c["K_bg"], tuple(c["h_bg"] or (0.0,) * n_comp)
+        spec = CurvatureSpec(K=c["K"], h=h, K_bg=K_bg, h_bg=h_bg)
         eval_K(spec, *mesh.dof_coords.T)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad [curvature] section: {exc}") from exc
     _check_seams(spec, mesh)
@@ -205,48 +320,9 @@ def _check_seams(spec: CurvatureSpec, mesh) -> None:
                     f"[curvature] {name} on boundary component {c}: {exc}") from exc
 
 
-def _compile_field(text: str, where: str) -> Field:
-    try:
-        return Field(text)
-    except Exception as exc:
-        raise ConfigError(f"cannot parse expression for {where}: {exc}") from exc
-
-
-def _load_settings(cp: configparser.ConfigParser) -> dict:
-    s = {
-        "method": _get(cp, "solver", "method", str, "minimize"),
-        "tol": _get(cp, "solver", "tol", float, 1e-8),
-        "max_iter": _get(cp, "solver", "max_iter", int, 100),
-        "eps": _get(cp, "solver", "eps", float, 0.0),
-        "eps_schedule": _get(cp, "solver", "eps_schedule", _floats,
-                             [0.05, 0.02, 0.01, 0.005]),
-        "path_points": _get(cp, "solver", "path_points", int, 17),
-        "q2": _get(cp, "solver", "q2", float, 0.1),
-        "anchor": _get(cp, "solver", "anchor", str, "argmax-d"),
-        "init": _get(cp, "solver", "init", str, "zero"),
-        "init_value": _get(cp, "solver", "init_value", float, 0.0),
-        "blowup_threshold": _get(cp, "solver", "blowup_threshold", float, 50.0),
-        "seed": _get(cp, "solver", "seed", int, 0),
-    }
-    if s["method"] not in ("minimize", "mountain-pass", "continuation"):
-        raise ConfigError(f"unknown [solver] method {s['method']!r}")
-    if s["init"] not in ("zero", "constant", "random"):
-        raise ConfigError(f"unknown [solver] init {s['init']!r}")
-    if s["eps"] < 0 or not s["eps_schedule"] or min(s["eps_schedule"]) < 0:
-        raise ConfigError("[solver] eps and eps_schedule need weights >= 0,"
-                          " and the schedule at least one")
-    if s["path_points"] < 3:
-        raise ConfigError("[solver] path_points must be at least 3,"
-                          " so that the path has an interior sample")
-    if not s["q2"] > 0:
-        raise ConfigError("[solver] q2, the bubble's offset, must be positive")
-    return s
-
-
 def load_config(path: str, mode: str, out: Optional[str], quick: bool
                 ) -> ExperimentConfig:
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    """Read ``path`` and validate all of it against :data:`SCHEMA`."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -256,24 +332,32 @@ def load_config(path: str, mode: str, out: Optional[str], quick: bool
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    if not cp.has_section("domain"):
+    # configparser copies [DEFAULT] keys into every section
+    for key in cp.defaults():
+        raise ConfigError(f"unknown key [DEFAULT] {key}")
+    sections = {}
+    for name in cp.sections():
+        if name not in SCHEMA:
+            raise ConfigError(f"unknown section [{name}]")
+        sections[name] = _section(name, dict(cp[name]))
+    if "domain" not in sections:
         raise ConfigError("missing required section [domain]")
-    domain = _load_domain(cp, quick)
+    if quick:
+        sections["domain"]["level"] = min(sections["domain"]["level"], 3)
     try:
+        domain = DomainSpec(**sections["domain"])
         mesh = build_mesh(domain)
     except ValueError as exc:
         raise ConfigError(f"bad [domain] section: {exc}") from exc
-
-    curvature = _load_curvature(cp, mesh) if cp.has_section("curvature") else None
-
-    settings = _load_settings(cp)
-    for extra in ("sweep", "pohozaev", "spectrum", "testfn", "monitor"):
-        if cp.has_section(extra):
-            settings[extra] = dict(cp.items(extra))
-
-    out_dir = out or _get(cp, "output", "dir", str, "out")
-    return ExperimentConfig(mode=mode, domain=domain, curvature=curvature,
-                            settings=settings, out_dir=out_dir, quick=quick, mesh=mesh)
+    curvature = (_load_curvature(sections["curvature"], mesh)
+                 if "curvature" in sections else None)
+    cfg = ExperimentConfig(mode=mode, domain=domain, curvature=curvature, settings={},
+                           out_dir=out, quick=quick, mesh=mesh, sections=sections)
+    cfg.out_dir = out or cfg.section("output")["dir"]
+    cfg.settings = {**cfg.section("solver"), **{
+        name: dict(cp[name]) for name in cp.sections()
+        if name not in ("domain", "curvature", "solver", "output")}}
+    return cfg
 
 
 # -- artifact writers ---------------------------------------------------------
@@ -320,6 +404,18 @@ def _write_dat(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write("# " + " ".join(header) + "\n")
         for row in zip(*columns):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def _write_table(out_dir: str, stem: str, rows: list[dict], x: str,
+                 ys: list[tuple[str, str]], xlabel: str) -> None:
+    """``rows`` as ``<stem>.csv`` and ``<stem>.dat``, and a plot of the
+    columns ``ys`` (name, label) against ``x``."""
+    _write_csv(os.path.join(out_dir, f"{stem}.csv"), rows)
+    cols = list(rows[0])
+    _write_dat(os.path.join(out_dir, f"{stem}.dat"), cols,
+               [np.array([r[c] for r in rows]) for c in cols])
+    _write_plot_script(out_dir, f"{stem}.dat", cols.index(x) + 1,
+                       [(cols.index(c) + 1, label) for c, label in ys], xlabel, stem)
 
 
 def _write_plot_script(out_dir: str, dat_name: str, x: int, ys: list[tuple[int, str]],
@@ -372,7 +468,7 @@ def _need_curvature(cfg: ExperimentConfig) -> CurvatureSpec:
 
 
 def _initial_state(cfg: ExperimentConfig, prob: Problem) -> np.ndarray:
-    s = cfg.settings
+    s = cfg.section("solver")
     if s["init"] == "zero":
         return np.zeros(prob.n_dof)
     if s["init"] == "constant":
@@ -383,80 +479,45 @@ def _initial_state(cfg: ExperimentConfig, prob: Problem) -> np.ndarray:
 
 def _resolve_anchor(cfg: ExperimentConfig, prob: Problem) -> BoundaryPoint:
     """Anchor on ``prob``'s mesh, which may be coarser than the config's:
-    named anchors are resolved on it, an explicit ``c,i`` (indexing the
-    config's mesh) maps to its vertex nearest in arclength."""
-    text = cfg.settings["anchor"]
+    named anchors are resolved on it, an explicit (component, index)
+    (indexing the config's mesh) maps to its vertex nearest in arclength."""
+    anchor = cfg.section("solver")["anchor"]
     mesh = prob.mesh
-    if text == "argmax-d":
+    if anchor == "argmax-d":
         return regime_classify(prob.spec, mesh).D_argmax
-    if text == "origin":
+    if anchor == "origin":
         comp = mesh.components[0]
         verts = comp.verts[:-1] if comp.closed else comp.verts
         i = int(np.argmin(np.linalg.norm(mesh.vertices[verts], axis=1)))
         return mesh.boundary_point(0, i)
     try:
-        comp_idx, vert_idx = (int(t) for t in text.split(","))
-        s = cfg.mesh.boundary_point(comp_idx, vert_idx).s
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad [solver] anchor {text!r}: {exc}") from exc
-    return mesh.boundary_point_at(comp_idx, s)
+        s = cfg.mesh.boundary_point(*anchor).s
+    except IndexError as exc:
+        raise ConfigError(f"bad [solver] anchor {anchor!r}: {exc}") from exc
+    return mesh.boundary_point_at(anchor[0], s)
 
 
 def _boundary_point_dict(pt: BoundaryPoint) -> dict:
-    return {
-        "component": pt.component,
-        "index": pt.index,
-        "s": pt.s,
-        "coords": list(pt.coords),
-    }
+    return {"component": pt.component, "index": pt.index, "s": pt.s,
+            "coords": list(pt.coords)}
 
 
-# [sweep] keys each closed-form family reads besides family and parameters
-_FAMILY_KEYS = {"gamma": ("h1",), "log": (), "bubble": ("k0", "h0"),
-                "oned": ("k0",), "strip": ()}
-
-
-def _sweep_section(cfg: ExperimentConfig) -> tuple[str, list[float], dict]:
-    """The [sweep] family, its whole parameter list and its own keys."""
-    sweep = cfg.settings.get("sweep")
-    if not sweep:
-        raise ConfigError("missing required section [sweep]")
-    family = sweep.get("family", "")
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown [sweep] family {family!r}")
-    unused = sorted(set(sweep) - {"family", "parameters", *_FAMILY_KEYS[family]})
-    if unused:
-        raise ConfigError(f"[sweep] {', '.join(unused)} not used by family {family!r}")
-    try:
-        params = _floats(sweep.get("parameters", ""))
-        keys = {k: float(sweep[k]) for k in _FAMILY_KEYS[family] if k in sweep}
-    except ValueError as exc:
-        raise ConfigError(f"bad [sweep] section: {exc}") from exc
-    if not params:
-        raise ConfigError("missing required key [sweep] parameters")
-    if family == "gamma":
-        bad = [p for p in params if not p.is_integer()]
-        if bad:
-            raise ConfigError(f"[sweep] gamma must be an integer, got {bad[0]!r}")
-    return family, params, keys
-
-
-def _family_state(mesh, family: str, keys: dict, p: float, ops=None
+def _family_state(mesh, sweep: dict, p: float, ops=None
                   ) -> tuple[Problem, np.ndarray, Optional[np.ndarray]]:
-    """Problem and state of one family member; the third value is the
-    Dirichlet mask of half-disk truncations (None on the annulus)."""
+    """Problem and state of the [sweep] family member ``p``; the third
+    value is the Dirichlet mask of half-disk truncations (None on the
+    annulus)."""
+    family = sweep["family"]
     try:
         if family == "gamma":
-            h1 = keys.get("h1", 2.0)
-            return (annulus_gamma_problem(mesh, int(p), h1, ops=ops),
-                    annulus_gamma_state(mesh, int(p), h1), None)
+            return (annulus_gamma_problem(mesh, int(p), sweep["h1"], ops=ops),
+                    annulus_gamma_state(mesh, int(p), sweep["h1"]), None)
         if family == "log":
             return annulus_log_problem(mesh, p, ops=ops), annulus_log_state(mesh, p), None
-        K0 = keys.get("k0", -1.0)
         if family == "bubble":
-            prof = bubble_profile(p, K0, keys.get("h0", math.sqrt(2.0)))
+            prof = bubble_profile(p, sweep["k0"], sweep["h0"])
         elif family == "oned":
-            prof = oneD_profile(p, K0)
+            prof = oneD_profile(p, sweep["k0"])
         else:
             prof = strip_profile(p)
         prob, fixed = halfplane_problem(mesh, prof)
@@ -468,63 +529,60 @@ def _family_state(mesh, family: str, keys: dict, p: float, ops=None
 def _family_states(cfg: ExperimentConfig) -> tuple[list, list[float]]:
     """States of the [sweep] family over its parameter list, sharing
     one assembly."""
-    family, params, keys = _sweep_section(cfg)
+    sweep = cfg.section("sweep")
     states, ops = [], None
-    for p in params:
-        prob, u, _ = _family_state(cfg.mesh, family, keys, p, ops)
+    for p in sweep["parameters"]:
+        prob, u, _ = _family_state(cfg.mesh, sweep, p, ops)
         ops = prob.ops
         states.append((prob, u))
-    return states, params
+    return states, sweep["parameters"]
+
+
+def _last_family_state(cfg: ExperimentConfig) -> tuple:
+    """The last member of the [sweep] family and its ``source`` record."""
+    sweep = cfg.section("sweep")
+    p = sweep["parameters"][-1]
+    return (*_family_state(cfg.mesh, sweep, p), {"state": "family", "parameter": p})
 
 
 def _sweep_rows(states: list, params: list[float]) -> list[dict]:
-    rows = []
-    for (prob, u), p in zip(states, params):
-        row = {
-            "parameter": float(p),
-            "sup_u": float(u.max()),
-            "inf_u": float(u.min()),
-            "area_mass": prob.interior_mass(u),
-            "gb_residual": prob.gauss_bonnet_residual(u),
-        }
-        for c, val in enumerate(prob.boundary_masses(u)):
-            row[f"boundary_mass_{c}"] = val
-        rows.append(row)
-    return rows
+    return [{"parameter": float(p), "sup_u": float(u.max()), "inf_u": float(u.min()),
+             "area_mass": prob.interior_mass(u), "gb_residual": prob.gauss_bonnet_residual(u),
+             **{f"boundary_mass_{c}": m for c, m in enumerate(prob.boundary_masses(u))}}
+            for (prob, u), p in zip(states, params)]
 
 
-def _solve_problem(cfg: ExperimentConfig) -> tuple[Problem, list]:
-    """The configured solve; one report per eps of a continuation,
-    otherwise a single report."""
+def _solve_problem(cfg: ExperimentConfig) -> tuple[Problem, list, int]:
+    """The configured solve, one report per eps of a continuation and
+    otherwise one, and its exit code; a failure states why on stderr."""
     prob = Problem(cfg.mesh, _need_curvature(cfg))
-    s = cfg.settings
+    s = cfg.section("solver")
     if s["method"] == "minimize":
         def descend(p, u):
             return minimize(p, eps=s["eps"], init=u, tol=s["tol"],
                             max_iter=s["max_iter"],
                             blowup_threshold=s["blowup_threshold"])
-        return prob, [nested(prob, _initial_state(cfg, prob), descend, descend)]
-    # a mountain-pass solve is a continuation over the single weight eps
-    schedule = [s["eps"]] if s["method"] == "mountain-pass" else s["eps_schedule"]
-    return prob, continuation(prob, lambda p: _resolve_anchor(cfg, p),
-                              eps_schedule=schedule, tol=s["tol"],
-                              n_points=s["path_points"], q2=s["q2"],
-                              blowup_threshold=s["blowup_threshold"])
-
-
-def _final_solve(cfg: ExperimentConfig) -> tuple[Problem, SolveReport]:
-    """The configured solve's last report, stating on stderr why it failed."""
-    prob, reports = _solve_problem(cfg)
-    if not reports[-1].converged:
-        print(f"solver failure: {reports[-1].message}", file=sys.stderr)
-    return prob, reports[-1]
+        reports = [nested(prob, _initial_state(cfg, prob), descend, descend)]
+    else:
+        # a mountain-pass solve is a continuation over the single weight eps
+        schedule = [s["eps"]] if s["method"] == "mountain-pass" else s["eps_schedule"]
+        reports = continuation(prob, lambda p: _resolve_anchor(cfg, p),
+                               eps_schedule=schedule, tol=s["tol"],
+                               n_points=s["path_points"], q2=s["q2"],
+                               blowup_threshold=s["blowup_threshold"])
+    final = reports[-1]
+    if final.converged and not final.blowup_flag:
+        return prob, reports, 0
+    reason = final.message or f"the state blew up, sup {final.sup:.6g}"
+    print(f"solver failure: {reason}", file=sys.stderr)
+    return prob, reports, 2
 
 
 # -- mode runners -------------------------------------------------------------
 
 
 def _run_solve(cfg: ExperimentConfig) -> int:
-    prob, reports = _solve_problem(cfg)
+    prob, reports, code = _solve_problem(cfg)
     final = reports[-1]
     for i, rep in enumerate(reports):
         name = "report.json" if len(reports) == 1 else f"report_{i}.json"
@@ -542,56 +600,42 @@ def _run_solve(cfg: ExperimentConfig) -> int:
           f"residual={final.residual_norm:.3e} sup={final.sup:.6g}")
     if final.message:
         print(final.message)
-    return 0 if final.converged and not final.blowup_flag else 2
+    return code
 
 
 def _run_classify(cfg: ExperimentConfig) -> int:
     regime = regime_classify(_need_curvature(cfg), cfg.mesh)
-    payload = {
-        "regime": regime.kind.value,
-        "D_max": regime.D_max,
-        "D_argmax": _boundary_point_dict(regime.D_argmax),
-        "h_integral": regime.h_integral,
-        "level_set_transverse": regime.level_set_transverse,
-        "annulus_case": regime.annulus_case,
-    }
+    payload = {"regime": regime.kind.value, "D_max": regime.D_max,
+               "D_argmax": _boundary_point_dict(regime.D_argmax),
+               "h_integral": regime.h_integral, "annulus_case": regime.annulus_case,
+               "level_set_transverse": regime.level_set_transverse}
     _write_json(os.path.join(cfg.out_dir, "regime.json"), payload)
     print(json.dumps(_jsonable(payload), sort_keys=True))
     return 0
 
 
 def _run_spectrum(cfg: ExperimentConfig) -> int:
-    extra = cfg.settings.get("spectrum", {})
-    if extra.get("disk_form"):
+    spec = cfg.section("spectrum")
+    if spec["disk_form"] is not None:
         try:
-            n_r = int(extra.get("n_r", 3000))
-            m_cap = int(extra.get("m_cap", 128))
-            if n_r < 2:
-                raise ValueError("n_r must be at least 2")
-            if m_cap < 0:
-                raise ValueError("m_cap must be at least 0")
-            rep = disk_form_report(float(extra["disk_form"]), n_r=n_r, m_cap=m_cap)
+            rep = disk_form_report(spec["disk_form"], n_r=spec["n_r"], m_cap=spec["m_cap"])
         except ValueError as exc:
             raise ConfigError(f"bad [spectrum] section: {exc}") from exc
         _write_json(os.path.join(cfg.out_dir, "spectrum.json"), dataclasses.asdict(rep))
         print(f"disk form D0={rep.D0} negative_count={rep.negative_count}")
         return 0
-    fixed = None
-    eps = cfg.settings["eps"]
-    if extra.get("state", "solve") == "family":
-        family, params, keys = _sweep_section(cfg)
-        prob, u, fixed = _family_state(cfg.mesh, family, keys, params[-1])
-        solve_summary = {"state": "family", "parameter": params[-1]}
-        code = 0
+    if spec["state"] == "family":
+        prob, u, fixed, source = _last_family_state(cfg)
+        eps, code = cfg.section("solver")["eps"], 0
     else:
-        prob, rep = _final_solve(cfg)
+        prob, reports, code = _solve_problem(cfg)
+        rep, fixed = reports[-1], None
         u, eps = rep.state, rep.eps
-        solve_summary = {"state": "solve", "converged": rep.converged,
-                         "residual_norm": rep.residual_norm}
-        code = 0 if rep.converged else 2
+        source = {"state": "solve", "converged": rep.converged,
+                  "residual_norm": rep.residual_norm}
     spec_rep = morse_index(prob, u, eps=eps, fixed=fixed)
     _write_json(os.path.join(cfg.out_dir, "spectrum.json"),
-                {**dataclasses.asdict(spec_rep), "source": solve_summary})
+                {**dataclasses.asdict(spec_rep), "source": source})
     print(f"negative_count={spec_rep.negative_count}")
     return code
 
@@ -599,28 +643,16 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
 def _run_exact_sweep(cfg: ExperimentConfig) -> int:
     states, params = _family_states(cfg)
     rows = _sweep_rows(states, params)
-    _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), rows)
-    cols = list(rows[0])
-    _write_dat(os.path.join(cfg.out_dir, "sweep.dat"), cols,
-               [np.array([r[c] for r in rows]) for c in cols])
-    _write_plot_script(cfg.out_dir, "sweep.dat", 1,
-                       [(cols.index("sup_u") + 1, "sup u"),
-                        (cols.index("area_mass") + 1, "area mass")],
-                       "family parameter", "sweep")
+    _write_table(cfg.out_dir, "sweep", rows, "parameter",
+                 [("sup_u", "sup u"), ("area_mass", "area mass")], "family parameter")
     print(f"{len(rows)} states, sup_u {rows[0]['sup_u']:.4g} .. {rows[-1]['sup_u']:.4g}")
     return 0
 
 
 def _run_blowup(cfg: ExperimentConfig) -> int:
     states, params = _family_states(cfg)
-    mon = cfg.settings.get("monitor", {})
-    try:
-        kwargs = {k: float(mon[k]) for k in
-                  ("window", "sup_window", "growth_min", "bounded_ratio",
-                   "far_distance", "far_tol") if mon.get(k)}
-    except ValueError as exc:
-        raise ConfigError(f"bad [monitor] section: {exc}") from exc
-    diag = blowup_monitor(states, **kwargs)
+    diag = blowup_monitor(states, **{k: v for k, v in cfg.section("monitor").items()
+                                     if v is not None})
     _write_json(os.path.join(cfg.out_dir, "blowup.json"), diag.as_dict())
     _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), _sweep_rows(states, params))
     print(f"diverging={diag.diverging} candidates={len(diag.candidates)} "
@@ -629,34 +661,22 @@ def _run_blowup(cfg: ExperimentConfig) -> int:
 
 
 def _run_pohozaev(cfg: ExperimentConfig) -> int:
-    extra = cfg.settings.get("pohozaev", {})
-    code = 0
-    if extra.get("state", "solve") == "family":
-        family, params, keys = _sweep_section(cfg)
-        prob, u, _ = _family_state(cfg.mesh, family, keys, params[-1])
-        source = {"state": "family", "parameter": params[-1]}
+    poh = cfg.section("pohozaev")
+    if poh["state"] == "family":
+        prob, u, _, source = _last_family_state(cfg)
+        code = 0
     else:
-        prob, rep = _final_solve(cfg)
-        u = rep.state
-        source = {"state": "solve", "converged": rep.converged}
-        code = 0 if rep.converged else 2
-    fields = {}
-    names = [t.strip() for t in extra.get("fields", "position").split(",")]
-    for name in names:
-        if name == "position":
-            fields["position"] = position_field()
-        elif name == "holomorphic":
-            try:
-                cos_c = _floats(extra.get("cos_coeffs", "0 1"))
-                sin_c = _floats(extra.get("sin_coeffs", ""))
-                fields["holomorphic"] = holomorphic_field(prob.mesh, cos_c, sin_c)
-            except ValueError as exc:
-                raise ConfigError(f"bad [pohozaev] coefficients: {exc}") from exc
-        else:
-            raise ConfigError(f"unknown [pohozaev] field {name!r}")
+        prob, reports, code = _solve_problem(cfg)
+        u = reports[-1].state
+        source = {"state": "solve", "converged": reports[-1].converged}
+    try:
+        fields = {name: position_field() if name == "position" else
+                  holomorphic_field(prob.mesh, poh["cos_coeffs"], poh["sin_coeffs"])
+                  for name in poh["fields"]}
+    except ValueError as exc:
+        raise ConfigError(f"bad [pohozaev] coefficients: {exc}") from exc
     payload = {"source": source}
-    for name, field in fields.items():
-        rep = pohozaev_report(prob, u, field)
+    for name, rep in pohozaev_report(prob, u, fields).items():
         payload[name] = dataclasses.asdict(rep)
         print(f"{name}: residual={rep.residual:.6e}")
     _write_json(os.path.join(cfg.out_dir, "pohozaev.json"), payload)
@@ -664,44 +684,31 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
 
 
 def _run_testfn(cfg: ExperimentConfig) -> int:
-    extra = cfg.settings.get("testfn", {})
+    t = cfg.section("testfn")
     prob = Problem(cfg.mesh, _need_curvature(cfg))
     point = _resolve_anchor(cfg, prob)
+    q2 = cfg.section("solver")["q2"] if t["q2"] is None else t["q2"]
+    schedule = [r / q2 for r in t["ratios"]] if t["ratios"] else None
     try:
-        q2 = float(extra.get("q2", cfg.settings["q2"]))
-        tail = int(extra.get("tail", 4))
-        ratios = _floats(extra["ratios"]) if extra.get("ratios") else None
+        curve = testfunction_energy_curve(prob, point, q2=q2, mu_schedule=schedule)
+        fitted = curve.extracted_slopes(tail=t["tail"])
     except ValueError as exc:
         raise ConfigError(f"bad [testfn] section: {exc}") from exc
-    schedule = [r / q2 for r in ratios] if ratios else None
-    try:
-        curve = testfunction_energy_curve(prob, point, q2=q2,
-                                          mu_schedule=schedule)
-        fitted = curve.extracted_slopes(tail=tail)
-    except ValueError as exc:
-        raise ConfigError(f"bad [testfn] section: {exc}") from exc
-    rows = curve.rows()
-    _write_csv(os.path.join(cfg.out_dir, "testfn.csv"), rows)
-    cols = list(rows[0])
-    _write_dat(os.path.join(cfg.out_dir, "testfn.dat"), cols,
-               [np.array([r[c] for r in rows]) for c in cols])
-    _write_plot_script(cfg.out_dir, "testfn.dat", cols.index("delta") + 1,
-                       [(cols.index("dirichlet_slope") + 1, "dirichlet slope"),
-                        (cols.index("boundary_slope") + 1, "boundary slope"),
-                        (cols.index("energy") + 1, "energy")],
-                       "delta", "testfn")
-    payload = {
-        "anchor": _boundary_point_dict(point),
-        "q2": curve.q2,
-        "d_at_point": curve.d_at_point,
-        "min_d_component": curve.min_d_component,
-        "fitted_slopes": fitted,
-        "energy_end": float(curve.energy[-1]),
-    }
+    _write_table(cfg.out_dir, "testfn", curve.rows(), "delta",
+                 [("dirichlet_slope", "dirichlet slope"), ("boundary_slope", "boundary slope"),
+                  ("energy", "energy")], "delta")
+    payload = {"anchor": _boundary_point_dict(point), "q2": curve.q2,
+               "d_at_point": curve.d_at_point, "min_d_component": curve.min_d_component,
+               "fitted_slopes": fitted, "energy_end": float(curve.energy[-1])}
     _write_json(os.path.join(cfg.out_dir, "testfn.json"), payload)
     print("fitted slopes: " + json.dumps(_jsonable(payload["fitted_slopes"]),
                                          sort_keys=True))
     return 0
+
+
+MODES = {"solve": _run_solve, "classify": _run_classify, "spectrum": _run_spectrum,
+         "exact-sweep": _run_exact_sweep, "blowup": _run_blowup,
+         "pohozaev": _run_pohozaev, "testfn": _run_testfn}
 
 
 # -- entry point --------------------------------------------------------------
@@ -727,16 +734,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config(args.config, args.mode, args.out, args.quick)
         os.makedirs(cfg.out_dir, exist_ok=True)
         _write_json(os.path.join(cfg.out_dir, "manifest.json"), cfg.manifest())
-        runner = {
-            "solve": _run_solve,
-            "classify": _run_classify,
-            "spectrum": _run_spectrum,
-            "exact-sweep": _run_exact_sweep,
-            "blowup": _run_blowup,
-            "pohozaev": _run_pohozaev,
-            "testfn": _run_testfn,
-        }[cfg.mode]
-        return runner(cfg)
+        return MODES[cfg.mode](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -229,9 +229,12 @@ class PohozaevReport:
     interior_term: float
 
 
-def pohozaev_report(prob: Problem, u: np.ndarray, field: HolomorphicField) -> PohozaevReport:
-    """Both sides of the balance for ``field``; the residual tends to zero
-    under refinement when u solves the interior equation."""
+def pohozaev_report(prob: Problem, u: np.ndarray,
+                    fields: dict[str, HolomorphicField]) -> dict[str, PohozaevReport]:
+    """Both sides of the balance for each of ``fields``, keyed as given;
+    the residual tends to zero under refinement when u solves the
+    interior equation.  Everything that depends on the state alone is
+    computed once; only F and F' are evaluated per field."""
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
 
@@ -243,40 +246,44 @@ def pohozaev_report(prob: Problem, u: np.ndarray, field: HolomorphicField) -> Po
     vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
     (wx, wy), (gKx, gKy) = ((g.real, g.imag) for g in _p1_gradients(mesh, u, K))
     eh = exp_lumped(u)[1]
-    F_sum, vals = 0.0, 0.0
-    for s, t in ((0, 1), (1, 2), (2, 0)):
-        F, dF = field.values(0.5 * (vx[tri[:, s]] + vx[tri[:, t]]),
-                             0.5 * (vy[tri[:, s]] + vy[tri[:, t]]))
-        a, b = tris[:, s], tris[:, t]
-        K_mid = 0.5 * (K[a] + K[b])
-        vals = vals + eh[a] * eh[b] * (gKx * F.real + gKy * F.imag + 2.0 * K_mid * dF.real)
-        F_sum = F_sum + F
-    vals = 4.0 * prob.spec.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
-    interior = float((mesh.tri_areas / 3.0) @ vals)
 
     # boundary side, trapezoid over each component with normals from one
     # recovery along every component's path
     paths = [mesh.vertex_dof[comp.verts] for comp in mesh.components]
     grads = np.split(recovered_gradient(mesh, u, np.concatenate(paths)),
                      np.cumsum([len(d) for d in paths])[:-1])
-    boundary_terms = []
+    bound = []
     for c, (comp, dofs, g) in enumerate(zip(mesh.components, paths, grads)):
         upath = u[dofs]
         dtau = tangential_derivative(mesh, c, upath)
         dnu = np.einsum("ik,ik->i", g, comp.normals)
         grad = dtau[:, None] * comp.tangents + dnu[:, None] * comp.normals
-        pts = mesh.vertices[comp.verts]
-        F = field(pts[:, 0], pts[:, 1])
-        Fnu = np.einsum("ik,ik->i", F, comp.normals)
-        gradF = np.einsum("ik,ik->i", grad, F)
-        grad2 = np.einsum("ik,ik->i", grad, grad)
-        f = 4.0 * prob.K_dof[dofs] * exp_lumped(upath)[0] * Fnu + 2.0 * dnu * gradF - grad2 * Fnu
-        lens = comp.edge_lengths
-        boundary_terms.append(float(0.5 * lens @ (f[:-1] + f[1:])))
+        bound.append((mesh.vertices[comp.verts], comp, grad, 2.0 * dnu,
+                      np.einsum("ik,ik->i", grad, grad),
+                      4.0 * prob.K_dof[dofs] * exp_lumped(upath)[0]))
 
-    residual = abs(sum(boundary_terms) - interior)
-    return PohozaevReport(residual=residual, boundary_terms=boundary_terms,
-                          interior_term=interior)
+    reports = {}
+    for name, field in fields.items():
+        F_sum, vals = 0.0, 0.0
+        for s, t in ((0, 1), (1, 2), (2, 0)):
+            F, dF = field.values(0.5 * (vx[tri[:, s]] + vx[tri[:, t]]),
+                                 0.5 * (vy[tri[:, s]] + vy[tri[:, t]]))
+            a, b = tris[:, s], tris[:, t]
+            K_mid = 0.5 * (K[a] + K[b])
+            vals = vals + eh[a] * eh[b] * (gKx * F.real + gKy * F.imag + 2.0 * K_mid * dF.real)
+            F_sum = F_sum + F
+        vals = 4.0 * prob.spec.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
+        interior = float((mesh.tri_areas / 3.0) @ vals)
+        boundary_terms = []
+        for pts, comp, grad, dnu2, grad2, Ke in bound:
+            F = field(pts[:, 0], pts[:, 1])
+            Fnu = np.einsum("ik,ik->i", F, comp.normals)
+            f = Ke * Fnu + dnu2 * np.einsum("ik,ik->i", grad, F) - grad2 * Fnu
+            boundary_terms.append(float(0.5 * comp.edge_lengths @ (f[:-1] + f[1:])))
+        reports[name] = PohozaevReport(residual=abs(sum(boundary_terms) - interior),
+                                       boundary_terms=boundary_terms,
+                                       interior_term=interior)
+    return reports
 
 
 # -- mass measures -----------------------------------------------------------

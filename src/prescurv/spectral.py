@@ -69,9 +69,6 @@ from .energy import B_ORDERING, CirculantSymbol, Problem
 from .exact import disk_eigenfunction
 
 NEG_TOL = 1e-10
-DENSE_CUTOFF = 600
-# fill-reducing orderings tried in turn for the symmetric factorization
-ORDERINGS = (B_ORDERING, "MMD_ATA")
 
 
 @dataclass
@@ -79,10 +76,8 @@ class SpectrumReport:
     """Inertia of a stability form.
 
     ``negative_count`` is the exact number of eigenvalues below
-    ``-neg_tol``.  ``k_used`` names the path that produced it: 0 when
-    the count was read from pivots (SuperLU's, or the Sturm sequences
-    of the Fourier mode blocks), n when it came from the dense
-    eigenvalue fallback.
+    ``-neg_tol``, read from pivots: SuperLU's, or the Sturm sequences of
+    the Fourier mode blocks.  ``k_used`` reads 0 on both paths.
     """
 
     negative_count: int
@@ -93,37 +88,25 @@ class SpectrumReport:
 def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL) -> SpectrumReport:
     """Count eigenvalues of the symmetric matrix Q below ``-neg_tol``.
 
-    Q + neg_tol I is factored with SuperLU restricted to symmetric,
+    Q + neg_tol I is factored once with SuperLU restricted to symmetric,
     diagonal-pivot elimination, which makes U = D L^T and the diagonal
     of U the pivots D.  That count is trusted only when no row pivoting
-    happened and every pivot is finite and nonzero.  A factorization
-    that fails this guard is retried once under the ``MMD_ATA``
-    ordering, at the same shift; if that fails too, matrices up to
-    ``DENSE_CUTOFF`` fall back to dense eigenvalues and larger ones
-    raise a :class:`RuntimeError` naming the reasons.
+    happened and every pivot is finite and nonzero; otherwise a
+    :class:`RuntimeError` names the reason.
     """
-    n = Q.shape[0]
-    A = (Q + neg_tol * sp.identity(n)).tocsc()
-    reasons = []
-    for ordering in ORDERINGS:
-        try:
-            lu = spla.splu(A, permc_spec=ordering, diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            reasons.append(f"{ordering}: factorization failed ({exc})")
-            continue
-        pivots = lu.U.diagonal()
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            reasons.append(f"{ordering}: the factorization pivoted off the diagonal")
-        elif not np.all(np.isfinite(pivots) & (pivots != 0.0)):
-            reasons.append(f"{ordering}: a pivot is zero or not finite")
-        else:
-            return SpectrumReport(int((pivots < 0).sum()), 0, neg_tol)
-    if n > DENSE_CUTOFF:
-        raise RuntimeError(f"inertia count unavailable: {'; '.join(reasons)};"
-                           f" n={n} exceeds the dense cutoff {DENSE_CUTOFF}")
-    vals = np.linalg.eigvalsh(Q.toarray())
-    return SpectrumReport(int((vals < -neg_tol).sum()), n, neg_tol)
+    A = (Q + neg_tol * sp.identity(Q.shape[0])).tocsc()
+    try:
+        lu = spla.splu(A, permc_spec=B_ORDERING, diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise RuntimeError(f"inertia count unavailable: factorization failed ({exc})") from exc
+    pivots = lu.U.diagonal()
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("inertia count unavailable: the factorization pivoted"
+                           " off the diagonal")
+    if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+        raise RuntimeError("inertia count unavailable: a pivot is zero or not finite")
+    return SpectrumReport(int((pivots < 0).sum()), 0, neg_tol)
 
 
 def _fourier_count(sym: Optional[CirculantSymbol], neg_tol: float) -> Optional[int]:

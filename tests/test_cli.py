@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from prescurv import cli
+from prescurv import cli, spectral
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
 
@@ -343,6 +343,44 @@ class TestConfigErrors:
         assert code == 3, err
         assert f"[sweep] {keys} not used by family" in err
 
+    def test_misspelled_names_exit_3(self, tmp_path, capsys):
+        # the first unknown name is reported, and nothing runs
+        code, out = run_cli(tmp_path, "solve", MINIMIZE_CFG.replace(
+            "tol = 1e-10", "tolerance = 1e-3\n    eps_shedule = 0.1") + """
+            [solvr]
+            tol = 1e-3
+
+            [spectrum]
+            n_rr = 5
+        """)
+        assert code == 3
+        assert capsys.readouterr().err == "config error: unknown key [solver] tolerance\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,text,message", [
+        ("solve", MINIMIZE_CFG + "\n[solvr]\ntol = 1e-3\n", "unknown section [solvr]"),
+        ("classify", MINIMIZE_CFG + "    eps_shedule = 0.1\n", "unknown key [solver] eps_shedule"),
+        ("spectrum", SPECTRUM_FAMILY_CFG + "    n_rr = 5\n", "unknown key [spectrum] n_rr"),
+        ("classify", "[DEFAULT]\ntol = 1e-3\n" + textwrap.dedent(MINIMIZE_CFG),
+         "unknown key [DEFAULT] tol"),
+        ("classify", MINIMIZE_CFG.replace("L = 1.0", "L = 1.0\n    r = 0.5"),
+         "[domain] r not used by kind 'cylinder'"),
+        ("classify", TESTFN_CFG.replace("R = 10", "R = 10\n    L = 2"),
+         "[domain] l not used by kind 'halfdisk'"),
+        ("classify", SADDLE_CFG.format(method="minimize").replace("argmax-d", "0;6"),
+         "bad value for [solver] anchor"),
+        ("spectrum", SPECTRUM_FAMILY_CFG.replace("state = family", "state = famliy"),
+         "bad value for [spectrum] state"),
+        ("classify", SADDLE_CFG.format(method="minimize").replace("flat", "flta"),
+         "bad value for [curvature] background"),
+    ], ids=["section", "solver-key", "spectrum-key", "default-key", "cylinder-r",
+            "halfdisk-L", "anchor", "state", "background"])
+    def test_undeclared_names_and_values_exit_3(self, tmp_path, capsys, mode, text, message):
+        code, _ = run_cli(tmp_path, mode, text)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("config error: " + message)
+
     def test_non_integer_gamma_names_the_value(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "blowup", GAMMA_SWEEP_CFG.format(parameters="4, 8.000001"))
         assert code == 3
@@ -435,7 +473,9 @@ class TestSolveMode:
         rep = read_json(out, "report.json")
         assert rep["converged"] is False
         assert "sup grows by" in rep["message"] and "D_max = 2" in rep["message"]
-        assert "converged=False" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "converged=False" in captured.out
+        assert captured.err == f"solver failure: {rep['message']}\n"
 
     def test_mountain_pass(self, tmp_path):
         code, out = run_cli(tmp_path, "solve",
@@ -475,7 +515,7 @@ class TestSolveMode:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: no constant minimizes")
 
-    @pytest.mark.parametrize("mode", ["spectrum", "pohozaev"])
+    @pytest.mark.parametrize("mode", ["spectrum", "pohozaev", "solve"])
     def test_failed_solve_states_its_reason(self, tmp_path, capsys, mode):
         # a bubble at the mesh scale stops the nested minimize: the modes
         # that report on the solved state exit 2 and say why on stderr
@@ -614,6 +654,18 @@ class TestSpectrumMode:
         payload = read_json(out, "spectrum.json")
         assert payload["source"] == {"state": "family", "parameter": 2.0}
         assert payload["negative_count"] >= 1
+
+    def test_failed_inertia_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the truncated strip's restricted form is counted by factorization
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spectral.spla, "splu", singular)
+        code, out = run_cli(tmp_path, "spectrum", STRIP_CFG.format(kind="halfdisk", R=5))
+        assert code == 2
+        assert capsys.readouterr().err == ("solver failure: inertia count unavailable:"
+                                           " factorization failed (Factor is exactly singular)\n")
+        assert not (out / "spectrum.json").exists()
 
     @pytest.mark.parametrize("R,count", [(5, 3), (10, 6)])
     def test_strip_index_grows_with_truncation(self, tmp_path, R, count):

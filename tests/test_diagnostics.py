@@ -219,11 +219,15 @@ def _per_vertex_fits(mesh, u, dofs):
     return out
 
 
+def one_report(prob, u, field):
+    return pohozaev_report(prob, u, {"field": field})["field"]
+
+
 class TestPohozaev:
     def test_zero_field_zero_residual(self, annulus3):
         prob = annulus_gamma_problem(annulus3, 2, 2.0)
         u = annulus_gamma_state(annulus3, 2, 2.0)
-        assert pohozaev_report(prob, u, HolomorphicField([0])).residual == 0.0
+        assert one_report(prob, u, HolomorphicField([0])).residual == 0.0
 
     @pytest.mark.parametrize("coeffs", [None, ((0.3, 1.0, 0.5), (0.2, 0.7))],
                              ids=["position", "holomorphic"])
@@ -261,7 +265,7 @@ class TestPohozaev:
                 + 4.0 * e_mid * (np.einsum("tk,tk->t", gK, Fv) + K_mid * div)
                 + 2.0 * np.einsum("ti,tij,tj->t", w, J, w)
                 - div * np.einsum("tk,tk->t", w, w))
-        interior = pohozaev_report(prob, u, F).interior_term
+        interior = one_report(prob, u, F).interior_term
         assert abs(interior - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
     def test_flat_state_divergence_identity(self):
@@ -271,14 +275,14 @@ class TestPohozaev:
         for level in (3, 4):
             mesh = build_mesh(DomainSpec("annulus", r=0.5, level=level))
             prob = annulus_gamma_problem(mesh, 2, 2.0)
-            res.append(pohozaev_report(prob, np.zeros(mesh.n_dof), position_field()).residual)
+            res.append(one_report(prob, np.zeros(mesh.n_dof), position_field()).residual)
         assert res[0] < 0.01
         assert res[0] / res[1] > 3.5
 
     def test_report_structure(self, annulus3):
         prob = annulus_gamma_problem(annulus3, 2, 2.0)
         u = annulus_gamma_state(annulus3, 2, 2.0)
-        rep = pohozaev_report(prob, u, position_field())
+        rep = one_report(prob, u, position_field())
         assert len(rep.boundary_terms) == 2
         assert np.isclose(rep.residual, abs(sum(rep.boundary_terms) - rep.interior_term))
 
@@ -294,7 +298,7 @@ class TestPohozaev:
             else:
                 prob = annulus_log_problem(mesh, -0.5)
                 u = annulus_log_state(mesh, -0.5)
-            res.append(abs(pohozaev_report(prob, u, position_field()).residual))
+            res.append(abs(one_report(prob, u, position_field()).residual))
         orders = np.log2(np.array(res[:-1]) / res[1:])
         assert np.all(orders > 1.5)
 
@@ -311,9 +315,9 @@ class TestPohozaev:
         prob = annulus_gamma_problem(mesh, gamma, 2.0)
         u = annulus_gamma_state(mesh, gamma, 2.0)
         position, holomorphic = self.GAMMA_L4[gamma]
-        assert pohozaev_report(prob, u, position_field()).residual == pytest.approx(
+        assert one_report(prob, u, position_field()).residual == pytest.approx(
             position, rel=1e-12)
-        res = pohozaev_report(prob, u, holomorphic_field(mesh, (0.0, 1.0))).residual
+        res = one_report(prob, u, holomorphic_field(mesh, (0.0, 1.0))).residual
         if holomorphic is None:  # both sides vanish by symmetry
             assert res < 1e-12
         else:
@@ -329,7 +333,7 @@ class TestPohozaev:
         prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[1.0, 0.5], K_bg=0.0))
         x, y = mesh.dof_coords.T
         u = 0.3 * np.sin(3 * x) + 0.1 * y
-        pohozaev_report(prob, u, position_field())
+        one_report(prob, u, position_field())
         assert sum(key[0] == "recovery" for key in mesh._cache) == 1
         R = next(R for key, R in mesh._cache.items() if key[0] == "recovery")
         fresh = build_mesh(spec)
@@ -343,9 +347,28 @@ class TestPohozaev:
         prob = annulus_gamma_problem(annulus3, 2, 2.0)
         u = annulus_gamma_state(annulus3, 2, 2.0)
         F = holomorphic_field(annulus3, (0.0, 1.0))
-        rep = pohozaev_report(prob, u, F)
+        rep = one_report(prob, u, F)
         assert abs(sum(rep.boundary_terms)) < 1e-9
         assert abs(rep.interior_term) < 1e-9
+
+    def test_fields_share_one_state_pass(self, annulus3, monkeypatch):
+        # the state's gradients and boundary recovery are computed once for
+        # all fields, and each field's report is the one it gets alone
+        import prescurv.diagnostics as diagnostics
+        prob = annulus_gamma_problem(annulus3, 3, 2.0)
+        u = annulus_gamma_state(annulus3, 3, 2.0)
+        fields = {"position": position_field(),
+                  "holomorphic": holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2,))}
+        alone = {name: one_report(prob, u, F) for name, F in fields.items()}
+        calls = []
+        for name in ("_p1_gradients", "recovered_gradient", "tangential_derivative"):
+            real = getattr(diagnostics, name)
+            monkeypatch.setattr(diagnostics, name, lambda *a, _f=real, _n=name: (
+                calls.append(_n), _f(*a))[1])
+        together = pohozaev_report(prob, u, fields)
+        assert sorted(calls) == ["_p1_gradients", "recovered_gradient",
+                                 "tangential_derivative", "tangential_derivative"]
+        assert together == alone
 
 
 class TestMassMeasures:

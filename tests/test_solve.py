@@ -130,6 +130,35 @@ class TestMinimize:
         assert any(entry["sigma"] > 0 for entry in rep.line_search_trace)
         assert rep.line_search_trace[-1]["sigma"] == 0
         assert rep.iterations <= 6
+        # MINRES fails on the first two steps, so sigma grows and LU solves
+        first, second = rep.line_search_trace[:2]
+        assert 0 < first["sigma"] < second["sigma"]
+        assert first["linear"] == second["linear"] == "lu"
+
+    def test_lu_serves_a_near_singular_hessian(self):
+        # near sup -40, e^u vanishes and H is close to the singular S:
+        # B-preconditioned MINRES cannot meet KRYLOV_ACCEPT there, and the
+        # LU fallback takes those steps at sigma = 0 (MINRES at each grown
+        # sigma instead stops at max_iter on both levels)
+        probs = []
+        for level in (0, 1):
+            mesh = build_mesh(DomainSpec("annulus", r=0.305, level=level))
+            K_bg, h_bg = background_for(mesh)
+            probs.append(Problem(mesh, CurvatureSpec(
+                K=-0.501, h=["0.254 + -0.957*cos(x)", "1.603*sin(y)"],
+                K_bg=K_bg, h_bg=h_bg)))
+        coarse = minimize(probs[0], tol=1e-8)
+        assert coarse.converged and coarse.morse_index == 0
+        assert coarse.iterations == 21
+        lu = [e["sigma"] for e in coarse.line_search_trace if e["linear"] == "lu"]
+        assert lu == [0.0] * 9
+
+        def descend(prob, u):
+            return minimize(prob, init=u, tol=1e-8)
+
+        rep = nested(probs[1], None, descend, descend)
+        assert rep.converged and rep.morse_index == 0
+        assert rep.sup == pytest.approx(-40.41, abs=0.01)
 
     def test_iteration_limit_sets_message(self):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)

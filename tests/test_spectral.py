@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from conftest import reference_symbol
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import Operators, Problem, assemble
+from prescurv.energy import B_ORDERING, Operators, Problem, assemble
 from prescurv.exact import (
     annulus_gamma_problem,
     annulus_gamma_state,
@@ -41,6 +41,7 @@ def random_inertia_matrix(rng, n, n_neg):
 
 
 def test_negative_count_dense_path():
+    # a small, fully dense matrix: counted by the one factorization too
     rng = np.random.default_rng(0)
     Q, k = random_inertia_matrix(rng, 40, 7)
     rep = negative_count(Q)
@@ -48,7 +49,6 @@ def test_negative_count_dense_path():
 
 
 def test_negative_count_iterative_path_and_escalation():
-    # above the dense cutoff the count comes from the factorization pivots
     rng = np.random.default_rng(1)
     n = 700
     diag = rng.uniform(0.5, 2.0, size=n)
@@ -122,11 +122,13 @@ def _singular_diagonal(n):
     return sp.diags(np.concatenate([[0.0], np.ones(n - 1)])).tocsr()
 
 
-@pytest.mark.parametrize("make,count", [(_swap_pairs, 300), (_singular_diagonal, 0)])
-def test_guard_falls_back_to_dense_below_cutoff(make, count):
-    rep = negative_count(make(600), neg_tol=0.0)
-    assert rep.negative_count == count
-    assert rep.k_used == 600
+@pytest.mark.parametrize("n", [8, 600])
+@pytest.mark.parametrize("make,reason", [(_swap_pairs, "pivoted off the diagonal"),
+                                         (_singular_diagonal, "exactly singular")])
+def test_guard_failure_raises_at_any_size(make, reason, n):
+    # no dense eigenvalue path takes over below some size
+    with pytest.raises(RuntimeError, match="inertia count unavailable: .*" + reason):
+        negative_count(make(n), neg_tol=0.0)
 
 
 @pytest.mark.parametrize("make,reason", [(_swap_pairs, "pivoted"),
@@ -136,42 +138,22 @@ def test_guard_raises_above_cutoff(make, reason):
         negative_count(make(700), neg_tol=0.0)
 
 
-def _failing_splu(monkeypatch, failing):
-    import prescurv.spectral as spectral
+def test_one_factorization_per_call(monkeypatch):
+    # a failed guard is not retried under another ordering
+    orderings = []
     real = spectral.spla.splu
 
     def splu(A, permc_spec=None, **kwargs):
-        if permc_spec in failing:
-            raise RuntimeError("Factor is exactly singular")
+        orderings.append(permc_spec)
         return real(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spectral.spla, "splu", splu)
-
-
-@pytest.mark.parametrize("n,seed", [(700, 20), (900, 21)])
-def test_failed_factorization_retries_with_second_ordering(monkeypatch, n, seed):
-    rng = np.random.default_rng(seed)
-    R = sp.random(n, n, density=5.0 / n, random_state=rng)
-    Q = (R + R.T + sp.diags(rng.uniform(-1.0, 1.0, size=n))).tocsr()
-    _failing_splu(monkeypatch, {"MMD_AT_PLUS_A"})
-    rep = negative_count(Q)
-    assert rep.k_used == 0
-    assert 0 < rep.negative_count == dense_count(Q)
-
-
-def test_retry_keeps_hessian_index(monkeypatch):
+    for make in (_swap_pairs, _singular_diagonal):
+        with pytest.raises(RuntimeError, match="inertia count unavailable"):
+            negative_count(make(700), neg_tol=0.0)
     H, index = _cylinder_minimum()
-    assert H.shape[0] > 600
-    _failing_splu(monkeypatch, {"MMD_AT_PLUS_A"})
-    rep = negative_count(H)
-    assert rep.k_used == 0
-    assert rep.negative_count == index == dense_count(H)
-
-
-def test_raises_when_both_orderings_fail(monkeypatch):
-    _failing_splu(monkeypatch, {"MMD_AT_PLUS_A", "MMD_ATA"})
-    with pytest.raises(RuntimeError, match="MMD_AT_PLUS_A.*MMD_ATA.*dense cutoff"):
-        negative_count(sp.identity(700, format="csr"))
+    assert negative_count(H).negative_count == index
+    assert orderings == [B_ORDERING] * 3
 
 
 def test_negative_count_psd():
