@@ -553,23 +553,26 @@ def _sweep_rows(states: list, params: list[float]) -> list[dict]:
 
 
 def _solve_problem(cfg: ExperimentConfig) -> tuple[Problem, list, int]:
-    """The configured solve, one report per eps of a continuation and
-    otherwise one, and its exit code; a failure states why on stderr."""
-    prob = Problem(cfg.mesh, _need_curvature(cfg))
+    """The configured solve: the problem of its final report (the data
+    relaxed at that report's eps), one report per eps of a continuation
+    and otherwise one, and its exit code; a failure states why on stderr."""
     s = cfg.section("solver")
     if s["method"] == "minimize":
+        prob = Problem(cfg.mesh, _need_curvature(cfg), eps=s["eps"])
+
         def descend(p, u):
-            return minimize(p, eps=s["eps"], init=u, tol=s["tol"],
-                            max_iter=s["max_iter"],
+            return minimize(p, init=u, tol=s["tol"], max_iter=s["max_iter"],
                             blowup_threshold=s["blowup_threshold"])
         reports = [nested(prob, _initial_state(cfg, prob), descend, descend)]
     else:
         # a mountain-pass solve is a continuation over the single weight eps
         schedule = [s["eps"]] if s["method"] == "mountain-pass" else s["eps_schedule"]
+        prob = Problem(cfg.mesh, _need_curvature(cfg))
         reports = continuation(prob, lambda p: _resolve_anchor(cfg, p),
                                eps_schedule=schedule, tol=s["tol"],
                                n_points=s["path_points"], q2=s["q2"],
                                blowup_threshold=s["blowup_threshold"])
+        prob = Problem(prob.mesh, prob.spec, prob.ops, eps=reports[-1].eps)
     final = reports[-1]
     if final.converged and not final.blowup_flag:
         return prob, reports, 0
@@ -626,14 +629,14 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
         return 0
     if spec["state"] == "family":
         prob, u, fixed, source = _last_family_state(cfg)
-        eps, code = cfg.section("solver")["eps"], 0
+        code = 0
     else:
         prob, reports, code = _solve_problem(cfg)
         rep, fixed = reports[-1], None
-        u, eps = rep.state, rep.eps
+        u = rep.state
         source = {"state": "solve", "converged": rep.converged,
-                  "residual_norm": rep.residual_norm}
-    spec_rep = morse_index(prob, u, eps=eps, fixed=fixed)
+                  "residual_norm": rep.residual_norm, "eps": prob.eps}
+    spec_rep = morse_index(prob, u, fixed=fixed)
     _write_json(os.path.join(cfg.out_dir, "spectrum.json"),
                 {**dataclasses.asdict(spec_rep), "source": source})
     print(f"negative_count={spec_rep.negative_count}")
@@ -668,7 +671,7 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
     else:
         prob, reports, code = _solve_problem(cfg)
         u = reports[-1].state
-        source = {"state": "solve", "converged": reports[-1].converged}
+        source = {"state": "solve", "converged": reports[-1].converged, "eps": prob.eps}
     try:
         fields = {name: position_field() if name == "position" else
                   holomorphic_field(prob.mesh, poh["cos_coeffs"], poh["sin_coeffs"])

@@ -272,7 +272,7 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
             K_mid = 0.5 * (K[a] + K[b])
             vals = vals + eh[a] * eh[b] * (gKx * F.real + gKy * F.imag + 2.0 * K_mid * dF.real)
             F_sum = F_sum + F
-        vals = 4.0 * prob.spec.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
+        vals = 4.0 * prob.data.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
         interior = float((mesh.tri_areas / 3.0) @ vals)
         boundary_terms = []
         for pts, comp, grad, dnu2, grad2, Ke in bound:

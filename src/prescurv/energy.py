@@ -14,15 +14,13 @@ eigenvalue problems cheap and keeps every identity below exact in
 floating point rather than up to quadrature error.
 
 The relaxed functional adds ``eps * J`` with the coercive penalty
-``J(u) = int |grad u|^2 + int e^u - int u``.  Its derivatives satisfy,
-discretely and exactly,
-
-    I_eps'(u)  = (1 + 2 eps) * I'(u; perturbed data)
-    I_eps''(u) = (1 + 2 eps) * Q(u; perturbed data)
-
-with the data map of :func:`prescurv.fields.perturb`, which is what
-transfers Morse-index bounds from the relaxed problems to the original
-one along a continuation run.
+``J(u) = int |grad u|^2 + int e^u - int u``.  It is (1 + 2 eps) times I
+of the data of :func:`prescurv.fields.perturb`, exactly, so a
+:class:`Problem` at weight ``eps`` is that: the perturbed data, with
+energy, gradient and Hessian scaled by 1 + 2 eps.  Its critical points,
+Morse indices and Gauss-Bonnet identity are those of the data it
+solves, which is what transfers Morse-index bounds from the relaxed
+problems to the original one along a continuation run.
 
 S is written straight as CSR from the cells of the logical grid: the
 edge weights -cot/2 of each cell's two triangles fill a fixed 7-point
@@ -56,7 +54,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpttrf, zpttrs
 
 from .domain import Mesh
-from .fields import CurvatureSpec, eval_K
+from .fields import CurvatureSpec, eval_K, perturb
 
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
 B_ORDERING = "MMD_AT_PLUS_A"  # fill-reducing order of the SuperLU factorizations of B
@@ -304,12 +302,14 @@ def assemble(mesh: Mesh) -> Operators:
 
 @dataclass
 class EnergyBreakdown:
-    """Energy value split into its terms, plus the penalty when eps > 0.
+    """Energy value split into the terms of its problem's functional,
+    plus the penalty when eps > 0.
 
     ``linear`` collects both background couplings 2 int K_bg u and
     2 bd h_bg u; ``boundary`` is the positive quantity 4 bd h e^{u/2}
-    entering the total with a minus sign.  ``total_eps`` is the relaxed
-    value total + eps * j_total.
+    entering the total with a minus sign.  The four terms, those of the
+    data solved times 1 + 2 eps, sum to ``total_eps``; ``chi_gen`` is that
+    data's; ``total`` is the original value total_eps - eps * j_total.
     """
 
     dirichlet: float
@@ -325,17 +325,26 @@ class EnergyBreakdown:
 
 
 class Problem:
-    """Curvature data bound to a mesh: evaluates I, its derivatives, and
-    the identities used to audit solves."""
+    """Curvature data bound to a mesh at relaxation weight ``eps``:
+    evaluates the energy, its derivatives, and the identities used to
+    audit solves.
 
-    def __init__(self, mesh: Mesh, spec: CurvatureSpec, ops: Optional[Operators] = None):
+    ``spec`` is the prescribed data and ``data`` the data solved,
+    ``perturb(spec, eps)`` or ``spec`` itself at eps = 0; the nodal
+    values ``K_dof``, ``h_dof`` and ``chi_gen`` are those of ``data``.
+    Energy, gradient and Hessian are ``scale`` = 1 + 2 eps times those
+    of ``data``, which is the relaxed functional I + eps J exactly.
+    """
+
+    def __init__(self, mesh: Mesh, spec: CurvatureSpec, ops: Optional[Operators] = None,
+                 eps: float = 0.0):
         if len(spec.h) != len(mesh.components):
             raise ValueError("spec lists a different number of boundary components")
-        self.mesh = mesh
-        self.spec = spec
+        self.mesh, self.spec, self.eps, self.scale = mesh, spec, eps, 1.0 + 2.0 * eps
+        self.data = data = perturb(spec, eps) if eps else spec
         self.ops = ops if ops is not None else assemble(mesh)
         xy = mesh.dof_coords
-        self.K_dof = eval_K(spec, xy[:, 0], xy[:, 1])
+        self.K_dof = eval_K(data, xy[:, 0], xy[:, 1])
         # nodal h per component, zero off the component; a corner dof can
         # carry different values for the two components meeting there
         self.h_dof = []
@@ -343,15 +352,15 @@ class Problem:
         for c, comp in enumerate(mesh.components):
             vals = np.zeros(mesh.n_dof)
             pts = mesh.vertices[comp.verts]
-            vals[dof[comp.verts]] = spec.h[c](pts[:, 0], pts[:, 1], comp.s)
+            vals[dof[comp.verts]] = data.h[c](pts[:, 0], pts[:, 1], comp.s)
             self.h_dof.append(vals)
         self.chi_gen = float(
-            spec.K_bg * self.ops.w_int.sum()
-            + sum(hb * w.sum() for hb, w in zip(spec.h_bg, self.ops.wb))
+            data.K_bg * self.ops.w_int.sum()
+            + sum(hb * w.sum() for hb, w in zip(data.h_bg, self.ops.wb))
         )
         # constant dual vectors of the linear terms
-        self._lin = spec.K_bg * self.ops.w_int + sum(
-            hb * w for hb, w in zip(spec.h_bg, self.ops.wb)
+        self._lin = data.K_bg * self.ops.w_int + sum(
+            hb * w for hb, w in zip(data.h_bg, self.ops.wb)
         )
         self._bh = [w * h for w, h in zip(self.ops.wb, self.h_dof)]
 
@@ -364,80 +373,64 @@ class Problem:
 
     # -- energy and derivatives -------------------------------------------
 
-    def energy(self, u: np.ndarray, eps: float = 0.0) -> EnergyBreakdown:
+    def energy(self, u: np.ndarray) -> EnergyBreakdown:
         u = np.asarray(u, dtype=float)
         eu, ehalf, blown = exp_lumped(u)
-        area_t = 2.0 * float(self.ops.w_int @ (-self.K_dof * eu))
-        bnd_t = 4.0 * float(sum(bh @ ehalf for bh in self._bh))
+        s = self.scale
+        area_t = 2.0 * s * float(self.ops.w_int @ (-self.K_dof * eu))
+        bnd_t = 4.0 * s * float(sum(bh @ ehalf for bh in self._bh))
         uSu = float(u @ (self.ops.S @ u))
-        dir_t = 0.5 * uSu
-        lin_t = 2.0 * float(self._lin @ u)
-        total = dir_t + lin_t + area_t - bnd_t
-        j_total = 0.0
-        if eps:
-            j_total = float(uSu + self.ops.w_int @ (eu - u))
+        dir_t = 0.5 * s * uSu
+        lin_t = 2.0 * s * float(self._lin @ u)
+        total_eps = dir_t + lin_t + area_t - bnd_t
+        j_total = float(uSu + self.ops.w_int @ (eu - u)) if self.eps else 0.0
         return EnergyBreakdown(
             dirichlet=dir_t,
             linear=lin_t,
             area=area_t,
             boundary=bnd_t,
-            total=total,
+            total=total_eps - self.eps * j_total,
             chi_gen=self.chi_gen,
             blowup_flag=blown,
-            eps=eps,
+            eps=self.eps,
             j_total=j_total,
-            total_eps=total + eps * j_total,
+            total_eps=total_eps,
         )
 
-    def gradient(self, u: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    def gradient(self, u: np.ndarray) -> np.ndarray:
         """Residual covector; pairing with psi=1 recovers the total
         curvature identity, so it vanishes exactly at critical points."""
         u = np.asarray(u, dtype=float)
         eu, ehalf, _ = exp_lumped(u)
-        Su = self.ops.S @ u
-        g = Su + 2.0 * self._lin
+        g = self.ops.S @ u + 2.0 * self._lin
         g += 2.0 * self.ops.w_int * (-self.K_dof) * eu
         g -= 2.0 * sum(bh * ehalf for bh in self._bh)
-        if eps:
-            g += eps * (2.0 * Su + self.ops.w_int * (eu - 1.0))
+        g *= self.scale
         return g
 
-    def hessian_parts(self, u: np.ndarray, eps: float = 0.0) -> tuple[float, np.ndarray]:
+    def hessian_parts(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """(scale, d) with :meth:`hessian` equal to ``scale * S + diag(d)``."""
         eu, ehalf, _ = exp_lumped(np.asarray(u, dtype=float))
         d = 2.0 * self.ops.w_int * (-self.K_dof) * eu
         d -= sum(bh * ehalf for bh in self._bh)
-        if eps:
-            d += eps * self.ops.w_int * eu
-        return 1.0 + 2.0 * eps, d
+        return self.scale, self.scale * d
 
-    def hessian(self, u: np.ndarray, eps: float = 0.0) -> sp.csr_matrix:
-        """Second derivative of the (relaxed) energy: stiffness plus a
-        diagonal, equal to (1+2 eps) times the curvature form of the
-        perturbed data."""
-        return self.ops.plus_diagonal(*self.hessian_parts(u, eps))
+    def hessian(self, u: np.ndarray) -> sp.csr_matrix:
+        """Second derivative of the energy: stiffness plus a diagonal,
+        (1 + 2 eps) times the curvature form of the data solved."""
+        return self.ops.plus_diagonal(*self.hessian_parts(u))
 
     # -- diagnostics -------------------------------------------------------
 
-    def gauss_bonnet_residual(self, u: np.ndarray, eps: float = 0.0) -> float:
+    def gauss_bonnet_residual(self, u: np.ndarray) -> float:
         """Total-curvature defect int K e^u + bd h e^{u/2} - chi_gen of
-        the data actually solved at relaxation weight ``eps``.
+        the data solved.
 
-        For eps = 0 this equals -1/2 times the gradient paired with
+        It equals -1 / (2 (1 + 2 eps)) times the gradient paired with
         psi=1, hence zero at discrete critical points up to solver
-        tolerance.  For eps > 0 it is the defect of the perturbed data of
-        :func:`prescurv.fields.perturb`, (GB_0 - eps/2 int (e^u - 1)) /
-        (1 + 2 eps), which vanishes at critical points of the relaxed
-        energy.
+        tolerance.
         """
-        eu, ehalf, _ = exp_lumped(np.asarray(u, dtype=float))
-        interior = float(self.ops.w_int @ (self.K_dof * eu))
-        boundary = float(sum(bh @ ehalf for bh in self._bh))
-        defect = interior + boundary - self.chi_gen
-        if eps:
-            defect = ((defect - 0.5 * eps * float(self.ops.w_int @ (eu - 1.0)))
-                      / (1.0 + 2.0 * eps))
-        return defect
+        return sum(self.boundary_masses(u)) - self.interior_mass(u) - self.chi_gen
 
     def interior_mass(self, u: np.ndarray) -> float:
         """Quadrature of |K| e^u over the surface."""

@@ -198,7 +198,8 @@ def perturb(spec: CurvatureSpec, eps: float) -> CurvatureSpec:
         h_bg ->  h_bg / (1 + 2 eps)
 
     so ``eps = 0`` returns the problem unchanged and decreasing ``eps``
-    continues the relaxed solutions toward the original data.
+    continues the relaxed solutions toward the original data.  Its one
+    caller is :class:`prescurv.energy.Problem` at ``eps`` > 0.
     """
     if eps < 0:
         raise ValueError("regularization weight must be non-negative")

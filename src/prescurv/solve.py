@@ -37,11 +37,11 @@ Three drivers build on them:
   then warm started polishes down the schedule; reports a blow-up
   verdict when the states escape upward.
 
-The relaxed functional I_eps = I + eps J with J = int |grad u|^2 +
-e^u - u is handled inside :class:`prescurv.energy.Problem`; its critical
-points solve the problem with rescaled data, exactly at the discrete
-level, so index and mass readings along the continuation transfer
-without extra bookkeeping.
+The relaxation weight eps belongs to the :class:`prescurv.energy.Problem`
+(the relaxed functional I + eps J with J = int |grad u|^2 + e^u - u is
+(1 + 2 eps) times I of perturbed data, exactly), so every solver,
+certificate and identity here reads the data its state solves and takes
+no eps of its own; :func:`continuation` builds one problem per weight.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import contextlib
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -165,7 +165,7 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
                        + (" into a descent direction" if descent else ""))
 
 
-def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
+def _newton(prob: Problem, u: np.ndarray, tol: float,
             max_iter: int, blowup_threshold: float, armijo: bool) -> SolveReport:
     """Regularized Newton iteration behind :func:`minimize` and
     :func:`newton_polish`; ``armijo`` selects the acceptance test.
@@ -181,15 +181,15 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
     trace: list[dict] = []
     blow = False
     message = ""
-    g = prob.gradient(u, eps)
+    g = prob.gradient(u)
     res = prob.ops.dual_norm(g)
     it = 0
     for it in range(max_iter):
         if res < tol:
             break
-        e = prob.energy(u, eps) if armijo else None
+        e = prob.energy(u) if armijo else None
         try:
-            d, sigma, linear = _newton_direction(prob, *prob.hessian_parts(u, eps),
+            d, sigma, linear = _newton_direction(prob, *prob.hessian_parts(u),
                                                  g, res, sigma, armijo)
         except RuntimeError as exc:
             message = str(exc)
@@ -199,11 +199,10 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
         # the floor of the energy difference scales with the terms that
         # cancel in the total, not with the total itself
         if e is not None and -gd >= 1e-13 * (
-                1.0 + abs(e.dirichlet) + abs(e.linear) + abs(e.area)
-                + abs(e.boundary) + eps * abs(e.j_total)):
+                1.0 + abs(e.dirichlet) + abs(e.linear) + abs(e.area) + abs(e.boundary)):
             mode = "armijo"
             for bt in range(MAX_BACKTRACKS):
-                trial = prob.energy(u + t * d, eps)
+                trial = prob.energy(u + t * d)
                 if (math.isfinite(trial.total_eps)
                         and trial.total_eps <= e.total_eps + ARMIJO_C * t * gd):
                     ok = True
@@ -213,7 +212,7 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
             # under armijo this is the quadratic basin, where energy
             # decrements fall below the floating point floor
             for bt in range(MAX_BACKTRACKS):
-                g_trial = prob.gradient(u + t * d, eps)
+                g_trial = prob.gradient(u + t * d)
                 res_trial = prob.ops.dual_norm(g_trial)
                 if res_trial < (1.0 - ARMIJO_C * t) * res:
                     ok = True
@@ -231,7 +230,7 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
         # steps of the basin converge quadratically
         sigma = 0.0 if t == 1.0 or sigma < 1e-14 else 0.5 * sigma
         if mode == "armijo":
-            g = prob.gradient(u, eps)
+            g = prob.gradient(u)
             res = prob.ops.dual_norm(g)
         else:
             g, res = g_trial, res_trial
@@ -241,21 +240,20 @@ def _newton(prob: Problem, u: np.ndarray, eps: float, tol: float,
             break
     if not message and res >= tol:
         message = f"no convergence within max_iter={max_iter} iterations"
-    final = prob.energy(u, eps)
+    final = prob.energy(u)
     return SolveReport(
         state=u, energy=final, residual_norm=res, iterations=it,
         line_search_trace=trace, converged=not message,
         blowup_flag=blow or final.blowup_flag,
-        method="minimize" if armijo else "newton-polish", eps=eps,
-        gauss_bonnet=prob.gauss_bonnet_residual(u, eps), message=message,
+        method="minimize" if armijo else "newton-polish", eps=prob.eps,
+        gauss_bonnet=prob.gauss_bonnet_residual(u), message=message,
     )
 
 
-def minimize(prob: Problem, eps: float = 0.0,
-             init: Optional[np.ndarray] = None, tol: float = 1e-8,
+def minimize(prob: Problem, init: Optional[np.ndarray] = None, tol: float = 1e-8,
              max_iter: int = 100,
              blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
-    """Damped Newton descent on the (relaxed) energy.
+    """Damped Newton descent on the energy of ``prob``.
 
     ``converged`` demands a residual below ``tol`` in the dual norm and a
     Morse index of zero: the Hessian at the accepted state has no
@@ -267,21 +265,20 @@ def minimize(prob: Problem, eps: float = 0.0,
     any critical point.
     """
     u = prob.zero_state() if init is None else np.array(init, dtype=float)
-    rep = _newton(prob, u, eps, tol, max_iter, blowup_threshold, armijo=True)
+    rep = _newton(prob, u, tol, max_iter, blowup_threshold, armijo=True)
     if rep.converged:
-        rep.morse_index = morse_index(prob, rep.state, eps).negative_count
+        rep.morse_index = morse_index(prob, rep.state).negative_count
         if rep.morse_index:
             rep.converged = False
             rep.message = "stationary point is not a local minimum"
     return rep
 
 
-def newton_polish(prob: Problem, init: np.ndarray, eps: float = 0.0,
-                  tol: float = 1e-10, max_iter: int = 60,
+def newton_polish(prob: Problem, init: np.ndarray, tol: float = 1e-10, max_iter: int = 60,
                   blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
     """Residual-driven Newton iteration; converges to critical points of
     any index, so it finishes saddle searches."""
-    return _newton(prob, np.array(init, dtype=float), eps, tol, max_iter,
+    return _newton(prob, np.array(init, dtype=float), tol, max_iter,
                    blowup_threshold, armijo=False)
 
 
@@ -292,7 +289,7 @@ MU_RATIOS = (1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 1.01, 1.005, 1.002, 1.001)
 
 
 def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
-             u0: Optional[np.ndarray] = None, eps: float = 0.0,
+             u0: Optional[np.ndarray] = None,
              below: Optional[float] = None) -> np.ndarray:
     """Concentrated state of negative energy near a boundary point.
 
@@ -315,7 +312,7 @@ def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
         if phi is None:
             continue
         phi = phi - logK
-        e = prob.energy(phi, eps)
+        e = prob.energy(phi)
         if e.total_eps < below and prob.ops.boundary_integral(exp_lumped(phi)[1]) > delta:
             return phi
     comp = prob.mesh.components[point.component]
@@ -330,7 +327,7 @@ def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
 # -- mountain pass ------------------------------------------------------------
 
 
-def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
+def mountain_pass(prob: Problem, u0: np.ndarray, u1: np.ndarray,
                   n_points: int = 17, tol: float = 1e-8,
                   blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
     """Sample the segment [u0, u1] at ``n_points`` states and polish its
@@ -344,42 +341,40 @@ def mountain_pass(prob: Problem, eps: float, u0: np.ndarray, u1: np.ndarray,
     """
     ts = np.linspace(0.0, 1.0, n_points)[:, None]
     pts = (1.0 - ts) * np.asarray(u0, float)[None, :] + ts * np.asarray(u1, float)[None, :]
-    energies = np.array([prob.energy(v, eps).total_eps for v in pts])
+    energies = np.array([prob.energy(v).total_eps for v in pts])
     e_end = max(energies[0], energies[-1])
     if energies.max() <= e_end + 1e-9 * (1.0 + abs(e_end)):
         raise PathCollapseError(
             "path maximum lies at the endpoint level: no pass between the endpoints")
     k = 1 + int(np.argmax(energies[1:-1]))
     trace = [{"sweep": 0, "max_index": k, "level": energies[k],
-              "residual": prob.ops.dual_norm(prob.gradient(pts[k], eps))}]
-    polished = newton_polish(prob, pts[k], eps=eps, tol=tol,
-                             blowup_threshold=blowup_threshold)
+              "residual": prob.ops.dual_norm(prob.gradient(pts[k]))}]
+    polished = newton_polish(prob, pts[k], tol=tol, blowup_threshold=blowup_threshold)
     return SolveReport(
         state=polished.state, energy=polished.energy,
         residual_norm=polished.residual_norm,
         iterations=1 + polished.iterations,
         line_search_trace=trace + polished.line_search_trace,
         converged=polished.converged, blowup_flag=polished.blowup_flag,
-        method="mountain-pass", eps=eps,
+        method="mountain-pass", eps=prob.eps,
         gauss_bonnet=polished.gauss_bonnet, message=polished.message,
         path=energies,
     )
 
 
-def _constant_start(prob: Problem, eps: float) -> float:
-    """Constant c minimizing the relaxed energy E over constant states.
+def _constant_start(prob: Problem) -> float:
+    """Constant c minimizing the energy E of ``prob`` over constant states.
 
     S annihilates constants, so E'(c) = q(e^{c/2}) with q(x) = a x^2 -
-    2 H x + c0, a = 2 int |K| + eps |Omega|, H = sum bd h and c0 =
-    2 chi_gen - eps |Omega|; E' turns positive at the larger root x+ of
-    q, so c = 2 log x+.  Raises :class:`RuntimeError` when x+ is not
-    real and positive.
+    2 H x + c0, where a = 2 int |K|, H = sum bd h and c0 = 2 chi_gen of
+    the data solved, each times ``prob.scale``; E' turns positive at the
+    larger root x+ of q, so c = 2 log x+.  Raises :class:`RuntimeError`
+    when x+ is not real and positive.
     """
-    zero = prob.zero_state()
-    area = float(prob.ops.w_int.sum())
-    a = 2.0 * prob.interior_mass(zero) + eps * area
-    H = sum(prob.boundary_masses(zero))
-    c0 = 2.0 * prob.chi_gen - eps * area
+    zero, s = prob.zero_state(), prob.scale
+    a = 2.0 * s * prob.interior_mass(zero)
+    H = s * sum(prob.boundary_masses(zero))
+    c0 = 2.0 * s * prob.chi_gen
     disc = H * H - a * c0
     if disc >= 0:
         # the form that does not cancel H against the root
@@ -387,11 +382,11 @@ def _constant_start(prob: Problem, eps: float) -> float:
         if x > 0:
             return 2.0 * math.log(x)
     raise RuntimeError(
-        f"no constant minimizes the relaxed energy at eps={eps:g}: E'(c) ="
+        f"no constant minimizes the relaxed energy at eps={prob.eps:g}: E'(c) ="
         f" {a:.6g} x^2 {-2 * H:+.6g} x {c0:+.6g}, x = e^(c/2), has no positive root")
 
 
-def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,
+def relaxed_endpoints(prob: Problem, point: BoundaryPoint,
                       q2: float = 0.1, tol: float = 1e-8) -> tuple[SolveReport, np.ndarray]:
     """Pass endpoints adapted to the relaxation weight: the stable low
     state (a certified local minimum of the relaxed energy, found from
@@ -400,12 +395,12 @@ def relaxed_endpoints(prob: Problem, point: BoundaryPoint, eps: float,
     Raises :class:`RuntimeError` when the low state is not certified, so
     no pass starts from an uncertified endpoint.
     """
-    c0 = _constant_start(prob, eps)
-    low = minimize(prob, eps=eps, init=np.full(prob.n_dof, c0), tol=tol)
+    c0 = _constant_start(prob)
+    low = minimize(prob, init=np.full(prob.n_dof, c0), tol=tol)
     if not low.converged:
-        raise RuntimeError(f"low endpoint at eps={eps} not certified: {low.message}")
+        raise RuntimeError(f"low endpoint at eps={prob.eps} not certified: {low.message}")
     level = low.energy.total_eps
-    u1 = build_u1(prob, point, q2=q2, eps=eps,
+    u1 = build_u1(prob, point, q2=q2,
                   below=level - 0.01 * (1.0 + abs(level)),
                   u0=low.state)
     return low, u1
@@ -471,7 +466,7 @@ def nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
             a, b = done[-2:]
             growth = (b["sup"] - a["sup"]) / (b["level"] - a["level"])
             if growth > SUP_GROWTH:
-                D_max = max(float(eval_D_field(prob.spec, prob.mesh, c).max())
+                D_max = max(float(eval_D_field(prob.data, prob.mesh, c).max())
                             for c in range(len(prob.mesh.components)))
                 rep.converged = False
                 rep.message = b["message"] = (
@@ -492,7 +487,7 @@ def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
             coarse_init[coarse_mesh.vertex_dof[coarse_mesh.grid]] = (
                 init[mesh.vertex_dof[mesh.grid[::2, ::2]]])
         with contextlib.suppress(RuntimeError):
-            coarse = _nested(Problem(coarse_mesh, prob.spec), coarse_init,
+            coarse = _nested(Problem(coarse_mesh, prob.spec, eps=prob.eps), coarse_init,
                              direct, finish, levels)
     if coarse is not None and coarse.converged:
         with contextlib.suppress(RuntimeError):
@@ -505,31 +500,34 @@ def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
     return _attempt(levels, prob, "direct", direct, init)
 
 
-def _saddle_steps(anchor: Callable, eps: float, tol: float, n_points: int,
+def _saddle_steps(anchor: Callable, tol: float, n_points: int,
                   q2: float, blowup_threshold: float) -> tuple[Callable, Callable]:
-    """(direct, finish) of :func:`nested` for a saddle at ``eps``: a
-    mountain pass from the relaxed endpoints at ``anchor(prob)``, or a
-    Newton polish; both index the state unless it blew up."""
+    """(direct, finish) of :func:`nested` for a saddle: a mountain pass
+    from the relaxed endpoints at ``anchor(prob)``, or a Newton polish.
+    Both index the state unless it blew up, and a converged state whose
+    Morse index is not 1 is marked not converged."""
 
     def indexed(prob, rep):
         if not rep.blowup_flag:
-            rep.morse_index = morse_index(prob, rep.state, eps=eps).negative_count
+            rep.morse_index = morse_index(prob, rep.state).negative_count
+            if rep.converged and rep.morse_index != 1:
+                rep.converged = False
+                rep.message = f"Morse index {rep.morse_index}, not 1"
         return rep
 
     def direct(prob, _init):
-        low, u1 = relaxed_endpoints(prob, anchor(prob), eps, q2=q2, tol=tol)
-        return indexed(prob, mountain_pass(prob, eps, low.state, u1, n_points=n_points,
+        low, u1 = relaxed_endpoints(prob, anchor(prob), q2=q2, tol=tol)
+        return indexed(prob, mountain_pass(prob, low.state, u1, n_points=n_points,
                                            tol=tol, blowup_threshold=blowup_threshold))
 
     def finish(prob, u):
-        return indexed(prob, newton_polish(prob, u, eps=eps, tol=tol,
+        return indexed(prob, newton_polish(prob, u, tol=tol,
                                            blowup_threshold=blowup_threshold))
 
     return direct, finish
 
 
-def continuation(prob: Problem,
-                 point: Union[BoundaryPoint, Callable[[Problem], BoundaryPoint]],
+def continuation(prob: Problem, anchor: Callable[[Problem], BoundaryPoint],
                  eps_schedule: Sequence[float] = (0.05, 0.02, 0.01, 0.005),
                  tol: float = 1e-8, n_points: int = 17, q2: float = 0.1,
                  blowup_threshold: float = BLOWUP_SUP) -> list[SolveReport]:
@@ -537,28 +535,27 @@ def continuation(prob: Problem,
     warm started Newton polishes at ``prob``'s level down the schedule;
     a polish that fails without blowing up falls back to the nested solve.
 
-    ``point`` anchors the concentrated endpoint: a function giving it on
-    each level's problem, or a boundary point of ``prob``'s mesh, which
-    coarser levels replace by their vertex nearest in arclength.  Stops
-    early with the blow-up flag set when a state escapes above the
+    Each weight gets its own problem, ``prob``'s prescribed data relaxed
+    at that weight on ``prob``'s operators.  ``anchor`` gives the
+    concentrated endpoint's boundary point on each level's problem.
+    Stops early with the blow-up flag set when a state escapes above the
     threshold, which is the verdict the relaxation family is designed to
-    expose.  Each report carries the Morse index of the relaxed form at
-    its state and its ``levels`` table (see :func:`nested`).
+    expose.  Each report carries the Morse index of its problem at its
+    state, which must be 1 for it to converge, and its ``levels`` table
+    (see :func:`nested`).
     """
-    anchor = point if callable(point) else (
-        lambda p: p.mesh.boundary_point_at(point.component, point.s))
+    direct, finish = _saddle_steps(anchor, tol, n_points, q2, blowup_threshold)
     reports: list[SolveReport] = []
     u = None
     for eps in eps_schedule:
-        direct, finish = _saddle_steps(anchor, eps, tol, n_points, q2, blowup_threshold)
+        relaxed = Problem(prob.mesh, prob.spec, prob.ops, eps=eps)
         levels: list[dict] = []
         if u is not None:
-            rep = _attempt(levels, prob, "finish", finish, u)
+            rep = _attempt(levels, relaxed, "finish", finish, u)
         if u is None or not (rep.converged or rep.blowup_flag):
-            rep = nested(prob, None, direct, finish, levels)
+            rep = nested(relaxed, None, direct, finish, levels)
         if u is not None:
             rep.method = "continuation"
-        rep.eps = eps
         reports.append(rep)
         if rep.blowup_flag:
             break

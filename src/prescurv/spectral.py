@@ -4,8 +4,9 @@ The stability form of a state u is
 
     Q(psi) = int |grad psi|^2 + 2 int |K| e^u psi^2 - bd h e^{u/2} psi^2,
 
-discretized by :meth:`prescurv.energy.Problem.hessian` at eps = 0 as
-stiffness plus diagonal.  The Morse index is the number of negative eigenvalues of
+of the data a problem solves, discretized (times 1 + 2 eps) by
+:meth:`prescurv.energy.Problem.hessian` as stiffness plus diagonal.
+The Morse index is the number of negative eigenvalues of
 Q against any positive inner product; by Sylvester's law of inertia that
 equals the number of negative eigenvalues of the plain symmetric matrix.
 :func:`negative_count` reads it exactly from the pivots of one
@@ -143,19 +144,18 @@ def _fourier_count(sym: Optional[CirculantSymbol], neg_tol: float) -> Optional[i
     return int(below) if below == above else None
 
 
-def morse_index(prob: Problem, u: np.ndarray, eps: float = 0.0,
-                fixed: Optional[np.ndarray] = None,
+def morse_index(prob: Problem, u: np.ndarray, fixed: Optional[np.ndarray] = None,
                 neg_tol: float = NEG_TOL) -> SpectrumReport:
     """Index of a state: eigenvalues of the Hessian of ``prob`` at ``u``
-    and ``eps`` below ``-neg_tol``, optionally restricted away from
+    below ``-neg_tol``, optionally restricted away from
     Dirichlet-fixed dofs.  Unrestricted rotation-invariant states on
     periodic grids are counted from the Fourier mode blocks
     (:func:`_fourier_count`); everything else by :func:`negative_count`.
     """
     if fixed is not None:
         free = np.nonzero(~fixed)[0]
-        return negative_count(prob.hessian(u, eps)[free][:, free], neg_tol=neg_tol)
-    scale, d = prob.hessian_parts(u, eps)
+        return negative_count(prob.hessian(u)[free][:, free], neg_tol=neg_tol)
+    scale, d = prob.hessian_parts(u)
     count = _fourier_count(prob.ops.symbol(scale, d), neg_tol)
     if count is not None:
         return SpectrumReport(count, 0, neg_tol)

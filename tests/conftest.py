@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
+import prescurv.solve as solve
 from prescurv.domain import CIRCUMFERENCE
 from prescurv.energy import CirculantSymbol
 
@@ -16,6 +17,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def forge_saddle_index(monkeypatch, eps=None):
+    """Make ``solve.morse_index`` read 2 wherever it counts 1, on every
+    problem or on those at weight ``eps``; certificates of 0 stay."""
+    real = solve.morse_index
+
+    def forged(prob, u, **kwargs):
+        rep = real(prob, u, **kwargs)
+        if rep.negative_count == 1 and eps in (None, prob.eps):
+            rep.negative_count = 2
+        return rep
+
+    monkeypatch.setattr(solve, "morse_index", forged)
 
 
 def analytic_geometry(spec):

@@ -13,9 +13,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import forge_saddle_index
 from prescurv import cli, spectral
+from prescurv.diagnostics import pohozaev_report, position_field
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
+from prescurv.fields import perturb
 
 MINIMIZE_CFG = """
     [domain]
@@ -515,6 +518,14 @@ class TestSolveMode:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: no constant minimizes")
 
+    def test_saddle_of_another_index_exits_2(self, tmp_path, capsys, monkeypatch):
+        forge_saddle_index(monkeypatch)
+        code, out = run_cli(tmp_path, "solve", SADDLE_CFG.format(method="mountain-pass"))
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: Morse index 2, not 1\n"
+        rep = read_json(out, "report.json")
+        assert rep["converged"] is False and rep["morse_index"] == 2
+
     @pytest.mark.parametrize("mode", ["spectrum", "pohozaev", "solve"])
     def test_failed_solve_states_its_reason(self, tmp_path, capsys, mode):
         # a bubble at the mesh scale stops the nested minimize: the modes
@@ -646,7 +657,8 @@ class TestSpectrumMode:
             anchor = argmax-d
         """)
         assert code == 0
-        assert read_json(out, "spectrum.json")["negative_count"] == 1
+        payload = read_json(out, "spectrum.json")
+        assert payload["negative_count"] == 1 and payload["source"]["eps"] == 0.02
 
     def test_family_state(self, tmp_path):
         code, out = run_cli(tmp_path, "spectrum", SPECTRUM_FAMILY_CFG)
@@ -654,6 +666,15 @@ class TestSpectrumMode:
         payload = read_json(out, "spectrum.json")
         assert payload["source"] == {"state": "family", "parameter": 2.0}
         assert payload["negative_count"] >= 1
+
+    @pytest.mark.parametrize("solver", ["", "[solver]\n    eps = 0.5\n"], ids=["default", "eps"])
+    def test_family_state_is_unrelaxed(self, tmp_path, solver):
+        # a closed-form family state solves the eps = 0 problem, whatever
+        # [solver] eps says
+        code, out = run_cli(tmp_path, "spectrum", GAMMA_SWEEP_CFG.format(parameters="4")
+                            + "\n    [spectrum]\n    state = family\n    " + solver)
+        assert code == 0
+        assert read_json(out, "spectrum.json")["negative_count"] == 7
 
     def test_failed_inertia_count_exits_2(self, tmp_path, capsys, monkeypatch):
         # the truncated strip's restricted form is counted by factorization
@@ -733,6 +754,29 @@ class TestPohozaevMode:
         assert code == 0
         assert built == [2]
         assert read_json(out, "pohozaev.json")["source"] == {"state": "family", "parameter": 2.0}
+
+    def test_solved_state_against_the_data_it_solves(self, tmp_path):
+        # the continuation ends at eps = 0.05, so the balance reads the
+        # relaxed data; against the prescribed data it read 1.07 at level 3
+        text = SADDLE_CFG.format(method="continuation") + """
+    eps_schedule = 0.05
+
+    [pohozaev]
+    state = solve
+    fields = position
+"""
+        code, solved = run_cli(tmp_path, "solve", text, out="solved")
+        assert code == 0
+        code, out = run_cli(tmp_path, "pohozaev", text)
+        assert code == 0
+        payload = read_json(out, "pohozaev.json")
+        assert payload["source"] == {"state": "solve", "converged": True, "eps": 0.05}
+        cfg = cli.load_config(str(tmp_path / "exp.ini"), "pohozaev", str(out), False)
+        u = np.loadtxt(solved / "state.csv", delimiter=",", skiprows=1)[:, 2]
+        relaxed = Problem(cfg.mesh, perturb(cfg.curvature, 0.05))
+        ref = pohozaev_report(relaxed, u, {"position": position_field()})["position"]
+        assert payload["position"]["residual"] == ref.residual
+        assert ref.residual < 0.25
 
     def test_unknown_field_name(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "pohozaev", POHOZAEV_BAD_FIELD_CFG)

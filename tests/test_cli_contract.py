@@ -5,7 +5,9 @@ certified result, exit 2 with the solver's reason on stderr, or exit 3
 with ``config error:``; it never prints a traceback.  The draws cover
 all three domains at levels 0-2, random K and h expressions, the three
 methods, the solve and spectrum modes and four closed-form families.
-Besides, every benchmark config is accepted by ``cli.load_config``.
+A certified report also satisfies the Gauss-Bonnet identity of the data
+it solved, to within what its residual allows.  Besides, every benchmark
+config is accepted by ``cli.load_config``.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +90,17 @@ def test_every_exit_keeps_the_contract(experiment):
             _assert_certified(Path(tmp) / "out", mode, method)
 
 
+def _assert_gauss_bonnet(rep, mesh):
+    """The defect is -g.1 / (2 (1 + 2 eps)) for the gradient g, and
+    |g.1| <= ||g||_{B^-1} ||1||_B with ||1||_B = sqrt|Omega|; rounding
+    adds n_dof ulps of the three terms the defect sums."""
+    e, scale = rep["energy"], 1.0 + 2.0 * rep["eps"]
+    terms = abs(e["area"]) / (2 * scale) + abs(e["boundary"]) / (4 * scale) + abs(e["chi_gen"])
+    bound = (0.5 * rep["residual_norm"] * np.sqrt(mesh.tri_areas.sum())
+             + mesh.n_dof * 2.0**-52 * terms)
+    assert abs(rep["gauss_bonnet"]) <= bound, (rep["gauss_bonnet"], bound)
+
+
 def _assert_certified(out, mode, method):
     if method is None:  # a closed-form family state: nothing was solved
         assert json.loads((out / "spectrum.json").read_text())["negative_count"] >= 0
@@ -102,6 +116,28 @@ def _assert_certified(out, mode, method):
         assert rep["converged"] is True, path.name
         assert rep["residual_norm"] < TOL
         assert rep["morse_index"] == INDEX[method]
+        _assert_gauss_bonnet(rep, cli.load_config(str(out.parent / "exp.ini"), mode,
+                                                  str(out), False).mesh)
+
+
+# the draws above exit 2 on every solve (a saddle needs level 3), so these
+# two certified solves are what the Gauss-Bonnet bound is checked on
+CERTIFIED = {
+    "minimize": "[domain]\nkind = cylinder\nL = 1.0\nlevel = 2\n[curvature]\nK = -1\n"
+                "h = 0.5\nK_bg = -1\n[solver]\nmethod = minimize\neps = 0.05\n",
+    "continuation": "[domain]\nkind = annulus\nr = 0.8\nlevel = 3\n[curvature]\nK = -1\n"
+                    "h = 2 ; -3\nbackground = flat\n[solver]\nmethod = continuation\n"
+                    "eps_schedule = 0.05 0.02\n",
+}
+
+
+@pytest.mark.parametrize("method", sorted(CERTIFIED))
+def test_certified_solve_keeps_the_contract(method, tmp_path):
+    (tmp_path / "exp.ini").write_text(CERTIFIED[method])
+    code = cli.main(["solve", "--config", str(tmp_path / "exp.ini"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    _assert_certified(tmp_path / "out", "solve", method)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)

@@ -20,7 +20,7 @@ from prescurv.energy import (
     Problem,
     assemble,
 )
-from prescurv.fields import CurvatureSpec, perturb
+from prescurv.fields import CurvatureSpec
 
 RNG = np.random.default_rng(7)
 
@@ -143,15 +143,15 @@ def test_hessian_fd_order(cyl_small, k):
 
 
 def test_gradient_epsilon_fd(cyl_small):
-    prob = random_problem(cyl_small, 0)
+    base = random_problem(cyl_small, 0)
+    prob = Problem(cyl_small, base.spec, base.ops, eps=0.3)
     u = RNG.normal(0, 0.5, prob.n_dof)
     psi = RNG.normal(0, 1.0, prob.n_dof)
-    eps = 0.3
-    pairing = prob.gradient(u, eps) @ psi
+    pairing = prob.gradient(u) @ psi
 
     def err(t):
-        d = (prob.energy(u + t * psi, eps).total_eps
-             - prob.energy(u - t * psi, eps).total_eps) / (2 * t)
+        d = (prob.energy(u + t * psi).total_eps
+             - prob.energy(u - t * psi).total_eps) / (2 * t)
         return abs(d - pairing)
 
     assert fd_order(err) >= 1.9
@@ -206,31 +206,46 @@ def test_hessian_form_constant_vector_value(cyl):
     assert val == pytest.approx(bd.area - bd.boundary / 4, rel=1e-12)
 
 
-def test_relaxed_derivatives_match_perturbed_data(ann):
+def test_relaxed_problem_is_I_plus_eps_J(ann):
+    # the penalty J(u) = int |grad u|^2 + int e^u - int u, its gradient
+    # 2 S u + w (e^u - 1) and Hessian 2 S + diag(w e^u), written out here
     spec = CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=0.0, h_bg=(1.0, -2.0))
     prob = Problem(ann, spec)
+    S, w = prob.ops.S, prob.ops.w_int
     u = RNG.normal(0, 0.6, prob.n_dof)
+    eu = np.exp(u)
     for eps in (0.05, 0.5):
-        pert = Problem(ann, perturb(spec, eps), ops=prob.ops)
-        g_eps = prob.gradient(u, eps)
-        g_pert = (1 + 2 * eps) * pert.gradient(u)
-        assert np.abs(g_eps - g_pert).max() < 1e-12 * max(np.abs(g_eps).max(), 1.0)
-        H_eps = prob.hessian(u, eps)
-        Q_pert = pert.hessian(u)
-        diff = (H_eps - (1 + 2 * eps) * Q_pert).tocoo()
-        scale = abs(H_eps).max()
-        assert (np.abs(diff.data).max() if diff.nnz else 0.0) < 1e-12 * scale
+        relaxed = Problem(ann, spec, prob.ops, eps=eps)
+        assert relaxed.spec is spec and relaxed.eps == eps
+        e, e0 = relaxed.energy(u), prob.energy(u)
+        J = u @ (S @ u) + w @ (eu - u)
+        assert e.j_total == pytest.approx(J, rel=1e-13)
+        assert e.total_eps == pytest.approx(e0.total + eps * J, rel=1e-12)
+        assert e.total == pytest.approx(e0.total, rel=1e-12)
+        g_ref = prob.gradient(u) + eps * (2.0 * (S @ u) + w * (eu - 1.0))
+        g_eps = relaxed.gradient(u)
+        assert np.abs(g_eps - g_ref).max() < 1e-12 * max(np.abs(g_ref).max(), 1.0)
+        H_ref = prob.hessian(u) + eps * (2.0 * S + sp.diags(w * eu))
+        H_eps = relaxed.hessian(u)
+        diff = (H_eps - H_ref).tocoo()
+        assert (np.abs(diff.data).max() if diff.nnz else 0.0) < 1e-12 * abs(H_ref).max()
 
 
-def test_relaxed_gauss_bonnet_matches_perturbed_data(ann):
+def test_relaxed_gauss_bonnet_closed_form(ann):
+    # the defect of the relaxed data, (GB_0 - eps/2 int (e^u - 1)) / (1 + 2 eps),
+    # written from the unrelaxed defect GB_0
     spec = CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=0.0, h_bg=(1.0, -2.0))
     prob = Problem(ann, spec)
     u = np.random.default_rng(11).normal(0, 0.6, prob.n_dof)
-    assert prob.gauss_bonnet_residual(u, 0.0) == prob.gauss_bonnet_residual(u)
+    gb0 = prob.gauss_bonnet_residual(u)
+    assert Problem(ann, spec, prob.ops, eps=0.0).gauss_bonnet_residual(u) == gb0
     for eps in (0.02, 0.05, 0.5):
-        pert = Problem(ann, perturb(spec, eps), ops=prob.ops)
-        assert abs(prob.gauss_bonnet_residual(u, eps)
-                   - pert.gauss_bonnet_residual(u)) < 1e-12
+        relaxed = Problem(ann, spec, prob.ops, eps=eps)
+        closed = (gb0 - 0.5 * eps * float(prob.ops.w_int @ (np.exp(u) - 1.0))) / (1 + 2 * eps)
+        assert abs(relaxed.gauss_bonnet_residual(u) - closed) < 1e-12
+        # and the defect is the gradient paired with psi = 1
+        g1 = relaxed.gradient(u) @ np.ones(prob.n_dof)
+        assert g1 == pytest.approx(-2 * (1 + 2 * eps) * closed, rel=1e-11)
 
 
 def test_blowup_flag_and_clamp(cyl):
@@ -245,12 +260,16 @@ def test_blowup_flag_and_clamp(cyl):
 
 
 def test_breakdown_json_keys(cyl):
-    prob = Problem(cyl, CurvatureSpec(K=-1.0, h=[0.5, 0.5]))
-    d = json.loads(json.dumps(dataclasses.asdict(prob.energy(prob.zero_state(), eps=0.1))))
+    prob = Problem(cyl, CurvatureSpec(K=-1.0, h=[0.5, 0.5]), eps=0.1)
+    d = json.loads(json.dumps(dataclasses.asdict(prob.energy(prob.zero_state() + 0.3))))
     for key in ("dirichlet", "linear", "area", "boundary", "total",
                 "chi_gen", "blowup_flag", "eps", "j_total", "total_eps"):
         assert key in d
+    assert d["eps"] == 0.1
     assert d["total_eps"] == pytest.approx(d["total"] + 0.1 * d["j_total"])
+    # the terms are the relaxed problem's
+    assert d["total_eps"] == pytest.approx(
+        d["dirichlet"] + d["linear"] + d["area"] - d["boundary"], rel=1e-14)
 
 
 def test_chi_gen_matches_geometry(ann):
@@ -424,7 +443,8 @@ class TestAssembly:
         prob = random_problem(ann, 1)
         u = RNG.normal(0, 0.5, prob.n_dof)
         for eps in (0.0, 0.3):
-            scale, d = prob.hessian_parts(u, eps)
-            H = prob.hessian(u, eps)
+            relaxed = Problem(ann, prob.spec, prob.ops, eps=eps)
+            scale, d = relaxed.hessian_parts(u)
+            H = relaxed.hessian(u)
             assert abs(H - (scale * prob.ops.S + sp.diags(d))).max() == 0.0
             assert np.shares_memory(H.indices, prob.ops.S.indices)

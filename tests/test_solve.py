@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from conftest import forge_saddle_index
+
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
 from prescurv.exact import annulus_gamma_problem, annulus_gamma_state
@@ -27,11 +29,16 @@ def cylinder_problem(h, K_bg, level=3, L=1.0):
     return Problem(mesh, CurvatureSpec(K=-1.0, h=[h, h], K_bg=K_bg))
 
 
-def saddle_problem(level=3, r=0.8):
+def saddle_problem(level=3, r=0.8, eps=0.0):
     mesh = build_mesh(DomainSpec("annulus", r=r, level=level))
     K_bg, h_bg = background_for(mesh)
     spec = CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg)
-    return Problem(mesh, spec)
+    return Problem(mesh, spec, eps=eps)
+
+
+def first_vertex(prob):
+    """Anchor at boundary vertex 0 of the outer circle, s = 0 on every level."""
+    return prob.mesh.boundary_point(0, 0)
 
 
 def shooting_profile(K_bg, K0, h0, L):
@@ -110,9 +117,9 @@ class TestMinimize:
     def test_floor_does_not_stall_relaxed_low_state(self):
         # the energy terms cancel to a small total, so a floor scaled by
         # the total alone rejected every full Newton step near the minimum
-        prob = saddle_problem(level=4)
-        c0 = _constant_start(prob, 0.05)
-        rep = minimize(prob, eps=0.05, init=np.full(prob.n_dof, c0))
+        prob = saddle_problem(level=4, eps=0.05)
+        c0 = _constant_start(prob)
+        rep = minimize(prob, init=np.full(prob.n_dof, c0))
         assert rep.converged, rep.message
         assert rep.iterations <= 12
         assert rep.morse_index == 0
@@ -194,21 +201,21 @@ class TestMinimize:
 
 class TestNewtonPolish:
     def test_polish_recovers_saddle_from_nearby(self):
-        prob = saddle_problem(level=3)
+        prob = saddle_problem(level=3, eps=0.05)
         p = prob.mesh.boundary_point(0, 0)
-        low, u1 = relaxed_endpoints(prob, p, eps=0.05)
-        rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-10)
+        low, u1 = relaxed_endpoints(prob, p)
+        rep = mountain_pass(prob, low.state, u1, tol=1e-10)
         assert rep.converged
         rng = np.random.default_rng(1)
         jiggled = rep.state + 0.01 * rng.standard_normal(prob.n_dof)
-        back = newton_polish(prob, jiggled, eps=0.05, tol=1e-10)
+        back = newton_polish(prob, jiggled, tol=1e-10)
         assert back.converged
         assert back.residual_norm < 1e-10
         # constant boundary data makes the saddle a rotational orbit, so the
         # polished state may land on a rotated copy; compare orbit invariants
         assert abs(back.energy.total_eps - rep.energy.total_eps) < 1e-8
         assert abs(back.sup - rep.sup) < 1e-3
-        assert morse_index(prob, back.state, eps=0.05).negative_count == 1
+        assert morse_index(prob, back.state).negative_count == 1
 
     def test_trace_keys_match_minimize(self):
         mesh = build_mesh(DomainSpec("annulus", r=0.5, level=2))
@@ -269,11 +276,11 @@ class TestKrylovNewton:
             assert np.max(np.abs(rep.state - radial.state)) < 1e-12
 
     def test_preconditioner_follows_rotation_invariance(self):
-        prob = saddle_problem(level=3)
-        low, u1 = relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0), eps=0.05)
+        prob = saddle_problem(level=3, eps=0.05)
+        low, u1 = relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0))
         # the low endpoint descends from a constant: radial throughout
         assert all(e["krylov_its"] == 1 for e in low.line_search_trace)
-        rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-8)
+        rep = mountain_pass(prob, low.state, u1, tol=1e-8)
         assert rep.converged
         # the saddle concentrates at a boundary point, so B preconditions it
         steps = [e for e in rep.line_search_trace if "linear" in e]
@@ -307,7 +314,7 @@ class TestKrylovNewton:
 
 class TestRelaxedEndpoints:
     def test_uncertified_low_state_raises(self, monkeypatch):
-        prob = saddle_problem(level=2)
+        prob = saddle_problem(level=2, eps=0.05)
         real = solve.minimize
 
         def uncertified(*args, **kwargs):
@@ -318,35 +325,35 @@ class TestRelaxedEndpoints:
 
         monkeypatch.setattr(solve, "minimize", uncertified)
         with pytest.raises(RuntimeError, match="not a local minimum"):
-            relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0), eps=0.05)
+            relaxed_endpoints(prob, prob.mesh.boundary_point(0, 0))
 
     @pytest.mark.parametrize("level", [2, 4])
     @pytest.mark.parametrize("kind,eps", [("annulus", 0.005), ("annulus", 0.05),
                                           ("annulus", 0.5), ("cylinder", 0.0)])
     def test_constant_start_minimizes_over_constants(self, kind, eps, level):
-        prob = (saddle_problem(level=level) if kind == "annulus"
+        prob = (saddle_problem(level=level, eps=eps) if kind == "annulus"
                 else cylinder_problem(h=0.5, K_bg=-1.0, level=level))
-        c = _constant_start(prob, eps)
+        c = _constant_start(prob)
         ones = np.ones(prob.n_dof)
-        e = prob.energy(c * ones, eps).total_eps
+        e = prob.energy(c * ones).total_eps
         for dc in (-1e-4, 1e-4):
-            assert prob.energy((c + dc) * ones, eps).total_eps > e
+            assert prob.energy((c + dc) * ones).total_eps > e
 
     def test_constant_start_needs_a_positive_root(self):
         # flat background: chi_gen = 0, and the boundary datum is negative,
         # so at eps = 0 the energy of constants decreases all the way down
         with pytest.raises(RuntimeError, match="no constant minimizes"):
-            _constant_start(saddle_problem(level=2), 0.0)
+            _constant_start(saddle_problem(level=2))
 
     def test_constant_start_message_signs_each_coefficient(self):
         # K_bg = 1 and h < 0: every coefficient of E'(c) is positive; each
         # is printed once, with its own sign
         prob = cylinder_problem(h=-0.5, K_bg=1.0, level=1)
         with pytest.raises(RuntimeError) as exc:
-            _constant_start(prob, 0.0)
+            _constant_start(prob)
         assert "E'(c) = 12.5664 x^2 +12.5664 x +12.5664, x = e^(c/2)" in str(exc.value)
         with pytest.raises(RuntimeError) as exc:
-            _constant_start(saddle_problem(level=2), 0.0)
+            _constant_start(saddle_problem(level=2))
         assert "- -" not in str(exc.value) and "+-" not in str(exc.value)
 
 
@@ -388,34 +395,34 @@ class TestBuildU1:
 
 class TestMountainPass:
     def test_finds_index_one_saddle(self):
-        prob = saddle_problem(level=3)
+        prob = saddle_problem(level=3, eps=0.05)
         p = prob.mesh.boundary_point(0, 0)
-        low, u1 = relaxed_endpoints(prob, p, eps=0.05)
-        rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-8)
+        low, u1 = relaxed_endpoints(prob, p)
+        rep = mountain_pass(prob, low.state, u1, tol=1e-8)
         assert rep.converged
         assert rep.residual_norm < 1e-6
-        assert rep.method == "mountain-pass"
-        assert morse_index(prob, rep.state, eps=0.05).negative_count == 1
+        assert rep.method == "mountain-pass" and rep.eps == 0.05
+        assert morse_index(prob, rep.state).negative_count == 1
         # the saddle level separates the endpoints
         assert rep.energy.total_eps > low.energy.total_eps
-        assert rep.energy.total_eps > prob.energy(u1, 0.05).total_eps
+        assert rep.energy.total_eps > prob.energy(u1).total_eps
 
     def test_path_state_consistency(self):
-        prob = saddle_problem(level=3)
+        prob = saddle_problem(level=3, eps=0.05)
         p = prob.mesh.boundary_point(0, 0)
-        low, u1 = relaxed_endpoints(prob, p, eps=0.05)
-        rep = mountain_pass(prob, 0.05, low.state, u1, n_points=9, tol=1e-8)
+        low, u1 = relaxed_endpoints(prob, p)
+        rep = mountain_pass(prob, low.state, u1, n_points=9, tol=1e-8)
         # the path is the energy along the sampled segment, endpoints included
         ts = np.linspace(0.0, 1.0, 9)[:, None]
         segment = (1.0 - ts) * low.state + ts * u1
-        assert np.array_equal(rep.path, [prob.energy(v, 0.05).total_eps for v in segment])
+        assert np.array_equal(rep.path, [prob.energy(v).total_eps for v in segment])
         assert rep.path[0] == low.energy.total_eps
 
     def test_polishes_the_sampled_maximum(self):
-        prob = saddle_problem(level=3)
+        prob = saddle_problem(level=3, eps=0.05)
         p = prob.mesh.boundary_point(0, 0)
-        low, u1 = relaxed_endpoints(prob, p, eps=0.05)
-        rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-8)
+        low, u1 = relaxed_endpoints(prob, p)
+        rep = mountain_pass(prob, low.state, u1, tol=1e-8)
         ts = np.linspace(0.0, 1.0, 17)[:, None]
         segment = (1.0 - ts) * low.state + ts * u1
         maxima = [e for e in rep.line_search_trace if "sweep" in e]
@@ -423,7 +430,7 @@ class TestMountainPass:
         k = maxima[0]["max_index"]
         assert k == 1 + int(np.argmax(rep.path[1:-1]))
         assert maxima[0]["level"] == rep.path[k]
-        polish = newton_polish(prob, segment[k], eps=0.05, tol=1e-8)
+        polish = newton_polish(prob, segment[k], tol=1e-8)
         assert np.array_equal(rep.state, polish.state)
         assert rep.iterations == 1 + polish.iterations
         assert rep.line_search_trace[1:] == polish.line_search_trace
@@ -435,7 +442,7 @@ class TestMountainPass:
         rep = minimize(prob, tol=1e-10)
         bump = rep.state + 1.0
         with pytest.raises(PathCollapseError):
-            mountain_pass(prob, 0.0, rep.state, bump, tol=1e-8)
+            mountain_pass(prob, rep.state, bump, tol=1e-8)
 
 
 def _descend(prob, u):
@@ -455,22 +462,21 @@ class TestNested:
     def test_saddle_matches_direct_solve(self):
         # q2 = 0.2 resolves the bubble from level 2, so level 3 is a finish
         prob = saddle_problem(level=3)
-        p = prob.mesh.boundary_point(0, 0)
-        rep = continuation(prob, p, eps_schedule=(0.05,), q2=0.2)[0]
+        rep = continuation(prob, first_vertex, eps_schedule=(0.05,), q2=0.2)[0]
         assert [(e["level"], e["method"]) for e in rep.levels][-2:] == [
             (2, "direct"), (3, "finish")]
-        low, u1 = relaxed_endpoints(prob, p, 0.05, q2=0.2)
-        direct = mountain_pass(prob, 0.05, low.state, u1)
+        relaxed = saddle_problem(level=3, eps=0.05)
+        low, u1 = relaxed_endpoints(relaxed, first_vertex(relaxed), q2=0.2)
+        direct = mountain_pass(relaxed, low.state, u1)
         # states are not compared: the saddle Hessian has an exact zero
         # mode along which the two Newton solves may end apart
         assert abs(rep.energy.total_eps - direct.energy.total_eps) < 1e-10
         assert abs(rep.sup - direct.sup) < 1e-5
-        assert rep.morse_index == morse_index(prob, direct.state, eps=0.05).negative_count == 1
+        assert rep.morse_index == morse_index(relaxed, direct.state).negative_count == 1
 
     def test_failed_coarse_levels_fall_back_to_direct(self):
         prob = saddle_problem(level=3)
-        reports = continuation(prob, prob.mesh.boundary_point(0, 0),
-                               eps_schedule=(0.05, 0.02))
+        reports = continuation(prob, first_vertex, eps_schedule=(0.05, 0.02))
         levels = reports[0].levels
         assert [(e["level"], e["method"]) for e in levels] == [
             (0, "direct"), (1, "direct"), (2, "direct"), (3, "direct")]
@@ -533,10 +539,29 @@ class TestNested:
 
 
 class TestContinuation:
+    def test_saddle_of_another_index_is_not_converged(self, monkeypatch):
+        forge_saddle_index(monkeypatch)
+        rep, = continuation(saddle_problem(level=3), first_vertex, eps_schedule=(0.05,))
+        assert not rep.converged and rep.morse_index == 2
+        assert rep.message == "Morse index 2, not 1"
+        assert [(e["level"], e["method"]) for e in rep.levels][-1] == (3, "direct")
+        assert rep.levels[-1]["message"] == rep.message
+
+    def test_later_weight_is_index_checked(self, monkeypatch):
+        # the warm started polish at 0.02 converges with index 2: it fails,
+        # the nested re-solve runs and fails the same way
+        forge_saddle_index(monkeypatch, eps=0.02)
+        first, later = continuation(saddle_problem(level=3), first_vertex,
+                                    eps_schedule=(0.05, 0.02))
+        assert first.converged and first.morse_index == 1
+        assert not later.converged and later.message == "Morse index 2, not 1"
+        assert [(e["level"], e["method"]) for e in later.levels] == [
+            (3, "finish"), (0, "direct"), (1, "direct"), (2, "direct"), (3, "direct")]
+        assert later.levels[0]["message"] == later.message == later.levels[-1]["message"]
+
     def test_tracks_saddle_branch(self):
         prob = saddle_problem(level=3)
-        p = prob.mesh.boundary_point(0, 0)
-        reports = continuation(prob, p, eps_schedule=(0.05, 0.02), tol=1e-8)
+        reports = continuation(prob, first_vertex, eps_schedule=(0.05, 0.02), tol=1e-8)
         assert len(reports) == 2
         assert all(r.converged for r in reports)
         assert [r.eps for r in reports] == [0.05, 0.02]

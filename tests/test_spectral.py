@@ -84,16 +84,16 @@ def _saddle():
     """The relaxed L3 annulus saddle at eps = 0.05: (problem, state)."""
     mesh = build_mesh(DomainSpec("annulus", r=0.8, level=3))
     K_bg, h_bg = background_for(mesh)
-    prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg))
-    low, u1 = relaxed_endpoints(prob, mesh.boundary_point(0, 0), eps=0.05)
-    rep = mountain_pass(prob, 0.05, low.state, u1, tol=1e-10)
+    prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=K_bg, h_bg=h_bg), eps=0.05)
+    low, u1 = relaxed_endpoints(prob, mesh.boundary_point(0, 0))
+    rep = mountain_pass(prob, low.state, u1, tol=1e-10)
     assert rep.converged
     return prob, rep.state
 
 
 def _annulus_saddle():
     prob, u = _saddle()
-    return prob.hessian(u, 0.05), 1
+    return prob.hessian(u), 1
 
 
 def _gamma_state():
@@ -400,9 +400,9 @@ class TestFourierInertia:
         # a diagonal off its symbol (a state that is constant but at one
         # dof), a non-radial state, a grid that is not periodic, and a
         # restriction that drops the mesh
-        eps, fixed, index = 0.0, None, None
+        fixed, index = None, None
         if case == "saddle":
-            (prob, u), eps, index = _saddle(), 0.05, 1
+            (prob, u), index = _saddle(), 1
         elif case == "halfdisk":
             mesh = build_mesh(DomainSpec("halfdisk", R=8.0, level=2, grade=2.0))
             prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[2.0, 0.0], K_bg=0.0))
@@ -412,14 +412,14 @@ class TestFourierInertia:
             u = np.full(prob.n_dof, 1.0)
             if case == "bumped":
                 u[5] += 1e-6
-        Q = prob.hessian(u, eps)
+        Q = prob.hessian(u)
         if case == "fixed":
             fixed = np.zeros(prob.n_dof, dtype=bool)
             fixed[prob.mesh.vertex_dof[prob.mesh.components[0].verts]] = True
             free = np.nonzero(~fixed)[0]
             Q = Q.tocsr()[free][:, free]
         sizes = self.counted_splu(monkeypatch)
-        rep = morse_index(prob, u, eps, fixed=fixed)
+        rep = morse_index(prob, u, fixed=fixed)
         assert sizes[0] == Q.shape[0]
         assert rep.negative_count == (dense_count(Q) if index is None else index)
 
