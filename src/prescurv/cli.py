@@ -19,11 +19,11 @@ domain kind or a key of another [sweep] family; keys that the mode does
 not read are accepted.  configparser folds key case, so the annulus r
 and the half-disk R are one key, read by each kind as its own.  Runners
 read only typed values.  Every run writes a ``manifest.json`` echoing
-the resolved settings, the Python, NumPy and SciPy versions and the
-thread variables next to the mode's own JSON/CSV/.dat artifacts, so
-repeated runs with the same config and seed produce bit-identical
-files.  Curve artifacts come with a generated gnuplot script instead of
-rendered images.
+the resolved settings, the Python, NumPy and SciPy versions, SciPy's
+LAPACK library and the thread variables next to the mode's own
+JSON/CSV/.dat artifacts, so repeated runs with the same config and seed
+produce bit-identical files.  Curve artifacts come with a generated
+gnuplot script instead of rendered images.
 
 Exit codes: 0 success, 2 solver failure (its reason on stderr), 3 config
 error.  The environment variable ``PRESCURV_THREADS`` caps the
@@ -173,7 +173,8 @@ SCHEMA = {
         "anchor": (_anchor, "argmax-d"),
         "init": (_one_of("zero", "constant", "random"), "zero"),
         "init_value": (float, 0.0),
-        "blowup_threshold": (float, 50.0),
+        "blowup_threshold": (_checked(float, lambda v: v > 0, "the |sup| at which a state"
+                                      " has escaped, must be positive"), 50.0),
         "seed": (int, 0),
     },
     "output": {"dir": (str, "out")},
@@ -274,7 +275,7 @@ class ExperimentConfig:
         man = {"mode": self.mode, "version": __version__, "quick": self.quick,
                "environment": {
                    "python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__,
+                   "scipy": scipy.__version__, "lapack": _lapack(),
                    # thread variables as set; None where unset
                    "threads": {var: os.environ.get(var) for var in THREAD_VARS}},
                "domain": dataclasses.asdict(self.domain), "settings": self.settings}
@@ -283,6 +284,13 @@ class ExperimentConfig:
             man["curvature"] = {"K": c.K.describe(), "h": [f.describe() for f in c.h],
                                 "K_bg": c.K_bg, "h_bg": list(c.h_bg)}
         return man
+
+
+def _lapack() -> str:
+    """Name and version of the LAPACK that SciPy was built against; Morse
+    counts run on its ``dpbtrf``."""
+    lapack = scipy.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+    return f"{lapack.get('name', 'unknown')} {lapack.get('version', 'unknown')}"
 
 
 def _load_curvature(c: dict, mesh) -> CurvatureSpec:

@@ -40,7 +40,9 @@ LAPACK's ``zpttrf`` factors once (L D L^H) and ``zpttrs`` solves.  The
 half-disk, a B off its symbol or a mode block that is not positive
 definite goes to SuperLU.  The same symbols give the Morse counts of
 :mod:`prescurv.spectral` and the Newton preconditioner of
-:mod:`prescurv.solve` on rotation-invariant states.
+:mod:`prescurv.solve` on rotation-invariant states.  Every other Morse
+count factors ``scale * S + diag(d)`` in LAPACK band storage, in an
+order read from the grid (:meth:`Operators.band`).
 """
 
 from __future__ import annotations
@@ -127,6 +129,34 @@ def _fourier_solver(sym: Optional[CirculantSymbol]):
     return solve
 
 
+def _band_order(mesh: Mesh) -> np.ndarray:
+    """Dofs in the order of the band LDL^T counts, read from ``mesh.grid``.
+
+    The half-disk numbers its dofs ring by ring outward from the centre,
+    already a band order.  On a periodic grid that order couples i = 0 to
+    i = n - 1 across the seam, so the lines of fixed i are taken in the
+    zig-zag order 0, n - 1, 1, n - 2, ...: neighbouring lines are at most
+    two lines apart, and the half-bandwidth is about twice a line's dofs.
+    """
+    G = mesh.vertex_dof[mesh.grid]  # (i, j) -> dof
+    if not (G[-1] == G[0]).all():
+        return np.arange(mesh.n_dof)
+    n = len(G) - 1
+    return G[np.stack([np.arange(n), np.arange(n)[::-1]], axis=1).ravel()[:n]].ravel()
+
+
+def _band_entries(A: sp.csr_matrix, order: np.ndarray):
+    """Where the lower triangle of the symmetric matrix A goes in LAPACK
+    lower band storage, rows and columns taken in ``order``: ``A.data[k]``
+    is band entry ``(r, c)``, the matrix entry (c + r, c)."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    rows = pos[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
+    cols = pos[A.indices]
+    k = np.flatnonzero(rows >= cols)
+    return rows[k] - cols[k], cols[k], k
+
+
 @dataclass
 class Operators:
     """Mesh-dependent quadrature forms shared by every problem on the mesh.
@@ -140,6 +170,8 @@ class Operators:
     preconditioner of MINRES Newton steps away from rotation-invariant
     states.  ``S_symbol``, read from S's stencil on periodic grids, is its
     Fourier symbol; without one (the half-disk) B goes to SuperLU.
+    :meth:`band` writes ``scale * S + diag(d)`` in band storage for the
+    LDL^T inertia counts of :mod:`prescurv.spectral`.
     """
 
     mesh: Mesh
@@ -190,6 +222,35 @@ class Operators:
         blocks[:, 1] += mean[:, None]
         return CirculantSymbol(sym.n, blocks, scale * sym.departure + spread,
                                scale * sym.norm + float(np.abs(mean).max()))
+
+    @property
+    def band_order(self) -> np.ndarray:
+        """The grid order of :meth:`band` (:func:`_band_order`)."""
+        return self._band_map[0]
+
+    @property
+    def _band_map(self):
+        """``band_order``, the half-bandwidth kd of S in it, and the flat
+        positions ``at`` in band storage of ``S.data[k]``
+        (:func:`_band_entries`); built at the first band count, not by
+        :func:`assemble`."""
+        if "band" not in self._cache:
+            order = _band_order(self.mesh)
+            r, c, k = _band_entries(self.S, order)
+            kd = int(r.max())
+            self._cache["band"] = (order, kd, r + (kd + 1) * c, k)
+        return self._cache["band"]
+
+    def band(self, scale: float, d: np.ndarray) -> np.ndarray:
+        """``scale * S + diag(d)`` in LAPACK lower band storage (Fortran
+        order), rows and columns in ``band_order``: ``ab[r, c]`` is the entry
+        (c + r, c).  The fourth consumer of S's pattern, beside
+        :meth:`plus_diagonal`, :meth:`symbol` and ``B``."""
+        order, kd, at, k = self._band_map
+        ab = np.zeros((kd + 1, self.n_dof), order="F")
+        ab.T.reshape(-1)[at] = scale * self.S.data[k]
+        ab[0] += d[order]
+        return ab
 
     @property
     def B(self) -> sp.csr_matrix:

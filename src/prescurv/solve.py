@@ -175,7 +175,10 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
     floor, where energy decrements drown in rounding and steps are
     accepted by residual decrease instead.  Without it every step is
     accepted by residual decrease, so the iteration converges to
-    critical points of any index.  Both tests backtrack by halving.
+    critical points of any index.  Both tests backtrack by halving.  A
+    sup above ``blowup_threshold`` stops it as a blow-up; a sup below
+    ``-blowup_threshold``, where e^u vanishes and the energy can fall
+    without bound, stops it as a downward escape.
     """
     sigma = 0.0
     trace: list[dict] = []
@@ -234,9 +237,10 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
             res = prob.ops.dual_norm(g)
         else:
             g, res = g_trial, res_trial
-        if u.max() > blowup_threshold:
-            blow = True
-            message = "state escaped upward"
+        sup = float(u.max())
+        if abs(sup) > blowup_threshold:
+            blow = sup > 0.0
+            message = "state escaped " + ("upward" if blow else "downward")
             break
     if not message and res >= tol:
         message = f"no convergence within max_iter={max_iter} iterations"

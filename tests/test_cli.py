@@ -166,6 +166,24 @@ BUBBLE_CFG = """
     method = minimize
 """
 
+# eps |Omega| = 1.96 is below the 2 pi of the arc's background coupling, so
+# even the relaxed energy falls without bound as u -> -infinity
+DOWNWARD_CFG = """
+    [domain]
+    kind = halfdisk
+    R = 5
+    level = 1
+
+    [curvature]
+    K = -(0.2) + -0.18*sin(x)
+    h = -1.47 + -0.3*cos(x)
+    background = flat
+
+    [solver]
+    method = minimize
+    eps = 0.05
+"""
+
 
 def run_cli(tmp_path, mode, text, out="out", name="exp.ini"):
     cfg = tmp_path / name
@@ -307,6 +325,8 @@ class TestConfigErrors:
         ("solve", SADDLE_CFG.format(method="mountain-pass") + "    path_points = 0\n"),
         ("solve", SADDLE_CFG.format(method="mountain-pass") + "    path_points = 2\n"),
         ("solve", SADDLE_CFG.format(method="mountain-pass") + "    q2 = 0\n"),
+        # every state would escape, upward or downward
+        ("solve", MINIMIZE_CFG + "    blowup_threshold = 0\n"),
         ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 0.5\n"),
         ("spectrum", "[domain]\nkind = cylinder\n[spectrum]\ndisk_form = 1.2\nn_r = 0\n"),
         ("spectrum", STRIP_CFG.format(kind="cylinder", R=5)),
@@ -322,7 +342,7 @@ class TestConfigErrors:
         ("blowup", GAMMA_SWEEP_CFG.format(parameters="4, 8.000001")),
     ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
             "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
-            "q2-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
+            "q2-0", "blowup_threshold-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
             "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text",
             "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
@@ -458,6 +478,8 @@ class TestSolveMode:
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
+        lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert env["lapack"] == f"{lapack['name']} {lapack['version']}"
         assert set(env["threads"]) == {"PRESCURV_THREADS", "OMP_NUM_THREADS",
                                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["threads"]["PRESCURV_THREADS"] == "1"
@@ -469,6 +491,21 @@ class TestSolveMode:
         code, out = run_cli(tmp_path, "solve", STALLED_CFG)
         assert code == 2
         assert read_json(out, "report.json")["converged"] is False
+
+    @pytest.mark.parametrize("mode", ["solve", "spectrum"])
+    def test_downward_escape_exits_2(self, tmp_path, capsys, mode):
+        # Newton stops once the sup passes -blowup_threshold, instead of
+        # running to max_iter with the state at sup -1e11
+        code, out = run_cli(tmp_path, mode, DOWNWARD_CFG)
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: state escaped downward\n"
+        if mode == "solve":
+            rep = read_json(out, "report.json")
+            assert rep["converged"] is False and rep["blowup_flag"] is False
+            assert rep["sup"] < -50.0
+            assert [e["level"] for e in rep["levels"]] == [0, 1]
+            assert all(e["message"] == "state escaped downward" and e["iterations"] <= 10
+                       for e in rep["levels"])
 
     def test_mesh_scale_bubble_exits_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "solve", BUBBLE_CFG)
@@ -677,15 +714,23 @@ class TestSpectrumMode:
         assert read_json(out, "spectrum.json")["negative_count"] == 7
 
     def test_failed_inertia_count_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the truncated strip's restricted form is counted by factorization
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        # the truncated strip's restricted form is counted by factorization;
+        # with the centre's row and column zero but for an entry that
+        # cancels the shift, its first pivot is exactly 0
+        real = Problem.hessian
 
-        monkeypatch.setattr(spectral.spla, "splu", singular)
+        def singular(self, u):
+            H = real(self, u).tolil()
+            H[0, :], H[:, 0] = 0.0, 0.0
+            H[0, 0] = -spectral.NEG_TOL
+            return H.tocsr()
+
+        monkeypatch.setattr(Problem, "hessian", singular)
         code, out = run_cli(tmp_path, "spectrum", STRIP_CFG.format(kind="halfdisk", R=5))
         assert code == 2
         assert capsys.readouterr().err == ("solver failure: inertia count unavailable:"
-                                           " factorization failed (Factor is exactly singular)\n")
+                                           " pivot 0 is 0, the factorization is exactly"
+                                           " singular\n")
         assert not (out / "spectrum.json").exists()
 
     @pytest.mark.parametrize("R,count", [(5, 3), (10, 6)])

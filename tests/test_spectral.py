@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from conftest import reference_symbol
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import B_ORDERING, Operators, Problem, assemble
+from prescurv.energy import Operators, Problem, assemble
 from prescurv.exact import (
     annulus_gamma_problem,
     annulus_gamma_state,
@@ -113,8 +113,8 @@ def test_factorization_count_matches_dense_on_hessians(make):
 
 
 def _swap_pairs(n):
-    # zero diagonal, eigenvalues +1 and -1: with no shift the
-    # factorization cannot take the diagonal pivots and must pivot
+    # zero diagonal, eigenvalues +1 and -1: with no shift the unpivoted
+    # LDL^T meets a zero pivot at column 0, though the matrix is regular
     return sp.kron(sp.identity(n // 2), sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])).tocsr()
 
 
@@ -123,7 +123,7 @@ def _singular_diagonal(n):
 
 
 @pytest.mark.parametrize("n", [8, 600])
-@pytest.mark.parametrize("make,reason", [(_swap_pairs, "pivoted off the diagonal"),
+@pytest.mark.parametrize("make,reason", [(_swap_pairs, "exactly singular"),
                                          (_singular_diagonal, "exactly singular")])
 def test_guard_failure_raises_at_any_size(make, reason, n):
     # no dense eigenvalue path takes over below some size
@@ -131,29 +131,122 @@ def test_guard_failure_raises_at_any_size(make, reason, n):
         negative_count(make(n), neg_tol=0.0)
 
 
-@pytest.mark.parametrize("make,reason", [(_swap_pairs, "pivoted"),
+@pytest.mark.parametrize("make,reason", [(_swap_pairs, "singular"),
                                          (_singular_diagonal, "singular")])
 def test_guard_raises_above_cutoff(make, reason):
     with pytest.raises(RuntimeError, match=reason):
         negative_count(make(700), neg_tol=0.0)
 
 
+def watch_counts(monkeypatch):
+    """Sizes of the band LDL^T counts made, and the columns each one's
+    ``dpbtrf`` calls factored: a failed call's ``info``, else its order."""
+    sizes, work = [], []
+    count, dpbtrf = spectral._ldlt_negatives, spectral.dpbtrf
+
+    def counted(ab):
+        sizes.append(ab.shape[1])
+        work.append(0)
+        return count(ab)
+
+    def factored(ab, **kwargs):
+        c, info = dpbtrf(ab, **kwargs)
+        work[-1] += info or ab.shape[1]
+        return c, info
+
+    monkeypatch.setattr(spectral, "_ldlt_negatives", counted)
+    monkeypatch.setattr(spectral, "dpbtrf", factored)
+    return sizes, work
+
+
+def random_band_matrix(rng, n, kd, n_neg):
+    """Random symmetric band matrix of half-bandwidth kd, shifted between
+    two eigenvalues so that exactly n_neg are negative."""
+    A = np.zeros((n, n))
+    for r in range(kd + 1):
+        v = rng.standard_normal(n - r)
+        A += np.diag(v, -r) + (np.diag(v, r) if r else 0.0)
+    lam = np.linalg.eigvalsh(A)
+    shift = lam[0] - 1.0 if n_neg == 0 else 0.5 * (lam[n_neg - 1] + lam[n_neg])
+    return sp.csr_matrix(A - shift * np.eye(n))
+
+
 def test_one_factorization_per_call(monkeypatch):
-    # a failed guard is not retried under another ordering
-    orderings = []
-    real = spectral.spla.splu
-
-    def splu(A, permc_spec=None, **kwargs):
-        orderings.append(permc_spec)
-        return real(A, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    # a failed guard is not retried on another path, and a count's
+    # restarts factor each column at most twice, whatever the count
+    sizes, work = watch_counts(monkeypatch)
     for make in (_swap_pairs, _singular_diagonal):
         with pytest.raises(RuntimeError, match="inertia count unavailable"):
             negative_count(make(700), neg_tol=0.0)
     H, index = _cylinder_minimum()
     assert negative_count(H).negative_count == index
-    assert orderings == [B_ORDERING] * 3
+    Q = random_band_matrix(np.random.default_rng(5), 400, 9, 25)
+    assert negative_count(Q).negative_count == 25
+    assert sizes == [700, 700, H.shape[0], 400]
+    assert work[2] == H.shape[0] and work[3] <= 2 * 400
+
+
+@pytest.mark.parametrize("n_neg", [0, 1, 7, 25])
+@pytest.mark.parametrize("n,kd", [(60, 3), (300, 12), (150, 149)])
+def test_band_count_matches_dense(n, kd, n_neg):
+    Q = random_band_matrix(np.random.default_rng(10 * kd + n_neg), n, kd, n_neg)
+    assert negative_count(Q).negative_count == dense_count(Q) == n_neg
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_failing_pivot_at_either_end(monkeypatch, at):
+    # a positive definite band matrix with one diagonal entry pushed
+    # negative: the first call of dpbtrf stops at that column
+    n, kd = 200, 5
+    Q = random_band_matrix(np.random.default_rng(7), n, kd, 0).tolil()
+    j = 0 if at == "first" else n - 1
+    Q[j, j] = -10.0 * abs(Q).max()
+    Q = Q.tocsr()
+    infos, real = [], spectral.dpbtrf
+
+    def recorded(ab, **kwargs):
+        c, info = real(ab, **kwargs)
+        infos.append(info)
+        return c, info
+
+    monkeypatch.setattr(spectral, "dpbtrf", recorded)
+    assert negative_count(Q).negative_count == dense_count(Q) == 1
+    assert infos[0] == j + 1
+
+
+@pytest.mark.parametrize("A,column", [([[0.0, 1.0], [1.0, 2.0]], 0),
+                                      ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]], 1)])
+def test_zero_pivot_raises(A, column):
+    # a zero (0, 0) entry, and a (1, 1) entry that the Schur update
+    # cancels exactly
+    with pytest.raises(RuntimeError, match=f"inertia count unavailable: pivot {column} is 0"):
+        negative_count(sp.csr_matrix(A), neg_tol=0.0)
+
+
+@pytest.mark.parametrize("A", [[[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                               [[1.0, 0.0], [0.0, -np.inf]]])
+def test_non_finite_pivot_raises(A):
+    # a NaN passes dpbtrf's positivity test and spreads; an infinite
+    # entry ends as an infinite pivot either side of zero
+    with pytest.raises(RuntimeError, match="inertia count unavailable: a pivot is not finite"):
+        negative_count(sp.csr_matrix(np.array(A)), neg_tol=0.0)
+
+
+@pytest.mark.parametrize("kind,bandwidths", [("annulus", (19, 35, 67)),
+                                             ("cylinder", (50, 98, 194)),
+                                             ("halfdisk", (66, 130, 258))])
+def test_grid_order_bandwidth(kind, bandwidths):
+    # periodic grids, lines of fixed i in zig-zag order: 2 m + 1 for
+    # the m = 2^l + 1 dofs of an annulus line (r = 0.8), 2 m for the
+    # m = 3 * 2^l + 1 of a cylinder line (L = 1), whose right triangles
+    # couple no diagonal; the half-disk's rings outward: a ring of
+    # 8 * 2^l + 1 dofs plus one
+    for level, kd in zip((3, 4, 5), bandwidths):
+        ops = assemble(build_mesh(DomainSpec(kind, L=1.0, r=0.8, R=5.0, level=level)))
+        pos, S = np.argsort(ops.band_order), ops.S.tocoo()
+        assert np.abs(pos[S.row] - pos[S.col]).max() == kd
+        if level == 3:
+            assert ops.band(1.0, np.zeros(ops.n_dof)).shape == (kd + 1, ops.n_dof)
 
 
 def test_negative_count_psd():
@@ -290,20 +383,13 @@ def test_disk_form_kernel_rayleigh_refines():
 
 class TestFourierInertia:
     """Counts of morse_index on periodic grids from Sturm sequences of the
-    Fourier mode blocks, with SuperLU only where the Hessian is not
-    circulant."""
+    Fourier mode blocks, with the band LDL^T only where the Hessian is not
+    circulant.  Three test names still say SuperLU (``splu``), kept so
+    that the test ids stay stable."""
 
     @staticmethod
-    def counted_splu(monkeypatch):
-        import prescurv.spectral as spectral
-        sizes, real = [], spectral.spla.splu
-
-        def counted(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return real(A, *args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "splu", counted)
-        return sizes
+    def counted_band(monkeypatch):
+        return watch_counts(monkeypatch)[0]
 
     @staticmethod
     def problem(kind, level, ops=None):
@@ -319,7 +405,8 @@ class TestFourierInertia:
     def test_matches_superlu_on_rotation_invariant_states(self, monkeypatch, kind, level):
         # the count below s of the Hessian at a constant state: from a
         # handful to thousands, odd counts included (modes 0 and n/2
-        # count once); SuperLU counts Q - s I below -NEG_TOL
+        # count once); the band LDL^T counts Q - s I below -NEG_TOL in the
+        # grid order
         prob = self.problem(kind, level)
         cases = []
         for c in (0.0, 1.0):
@@ -327,8 +414,8 @@ class TestFourierInertia:
             Q = prob.hessian(u)
             for s in (0.0, 0.05, 0.3, 1.0, 3.0):
                 Qs = (Q - s * sp.identity(prob.n_dof)).tocsr()
-                cases.append((u, s, negative_count(Qs).negative_count))
-        sizes = self.counted_splu(monkeypatch)
+                cases.append((u, s, negative_count(Qs, order=prob.ops.band_order).negative_count))
+        sizes = self.counted_band(monkeypatch)
         for u, s, count in cases:
             rep = morse_index(prob, u, neg_tol=NEG_TOL - s)
             assert (rep.negative_count, rep.k_used) == (count, 0)
@@ -340,7 +427,7 @@ class TestFourierInertia:
         # circulant; its symbol C spreads the bump over the grid index i.
         # Away from the spectrum the Fourier count is the Hessian's; at a
         # cut between an eigenvalue of Q and the matching one of C, Weyl's
-        # bracket of twice the departure leaves the count to SuperLU
+        # bracket of twice the departure leaves the count to the band LDL^T
         mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=1))
         ops = assemble(mesh)
         D = np.arange(mesh.n_dof).reshape(-1, 16 * 2)
@@ -360,7 +447,7 @@ class TestFourierInertia:
         k = int(np.argmax(np.abs(lq - lc)))
         cut = 0.5 * (lq[k] + lc[k])
         assert (lq < cut).sum() != (lc < cut).sum()
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         assert morse_index(prob, u).negative_count == dense_count(Q)
         assert sizes == []
         assert morse_index(prob, u, neg_tol=-cut).negative_count == (lq < cut).sum()
@@ -370,7 +457,7 @@ class TestFourierInertia:
         # one interior diagonal entry off its ring mean by 5e-13 of the
         # largest, inside CIRCULANT_RTOL: the symbol takes the state, and a
         # cut a quarter of that spread above an eigenvalue of the
-        # unperturbed Hessian must leave the count to SuperLU
+        # unperturbed Hessian must leave the count to the band LDL^T
         prob = self.problem("cylinder", 1)
         u = np.full(prob.n_dof, 1.0)
         lam = np.linalg.eigvalsh(prob.hessian(u).toarray())[prob.n_dof // 2]
@@ -379,7 +466,7 @@ class TestFourierInertia:
         delta = 5e-13 * np.abs(prob.hessian(u).diagonal()).max()
         u[i] += delta / d[i]
         assert prob.ops.symbol(*prob.hessian_parts(u)) is not None
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         morse_index(prob, u, neg_tol=-(lam + delta / 4))
         assert sizes == [prob.n_dof]
 
@@ -391,7 +478,7 @@ class TestFourierInertia:
         prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[0.0, 0.0], K_bg=0.0))
         u = np.full(prob.n_dof, -800.0)
         assert (prob.hessian(u) != prob.ops.S).nnz == 0
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         morse_index(prob, u, neg_tol=0.0)
         assert sizes and sizes[0] == prob.n_dof
 
@@ -418,7 +505,7 @@ class TestFourierInertia:
             fixed[prob.mesh.vertex_dof[prob.mesh.components[0].verts]] = True
             free = np.nonzero(~fixed)[0]
             Q = Q.tocsr()[free][:, free]
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         rep = morse_index(prob, u, fixed=fixed)
         assert sizes[0] == Q.shape[0]
         assert rep.negative_count == (dense_count(Q) if index is None else index)
@@ -427,7 +514,7 @@ class TestFourierInertia:
         # one symbol read per level: the stiffness stencil's, shared by B
         # and the certificate's Hessian
         import prescurv.energy as energy
-        sizes, reads, real = self.counted_splu(monkeypatch), [], energy._stencil_symbol
+        sizes, reads, real = self.counted_band(monkeypatch), [], energy._stencil_symbol
 
         def counted(W):
             reads.append(W.shape[2])
