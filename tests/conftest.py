@@ -33,6 +33,19 @@ def forge_saddle_index(monkeypatch, eps=None):
     monkeypatch.setattr(solve, "morse_index", forged)
 
 
+def assert_gauss_bonnet(rep, mesh):
+    """A report's Gauss-Bonnet defect within what its residual allows.
+
+    The defect is -g.1 / (2 (1 + 2 eps)) for the gradient g, and
+    |g.1| <= ||g||_{B^-1} ||1||_B with ||1||_B = sqrt|Omega|; rounding
+    adds n_dof ulps of the three terms the defect sums."""
+    e, scale = rep["energy"], 1.0 + 2.0 * rep["eps"]
+    terms = abs(e["area"]) / (2 * scale) + abs(e["boundary"]) / (4 * scale) + abs(e["chi_gen"])
+    bound = (0.5 * rep["residual_norm"] * np.sqrt(mesh.tri_areas.sum())
+             + mesh.n_dof * 2.0**-52 * terms)
+    assert abs(rep["gauss_bonnet"]) <= bound, (rep["gauss_bonnet"], bound)
+
+
 def analytic_geometry(spec):
     """Exact area and boundary lengths (in ``Mesh.components`` order) of
     the domain a ``DomainSpec`` describes."""

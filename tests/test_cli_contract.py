@@ -16,10 +16,10 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import assert_gauss_bonnet
 from prescurv import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "benchmarks" / "configs"
@@ -90,17 +90,6 @@ def test_every_exit_keeps_the_contract(experiment):
             _assert_certified(Path(tmp) / "out", mode, method)
 
 
-def _assert_gauss_bonnet(rep, mesh):
-    """The defect is -g.1 / (2 (1 + 2 eps)) for the gradient g, and
-    |g.1| <= ||g||_{B^-1} ||1||_B with ||1||_B = sqrt|Omega|; rounding
-    adds n_dof ulps of the three terms the defect sums."""
-    e, scale = rep["energy"], 1.0 + 2.0 * rep["eps"]
-    terms = abs(e["area"]) / (2 * scale) + abs(e["boundary"]) / (4 * scale) + abs(e["chi_gen"])
-    bound = (0.5 * rep["residual_norm"] * np.sqrt(mesh.tri_areas.sum())
-             + mesh.n_dof * 2.0**-52 * terms)
-    assert abs(rep["gauss_bonnet"]) <= bound, (rep["gauss_bonnet"], bound)
-
-
 def _assert_certified(out, mode, method):
     if method is None:  # a closed-form family state: nothing was solved
         assert json.loads((out / "spectrum.json").read_text())["negative_count"] >= 0
@@ -116,7 +105,7 @@ def _assert_certified(out, mode, method):
         assert rep["converged"] is True, path.name
         assert rep["residual_norm"] < TOL
         assert rep["morse_index"] == INDEX[method]
-        _assert_gauss_bonnet(rep, cli.load_config(str(out.parent / "exp.ini"), mode,
+        assert_gauss_bonnet(rep, cli.load_config(str(out.parent / "exp.ini"), mode,
                                                   str(out), False).mesh)
 
 
