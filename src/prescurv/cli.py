@@ -288,7 +288,8 @@ class ExperimentConfig:
 
 def _lapack() -> str:
     """Name and version of the LAPACK that SciPy was built against; Morse
-    counts run on its ``dpbtrf``."""
+    counts, B on the half-disk and Newton's fallback directions run on its
+    ``dpbtrf`` and ``dtbsv``."""
     lapack = scipy.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
     return f"{lapack.get('name', 'unknown')} {lapack.get('version', 'unknown')}"
 

@@ -37,29 +37,30 @@ i (:meth:`Operators.symbol`).  An rfft along i then splits B into
 Hermitian positive definite tridiagonal mode blocks (Hockney 1965;
 Buzbee, Golub & Nielson 1970), stacked into one tridiagonal matrix that
 LAPACK's ``zpttrf`` factors once (L D L^H) and ``zpttrs`` solves.  The
-half-disk, a B off its symbol or a mode block that is not positive
-definite goes to SuperLU.  The same symbols give the Morse counts of
-:mod:`prescurv.spectral` and the Newton preconditioner of
-:mod:`prescurv.solve` on rotation-invariant states.  Every other Morse
-count factors ``scale * S + diag(d)`` in LAPACK band storage, in an
-order read from the grid (:meth:`Operators.band`).
+same symbols give the Morse counts of :mod:`prescurv.spectral` and the
+Newton preconditioner of :mod:`prescurv.solve` on rotation-invariant
+states.  Everything else, the other Morse counts, B on the half-disk or
+off its symbol and Newton's fallback directions, is one band L D L^T of
+``scale * S + diag(d)`` in an order read from the grid
+(:meth:`Operators.factor`), by LAPACK's ``dpbtrf`` and BLAS ``dtbsv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zpttrf, zpttrs
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpbtrf, zpttrf, zpttrs
 
 from .domain import Mesh
 from .fields import CurvatureSpec, eval_K, perturb
 
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
-B_ORDERING = "MMD_AT_PLUS_A"  # fill-reducing order of the SuperLU factorizations of B
 CIRCULANT_RTOL = 1e-12  # B's largest departure from its circulant symbol, relative
 
 
@@ -129,20 +130,26 @@ def _fourier_solver(sym: Optional[CirculantSymbol]):
     return solve
 
 
-def _band_order(mesh: Mesh) -> np.ndarray:
-    """Dofs in the order of the band LDL^T counts, read from ``mesh.grid``.
+def _band_order(mesh: Mesh) -> tuple[np.ndarray, bool]:
+    """Dofs in the order of the band L D L^T factors, read from
+    ``mesh.grid``, and whether the last of them is a border.
 
-    The half-disk numbers its dofs ring by ring outward from the centre,
-    already a band order.  On a periodic grid that order couples i = 0 to
-    i = n - 1 across the seam, so the lines of fixed i are taken in the
-    zig-zag order 0, n - 1, 1, n - 2, ...: neighbouring lines are at most
-    two lines apart, and the half-bandwidth is about twice a line's dofs.
+    The lines of fixed i follow one another: the half-disk's spokes, and
+    on a periodic grid, where that order would couple i = 0 to i = n - 1
+    across the seam, the lines in the zig-zag order 0, n - 1, 1, n - 2,
+    ..., so that neighbouring lines are at most two lines apart.  The
+    half-bandwidth is about one line's dofs on the half-disk and two on
+    a periodic grid.  The half-disk's centre meets every spoke, so it
+    goes last, as a border that :meth:`Operators.factor` keeps out of
+    the band.
     """
     G = mesh.vertex_dof[mesh.grid]  # (i, j) -> dof
-    if not (G[-1] == G[0]).all():
-        return np.arange(mesh.n_dof)
-    n = len(G) - 1
-    return G[np.stack([np.arange(n), np.arange(n)[::-1]], axis=1).ravel()[:n]].ravel()
+    if (G[-1] == G[0]).all():
+        n = len(G) - 1
+        G = G[np.stack([np.arange(n), np.arange(n)[::-1]], axis=1).ravel()[:n]]
+    fan = bool((G[:, 0] == G[0, 0]).all())
+    lines = G[:, int(fan):].ravel()
+    return (np.append(lines, G[0, 0]) if fan else lines), fan
 
 
 def _band_entries(A: sp.csr_matrix, order: np.ndarray):
@@ -157,6 +164,101 @@ def _band_entries(A: sp.csr_matrix, order: np.ndarray):
     return rows[k] - cols[k], cols[k], k
 
 
+@dataclass(frozen=True)
+class Factor:
+    """An L D L^T factorization: ``negatives`` is the number of negative
+    entries of D, by Sylvester's law of inertia the number of negative
+    eigenvalues of the matrix, and ``solve(r)`` applies its inverse."""
+
+    negatives: int
+    solve: Callable[[np.ndarray], np.ndarray]
+
+
+def _dense(ab: np.ndarray, t: int, size: int) -> np.ndarray:
+    """Rows and columns t .. t + size - 1 of the band matrix ``ab`` as a
+    strided view of its storage with leading dimension kd, as LAPACK's
+    ``dpbtf2`` reads a trailing block: the entries on and below the
+    diagonal, up to kd below it, are the matrix's; the others alias
+    other entries.  Needs t + size <= n."""
+    kd = ab.shape[0] - 1
+    flat = ab.reshape(-1, order="F")
+    return as_strided(flat[t * (kd + 1):], (size, size), (flat.strides[0], kd * flat.strides[0]))
+
+
+def _ldlt(ab: np.ndarray, dofs: np.ndarray) -> Factor:
+    """Unpivoted L D L^T of the symmetric band matrix ``ab`` (LAPACK lower
+    band storage, Fortran order), which is overwritten by L; ``dofs[c]``
+    names column c in errors.
+
+    LAPACK's band Cholesky ``dpbtrf`` runs from the last restart until a
+    pivot c is not positive.  What the failed call left is not read:
+    columns restart .. c - 1 are factored again from a copy of the input,
+    and their last kd columns give, by one triangular solve, their block
+    L21 of L in rows c .. c + kd and column c of the Schur block.  Its
+    (c, c) entry p is eliminated as a 1 x 1 pivot: L21 and the column
+    times sign(p) / sqrt|p| go into the band, with D = sign(p) at c and 1
+    elsewhere.  The rest of the block updates the columns after c, and
+    the factorization restarts there in place, so each column is factored
+    at most twice whatever the count.  The inertia is exact by Sylvester's
+    law and the Haynsworth additivity of Schur complements; a pivot that
+    is zero or not finite raises.  ``solve`` is the band triangular solve
+    ``dtbsv`` with L, a multiply by D and ``dtbsv`` with L^T.
+    """
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    source = ab.copy(order="F")  # the input, each restart's leading block updated
+    sign = np.ones(n)
+    start, stop, reach = 0, n, 0
+    while True:
+        info = dpbtrf(ab[:, start:stop], lower=1, overwrite_ab=1)[1] if stop > start else 0
+        if info:
+            # a band Cholesky stopped at column c has written only rows and
+            # columns before c + kd + 1: each factored column updates the kd
+            # after it, and LAPACK blocks columns only when kd exceeds its block
+            stop = start + info - 1
+            reach = max(reach, min(n, stop + kd + 1))
+            ab[:, start:stop] = source[:, start:stop]
+            continue
+        if not np.isfinite(ab[0, start:stop]).all():
+            raise RuntimeError("inertia count unavailable: a pivot is not finite")
+        if stop == n:
+            break
+        # column c of the Schur block of rows c .. c + w - 1, from the p
+        # columns before c that reach it: L21 = A21 L11^-T, S = A22 - L21 L21^T
+        c, p, w = stop, min(kd, stop - start), min(kd + 1, n - stop)
+        band = np.triu(np.ones((w, p), dtype=bool), p - kd)  # A21's entries within kd
+        A21 = np.where(band, _dense(source, c - p, p + w)[p:, :p], 0.0)
+        X = solve_triangular(np.tril(_dense(ab, c - p, p)), A21.T, lower=True,
+                             check_finite=False)
+        col = source[:w, c] - X.T @ X[:, 0]
+        pivot = col[0]
+        if not np.isfinite(pivot):
+            raise RuntimeError("inertia count unavailable: a pivot is not finite")
+        if pivot == 0.0:
+            raise RuntimeError(f"inertia count unavailable: pivot {dofs[c]} is 0, the"
+                               " factorization is exactly singular")
+        sign[c] = np.sign(pivot)
+        rows, cols = np.nonzero(band)  # L21[b, a] is band entry (p + b - a, c - p + a)
+        ab[p + rows - cols, c - p + cols] = X[cols, rows]
+        ab[:w, c] = col * (sign[c] / np.sqrt(abs(pivot)))
+        # eliminating c leaves A22 - U below it, U = L21 L21^T + col col^T /
+        # pivot; zero padded, row b of U from its diagonal on is the update
+        # of band column c + 1 + b
+        m = w - 1
+        Z = np.zeros((p + 1, 2 * m))
+        Z[:p, :m], Z[p, :m] = X[:, 1:], col[1:]
+        U = (Z[:, :m] * np.append(np.ones(p), 1.0 / pivot)[:, None]).T @ Z
+        step = U.strides[1]
+        source[:m, c + 1:c + w] -= as_strided(U, (m, m), (step, U.strides[0] + step))
+        ab[:reach - c - 1, c + 1:reach] = source[:reach - c - 1, c + 1:reach]
+        start, stop, reach = c + 1, n, 0
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = dtbsv(kd, ab, r, lower=1)
+        return dtbsv(kd, ab, sign * y, lower=1, trans=1, overwrite_x=1)
+
+    return Factor(int((sign < 0).sum()), solve)
+
+
 @dataclass
 class Operators:
     """Mesh-dependent quadrature forms shared by every problem on the mesh.
@@ -169,9 +271,9 @@ class Operators:
     and, through the cached solver of :meth:`solve_B`, the
     preconditioner of MINRES Newton steps away from rotation-invariant
     states.  ``S_symbol``, read from S's stencil on periodic grids, is its
-    Fourier symbol; without one (the half-disk) B goes to SuperLU.
-    :meth:`band` writes ``scale * S + diag(d)`` in band storage for the
-    LDL^T inertia counts of :mod:`prescurv.spectral`.
+    Fourier symbol; without one (the half-disk) B goes to :meth:`factor`,
+    the band L D L^T of ``scale * S + diag(d)`` that also gives the Morse
+    counts of :mod:`prescurv.spectral` and Newton's fallback directions.
     """
 
     mesh: Mesh
@@ -224,45 +326,72 @@ class Operators:
                                scale * sym.norm + float(np.abs(mean).max()))
 
     @property
-    def band_order(self) -> np.ndarray:
-        """The grid order of :meth:`band` (:func:`_band_order`)."""
-        return self._band_map[0]
-
-    @property
     def _band_map(self):
-        """``band_order``, the half-bandwidth kd of S in it, and the flat
-        positions ``at`` in band storage of ``S.data[k]``
-        (:func:`_band_entries`); built at the first band count, not by
-        :func:`assemble`."""
+        """The band order and whether its last dof is a border
+        (:func:`_band_order`), the number n of dofs in the band, the
+        half-bandwidth kd of S there, and the flat positions ``at`` in band
+        storage of ``S.data[k]`` (:func:`_band_entries`); built at the
+        first factorization, not by :func:`assemble`."""
         if "band" not in self._cache:
-            order = _band_order(self.mesh)
+            order, bordered = _band_order(self.mesh)
+            n = len(order) - bordered
             r, c, k = _band_entries(self.S, order)
+            inside = r + c < n  # the border's row and column stay out
+            r, c, k = r[inside], c[inside], k[inside]
             kd = int(r.max())
-            self._cache["band"] = (order, kd, r + (kd + 1) * c, k)
+            self._cache["band"] = (order, n, kd, r + (kd + 1) * c, k)
         return self._cache["band"]
 
-    def band(self, scale: float, d: np.ndarray) -> np.ndarray:
-        """``scale * S + diag(d)`` in LAPACK lower band storage (Fortran
-        order), rows and columns in ``band_order``: ``ab[r, c]`` is the entry
-        (c + r, c).  The fourth consumer of S's pattern, beside
-        :meth:`plus_diagonal`, :meth:`symbol` and ``B``."""
-        order, kd, at, k = self._band_map
-        ab = np.zeros((kd + 1, self.n_dof), order="F")
-        ab.T.reshape(-1)[at] = scale * self.S.data[k]
-        ab[0] += d[order]
-        return ab
+    def factor(self, scale: float, d: np.ndarray,
+               fixed: Optional[np.ndarray] = None) -> Factor:
+        """L D L^T of ``scale * S + diag(d)`` in the grid order, the rows
+        and columns of ``fixed`` dofs replaced by identity rows, which add
+        only the eigenvalue 1; its solver works in dof order.
 
-    @property
-    def B(self) -> sp.csr_matrix:
-        if "B" not in self._cache:
-            self._cache["B"] = self.plus_diagonal(1.0, self.w_int)
-        return self._cache["B"]
+        The dofs of the band go to :func:`_ldlt`.  A border dof (the
+        half-disk's centre) stays out: the matrix is [[A', a], [a^T,
+        alpha]], and by Haynsworth's inertia additivity its count is A''s
+        plus one where s = alpha - a^T A'^-1 a, from one solve with A''s
+        factor, is negative.  A solve adds one dot product and one axpy.
+        An s that is zero or not finite raises, as a pivot does.
+        """
+        order, n, kd, at, k = self._band_map
+        A = self.plus_diagonal(scale, d)
+        if fixed is not None:
+            rows = np.repeat(np.arange(self.n_dof), np.diff(A.indptr))
+            A.data[fixed[rows] | fixed[A.indices]] = 0.0
+            A.data[self._diag_pos[fixed]] = 1.0
+        ab = np.zeros((kd + 1, n), order="F")
+        ab.T.reshape(-1)[at] = A.data[k]
+        inner, inside, border = _ldlt(ab, order), order[:n], order[n:]
+        negatives = inner.negatives
+        if len(border):
+            row = A[border[0]].toarray()[0][order]
+            a, z = row[:n], inner.solve(row[:n])
+            s = row[n] - a @ z
+            if not np.isfinite(s):
+                raise RuntimeError("inertia count unavailable: a pivot is not finite")
+            if s == 0.0:
+                raise RuntimeError(f"inertia count unavailable: pivot {border[0]} is 0, the"
+                                   " factorization is exactly singular")
+            negatives += int(s < 0)
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            x = np.empty_like(r)
+            x[inside] = inner.solve(r[inside])
+            if len(border):
+                x[border] = (r[border] - a @ x[inside]) / s
+                x[inside] -= x[border] * z
+            return x
+
+        return Factor(negatives, solve)
 
     def solve_B(self, r: np.ndarray) -> np.ndarray:
-        """B^{-1} r: Fourier-diagonal on periodic grids, else by SuperLU."""
+        """B^{-1} r: Fourier-diagonal on periodic grids, else by the band
+        L D L^T of :meth:`factor`."""
         if "B_solve" not in self._cache:
             self._cache["B_solve"] = (_fourier_solver(self.symbol(1.0, self.w_int))
-                                      or spla.splu(self.B.tocsc(), permc_spec=B_ORDERING).solve)
+                                      or self.factor(1.0, self.w_int).solve)
         return self._cache["B_solve"](r)
 
     def dual_norm(self, r: np.ndarray) -> float:

@@ -9,8 +9,9 @@ backtracking, serves two acceptance tests:
 * :func:`newton_polish` - residual-decrease acceptance, which converges
   to critical points of any index.
 
-Its directions come from MINRES (Paige & Saunders 1975); a sparse LU
-factorization of the shifted Hessian is the fallback.  Where the shifted
+Its directions come from MINRES (Paige & Saunders 1975); the band
+L D L^T of the shifted Hessian (``Operators.factor``, the factorization
+that also counts Morse indices) is the fallback.  Where the shifted
 Hessian is block-circulant on a periodic grid (rotation-invariant states
 on the cylinder and the annulus) and every Fourier mode block of its
 symbol is positive definite, MINRES is preconditioned by the inverse of
@@ -56,7 +57,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .domain import BoundaryPoint, coarsen, prolong
-from .energy import B_ORDERING, EnergyBreakdown, Problem, _fourier_solver, exp_lumped
+from .energy import EnergyBreakdown, Problem, _fourier_solver, exp_lumped
 from .exact import boundary_bubble_state
 from .fields import eval_D_field
 from .spectral import morse_index
@@ -130,10 +131,11 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
     rotation invariant on a periodic grid and every mode block of the
     symbol is positive definite, and by B^{-1} everywhere else, so the
     preconditioner is always SPD.  When MINRES fails, sigma is grown from
-    ``SIGMA_FLOOR`` until a sparse LU factorization succeeds; w carries
-    the quadrature weights so sigma is comparable to the potential
-    coefficient.  Either direction must be finite and, when ``descent``
-    is set, point downhill.
+    ``SIGMA_FLOOR`` until the band L D L^T of the shifted Hessian
+    (``Operators.factor``) gives an acceptable direction; a factorization
+    that raises counts as a failed try.  w carries the quadrature weights
+    so sigma is comparable to the potential coefficient.  Either direction
+    must be finite and, when ``descent`` is set, point downhill.
     """
     w, gn, its = prob.ops.w_int, float(np.linalg.norm(g)), []
 
@@ -153,13 +155,12 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
     if info == 0 and acceptable(d) and prob.ops.dual_norm(Hs @ d + g) <= KRYLOV_ACCEPT * res:
         return d, sigma, {"linear": "minres", "krylov_its": len(its)}
     for _ in range(SIGMA_TRIES):
-        Hs = prob.ops.plus_diagonal(scale, diag + sigma * w)
         try:
-            d = spla.splu(Hs.tocsc(), permc_spec=B_ORDERING).solve(-g)
+            d = prob.ops.factor(scale, diag + sigma * w).solve(-g)
         except RuntimeError:
             d = None
         if acceptable(d):
-            return d, sigma, {"linear": "lu", "krylov_its": len(its)}
+            return d, sigma, {"linear": "ldlt", "krylov_its": len(its)}
         sigma = max(4.0 * sigma, SIGMA_FLOOR)
     raise RuntimeError("could not regularize the Newton system"
                        + (" into a descent direction" if descent else ""))

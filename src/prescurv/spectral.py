@@ -12,13 +12,15 @@ equals the number of negative eigenvalues of the plain symmetric matrix.
 It is read exactly from the pivots of an unpivoted LDL^T factorization
 of the shifted matrix: the congruence Q + tau I = P^T L D L^T P
 preserves inertia, so the eigenvalues below -tau are as many as the
-negative entries of D.  The factorization is banded, in an order read
-from the logical grid (:meth:`prescurv.energy.Operators.band`): the
-lines across a periodic grid in zig-zag order, the half-disk's rings
-outward, for a half-bandwidth of about two lines or one ring.  LAPACK's
-band Cholesky ``dpbtrf`` does the work and :func:`_ldlt_negatives`
-restarts it past each pivot it cannot take (Haynsworth 1968), so a
-count costs at most two passes, one pass on a definite form.
+negative entries of D.  The factorization is the one of
+:meth:`prescurv.energy.Operators.factor`, banded in an order read from
+the logical grid: the lines across a periodic grid in zig-zag order,
+the half-disk's spokes with its centre last as a border, for a
+half-bandwidth of about two lines or one spoke.  LAPACK's band Cholesky
+``dpbtrf`` does the work, restarted past each pivot it cannot take
+(Haynsworth 1968), so a count costs at most two passes, one pass on a
+definite form; the same factor solves with B on the half-disk and gives
+Newton's fallback directions.
 
 On the periodic grids of cylinders and annuli, a rotation-invariant
 state makes Q = scale * S + diag(d) block-circulant up to rounding, and
@@ -68,11 +70,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .energy import CirculantSymbol, Problem, _band_entries
+from .energy import CirculantSymbol, Problem
 from .exact import disk_eigenfunction
 
 NEG_TOL = 1e-10
@@ -91,95 +91,6 @@ class SpectrumReport:
     negative_count: int
     k_used: int
     neg_tol: float = NEG_TOL
-
-
-def negative_count(Q: sp.spmatrix, neg_tol: float = NEG_TOL,
-                   order: Optional[np.ndarray] = None) -> SpectrumReport:
-    """Count eigenvalues of the symmetric matrix Q below ``-neg_tol``.
-
-    Q + neg_tol I, rows and columns taken in ``order`` (None: as given),
-    goes to LAPACK band storage, with the half-bandwidth that order gives
-    it, and to :func:`_ldlt_negatives`, which raises a
-    :class:`RuntimeError` naming the reason where the count is not
-    certain: a pivot that is zero or not finite.
-    """
-    Q = sp.csr_matrix(Q, copy=True)
-    Q.sum_duplicates()
-    r, c, k = _band_entries(Q, np.arange(Q.shape[0]) if order is None else order)
-    ab = np.zeros((int(r.max(initial=0)) + 1, Q.shape[0]), order="F")
-    ab[r, c] = Q.data[k]
-    ab[0] += neg_tol
-    return SpectrumReport(_ldlt_negatives(ab), 0, neg_tol)
-
-
-def _dense(ab: np.ndarray, t: int, size: int) -> np.ndarray:
-    """Rows and columns t .. t + size - 1 of the band matrix ``ab`` as a
-    strided view of its storage with leading dimension kd, as LAPACK's
-    ``dpbtf2`` reads a trailing block: the entries on and below the
-    diagonal, up to kd below it, are the matrix's; the others alias
-    other entries.  Needs t + size <= n."""
-    kd = ab.shape[0] - 1
-    flat = ab.reshape(-1, order="F")
-    return as_strided(flat[t * (kd + 1):], (size, size), (flat.strides[0], kd * flat.strides[0]))
-
-
-def _ldlt_negatives(ab: np.ndarray) -> int:
-    """Negative pivots of the unpivoted LDL^T of the symmetric band matrix
-    ``ab`` (LAPACK lower band storage, Fortran order; overwritten).
-
-    LAPACK's band Cholesky ``dpbtrf`` runs from the last restart until a
-    pivot c is not positive.  What the failed call left is not read:
-    columns restart .. c - 1 are factored again from a copy of the input,
-    their last kd columns give the Schur block of rows c .. c + kd (one
-    triangular solve), and its (c, c) entry is eliminated as a 1 x 1
-    pivot, counted when negative.  The rest of the block updates the
-    columns after c, and the factorization restarts there in place, so
-    each column is factored at most twice whatever the count.  The
-    inertia is exact by Sylvester's law and the Haynsworth additivity of
-    Schur complements; a pivot that is zero or not finite raises.
-    """
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    source = ab.copy(order="F")  # the input, each restart's leading block updated
-    count, start, stop, reach = 0, 0, n, 0
-    while True:
-        info = dpbtrf(ab[:, start:stop], lower=1, overwrite_ab=1)[1] if stop > start else 0
-        if info:
-            # a band Cholesky stopped at column c has written only rows and
-            # columns before c + kd + 1: each factored column updates the kd
-            # after it, and LAPACK blocks columns only when kd exceeds its block
-            stop = start + info - 1
-            reach = max(reach, min(n, stop + kd + 1))
-            ab[:, start:stop] = source[:, start:stop]
-            continue
-        if not np.isfinite(ab[0, start:stop]).all():
-            raise RuntimeError("inertia count unavailable: a pivot is not finite")
-        if stop == n:
-            return count
-        # column c of the Schur block of rows c .. c + w - 1, from the p
-        # columns before c that reach it: L21 = A21 L11^-T, S = A22 - L21 L21^T
-        c, p, w = stop, min(kd, stop - start), min(kd + 1, n - stop)
-        A21 = np.triu(_dense(source, c - p, p + w)[p:, :p], p - kd)
-        X = la.solve_triangular(np.tril(_dense(ab, c - p, p)), A21.T, lower=True,
-                                check_finite=False)
-        col = source[:w, c] - X.T @ X[:, 0]
-        pivot = col[0]
-        if not np.isfinite(pivot):
-            raise RuntimeError("inertia count unavailable: a pivot is not finite")
-        if pivot == 0.0:
-            raise RuntimeError(f"inertia count unavailable: pivot {c} is 0, the"
-                               " factorization is exactly singular")
-        count += int(pivot < 0)
-        # eliminating c leaves A22 - U below it, U = L21 L21^T + col col^T /
-        # pivot; zero padded, row b of U from its diagonal on is the update
-        # of band column c + 1 + b
-        m = w - 1
-        Z = np.zeros((p + 1, 2 * m))
-        Z[:p, :m], Z[p, :m] = X[:, 1:], col[1:]
-        U = (Z[:, :m] * np.append(np.ones(p), 1.0 / pivot)[:, None]).T @ Z
-        step = U.strides[1]
-        source[:m, c + 1:c + w] -= as_strided(U, (m, m), (step, U.strides[0] + step))
-        ab[:reach - c - 1, c + 1:reach] = source[:reach - c - 1, c + 1:reach]
-        start, stop, reach = c + 1, n, 0
 
 
 def _fourier_count(sym: Optional[CirculantSymbol], neg_tol: float) -> Optional[int]:
@@ -222,19 +133,14 @@ def morse_index(prob: Problem, u: np.ndarray, fixed: Optional[np.ndarray] = None
     below ``-neg_tol``, optionally restricted away from
     Dirichlet-fixed dofs.  Unrestricted rotation-invariant states on
     periodic grids are counted from the Fourier mode blocks
-    (:func:`_fourier_count`); everything else by the band LDL^T in the
-    grid order (:meth:`prescurv.energy.Operators.band`, or
-    :func:`negative_count` for a restriction, in that order on the free
-    dofs).
+    (:func:`_fourier_count`); everything else by the band L D L^T in the
+    grid order (:meth:`prescurv.energy.Operators.factor`, the fixed rows
+    and columns replaced by identity rows).
     """
-    if fixed is not None:
-        order, free = prob.ops.band_order, ~fixed
-        return negative_count(prob.hessian(u)[free][:, free], neg_tol,
-                              order=(np.cumsum(free) - 1)[order[free[order]]])
     scale, d = prob.hessian_parts(u)
-    count = _fourier_count(prob.ops.symbol(scale, d), neg_tol)
+    count = None if fixed is not None else _fourier_count(prob.ops.symbol(scale, d), neg_tol)
     if count is None:
-        count = _ldlt_negatives(prob.ops.band(scale, d + neg_tol))
+        count = prob.ops.factor(scale, d + neg_tol, fixed).negatives
     return SpectrumReport(count, 0, neg_tol)
 
 

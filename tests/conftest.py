@@ -5,9 +5,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
+import prescurv.energy as energy
 import prescurv.solve as solve
 from prescurv.domain import CIRCUMFERENCE
-from prescurv.energy import CirculantSymbol
+from prescurv.energy import CirculantSymbol, _band_entries
+from prescurv.spectral import NEG_TOL, SpectrumReport
 
 settings.register_profile(
     "ci",
@@ -103,3 +105,26 @@ def reference_symbol(A, mesh):
     w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
     blocks = c[1][..., None] + c[2][..., None] * w + c[0][..., None] * w.conj()
     return CirculantSymbol(n, blocks, departure, float(np.abs(c).sum(axis=(0, 2)).max()))
+
+
+def band_ldlt(Q, shift=0.0, order=None):
+    """``energy._ldlt`` of the symmetric matrix Q + shift I, rows and
+    columns taken in ``order`` (None: as given), in LAPACK band storage
+    with the half-bandwidth that order gives it; its solver works in that
+    order."""
+    Q = sp.csr_matrix(Q, copy=True)
+    Q.sum_duplicates()
+    order = np.arange(Q.shape[0]) if order is None else order
+    r, c, k = _band_entries(Q, order)
+    ab = np.zeros((int(r.max(initial=0)) + 1, Q.shape[0]), order="F")
+    ab[r, c] = Q.data[k]
+    ab[0] += shift
+    return energy._ldlt(ab, order)
+
+
+def negative_count(Q, neg_tol=NEG_TOL, order=None):
+    """Eigenvalues of any symmetric matrix Q below ``-neg_tol``, counted by
+    the band kernel in the order given: the reference that the grid
+    factorization of ``Operators.factor`` and the Fourier counts are
+    checked against."""
+    return SpectrumReport(band_ldlt(Q, neg_tol, order).negatives, 0, neg_tol)

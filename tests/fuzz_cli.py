@@ -105,7 +105,8 @@ def main(argv: list[str]) -> int:
     for row in rows.values():
         total.update({"minres": row["minres"], "fallback": row["fallback"],
                       f"exit {row['exit']}": 1})
-    print(f"{len(rows) - len(moved)} of {len(rows)} outcomes as pinned; {dict(sorted(total.items()))}")
+    print(f"{len(rows) - len(moved)} of {len(rows)} outcomes as pinned;",
+          dict(sorted(total.items())))
     return 1 if moved else 0
 
 

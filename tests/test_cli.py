@@ -716,16 +716,18 @@ class TestSpectrumMode:
     def test_failed_inertia_count_exits_2(self, tmp_path, capsys, monkeypatch):
         # the truncated strip's restricted form is counted by factorization;
         # with the centre's row and column zero but for an entry that
-        # cancels the shift, its first pivot is exactly 0
-        real = Problem.hessian
+        # cancels the shift, the pivot of the centre (the border) is exactly 0
+        real = Problem.hessian_parts
 
         def singular(self, u):
-            H = real(self, u).tolil()
-            H[0, :], H[:, 0] = 0.0, 0.0
-            H[0, 0] = -spectral.NEG_TOL
-            return H.tocsr()
+            scale, d = real(self, u)
+            S = self.ops.S
+            rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+            S.data[(rows == 0) | (S.indices == 0)] = 0.0
+            d[0] = -spectral.NEG_TOL
+            return scale, d
 
-        monkeypatch.setattr(Problem, "hessian", singular)
+        monkeypatch.setattr(Problem, "hessian_parts", singular)
         code, out = run_cli(tmp_path, "spectrum", STRIP_CFG.format(kind="halfdisk", R=5))
         assert code == 2
         assert capsys.readouterr().err == ("solver failure: inertia count unavailable:"

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import reference_stiffness, reference_symbol
+import prescurv.energy as energy
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import (
-    B_ORDERING,
     CIRCULANT_RTOL,
     EnergyBreakdown,
     Operators,
@@ -285,50 +285,55 @@ def test_chi_gen_matches_geometry(ann):
 def test_dual_norm_is_Binv_quadratic(cyl_small):
     ops = assemble(cyl_small)
     r = RNG.normal(0, 1, ops.n_dof)
-    direct = math.sqrt(r @ spla.spsolve(ops.B.tocsc(), r))
+    direct = math.sqrt(r @ spla.spsolve(ops.plus_diagonal(1.0, ops.w_int).tocsc(), r))
     assert ops.dual_norm(r) == pytest.approx(direct, rel=1e-10)
 
 
 class TestSolveB:
     """B^{-1} by rfft and one LAPACK solve over the stacked Fourier mode
-    blocks on periodic grids, by a SuperLU factorization elsewhere."""
+    blocks on periodic grids, by the band L D L^T of ``Operators.factor``
+    elsewhere; SuperLU stays as a reference."""
 
     @staticmethod
-    def counted_splu(monkeypatch):
-        sizes, real = [], spla.splu
+    def counted_band(monkeypatch):
+        """Sizes of the band factorizations made."""
+        sizes, real = [], energy._ldlt
 
-        def counted(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return real(A, *args, **kwargs)
+        def counted(ab, *args):
+            sizes.append(ab.shape[1])
+            return real(ab, *args)
 
-        monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(energy, "_ldlt", counted)
         return sizes
 
     @staticmethod
     def residual(ops, seed):
         r = np.random.default_rng(seed).standard_normal(ops.n_dof)
-        return np.linalg.norm(ops.B @ ops.solve_B(r) - r) / np.linalg.norm(r)
+        B = ops.plus_diagonal(1.0, ops.w_int)
+        return np.linalg.norm(B @ ops.solve_B(r) - r) / np.linalg.norm(r)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["cylinder", "annulus"])
     def test_fourier_solve_matches_superlu(self, monkeypatch, kind, level):
         ops = assemble(build_mesh(DomainSpec(kind, L=1.0, r=0.8, level=level)))
-        lu = spla.splu(ops.B.tocsc(), permc_spec=B_ORDERING)
-        sizes = self.counted_splu(monkeypatch)
+        B = ops.plus_diagonal(1.0, ops.w_int)
+        lu = spla.splu(B.tocsc())
+        sizes = self.counted_band(monkeypatch)
         rng = np.random.default_rng(level)
         for _ in range(3):
             r = rng.standard_normal(ops.n_dof)
             x = ops.solve_B(r)
-            assert np.linalg.norm(ops.B @ x - r) <= 1e-12 * np.linalg.norm(r)
+            assert np.linalg.norm(B @ x - r) <= 1e-12 * np.linalg.norm(r)
             assert ops.dual_norm(r) == pytest.approx(math.sqrt(r @ lu.solve(r)), rel=1e-9)
         assert sizes == []
 
     def test_halfdisk_factors_B_once(self, monkeypatch):
+        # the centre is the border, outside the band
         ops = assemble(build_mesh(DomainSpec("halfdisk", level=2)))
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         for seed in (1, 2):
             assert self.residual(ops, seed) <= 1e-11
-        assert sizes == [ops.n_dof]
+        assert sizes == [ops.n_dof - 1]
 
     @pytest.mark.parametrize("far", [False, True])
     def test_non_circulant_B_factors(self, monkeypatch, far):
@@ -342,18 +347,19 @@ class TestSolveB:
         sym = reference_symbol(S, mesh)
         assert (sym is None) == far
         ops = Operators(mesh, S, ops.w_int, ops.wb, S_symbol=sym)
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         assert self.residual(ops, 3) <= 1e-11
         assert sizes == [n]
 
     def test_indefinite_mode_block_factors(self, monkeypatch):
         # S - diag(w_int) is circulant, but the constants make its mode-0
-        # block indefinite, so zpttrf stops on a nonpositive pivot
+        # block indefinite, so zpttrf stops on a nonpositive pivot and the
+        # band L D L^T restarts past it
         mesh = build_mesh(DomainSpec("annulus", r=0.8, level=2))
         ops = assemble(mesh)
         ops = Operators(mesh, ops.S, -ops.w_int, ops.wb, S_symbol=ops.S_symbol)
         assert ops.symbol(1.0, ops.w_int) is not None
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         assert self.residual(ops, 4) <= 1e-10
         assert sizes == [mesh.n_dof]
 
@@ -372,14 +378,14 @@ class TestSolveB:
 
     def test_off_symbol_geometry_factors(self, monkeypatch):
         # one interior vertex of the cylinder moved by 1e-6: S leaves its
-        # ring means by far more than CIRCULANT_RTOL, so B goes to SuperLU
+        # ring means by far more than CIRCULANT_RTOL, so B is factored
         mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
         vertices = mesh.vertices.copy()
         vertices[mesh.grid[5, 3]] += 1e-6
         mesh = dataclasses.replace(mesh, vertices=vertices, _cache={})
         ops = assemble(mesh)
         assert ops.S_symbol.departure > 1e-9 * ops.S_symbol.norm
-        sizes = self.counted_splu(monkeypatch)
+        sizes = self.counted_band(monkeypatch)
         assert self.residual(ops, 7) <= 1e-11
         assert sizes == [mesh.n_dof]
 

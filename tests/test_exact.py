@@ -173,7 +173,7 @@ def restricted_dual_norm(prob, r, fixed):
     """H1-dual norm of the residual r on the dofs left free by ``fixed``,
     whose rows are constrained away rather than solved."""
     free = np.nonzero(~fixed)[0]
-    B_ff = prob.ops.B[free][:, free].tocsc()
+    B_ff = prob.ops.plus_diagonal(1.0, prob.ops.w_int)[free][:, free].tocsc()
     return math.sqrt(max(r[free] @ spla.splu(B_ff).solve(r[free]), 0.0))
 
 

@@ -5,6 +5,7 @@ from scipy.optimize import brentq
 
 from conftest import forge_saddle_index
 
+import prescurv.energy as energy
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem
 from prescurv.exact import annulus_gamma_problem, annulus_gamma_state
@@ -137,16 +138,17 @@ class TestMinimize:
         assert any(entry["sigma"] > 0 for entry in rep.line_search_trace)
         assert rep.line_search_trace[-1]["sigma"] == 0
         assert rep.iterations <= 6
-        # MINRES fails on the first two steps, so sigma grows and LU solves
+        # MINRES fails on the first two steps, so sigma grows and the band
+        # L D L^T solves
         first, second = rep.line_search_trace[:2]
         assert 0 < first["sigma"] < second["sigma"]
-        assert first["linear"] == second["linear"] == "lu"
+        assert first["linear"] == second["linear"] == "ldlt"
 
     def test_lu_serves_a_near_singular_hessian(self):
         # near sup -40, e^u vanishes and H is close to the singular S:
         # B-preconditioned MINRES cannot meet KRYLOV_ACCEPT there, and the
-        # LU fallback takes those steps at sigma = 0 (MINRES at each grown
-        # sigma instead stops at max_iter on both levels)
+        # factorization fallback takes those steps at sigma = 0 (MINRES at
+        # each grown sigma instead stops at max_iter on both levels)
         probs = []
         for level in (0, 1):
             mesh = build_mesh(DomainSpec("annulus", r=0.305, level=level))
@@ -157,7 +159,7 @@ class TestMinimize:
         coarse = minimize(probs[0], tol=1e-8)
         assert coarse.converged and coarse.morse_index == 0
         assert coarse.iterations == 21
-        lu = [e["sigma"] for e in coarse.line_search_trace if e["linear"] == "lu"]
+        lu = [e["sigma"] for e in coarse.line_search_trace if e["linear"] == "ldlt"]
         assert lu == [0.0] * 9
 
         def descend(prob, u):
@@ -228,7 +230,7 @@ class TestNewtonPolish:
         assert polish.line_search_trace and descent.line_search_trace
         for entry in polish.line_search_trace + descent.line_search_trace:
             assert set(entry) == keys
-            assert entry["linear"] in ("minres", "lu")
+            assert entry["linear"] in ("minres", "ldlt")
         assert all(e["mode"] == "residual" and e["energy"] is None
                    for e in polish.line_search_trace)
 
@@ -243,13 +245,13 @@ class TestKrylovNewton:
     def test_nested_finish_factors_only_the_certificate(self, monkeypatch):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=4)
         sizes = []
-        real = solve.spla.splu
+        real = energy._ldlt
 
-        def counted(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return real(A, *args, **kwargs)
+        def counted(ab, *args):
+            sizes.append(ab.shape[1])
+            return real(ab, *args)
 
-        monkeypatch.setattr(solve.spla, "splu", counted)
+        monkeypatch.setattr(energy, "_ldlt", counted)
         rep = nested(prob, prob.zero_state(), _descend, _descend)
         assert rep.converged and rep.levels[-1]["method"] == "finish"
         # the radial minimum's certificate is a Fourier-mode Sturm count
@@ -307,7 +309,7 @@ class TestKrylovNewton:
         monkeypatch.setattr(solve.spla, "minres", getattr(self, fake))
         lu = minimize(prob, tol=1e-10)
         assert krylov.converged and lu.converged
-        assert all(e["linear"] == "lu" for e in lu.line_search_trace)
+        assert all(e["linear"] == "ldlt" for e in lu.line_search_trace)
         assert lu.iterations == krylov.iterations
         assert np.max(np.abs(lu.state - krylov.state)) < 1e-10
 

@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import reference_symbol
+from conftest import band_ldlt, negative_count, reference_symbol
+import prescurv.energy as energy
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.energy import Operators, Problem, assemble
+from prescurv.energy import Operators, Problem, _band_order, assemble
 from prescurv.exact import (
     annulus_gamma_problem,
     annulus_gamma_state,
@@ -26,7 +27,6 @@ from prescurv.spectral import (
     disk_form_report,
     disk_truncation_radius,
     morse_index,
-    negative_count,
 )
 
 
@@ -139,23 +139,24 @@ def test_guard_raises_above_cutoff(make, reason):
 
 
 def watch_counts(monkeypatch):
-    """Sizes of the band LDL^T counts made, and the columns each one's
-    ``dpbtrf`` calls factored: a failed call's ``info``, else its order."""
+    """Sizes of the band LDL^T factorizations made, and the columns each
+    one's ``dpbtrf`` calls factored: a failed call's ``info``, else its
+    order."""
     sizes, work = [], []
-    count, dpbtrf = spectral._ldlt_negatives, spectral.dpbtrf
+    count, dpbtrf = energy._ldlt, energy.dpbtrf
 
-    def counted(ab):
+    def counted(ab, *args):
         sizes.append(ab.shape[1])
         work.append(0)
-        return count(ab)
+        return count(ab, *args)
 
     def factored(ab, **kwargs):
         c, info = dpbtrf(ab, **kwargs)
         work[-1] += info or ab.shape[1]
         return c, info
 
-    monkeypatch.setattr(spectral, "_ldlt_negatives", counted)
-    monkeypatch.setattr(spectral, "dpbtrf", factored)
+    monkeypatch.setattr(energy, "_ldlt", counted)
+    monkeypatch.setattr(energy, "dpbtrf", factored)
     return sizes, work
 
 
@@ -189,8 +190,16 @@ def test_one_factorization_per_call(monkeypatch):
 @pytest.mark.parametrize("n_neg", [0, 1, 7, 25])
 @pytest.mark.parametrize("n,kd", [(60, 3), (300, 12), (150, 149)])
 def test_band_count_matches_dense(n, kd, n_neg):
-    Q = random_band_matrix(np.random.default_rng(10 * kd + n_neg), n, kd, n_neg)
+    # the kept factor solves too: dtbsv with L, D, dtbsv with L^T.  The
+    # backward error is rounding times the element growth of an unpivoted
+    # L D L^T, which indefinite matrices have: at most 1e-13 on these cases
+    rng = np.random.default_rng(10 * kd + n_neg)
+    Q = random_band_matrix(rng, n, kd, n_neg)
     assert negative_count(Q).negative_count == dense_count(Q) == n_neg
+    factor, r = band_ldlt(Q), rng.standard_normal(n)
+    x = factor.solve(r)
+    assert factor.negatives == n_neg
+    assert np.linalg.norm(Q @ x - r) <= 1e-12 * abs(Q).sum(axis=1).max() * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("at", ["first", "last"])
@@ -202,14 +211,14 @@ def test_failing_pivot_at_either_end(monkeypatch, at):
     j = 0 if at == "first" else n - 1
     Q[j, j] = -10.0 * abs(Q).max()
     Q = Q.tocsr()
-    infos, real = [], spectral.dpbtrf
+    infos, real = [], energy.dpbtrf
 
     def recorded(ab, **kwargs):
         c, info = real(ab, **kwargs)
         infos.append(info)
         return c, info
 
-    monkeypatch.setattr(spectral, "dpbtrf", recorded)
+    monkeypatch.setattr(energy, "dpbtrf", recorded)
     assert negative_count(Q).negative_count == dense_count(Q) == 1
     assert infos[0] == j + 1
 
@@ -234,19 +243,59 @@ def test_non_finite_pivot_raises(A):
 
 @pytest.mark.parametrize("kind,bandwidths", [("annulus", (19, 35, 67)),
                                              ("cylinder", (50, 98, 194)),
-                                             ("halfdisk", (66, 130, 258))])
+                                             ("halfdisk", (33, 65, 129))])
 def test_grid_order_bandwidth(kind, bandwidths):
     # periodic grids, lines of fixed i in zig-zag order: 2 m + 1 for
     # the m = 2^l + 1 dofs of an annulus line (r = 0.8), 2 m for the
     # m = 3 * 2^l + 1 of a cylinder line (L = 1), whose right triangles
-    # couple no diagonal; the half-disk's rings outward: a ring of
-    # 8 * 2^l + 1 dofs plus one
+    # couple no diagonal; the half-disk's spokes of m = 4 * 2^l dofs,
+    # m + 1, with the centre last as a border outside the band
     for level, kd in zip((3, 4, 5), bandwidths):
         ops = assemble(build_mesh(DomainSpec(kind, L=1.0, r=0.8, R=5.0, level=level)))
-        pos, S = np.argsort(ops.band_order), ops.S.tocoo()
-        assert np.abs(pos[S.row] - pos[S.col]).max() == kd
+        order, bordered = _band_order(ops.mesh)
+        n = ops.n_dof - bordered
+        pos, S = np.argsort(order), ops.S.tocoo()
+        inside = (pos[S.row] < n) & (pos[S.col] < n)
+        assert np.abs(pos[S.row] - pos[S.col])[inside].max() == kd
+        assert bordered == (kind == "halfdisk")
         if level == 3:
-            assert ops.band(1.0, np.zeros(ops.n_dof)).shape == (kd + 1, ops.n_dof)
+            assert ops._band_map[1:3] == (n, kd)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_bordered_halfdisk_count_matches_dense(level):
+    # S - diag(8 w_int) is indefinite without the centre too; the
+    # centre's diagonal entry then sets the Schur complement s of the
+    # border to either sign (the dense count at s > 0 is that of the rest,
+    # by Haynsworth's additivity), and a centre row that is all zero makes
+    # s exactly 0
+    mesh = build_mesh(DomainSpec("halfdisk", R=5.0, level=level))
+    ops = assemble(mesh)
+    (order, bordered), centre = _band_order(mesh), 0
+    assert bordered and order[-1] == centre
+    rest = order[:-1]
+    r = np.random.default_rng(level).standard_normal(ops.n_dof)
+    A = ops.plus_diagonal(1.0, -8.0 * ops.w_int).toarray()
+    a = A[rest, centre]
+    s0 = A[centre, centre] - a @ np.linalg.solve(A[np.ix_(rest, rest)], a)
+    counts = []
+    for s in (0.5, -0.5):
+        d = -8.0 * ops.w_int
+        d[centre] += s - s0
+        A = ops.plus_diagonal(1.0, d).toarray()
+        factor = ops.factor(1.0, d)
+        counts.append((np.linalg.eigvalsh(A) < 0).sum())
+        assert factor.negatives == counts[-1]
+        x = factor.solve(r)
+        assert np.linalg.norm(A @ x - r) <= 1e-12 * np.abs(A).sum(axis=1).max() * np.linalg.norm(x)
+    assert 0 < counts[0] == counts[1] - 1
+    S = ops.S.copy()
+    rows = np.repeat(np.arange(ops.n_dof), np.diff(S.indptr))
+    S.data[(rows == centre) | (S.indices == centre)] = 0.0
+    ops = Operators(mesh, S, ops.w_int, ops.wb)
+    with pytest.raises(RuntimeError, match="inertia count unavailable: pivot 0 is 0, the"
+                                           " factorization is exactly singular"):
+        ops.factor(1.0, np.where(np.arange(ops.n_dof) == centre, 0.0, ops.w_int))
 
 
 def test_negative_count_psd():
@@ -414,7 +463,8 @@ class TestFourierInertia:
             Q = prob.hessian(u)
             for s in (0.0, 0.05, 0.3, 1.0, 3.0):
                 Qs = (Q - s * sp.identity(prob.n_dof)).tocsr()
-                cases.append((u, s, negative_count(Qs, order=prob.ops.band_order).negative_count))
+                cases.append((u, s, negative_count(Qs, order=_band_order(prob.mesh)[0])
+                              .negative_count))
         sizes = self.counted_band(monkeypatch)
         for u, s, count in cases:
             rep = morse_index(prob, u, neg_tol=NEG_TOL - s)
@@ -507,7 +557,9 @@ class TestFourierInertia:
             Q = Q.tocsr()[free][:, free]
         sizes = self.counted_band(monkeypatch)
         rep = morse_index(prob, u, fixed=fixed)
-        assert sizes[0] == Q.shape[0]
+        # the fixed dofs stay in the band as identity rows, the half-disk's
+        # centre is its border
+        assert sizes[0] == prob.n_dof - (case == "halfdisk")
         assert rep.negative_count == (dense_count(Q) if index is None else index)
 
     def test_nested_cylinder_minimize_factors_nothing(self, monkeypatch):
