@@ -395,8 +395,10 @@ class Operators:
         return self._cache["B_solve"](r)
 
     def dual_norm(self, r: np.ndarray) -> float:
-        """H1-dual norm sqrt(r^T B^{-1} r) of a residual covector."""
-        return float(np.sqrt(max(r @ self.solve_B(r), 0.0)))
+        """H1-dual norm sqrt(r^T B^{-1} r) of a residual covector; inf or
+        nan, without a warning, where the pairing overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sqrt(max(r @ self.solve_B(r), 0.0)))
 
     def boundary_integral(self, vals: np.ndarray) -> float:
         return float(sum(w @ vals for w in self.wb))

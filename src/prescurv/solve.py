@@ -9,19 +9,23 @@ backtracking, serves two acceptance tests:
 * :func:`newton_polish` - residual-decrease acceptance, which converges
   to critical points of any index.
 
-Its directions come from MINRES (Paige & Saunders 1975); the band
-L D L^T of the shifted Hessian (``Operators.factor``, the factorization
-that also counts Morse indices) is the fallback.  Where the shifted
-Hessian is block-circulant on a periodic grid (rotation-invariant states
-on the cylinder and the annulus) and every Fourier mode block of its
-symbol is positive definite, MINRES is preconditioned by the inverse of
-that symbol, T. Chan's optimal circulant (Chan 1988), which is the
-Hessian's exact inverse up to its departure from the symbol, so MINRES
-takes one iteration.  Everywhere else it is preconditioned by the H1
-Gram matrix B, to which the Hessian is spectrally equivalent uniformly
-in the mesh size (Mardal & Winther 2011), so the iteration count does
-not grow under refinement; B^{-1} is applied through
-``Operators.solve_B``.
+Its directions come from a short preconditioned MINRES (Paige &
+Saunders 1975, :func:`_minres`) that stops once the true dual norm of
+its residual is within a forcing term of the gradient's: Eisenstat &
+Walker's (1996) second rule for saddle polishes, 1e-6 for descent
+steps.  The band L D L^T of the shifted Hessian (``Operators.factor``,
+the factorization that also counts Morse indices) is the fallback.
+Where the shifted Hessian is block-circulant on a periodic grid
+(rotation-invariant states on the cylinder and the annulus) and every
+Fourier mode block of its symbol is positive definite, MINRES is
+preconditioned by the inverse of that symbol, T. Chan's optimal
+circulant (Chan 1988), which is the Hessian's exact inverse up to its
+departure from the symbol, so MINRES takes one iteration.  Everywhere
+else it is preconditioned by the H1 Gram matrix B, to which the Hessian
+is spectrally equivalent uniformly in the mesh size (Mardal & Winther
+2011), so the iteration count does not grow under refinement; B^{-1} is
+applied through ``Operators.solve_B``, and the norm MINRES tracks is
+then the dual norm itself.
 
 Three drivers build on them:
 
@@ -54,7 +58,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .domain import BoundaryPoint, coarsen, prolong
 from .energy import EnergyBreakdown, Problem, _fourier_solver, exp_lumped
@@ -69,11 +72,12 @@ BLOWUP_SUP = 50.0
 SIGMA_FLOOR = 1e-10
 SIGMA_TRIES = 60
 MAX_BACKTRACKS = 50
-# MINRES Newton directions: SciPy's rtol, iteration cap, largest accepted
-# linear residual (dual norm, relative to the gradient's)
-KRYLOV_RTOL = 1e-10
+# MINRES Newton directions: iteration cap, and the range of the forcing
+# term eta, the largest accepted linear residual (dual norm) relative to
+# the gradient's
 KRYLOV_MAXITER = 200
-KRYLOV_ACCEPT = 1e-6
+FORCING_MIN = 1e-6
+FORCING_MAX = 0.1
 # largest sup growth per refinement level of a converged nested solve; a
 # bubble one element wide grows by 2 log 2, smooth states by O(h^2)
 SUP_GROWTH = math.log(2.0)
@@ -116,51 +120,104 @@ class SolveReport:
                            for entry in self.levels]}
 
 
+def _minres(A, b: np.ndarray, M: Callable, norm: Callable, target: float,
+            maxiter: int = KRYLOV_MAXITER) -> tuple[Optional[np.ndarray], int]:
+    """Preconditioned MINRES (Paige & Saunders 1975) for A x = b from
+    x = 0, with A symmetric and M applying an SPD approximation of A^{-1};
+    returns (x, iterations), or (None, iterations) where it gives up.
+
+    Its recurrence tracks the M-norm sqrt(r^T M r) of the residual
+    r = b - A x, which is the dual norm where M is B^{-1}.  Once that
+    estimate is at most ``target``, the true ``norm(b - A x)`` is checked,
+    and the iteration goes on while it exceeds ``target``.  It gives up at
+    ``maxiter``, at a negative preconditioner inner product, on a value
+    that is not finite, or where the Krylov space is exhausted unsolved.
+    """
+    x, y = np.zeros_like(b), M(b)
+    beta2 = float(b @ y)
+    if not 0.0 <= beta2 < math.inf:
+        return None, 0
+    if beta2 == 0.0:  # b = 0, M being SPD
+        return x, 0
+    w, w_old, r_old, r = np.zeros_like(b), np.zeros_like(b), b, b
+    oldb, dbar, epsln, cs, sn = 0.0, 0.0, 0.0, -1.0, 0.0
+    beta = phibar = math.sqrt(beta2)
+    for its in range(1, maxiter + 1):
+        # Lanczos: the next vector v = M r / beta, orthonormal in the
+        # M^{-1} inner product, and its coefficients alfa and beta
+        v = y / beta
+        y = A @ v
+        if oldb:
+            y -= (beta / oldb) * r_old
+        alfa = float(v @ y)
+        y -= (alfa / beta) * r
+        r_old, r = r, y
+        y = M(r)
+        beta2 = float(r @ y)
+        # a negative preconditioner inner product or a value not finite
+        if not 0.0 <= beta2 < math.inf:
+            return None, its
+        oldb, beta = beta, math.sqrt(beta2)
+        # the previous rotation, then one that annihilates beta
+        delta, gbar = cs * dbar + sn * alfa, sn * dbar - cs * alfa
+        oldeps, epsln, dbar = epsln, sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).tiny)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w_old *= -oldeps
+        w_old -= delta * w
+        w_old += v
+        w_old /= gamma
+        w, w_old = w_old, w
+        x += phi * w
+        if phibar <= target and norm(b - A @ x) <= target:
+            return x, its
+        if beta == 0.0:  # the Krylov space is exhausted
+            return None, its
+    return None, maxiter
+
+
 def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarray,
-                      res: float, sigma: float,
+                      target: float, sigma: float,
                       descent: bool) -> tuple[np.ndarray, float, dict]:
     """Direction from the Newton system (H + sigma diag(w)) d = -g, where
     H = ``scale * S + diag(diag)`` is the Hessian, its shift, and trace
     keys ``linear`` (the solver used) and ``krylov_its`` (MINRES iterations).
 
-    MINRES runs first, at the current shift, and its direction is taken
-    when the linear residual is below ``KRYLOV_ACCEPT`` times ``res``, the
-    dual norm of g.  It is preconditioned by the inverse of the shifted
-    Hessian's own Fourier symbol (T. Chan's optimal circulant, Chan 1988;
-    ``Operators.symbol`` and ``_fourier_solver``) where the Hessian is
-    rotation invariant on a periodic grid and every mode block of the
-    symbol is positive definite, and by B^{-1} everywhere else, so the
-    preconditioner is always SPD.  When MINRES fails, sigma is grown from
-    ``SIGMA_FLOOR`` until the band L D L^T of the shifted Hessian
-    (``Operators.factor``) gives an acceptable direction; a factorization
-    that raises counts as a failed try.  w carries the quadrature weights
-    so sigma is comparable to the potential coefficient.  Either direction
-    must be finite and, when ``descent`` is set, point downhill.
+    :func:`_minres` runs first, at the current shift, and stops once the
+    dual norm of the linear residual is at most ``target``, checked on
+    the true residual.  It is preconditioned by the inverse of the
+    shifted Hessian's own Fourier symbol (T. Chan's optimal circulant,
+    Chan 1988; ``Operators.symbol`` and ``_fourier_solver``) where the
+    Hessian is rotation invariant on a periodic grid and every mode block
+    of the symbol is positive definite, and by B^{-1} everywhere else, so
+    the preconditioner is always SPD.  When MINRES gives up, or its
+    direction is not acceptable, sigma is grown from ``SIGMA_FLOOR`` until
+    the band L D L^T of the shifted Hessian (``Operators.factor``) gives
+    an acceptable direction; a factorization that raises counts as a
+    failed try.  w carries the quadrature weights so sigma is comparable
+    to the potential coefficient.  Either direction must be finite and,
+    when ``descent`` is set, point downhill.
     """
-    w, gn, its = prob.ops.w_int, float(np.linalg.norm(g)), []
+    w, gn = prob.ops.w_int, float(np.linalg.norm(g))
 
     def acceptable(d: Optional[np.ndarray]) -> bool:
         return d is not None and bool(np.all(np.isfinite(d))) and (
             not descent or float(g @ d) < -1e-14 * gn * float(np.linalg.norm(d)))
 
     shifted = diag + sigma * w
-    Hs = prob.ops.plus_diagonal(scale, shifted)
     M = _fourier_solver(prob.ops.symbol(scale, shifted)) or prob.ops.solve_B
-    try:
-        d, info = spla.minres(Hs, -g, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAXITER,
-                              M=spla.LinearOperator(Hs.shape, matvec=M, dtype=float),
-                              callback=lambda _x: its.append(1))
-    except ValueError:  # a preconditioner inner product fell below zero in rounding
-        d, info = None, -1
-    if info == 0 and acceptable(d) and prob.ops.dual_norm(Hs @ d + g) <= KRYLOV_ACCEPT * res:
-        return d, sigma, {"linear": "minres", "krylov_its": len(its)}
+    d, its = _minres(prob.ops.plus_diagonal(scale, shifted), -g, M,
+                     prob.ops.dual_norm, target)
+    if acceptable(d):
+        return d, sigma, {"linear": "minres", "krylov_its": its}
     for _ in range(SIGMA_TRIES):
         try:
             d = prob.ops.factor(scale, diag + sigma * w).solve(-g)
         except RuntimeError:
             d = None
         if acceptable(d):
-            return d, sigma, {"linear": "ldlt", "krylov_its": len(its)}
+            return d, sigma, {"linear": "ldlt", "krylov_its": its}
         sigma = max(4.0 * sigma, SIGMA_FLOOR)
     raise RuntimeError("could not regularize the Newton system"
                        + (" into a descent direction" if descent else ""))
@@ -180,21 +237,38 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
     sup above ``blowup_threshold`` stops it as a blow-up; a sup below
     ``-blowup_threshold``, where e^u vanishes and the energy can fall
     without bound, stops it as a downward escape.
+
+    Without ``armijo`` each direction solves its linear system only to
+    the forcing term eta (Dembo, Eisenstat & Steihaug 1982) relative to
+    ``res``, chosen by Eisenstat & Walker's (1996) second rule: eta = 0.9
+    (res / res_prev)^2, clipped to [``FORCING_MIN``, ``FORCING_MAX``],
+    which gives 0.1 at the first step.  Loose while the residual falls
+    slowly and tight as it falls fast, it keeps the local convergence
+    superlinear without solving further than the step needs.  Their
+    safeguard, max(eta, 0.9 eta_prev^2) where that term exceeds 0.1,
+    cannot engage under the cap of 0.1.  Descent directions keep eta at
+    ``FORCING_MIN``: an early MINRES iterate on an indefinite Hessian
+    leans toward preconditioned steepest descent, which can follow an
+    energy that is unbounded below to a downward escape where the
+    Newton direction reaches the local minimum.
     """
     sigma = 0.0
     trace: list[dict] = []
     blow = False
     message = ""
     g = prob.gradient(u)
-    res = prob.ops.dual_norm(g)
+    res = res_prev = prob.ops.dual_norm(g)
     it = 0
     for it in range(max_iter):
         if res < tol:
             break
+        eta = FORCING_MIN if armijo else min(
+            max(0.9 * (res / res_prev) ** 2, FORCING_MIN), FORCING_MAX)
+        res_prev = res
         e = prob.energy(u) if armijo else None
         try:
             d, sigma, linear = _newton_direction(prob, *prob.hessian_parts(u),
-                                                 g, res, sigma, armijo)
+                                                 g, eta * res, sigma, armijo)
         except RuntimeError as exc:
             message = str(exc)
             break

@@ -10,10 +10,11 @@ random K and h, both signs of the boundary ratio, the three methods and
 the ``solve`` and ``spectrum`` modes.
 
 It takes about a minute, so pytest does not collect it; CI runs it
-as its own step.  Run from the repository root::
+as its own step, with numerical warnings as errors.  Run from the
+repository root, to compare with the table or to rewrite it::
 
-    PYTHONPATH=src python tests/fuzz_cli.py          # compare with the table
-    PYTHONPATH=src python tests/fuzz_cli.py --write  # rewrite the table
+    PYTHONPATH=src python -W error::RuntimeWarning tests/fuzz_cli.py
+    PYTHONPATH=src python tests/fuzz_cli.py --write
 
 A change that moves a row rewrites the table and explains the row in
 ``CHANGES.md``.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,19 @@ def test_dual_norm_is_Binv_quadratic(cyl_small):
     r = RNG.normal(0, 1, ops.n_dof)
     direct = math.sqrt(r @ spla.spsolve(ops.plus_diagonal(1.0, ops.w_int).tocsc(), r))
     assert ops.dual_norm(r) == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "halfdisk"])
+def test_dual_norm_overflow_is_silent(kind):
+    # a residual of a trial state far outside the basin: its pairing
+    # r^T B^{-1} r overflows, which is inf, not a warning on stderr
+    ops = assemble(build_mesh(DomainSpec(kind, L=1.0, R=2.0, level=1)))
+    r = np.full(ops.n_dof, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ops.dual_norm(r) == math.inf
+        r[0] = math.inf
+        assert not math.isfinite(ops.dual_norm(r))
 
 
 class TestSolveB:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -144,11 +148,10 @@ class TestMinimize:
         assert 0 < first["sigma"] < second["sigma"]
         assert first["linear"] == second["linear"] == "ldlt"
 
-    def test_lu_serves_a_near_singular_hessian(self):
-        # near sup -40, e^u vanishes and H is close to the singular S:
-        # B-preconditioned MINRES cannot meet KRYLOV_ACCEPT there, and the
-        # factorization fallback takes those steps at sigma = 0 (MINRES at
-        # each grown sigma instead stops at max_iter on both levels)
+    def test_minres_serves_a_near_singular_hessian(self):
+        # near sup -40, e^u vanishes and H is close to the singular S;
+        # B-preconditioned MINRES, stopped on its true dual residual, still
+        # reaches FORCING_MIN there at sigma = 0
         probs = []
         for level in (0, 1):
             mesh = build_mesh(DomainSpec("annulus", r=0.305, level=level))
@@ -159,15 +162,33 @@ class TestMinimize:
         coarse = minimize(probs[0], tol=1e-8)
         assert coarse.converged and coarse.morse_index == 0
         assert coarse.iterations == 21
-        lu = [e["sigma"] for e in coarse.line_search_trace if e["linear"] == "ldlt"]
-        assert lu == [0.0] * 9
+        assert all(e["linear"] == "minres" and e["sigma"] == 0.0
+                   for e in coarse.line_search_trace)
 
         def descend(prob, u):
             return minimize(prob, init=u, tol=1e-8)
 
         rep = nested(probs[1], None, descend, descend)
         assert rep.converged and rep.morse_index == 0
-        assert rep.sup == pytest.approx(-40.41, abs=0.01)
+        # the Hessian barely sees a constant shift there (eigenvalue ~e^-40),
+        # so the sup where the residual meets tol follows the steps taken
+        assert rep.sup == pytest.approx(-40.39, abs=0.01)
+
+    def test_ldlt_serves_an_indefinite_start(self):
+        # the annulus minimize of CLI fuzz config 71 at its level 0: the
+        # Hessian at u = 0 has a negative eigenvalue, so the MINRES direction
+        # does not descend, and the band L D L^T takes the first step at a
+        # grown shift; MINRES takes every later one
+        mesh = build_mesh(DomainSpec("annulus", r=0.8, level=0))
+        prob = Problem(mesh, CurvatureSpec(
+            K="-(0.674) + 0.008*cos(x)", h=["-0.49 + 0.38*sin(y)", "0.79 + -0.05*cos(x)"],
+            K_bg=-1.0))
+        assert np.linalg.eigvalsh(prob.hessian(prob.zero_state()).toarray())[0] < 0
+        rep = minimize(prob, tol=1e-8)
+        assert rep.converged and rep.morse_index == 0
+        first, *rest = rep.line_search_trace
+        assert first["linear"] == "ldlt" and first["sigma"] > 0 and first["krylov_its"] > 0
+        assert rest and all(e["linear"] == "minres" for e in rest)
 
     def test_iteration_limit_sets_message(self):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
@@ -288,30 +309,96 @@ class TestKrylovNewton:
         steps = [e for e in rep.line_search_trace if "linear" in e]
         assert steps and all(e["linear"] == "minres" and e["krylov_its"] > 1 for e in steps)
 
-    @staticmethod
-    def _stalled(A, b, **kwargs):
-        return np.zeros_like(b), solve.KRYLOV_MAXITER
+    # failures of MINRES, each given to the real kernel
+    # (solve._minres before the fakes patch it)
+    _minres = staticmethod(solve._minres)
 
     @staticmethod
-    def _raising(A, b, **kwargs):
-        raise ValueError("non-symmetric matrix")
+    def _stalled(A, b, M, norm, target, maxiter=solve.KRYLOV_MAXITER):
+        # a target of 0 is never met: the iteration cap ends it
+        return TestKrylovNewton._minres(A, b, M, norm, 0.0, maxiter=2)
 
     @staticmethod
-    def _inaccurate(A, b, **kwargs):
-        # a descent direction that SciPy reports as converged, but whose
-        # linear residual is far above KRYLOV_ACCEPT
-        return 1e-3 * b, 0
+    def _raising(A, b, M, norm, target, maxiter=solve.KRYLOV_MAXITER):
+        # an indefinite preconditioner: a negative inner product at the start
+        return TestKrylovNewton._minres(A, b, lambda r: -M(r), norm, target, maxiter)
+
+    @staticmethod
+    def _inaccurate(A, b, M, norm, target, maxiter=solve.KRYLOV_MAXITER):
+        # the recurrence estimate meets the target, the true residual never
+        return TestKrylovNewton._minres(A, b, M, lambda r: math.inf, target, maxiter=5)
 
     @pytest.mark.parametrize("fake", ["_stalled", "_raising", "_inaccurate"])
     def test_failed_minres_falls_back_to_lu(self, monkeypatch, fake):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=3)
         krylov = minimize(prob, tol=1e-10)
-        monkeypatch.setattr(solve.spla, "minres", getattr(self, fake))
+        monkeypatch.setattr(solve, "_minres", getattr(self, fake))
         lu = minimize(prob, tol=1e-10)
         assert krylov.converged and lu.converged
         assert all(e["linear"] == "ldlt" for e in lu.line_search_trace)
         assert lu.iterations == krylov.iterations
         assert np.max(np.abs(lu.state - krylov.state)) < 1e-10
+
+
+class TestMinres:
+    """solve._minres against SciPy's minres, kept here as a reference."""
+
+    @staticmethod
+    def system(seed, n=400):
+        """A sparse symmetric indefinite matrix, an SPD (Jacobi-like)
+        preconditioner, the norm sqrt(r^T M r) and a right-hand side."""
+        rng = np.random.default_rng(seed)
+        R = sp.random(n, n, density=6.0 / n, random_state=rng)
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 4.0, n)
+        A = (0.3 * (R + R.T) + sp.diags(diag)).tocsr()
+        scale = rng.uniform(0.5, 2.0, n) / np.abs(diag)
+
+        def M(r):
+            return scale * r
+
+        def norm(r):
+            return math.sqrt(r @ M(r))
+
+        return A, M, norm, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rel", [1e-2, 1e-6])
+    def test_stops_at_the_first_iterate_meeting_the_target(self, seed, rel):
+        A, M, norm, b = self.system(seed)
+        assert np.linalg.eigvalsh(A.toarray())[0] < 0
+        target = rel * norm(b)
+        met = []
+        spla.minres(A, b, rtol=1e-15, maxiter=2000,
+                    M=spla.LinearOperator(A.shape, matvec=M, dtype=float),
+                    callback=lambda x: met.append(norm(b - A @ x) <= target))
+        assert any(met)
+        first = met.index(True) + 1
+        x, its = solve._minres(A, b, M, norm, target, maxiter=2000)
+        assert x is not None
+        assert norm(b - A @ x) <= target
+        assert abs(its - first) <= 1, (its, first)
+
+    def test_zero_right_hand_side(self):
+        A, M, norm, b = self.system(0)
+        x, its = solve._minres(A, 0.0 * b, M, norm, 0.0)
+        assert its == 0 and not x.any()
+
+    def test_failures_report_no_direction(self):
+        A, M, norm, b = self.system(0)
+        target = 1e-6 * norm(b)
+        # the iteration cap
+        assert solve._minres(A, b, M, norm, target, maxiter=3) == (None, 3)
+        # a negative preconditioner inner product, at the first or a later step
+        assert solve._minres(A, b, lambda r: -M(r), norm, target) == (None, 0)
+        sign = np.where(np.arange(len(b)) < len(b) // 2, 1.0, -1.0)
+        b[len(b) // 2:] *= 0.1  # positive at the first step, b^T M b > 0
+        x, its = solve._minres(A, b, lambda r: sign * M(r), norm, target)
+        assert x is None and 0 < its < 20
+        # values that are not finite
+        assert solve._minres(A, b, lambda r: np.full_like(r, np.nan), norm, target) == (None, 0)
+        A_nan = A.copy()
+        A_nan.data[0] = np.nan
+        assert solve._minres(A_nan, b, M, norm, target) == (None, 1)
 
 
 class TestRelaxedEndpoints:
