@@ -53,15 +53,12 @@ from scipy.spatial import cKDTree
 
 from .domain import BoundaryPoint, Mesh, tangential_derivative
 from .energy import Problem, exp_lumped
-from .exact import boundary_bubble_state
+from .exact import BUBBLE_RATIOS, boundary_bubble_state
 
 TWO_PI = 2.0 * math.pi
 
 # slack of the D >= 1 verdict at blow-up candidates
 D_TOL = 1e-6
-
-# mu q2 values of the default test-function schedule, decreasing to 1
-TEST_RATIOS = (1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 1.01, 1.005, 1.002)
 
 
 # -- domain-variation fields -------------------------------------------------
@@ -632,7 +629,7 @@ def testfunction_energy_curve(prob: Problem, point: BoundaryPoint,
     if q2 <= 0:
         raise ValueError("anchor offset q2 must be positive")
     if mu_schedule is None:
-        mu_schedule = [r / q2 for r in TEST_RATIOS]
+        mu_schedule = [r / q2 for r in BUBBLE_RATIOS]
     mu_schedule = np.asarray(mu_schedule, dtype=float)
     if (mu_schedule * q2 <= 1.0).any():
         raise ValueError("schedule violates mu q2 > 1")

@@ -347,28 +347,22 @@ def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray) -> np.ndarr
     if n_path < 3:
         raise ValueError("component has too few vertices for differentiation")
 
-    s = comp.s
+    ds = np.diff(comp.s)
     if comp.closed:
         scale = max(np.abs(f).max(), 1.0)
         if abs(f[-1] - f[0]) > SEAM_TOL * scale:
             raise ValueError("boundary field jumps across the periodic seam")
-        fu = f[:-1]
-        n = len(fu)
-        d_prev = np.roll(np.diff(s), 1)[: n]  # spacing to previous node
-        d_next = np.diff(s)[:n]
-        f_prev = np.roll(fu, 1)
-        f_next = np.roll(fu, -1)
-        deriv = (f_next * d_prev / (d_next * (d_prev + d_next))
-                 - f_prev * d_next / (d_prev * (d_prev + d_next))
-                 + fu * (d_next - d_prev) / (d_prev * d_next))
-        return np.concatenate([deriv, deriv[:1]])
-
+        # each end's neighbour across the seam, and the edge to it
+        f, ds = np.concatenate([f[-2:-1], f[:-1], f[:1]]), np.concatenate([ds[-1:], ds])
+    d_prev, d_next = ds[:-1], ds[1:]
+    inner = (f[2:] * d_prev / (d_next * (d_prev + d_next))
+             - f[:-2] * d_next / (d_prev * (d_prev + d_next))
+             + f[1:-1] * (d_next - d_prev) / (d_prev * d_next))
+    if comp.closed:
+        return np.append(inner, inner[:1])
+    s = comp.s
     deriv = np.empty(n_path)
-    d_prev = np.diff(s)[:-1]
-    d_next = np.diff(s)[1:]
-    deriv[1:-1] = (f[2:] * d_prev / (d_next * (d_prev + d_next))
-                   - f[:-2] * d_next / (d_prev * (d_prev + d_next))
-                   + f[1:-1] * (d_next - d_prev) / (d_prev * d_next))
+    deriv[1:-1] = inner
     # one-sided second-order ends
     for pos, sgn in ((0, 1), (-1, -1)):
         h1 = abs(s[pos + sgn] - s[pos])

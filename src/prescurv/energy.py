@@ -33,16 +33,25 @@ On the periodic grids of the cylinder and the annulus (dofs ``j * n +
 i``, i periodic), S's Fourier symbol is read off the stencil: the ring
 means over i of each slot, whose departure bounds a row sum; the symbol
 of ``scale * S + diag(d)`` is ``scale`` times it plus the mean of d over
-i (:meth:`Operators.symbol`).  An rfft along i then splits B into
-Hermitian positive definite tridiagonal mode blocks (Hockney 1965;
-Buzbee, Golub & Nielson 1970), stacked into one tridiagonal matrix that
-LAPACK's ``zpttrf`` factors once (L D L^H) and ``zpttrs`` solves.  The
-same symbols give the Morse counts of :mod:`prescurv.spectral` and the
-Newton preconditioner of :mod:`prescurv.solve` on rotation-invariant
-states.  Everything else, the other Morse counts, B on the half-disk or
-off its symbol and Newton's fallback directions, is one band L D L^T of
-``scale * S + diag(d)`` in an order read from the grid
-(:meth:`Operators.factor`), by LAPACK's ``dpbtrf`` and BLAS ``dtbsv``.
+i, its departure grown by the spread of d (:meth:`Operators.symbol`).
+An rfft along i then splits the matrix into Hermitian tridiagonal mode
+blocks (Hockney 1965; Buzbee, Golub & Nielson 1970).  The band L D L^T
+of ``scale * S + diag(d)`` in an order read from the grid
+(:meth:`Operators.factor`, LAPACK's ``dpbtrf`` and BLAS ``dtbsv``) is
+the other representation, and :class:`Operators` alone chooses between
+them, for three uses:
+
+* :meth:`Operators.negatives`, the Morse counts of
+  :mod:`prescurv.spectral`: Sturm counts of the mode blocks where
+  Weyl's bracket of the departure certifies them, else the pivots of
+  the band factor;
+* :meth:`Operators.preconditioner`, that of Newton's MINRES in
+  :mod:`prescurv.solve`: the inverse of the mode blocks, stacked into
+  one tridiagonal matrix that LAPACK's ``zpttrf`` factors (L D L^H) and
+  ``zpttrs`` solves, where the departure is at rounding level and every
+  block is positive definite (rotation-invariant states), else B^{-1};
+* :meth:`Operators.solve_B`, B^{-1} the same way, else by the band
+  factor, which also gives Newton's fallback directions.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from .domain import Mesh
 from .fields import CurvatureSpec, eval_K, perturb
 
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
-CIRCULANT_RTOL = 1e-12  # B's largest departure from its circulant symbol, relative
+CIRCULANT_RTOL = 1e-12  # largest departure from its symbol, relative, of a matrix inverted by it
 
 
 def exp_lumped(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -128,6 +137,39 @@ def _fourier_solver(sym: Optional[CirculantSymbol]):
         return np.fft.irfft(x.reshape(modes, m).T, n, axis=1).ravel()
 
     return solve
+
+
+def _sturm_count(sym: Optional[CirculantSymbol]) -> Optional[int]:
+    """Eigenvalues below 0 of a matrix Q = C + E whose symbol ``sym`` is
+    that of C, |E| <= eta its departure; None without a symbol or where
+    the count is not certain.
+
+    C's eigenvalues are those of its Hermitian tridiagonal Fourier mode
+    blocks, counted below a shift by the signs of the pivots of the
+    block's L D L^T, a Sturm sequence (Demmel 1997, section 5.3).  By
+    Weyl's bound every eigenvalue of Q lies within eta of one of C, so
+    when the counts at -delta and delta agree, with delta = 2 eta plus
+    rounding, no eigenvalue of Q is near 0 and the count is exactly Q's.
+    Modes 0 < k < n/2 stand for the pair k, n - k and count twice.
+    """
+    if sym is None:
+        return None
+    M = sym.blocks
+    # rounding of the mean over i (pairwise, log2 n ulps), of the mode
+    # sums and of the recurrence (a few ulps per entry): 32 ulps of |C|
+    # cover grids up to 2^20 points around
+    delta = 2.0 * sym.departure + 32.0 * np.finfo(float).eps * sym.norm
+    shifts = np.array([[-delta], [delta]])
+    diag, offdiag2 = M[:, 1].real, np.abs(M[:-1, 2]) ** 2
+    piv = np.empty((len(M), 2, M.shape[2]))
+    piv[0] = diag[0] - shifts
+    for jj in range(1, len(M)):
+        piv[jj] = diag[jj] - shifts - offdiag2[jj - 1] / piv[jj - 1]
+    if not np.all(np.isfinite(piv) & (piv != 0.0)):
+        return None
+    k = np.arange(M.shape[2])
+    below, above = (piv < 0).sum(axis=0) @ np.where((k == 0) | (2 * k == sym.n), 1, 2)
+    return int(below) if below == above else None
 
 
 def _band_order(mesh: Mesh) -> tuple[np.ndarray, bool]:
@@ -267,13 +309,13 @@ class Operators:
     ``w_int`` the lumped interior weights (vertex rule, summing to the
     mesh area), ``wb[c]`` the lumped boundary weights of component ``c``
     (trapezoid with analytic edge lengths, summing to the component
-    length).  ``B = S + diag(w_int)`` is the H1 Gram matrix of dual norms
-    and, through the cached solver of :meth:`solve_B`, the
-    preconditioner of MINRES Newton steps away from rotation-invariant
-    states.  ``S_symbol``, read from S's stencil on periodic grids, is its
-    Fourier symbol; without one (the half-disk) B goes to :meth:`factor`,
-    the band L D L^T of ``scale * S + diag(d)`` that also gives the Morse
-    counts of :mod:`prescurv.spectral` and Newton's fallback directions.
+    length).  ``B = S + diag(w_int)`` is the H1 Gram matrix of dual norms.
+    ``S_symbol``, read from S's stencil on periodic grids, is its Fourier
+    symbol, None on the half-disk.  Every matrix ``scale * S + diag(d)``
+    is counted (:meth:`negatives`), preconditioned (:meth:`preconditioner`)
+    and, for B, solved (:meth:`solve_B`) from its :meth:`symbol` where
+    that is exact enough, and from :meth:`factor`, the band L D L^T,
+    everywhere else.
     """
 
     mesh: Mesh
@@ -304,25 +346,18 @@ class Operators:
     def symbol(self, scale: float, d: np.ndarray) -> Optional[CirculantSymbol]:
         """Symbol of ``scale * S + diag(d)``: ``S_symbol`` times ``scale``
         plus the mean d_bar of d over i, with departure at most ``scale *
-        eta_S + max |d - d_bar|`` (triangle inequality).  None without
-        ``S_symbol``, or where d varies along i by more than
-        ``CIRCULANT_RTOL`` relative (states that are not rotation invariant).
-
-        It has three consumers: B^{-1} (:meth:`solve_B`), the MINRES
-        preconditioner of Newton steps (``solve._newton_direction``, the
-        shifted Hessian's symbol) and the Sturm count of Morse indices
-        (``spectral._fourier_count``)."""
+        eta_S + max |d - d_bar|`` (triangle inequality); None without
+        ``S_symbol``.  Its departure gates both consumers, the inverse of
+        :func:`_fourier_solver` and the Weyl bracket of :func:`_sturm_count`."""
         sym = self.S_symbol
         if sym is None:
             return None
         dd = d.reshape(len(sym.blocks), sym.n)
         mean = dd.mean(axis=1)
-        spread = float(np.abs(dd - mean[:, None]).max())
-        if spread > CIRCULANT_RTOL * float(np.abs(scale * self.S.data[self._diag_pos] + d).max()):
-            return None
         blocks = scale * sym.blocks
         blocks[:, 1] += mean[:, None]
-        return CirculantSymbol(sym.n, blocks, scale * sym.departure + spread,
+        return CirculantSymbol(sym.n, blocks,
+                               scale * sym.departure + float(np.abs(dd - mean[:, None]).max()),
                                scale * sym.norm + float(np.abs(mean).max()))
 
     @property
@@ -385,6 +420,21 @@ class Operators:
             return x
 
         return Factor(negatives, solve)
+
+    def negatives(self, scale: float, d: np.ndarray,
+                  fixed: Optional[np.ndarray] = None) -> int:
+        """Number of eigenvalues of ``scale * S + diag(d)`` below 0, the
+        rows and columns of ``fixed`` dofs replaced by identity rows: the
+        Sturm count of its symbol where Weyl's bracket certifies it
+        (:func:`_sturm_count`), else the pivots of :meth:`factor`."""
+        count = _sturm_count(None if fixed is not None else self.symbol(scale, d))
+        return self.factor(scale, d, fixed).negatives if count is None else count
+
+    def preconditioner(self, scale: float, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """An SPD approximation of the inverse of ``scale * S + diag(d)``:
+        its symbol's inverse (:func:`_fourier_solver`), exact up to the
+        departure, where there is one, else :meth:`solve_B`."""
+        return _fourier_solver(self.symbol(scale, d)) or self.solve_B
 
     def solve_B(self, r: np.ndarray) -> np.ndarray:
         """B^{-1} r: Fourier-diagonal on periodic grids, else by the band

@@ -196,6 +196,11 @@ def profile_state(mesh: Mesh, profile: HalfPlaneProfile) -> np.ndarray:
     return profile(xy[:, 0], xy[:, 1])
 
 
+# mu q2 of the bubble schedule, decreasing to 1: the concentrated pass
+# endpoints of solve.build_u1 and the test-function curves of diagnostics
+BUBBLE_RATIOS = (1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 1.01, 1.005, 1.002)
+
+
 def boundary_bubble_state(mesh: Mesh, point: BoundaryPoint, q2: float,
                           mu: float) -> Optional[np.ndarray]:
     """phi_mu = log 4 mu^2 - 2 log(mu^2 |x - q|^2 - 1) at the dofs, the

@@ -100,9 +100,10 @@ class Field:
 class CurvatureSpec:
     """Prescribed curvature data for one problem.
 
-    ``h`` carries one entry per boundary component, in mesh component
+    ``h`` lists one entry per boundary component, in mesh component
     order.  ``K_bg`` is the constant background interior curvature and
-    ``h_bg`` the per-component background boundary curvature; together
+    ``h_bg`` lists the per-component background boundary curvatures
+    (zeros when omitted); together
     they determine ``chi_gen = K_bg*|area| + sum h_bg*length``.
     """
 
@@ -112,16 +113,8 @@ class CurvatureSpec:
     h_bg: tuple[float, ...] = ()
 
     def __init__(self, K: FieldLike, h, K_bg: float = 0.0, h_bg=None):
-        if isinstance(h, (list, tuple)):
-            h_fields = tuple(Field(item) for item in h)
-        else:
-            h_fields = (Field(h),)
-        if h_bg is None:
-            h_bg = (0.0,) * len(h_fields)
-        elif isinstance(h_bg, (int, float)):
-            h_bg = (float(h_bg),) * len(h_fields)
-        else:
-            h_bg = tuple(float(v) for v in h_bg)
+        h_fields = tuple(Field(item) for item in h)
+        h_bg = (0.0,) * len(h_fields) if h_bg is None else tuple(float(v) for v in h_bg)
         if len(h_bg) != len(h_fields):
             raise ValueError("h_bg must list one constant per boundary component")
         object.__setattr__(self, "K", Field(K))

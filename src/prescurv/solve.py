@@ -15,17 +15,16 @@ its residual is within a forcing term of the gradient's: Eisenstat &
 Walker's (1996) second rule for saddle polishes, 1e-6 for descent
 steps.  The band L D L^T of the shifted Hessian (``Operators.factor``,
 the factorization that also counts Morse indices) is the fallback.
-Where the shifted Hessian is block-circulant on a periodic grid
-(rotation-invariant states on the cylinder and the annulus) and every
-Fourier mode block of its symbol is positive definite, MINRES is
-preconditioned by the inverse of that symbol, T. Chan's optimal
-circulant (Chan 1988), which is the Hessian's exact inverse up to its
-departure from the symbol, so MINRES takes one iteration.  Everywhere
-else it is preconditioned by the H1 Gram matrix B, to which the Hessian
-is spectrally equivalent uniformly in the mesh size (Mardal & Winther
-2011), so the iteration count does not grow under refinement; B^{-1} is
-applied through ``Operators.solve_B``, and the norm MINRES tracks is
-then the dual norm itself.
+MINRES is preconditioned by ``Operators.preconditioner``.  Where the
+shifted Hessian is block-circulant on a periodic grid (rotation-invariant
+states on the cylinder and the annulus) and every Fourier mode block of
+its symbol is positive definite, that is the inverse of the symbol,
+T. Chan's optimal circulant (Chan 1988), which is the Hessian's exact
+inverse up to its departure from the symbol, so MINRES takes one
+iteration.  Everywhere else it is B^{-1}, the inverse of the H1 Gram
+matrix, to which the Hessian is spectrally equivalent uniformly in the
+mesh size (Mardal & Winther 2011), so the iteration count does not grow
+under refinement, and the norm MINRES tracks is then the dual norm itself.
 
 Three drivers build on them:
 
@@ -60,8 +59,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domain import BoundaryPoint, coarsen, prolong
-from .energy import EnergyBreakdown, Problem, _fourier_solver, exp_lumped
-from .exact import boundary_bubble_state
+from .energy import EnergyBreakdown, Problem, exp_lumped
+from .exact import BUBBLE_RATIOS, boundary_bubble_state
 from .fields import eval_D_field
 from .spectral import morse_index
 
@@ -186,12 +185,8 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
 
     :func:`_minres` runs first, at the current shift, and stops once the
     dual norm of the linear residual is at most ``target``, checked on
-    the true residual.  It is preconditioned by the inverse of the
-    shifted Hessian's own Fourier symbol (T. Chan's optimal circulant,
-    Chan 1988; ``Operators.symbol`` and ``_fourier_solver``) where the
-    Hessian is rotation invariant on a periodic grid and every mode block
-    of the symbol is positive definite, and by B^{-1} everywhere else, so
-    the preconditioner is always SPD.  When MINRES gives up, or its
+    the true residual, preconditioned by ``Operators.preconditioner`` of
+    the shifted Hessian, which is always SPD.  When MINRES gives up, or its
     direction is not acceptable, sigma is grown from ``SIGMA_FLOOR`` until
     the band L D L^T of the shifted Hessian (``Operators.factor``) gives
     an acceptable direction; a factorization that raises counts as a
@@ -206,9 +201,8 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
             not descent or float(g @ d) < -1e-14 * gn * float(np.linalg.norm(d)))
 
     shifted = diag + sigma * w
-    M = _fourier_solver(prob.ops.symbol(scale, shifted)) or prob.ops.solve_B
-    d, its = _minres(prob.ops.plus_diagonal(scale, shifted), -g, M,
-                     prob.ops.dual_norm, target)
+    d, its = _minres(prob.ops.plus_diagonal(scale, shifted), -g,
+                     prob.ops.preconditioner(scale, shifted), prob.ops.dual_norm, target)
     if acceptable(d):
         return d, sigma, {"linear": "minres", "krylov_its": its}
     for _ in range(SIGMA_TRIES):
@@ -337,9 +331,7 @@ def minimize(prob: Problem, init: Optional[np.ndarray] = None, tol: float = 1e-8
     ``converged`` demands a residual below ``tol`` in the dual norm and a
     Morse index of zero: the Hessian at the accepted state has no
     eigenvalue below ``-NEG_TOL``, counted exactly by
-    :func:`prescurv.spectral.morse_index`, from Fourier-mode Sturm
-    counts where the state is rotation invariant on a periodic grid and
-    from an LDL^T factorization otherwise.  The index is stored in
+    :func:`prescurv.spectral.morse_index`.  The index is stored in
     ``morse_index``, so the report certifies a local minimum rather than
     any critical point.
     """
@@ -364,15 +356,12 @@ def newton_polish(prob: Problem, init: np.ndarray, tol: float = 1e-10, max_iter:
 # -- concentrated test functions ---------------------------------------------
 
 
-MU_RATIOS = (1.5, 1.3, 1.2, 1.1, 1.05, 1.02, 1.01, 1.005, 1.002, 1.001)
-
-
 def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
              u0: Optional[np.ndarray] = None,
              below: Optional[float] = None) -> np.ndarray:
     """Concentrated state of negative energy near a boundary point.
 
-    Walks the ``MU_RATIOS`` schedule of bubbles centered at
+    Walks the ``BUBBLE_RATIOS`` schedule of bubbles centered at
     q = point + q2 * n (outside the surface) and returns the first whose
     energy falls below ``below`` (zero by default) and whose boundary
     mass exceeds half that of the flat end u0, the separation level
@@ -386,7 +375,7 @@ def build_u1(prob: Problem, point: BoundaryPoint, q2: float = 0.1,
     if below is None:
         below = 0.0
     logK = np.log(-prob.K_dof)
-    for ratio in MU_RATIOS:
+    for ratio in BUBBLE_RATIOS:
         phi = boundary_bubble_state(prob.mesh, point, q2, ratio / q2)
         if phi is None:
             continue
@@ -428,17 +417,10 @@ def mountain_pass(prob: Problem, u0: np.ndarray, u1: np.ndarray,
     k = 1 + int(np.argmax(energies[1:-1]))
     trace = [{"sweep": 0, "max_index": k, "level": energies[k],
               "residual": prob.ops.dual_norm(prob.gradient(pts[k]))}]
-    polished = newton_polish(prob, pts[k], tol=tol, blowup_threshold=blowup_threshold)
-    return SolveReport(
-        state=polished.state, energy=polished.energy,
-        residual_norm=polished.residual_norm,
-        iterations=1 + polished.iterations,
-        line_search_trace=trace + polished.line_search_trace,
-        converged=polished.converged, blowup_flag=polished.blowup_flag,
-        method="mountain-pass", eps=prob.eps,
-        gauss_bonnet=polished.gauss_bonnet, message=polished.message,
-        path=energies,
-    )
+    rep = newton_polish(prob, pts[k], tol=tol, blowup_threshold=blowup_threshold)
+    rep.method, rep.iterations, rep.path = "mountain-pass", 1 + rep.iterations, energies
+    rep.line_search_trace = trace + rep.line_search_trace
+    return rep
 
 
 def _constant_start(prob: Problem) -> float:
@@ -489,10 +471,9 @@ def relaxed_endpoints(prob: Problem, point: BoundaryPoint,
 
 
 def _attempt(levels: list, prob: Problem, method: str, solve: Callable,
-             u: Optional[np.ndarray], index: Optional[int] = None) -> SolveReport:
+             u: Optional[np.ndarray]) -> SolveReport:
     """``solve(prob, u)``, timed and recorded as one entry of ``levels``,
-    which becomes the report's table; a converged result whose Morse
-    index is not ``index`` counts as failed."""
+    which becomes the report's table."""
     entry = {"level": prob.mesh.spec.level, "n_dof": prob.n_dof, "method": method}
     levels.append(entry)
     start = time.perf_counter()
@@ -503,9 +484,6 @@ def _attempt(levels: list, prob: Problem, method: str, solve: Callable,
         raise
     finally:
         entry["seconds"] = time.perf_counter() - start
-    if index is not None and rep.converged and rep.morse_index != index:
-        rep.converged = False
-        rep.message = f"Morse index {rep.morse_index} differs from {index} one level coarser"
     entry.update(iterations=rep.iterations, residual_norm=rep.residual_norm,
                  energy=rep.energy.total_eps, sup=rep.sup, morse_index=rep.morse_index)
     if not rep.converged:
@@ -520,8 +498,10 @@ def nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
 
     Solves the same data one level coarser (recursively, down to level
     0), prolongs that state and returns ``finish(prob, state)``.  Returns
-    ``direct(prob, init)`` instead when the coarse solve fails or raises,
-    or the finish fails or changes the Morse index.  Coarser levels get
+    ``direct(prob, init)`` instead when the coarse solve or the finish
+    fails or raises; ``direct`` and ``finish`` certify the Morse index
+    they require (0 for :func:`minimize`, 1 for a saddle), so a finish
+    that reaches another index fails.  Coarser levels get
     ``init`` (a state on ``prob``'s mesh, or None) at their own dofs.  A
     ``RuntimeError`` of ``direct`` at ``prob``'s level propagates.  The
     report's ``levels`` (appended to ``levels`` when given) lists each
@@ -571,7 +551,7 @@ def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
     if coarse is not None and coarse.converged:
         with contextlib.suppress(RuntimeError):
             rep = _attempt(levels, prob, "finish", finish,
-                           prolong(coarse_mesh, mesh) @ coarse.state, coarse.morse_index)
+                           prolong(coarse_mesh, mesh) @ coarse.state)
             if rep.converged:
                 if rep.path is None:
                     rep.path = coarse.path

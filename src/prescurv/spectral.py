@@ -9,32 +9,13 @@ of the data a problem solves, discretized (times 1 + 2 eps) by
 The Morse index is the number of negative eigenvalues of
 Q against any positive inner product; by Sylvester's law of inertia that
 equals the number of negative eigenvalues of the plain symmetric matrix.
-It is read exactly from the pivots of an unpivoted LDL^T factorization
-of the shifted matrix: the congruence Q + tau I = P^T L D L^T P
-preserves inertia, so the eigenvalues below -tau are as many as the
-negative entries of D.  The factorization is the one of
-:meth:`prescurv.energy.Operators.factor`, banded in an order read from
-the logical grid: the lines across a periodic grid in zig-zag order,
-the half-disk's spokes with its centre last as a border, for a
-half-bandwidth of about two lines or one spoke.  LAPACK's band Cholesky
-``dpbtrf`` does the work, restarted past each pivot it cannot take
-(Haynsworth 1968), so a count costs at most two passes, one pass on a
-definite form; the same factor solves with B on the half-disk and gives
-Newton's fallback directions.
-
-On the periodic grids of cylinders and annuli, a rotation-invariant
-state makes Q = scale * S + diag(d) block-circulant up to rounding, and
-an rfft along the periodic index splits it into one Hermitian
-tridiagonal block per Fourier mode (Hockney 1965), so the count is a
-sum of Sturm counts of the blocks (Demmel 1997, section 5.3) and needs
-no factorization.  The symbol is S's, read once per mesh
-(:meth:`prescurv.energy.Operators.symbol`), times scale plus the mean
-d_bar of d.  By the triangle inequality Q departs from it by at most
-eta = scale * eta_S + max |d - d_bar|, and eta enters a Weyl bracket:
-the count is returned only when it is the same at -tau - 2 eta and
--tau + 2 eta (widened by rounding), which makes it exact for Q.
-Non-radial states, the half-disk, restricted forms and any count the
-bracket does not settle go to the band factorization.
+It is counted exactly, below the cut -tau, as the negative eigenvalues
+of the shifted matrix Q + tau I by
+:meth:`prescurv.energy.Operators.negatives`: from the Sturm sequences of
+the Fourier mode blocks of its symbol where Weyl's bracket certifies the
+count (rotation-invariant states on the periodic grids of cylinders and
+annuli), else from the signs of the pivots of the band L D L^T of
+:meth:`prescurv.energy.Operators.factor`.
 
 Truncated half-plane profiles restrict Q to fields vanishing on the
 artificial arc (Dirichlet truncation), the ``fixed`` mask of
@@ -72,7 +53,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .energy import CirculantSymbol, Problem
+from .energy import Problem
 from .exact import disk_eigenfunction
 
 NEG_TOL = 1e-10
@@ -84,8 +65,7 @@ class SpectrumReport:
 
     ``negative_count`` is the exact number of eigenvalues below
     ``-neg_tol``, read from pivots: the band LDL^T's, or the Sturm
-    sequences of the Fourier mode blocks.  ``k_used`` reads 0 on both
-    paths.
+    sequences of the Fourier mode blocks.  ``k_used`` reads 0.
     """
 
     negative_count: int
@@ -93,55 +73,15 @@ class SpectrumReport:
     neg_tol: float = NEG_TOL
 
 
-def _fourier_count(sym: Optional[CirculantSymbol], neg_tol: float) -> Optional[int]:
-    """Eigenvalues below ``-neg_tol`` of Q = scale S + diag(d) from its
-    symbol ``sym``, or None where there is none or the count is not certain.
-
-    Q = C + E with C block-circulant and |E| <= eta = scale eta_S +
-    max |d - d_bar|, the symbol's departure (triangle inequality).  C's
-    eigenvalues are those of its Hermitian tridiagonal Fourier mode
-    blocks, counted below a shift by the signs of the pivots of the
-    block's LDL^T, a Sturm sequence.  By Weyl's bound every eigenvalue
-    of Q lies within eta of one of C, so when the counts at -neg_tol -
-    delta and -neg_tol + delta agree, with delta = 2 eta plus rounding,
-    no eigenvalue of Q is near the cut and the count is exactly Q's.
-    Modes 0 < k < n/2 stand for the pair k, n - k and count twice.
-    """
-    if sym is None:
-        return None
-    M = sym.blocks
-    # rounding of the mean over i (pairwise, log2 n ulps), of the mode
-    # sums and of the recurrence (a few ulps per entry, Demmel 1997,
-    # section 5.3): 32 ulps of |C| cover grids up to 2^20 points around
-    delta = 2.0 * sym.departure + 32.0 * np.finfo(float).eps * sym.norm
-    shifts = np.array([[-neg_tol - delta], [-neg_tol + delta]])
-    diag, offdiag2 = M[:, 1].real, np.abs(M[:-1, 2]) ** 2
-    piv = np.empty((len(M), 2, M.shape[2]))
-    piv[0] = diag[0] - shifts
-    for jj in range(1, len(M)):
-        piv[jj] = diag[jj] - shifts - offdiag2[jj - 1] / piv[jj - 1]
-    if not np.all(np.isfinite(piv) & (piv != 0.0)):
-        return None
-    k = np.arange(M.shape[2])
-    below, above = (piv < 0).sum(axis=0) @ np.where((k == 0) | (2 * k == sym.n), 1, 2)
-    return int(below) if below == above else None
-
-
 def morse_index(prob: Problem, u: np.ndarray, fixed: Optional[np.ndarray] = None,
                 neg_tol: float = NEG_TOL) -> SpectrumReport:
     """Index of a state: eigenvalues of the Hessian of ``prob`` at ``u``
     below ``-neg_tol``, optionally restricted away from
-    Dirichlet-fixed dofs.  Unrestricted rotation-invariant states on
-    periodic grids are counted from the Fourier mode blocks
-    (:func:`_fourier_count`); everything else by the band L D L^T in the
-    grid order (:meth:`prescurv.energy.Operators.factor`, the fixed rows
-    and columns replaced by identity rows).
-    """
+    Dirichlet-fixed dofs, counted by
+    :meth:`prescurv.energy.Operators.negatives` on the Hessian shifted by
+    ``neg_tol``."""
     scale, d = prob.hessian_parts(u)
-    count = None if fixed is not None else _fourier_count(prob.ops.symbol(scale, d), neg_tol)
-    if count is None:
-        count = prob.ops.factor(scale, d + neg_tol, fixed).negatives
-    return SpectrumReport(count, 0, neg_tol)
+    return SpectrumReport(prob.ops.negatives(scale, d + neg_tol, fixed), 0, neg_tol)
 
 
 # -- separable disk model ----------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import reference_stiffness
 from prescurv.diagnostics import (
-    TEST_RATIOS,
     HolomorphicField,
     _centroids,
     blowup_monitor,
@@ -20,6 +19,7 @@ from prescurv.diagnostics import testfunction_energy_curve as energy_curve
 from prescurv.domain import DomainSpec, build_mesh
 from prescurv.energy import Problem, exp_lumped
 from prescurv.exact import (
+    BUBBLE_RATIOS,
     annulus_gamma_problem,
     annulus_gamma_state,
     annulus_log_problem,
@@ -541,7 +541,7 @@ class TestTestFunctionCurve:
         assert np.all(np.diff(curve.energy[-4:]) < 0)
         assert curve.energy[-1] < 0
         rows = curve.rows()
-        assert len(rows) == len(TEST_RATIOS)
+        assert len(rows) == len(BUBBLE_RATIOS)
         assert set(rows[0]) >= {"mu", "delta", "dirichlet_slope", "area_slope",
                                 "boundary_slope", "energy"}
 

@@ -1,0 +1,51 @@
+"""Module boundaries of ``prescurv``: no module of the package imports a
+private name (one with a leading underscore) from another, so that each
+module's representation choices stay behind its public API."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prescurv"
+
+
+def private_imports(path: Path) -> list[str]:
+    """``module.name`` of each private name that ``path`` imports from a
+    sibling module, or reads as an attribute of an imported sibling."""
+    tree = ast.parse(path.read_text(), str(path))
+    found, siblings = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "prescurv")):
+            source = (node.module or "").removeprefix("prescurv").lstrip(".")
+            for alias in node.names:
+                name = f"{source}.{alias.name}".lstrip(".")
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(name)
+                siblings[alias.asname or alias.name] = name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("prescurv.") and alias.asname:
+                    siblings[alias.asname] = alias.name.removeprefix("prescurv.")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{siblings[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path) == []
+
+
+def test_detects_a_private_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from .energy import Problem, _fourier_solver\n"
+                      "from . import energy as en\n"
+                      "import prescurv.spectral as sp\n"
+                      "x = en._band_order, en.__doc__, sp._quad\n")
+    assert sorted(private_imports(module)) == ["energy._band_order", "energy._fourier_solver",
+                                               "spectral._quad"]

@@ -289,7 +289,7 @@ class TestKrylovNewton:
                        for e in radial.line_search_trace), (level, radial.line_search_trace)
             # with that path off B preconditions every step, to the same iterates
             with monkeypatch.context() as m:
-                m.setattr(solve, "_fourier_solver", lambda sym: None)
+                m.setattr(energy.Operators, "preconditioner", lambda ops, scale, d: ops.solve_B)
                 rep = minimize(prob, tol=1e-10)
             assert rep.converged, rep.message
             its = [e["krylov_its"] for e in rep.line_search_trace]
@@ -573,19 +573,6 @@ class TestNested:
         assert "message" not in levels[3] and levels[3]["morse_index"] == 1
         assert all(r.converged and r.morse_index == 1 for r in reports)
         assert [(e["level"], e["method"]) for e in reports[1].levels] == [(3, "finish")]
-
-    def test_finish_with_another_index_falls_back(self):
-        def finish(prob, u):
-            rep = _descend(prob, u)
-            rep.morse_index = 1
-            return rep
-
-        prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
-        rep = nested(prob, prob.zero_state(), _descend, finish)
-        assert [(e["level"], e["method"]) for e in rep.levels] == [
-            (0, "direct"), (1, "finish"), (1, "direct"), (2, "finish"), (2, "direct")]
-        assert "Morse index 1 differs from 0" in rep.levels[1]["message"]
-        assert rep.converged and rep.morse_index == 0
 
     def test_mesh_scale_bubble_is_not_converged(self):
         # D = 2 cos(x) peaks at 2, where the energy is unbounded below:

@@ -505,9 +505,9 @@ class TestFourierInertia:
 
     def test_diagonal_spread_brackets_the_cut(self, monkeypatch):
         # one interior diagonal entry off its ring mean by 5e-13 of the
-        # largest, inside CIRCULANT_RTOL: the symbol takes the state, and a
-        # cut a quarter of that spread above an eigenvalue of the
-        # unperturbed Hessian must leave the count to the band LDL^T
+        # largest: the symbol's departure carries that spread, and a cut a
+        # quarter of it above an eigenvalue of the unperturbed Hessian
+        # must leave the count to the band LDL^T
         prob = self.problem("cylinder", 1)
         u = np.full(prob.n_dof, 1.0)
         lam = np.linalg.eigvalsh(prob.hessian(u).toarray())[prob.n_dof // 2]
@@ -535,7 +535,8 @@ class TestFourierInertia:
     @pytest.mark.parametrize("case", ["bumped", "saddle", "halfdisk", "fixed"])
     def test_fallbacks_reach_splu(self, monkeypatch, case):
         # a diagonal off its symbol (a state that is constant but at one
-        # dof), a non-radial state, a grid that is not periodic, and a
+        # dof), which the Weyl bracket still settles; then what reaches
+        # the band: a non-radial state, a grid that is not periodic, and a
         # restriction that drops the mesh
         fixed, index = None, None
         if case == "saddle":
@@ -557,10 +558,15 @@ class TestFourierInertia:
             Q = Q.tocsr()[free][:, free]
         sizes = self.counted_band(monkeypatch)
         rep = morse_index(prob, u, fixed=fixed)
-        # the fixed dofs stay in the band as identity rows, the half-disk's
-        # centre is its border
-        assert sizes[0] == prob.n_dof - (case == "halfdisk")
         assert rep.negative_count == (dense_count(Q) if index is None else index)
+        if case == "bumped":
+            # the departure of one dof bounds the symbol's error, and no
+            # eigenvalue lies within twice it of the cut
+            assert sizes == []
+        else:
+            # the fixed dofs stay in the band as identity rows, the
+            # half-disk's centre is its border
+            assert sizes[0] == prob.n_dof - (case == "halfdisk")
 
     def test_nested_cylinder_minimize_factors_nothing(self, monkeypatch):
         # one symbol read per level: the stiffness stencil's, shared by B
