@@ -673,6 +673,11 @@ def _run_blowup(cfg: ExperimentConfig) -> int:
 
 
 def _run_pohozaev(cfg: ExperimentConfig) -> int:
+    if cfg.domain.kind == "cylinder":
+        # F = i z G is not 2 pi-periodic in x, so the balance would miss
+        # the flux through the seam and its residual would never vanish
+        raise ConfigError("the Pohozaev balance needs a field on the surface, and no "
+                          "holomorphic field F = i z G is periodic on the cylinder")
     poh = cfg.section("pohozaev")
     if poh["state"] == "family":
         prob, u, _, source = _last_family_state(cfg)

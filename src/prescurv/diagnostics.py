@@ -16,12 +16,17 @@ Four instruments, all pure functions of a state and its problem data:
     least-squares fits on two-ring vertex patches (the raw one-sided
     P1 gradient would cap the convergence order at one), applied as one
     sparse recovery operator over every component's path, cached per
-    mesh; tangential derivatives come from centered differences.
-  * ``HolomorphicField`` evaluates F and F' together from one Laurent
-    series.  ``position_field`` is the dilation F = z, and
-    ``holomorphic_field`` builds F(z) = i z G(z) from a real
-    trigonometric polynomial f on the unit circle, with G its Laurent
-    extension to the annulus, so F = f tau on |z| = 1.
+    mesh; tangential derivatives come from centered differences.  Both
+    sides are complex dot products: the state fixes one coefficient c
+    per boundary vertex or quadrature point, and a field adds Re(conj(c) F)
+    and, inside, a real multiple of Re F'.  The balance is for plane
+    domains: on the cylinder no field of this form is periodic in x.
+  * ``HolomorphicField`` evaluates F and F' together at complex points
+    by Horner's rule on one Laurent polynomial.  ``position_field`` is
+    the dilation F = z, and ``holomorphic_field`` builds
+    F(z) = i z G(z) from a real trigonometric polynomial f on the unit
+    circle, with G its Laurent extension to the annulus, so F = f tau on
+    |z| = 1.
   * ``mass_measures`` and ``blowup_monitor`` discretize the measure
     statements: normalized per-triangle interior masses |K|e^u and
     per-edge boundary masses h e^{u/2}, singular candidates clustered
@@ -77,26 +82,37 @@ class HolomorphicField:
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
-    def values(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """F and F' at the points x + iy, from one Laurent evaluation:
-        G and z G' share the powers z^k and z^-k."""
-        z = np.asarray(x, float) + 1j * np.asarray(y, float)
-        G, zGp = self.coeffs[0], 0.0
-        d = len(self.coeffs) - 1
-        if d:
-            w = 1.0 / z
-            zk, wk = z, w
-            for k in range(1, d + 1):
-                pos, neg = self.coeffs[k] * zk, np.conj(self.coeffs[k]) * wk
-                G = G + (pos + neg)
-                zGp = zGp + k * (pos - neg)
-                if k < d:
-                    zk, wk = zk * z, wk * w
-        return z * (1j * G), np.broadcast_to(1j * (G + zGp), z.shape)
+    def values(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """F and F' at the complex points z, by Horner's rule.
 
-    def __call__(self, x, y) -> np.ndarray:
-        F = self.values(x, y)[0]
-        return np.stack([F.real, F.imag], axis=-1)
+        F = i z G is the Laurent polynomial i sum_p a_p z^p over
+        p = 1 - d .. d + 1, so F = z^(1-d) P and
+        F' = z^-d ((1 - d) P + z P') with P of degree 2d; one in-place
+        Horner loop gives P and P'.  No reciprocal is taken for d <= 1.
+        """
+        z = np.asarray(z, dtype=complex)
+        c = self.coeffs
+        d = len(c) - 1
+        b = 1j * np.concatenate([np.conj(c[:0:-1]), c])
+        P = np.full(z.shape, b[-1])
+        if d == 0:  # F = i c0 z: the dilation stays exact
+            return P * z, P
+        dP = np.zeros(z.shape, dtype=complex)
+        for bj in b[-2::-1]:
+            dP *= z
+            dP += P
+            P *= z
+            P += bj
+        if d == 1:
+            return P, dP
+        w = 1.0 / z
+        dP *= z
+        dP += (1 - d) * P
+        for _ in range(d - 1):
+            P *= w
+            dP *= w
+        dP *= w
+        return P, dP
 
 
 def position_field() -> HolomorphicField:
@@ -140,15 +156,22 @@ def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
     monomials [1, x, y, x^2, xy, y^2] is pinv(V) (u[patch] - u[center]),
     so rows 1-2 of pinv(V) over the scale are the patch weights and
     minus their sum the center weight.  Patches of equal size share one
-    batched ``pinv``.
+    batched fit.  With at least six points pinv(V) = R^-1 Q^T from the
+    reduced QR of V; a smaller patch (the half-disk's five-point corner)
+    leaves the fit underdetermined and keeps ``pinv``'s minimum-norm
+    solution.
     """
     n = mesh.n_dof
     tris = mesh.vertex_dof[mesh.triangles]
     # only triangles touching the one-ring reach into the two-ring
     near = np.zeros(n, dtype=bool)
     near[dofs] = True
-    near[tris[near[tris].any(axis=1)]] = True
-    tris = tris[near[tris].any(axis=1)]
+
+    def touching(t):  # an OR of columns: any(axis=1) is six times slower
+        return near[t[:, 0]] | near[t[:, 1]] | near[t[:, 2]]
+
+    near[tris[touching(tris)]] = True
+    tris = tris[touching(tris)]
     A = sp.csr_matrix((np.ones(6 * len(tris)),
                        (tris[:, [0, 0, 1, 1, 2, 2]].ravel(),
                         tris[:, [1, 2, 0, 2, 0, 1]].ravel())), shape=(n, n))
@@ -174,7 +197,12 @@ def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
         scale = np.abs(rel).max(axis=(1, 2))
         x, y = np.moveaxis(rel / scale[:, None, None], -1, 0)
         V = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-        W = np.linalg.pinv(V)[:, 1:3, :] / scale[:, None, None]
+        if m >= V.shape[2]:
+            Q, R = np.linalg.qr(V)
+            W = np.linalg.solve(R, np.swapaxes(Q, 1, 2))[:, 1:3]
+        else:  # underdetermined: the minimum-norm fit
+            W = np.linalg.pinv(V)[:, 1:3]
+        W /= scale[:, None, None]
         W = np.concatenate([W, -W.sum(axis=2, keepdims=True)], axis=2)
         idx = np.column_stack([idx, dofs[sel]])
         rows.append(np.broadcast_to(2 * sel[:, None, None] + np.arange(2)[:, None],
@@ -235,51 +263,53 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
 
-    # interior side, 3-point edge-midpoint quadrature per triangle; slot s
-    # is the midpoint of the edge from vertex s to vertex s + 1, where e^u
-    # is e^{u_a/2} e^{u_b/2}.  The linear K_bg term takes the slot sum of F.
-    tri, K = mesh.triangles, prob.K_dof
-    tris = mesh.vertex_dof[tri]
-    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    (wx, wy), (gKx, gKy) = ((g.real, g.imag) for g in _p1_gradients(mesh, u, K))
-    eh = exp_lumped(u)[1]
-
     # boundary side, trapezoid over each component with normals from one
-    # recovery along every component's path
+    # recovery along every component's path.  In complex form F.nu and
+    # grad u.F are Re(conj(nu) F) and Re(conj(grad u) F), so the integrand
+    # is Re(conj(c) F) with one state coefficient c per path vertex.
     paths = [mesh.vertex_dof[comp.verts] for comp in mesh.components]
     grads = np.split(recovered_gradient(mesh, u, np.concatenate(paths)),
                      np.cumsum([len(d) for d in paths])[:-1])
     bound = []
     for c, (comp, dofs, g) in enumerate(zip(mesh.components, paths, grads)):
         upath = u[dofs]
-        dtau = tangential_derivative(mesh, c, upath)
+        nu, tau = (v[:, 0] + 1j * v[:, 1] for v in (comp.normals, comp.tangents))
         dnu = np.einsum("ik,ik->i", g, comp.normals)
-        grad = dtau[:, None] * comp.tangents + dnu[:, None] * comp.normals
-        bound.append((mesh.vertices[comp.verts], comp, grad, 2.0 * dnu,
-                      np.einsum("ik,ik->i", grad, grad),
-                      4.0 * prob.K_dof[dofs] * exp_lumped(upath)[0]))
+        grad = tangential_derivative(mesh, c, upath) * tau + dnu * nu
+        coef = ((4.0 * prob.K_dof[dofs] * exp_lumped(upath)[0] - np.abs(grad) ** 2) * nu
+                + 2.0 * dnu * grad)
+        half = 0.5 * comp.edge_lengths
+        trapezoid = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+        bound.append((mesh.vertices[comp.verts].view(complex).ravel(), trapezoid * coef))
+
+    # interior side, 3-point edge-midpoint quadrature per triangle; slot s
+    # is the midpoint of the edge from vertex s to vertex s + 1, where e^u
+    # is e^{u_a/2} e^{u_b/2}.  Per slot the state gives one complex
+    # coefficient of F (the K_bg and grad K terms) and one of Re F'.
+    tri, K = mesh.triangles, prob.K_dof
+    tris = mesh.vertex_dof[tri]
+    z = mesh.vertices.view(complex).ravel()
+    grad_u, grad_K = _p1_gradients(mesh, u, K)
+    eh = exp_lumped(u)[1]
+    weight = (4.0 / 3.0) * mesh.tri_areas
+    lin_u = prob.data.K_bg * weight * grad_u
+    interior = dict.fromkeys(fields, 0.0)
+    for s, t in ((0, 1), (1, 2), (2, 0)):
+        a, b = tris[:, s], tris[:, t]
+        mid = 0.5 * (z[tri[:, s]] + z[tri[:, t]])
+        e = weight * eh[a] * eh[b]
+        lin = lin_u + e * grad_K
+        kk = e * (K[a] + K[b])
+        for name, field in fields.items():
+            F, dF = field.values(mid)
+            interior[name] += np.vdot(lin, F).real + kk @ dF.real
 
     reports = {}
     for name, field in fields.items():
-        F_sum, vals = 0.0, 0.0
-        for s, t in ((0, 1), (1, 2), (2, 0)):
-            F, dF = field.values(0.5 * (vx[tri[:, s]] + vx[tri[:, t]]),
-                                 0.5 * (vy[tri[:, s]] + vy[tri[:, t]]))
-            a, b = tris[:, s], tris[:, t]
-            K_mid = 0.5 * (K[a] + K[b])
-            vals = vals + eh[a] * eh[b] * (gKx * F.real + gKy * F.imag + 2.0 * K_mid * dF.real)
-            F_sum = F_sum + F
-        vals = 4.0 * prob.data.K_bg * (wx * F_sum.real + wy * F_sum.imag) + 4.0 * vals
-        interior = float((mesh.tri_areas / 3.0) @ vals)
-        boundary_terms = []
-        for pts, comp, grad, dnu2, grad2, Ke in bound:
-            F = field(pts[:, 0], pts[:, 1])
-            Fnu = np.einsum("ik,ik->i", F, comp.normals)
-            f = Ke * Fnu + dnu2 * np.einsum("ik,ik->i", grad, F) - grad2 * Fnu
-            boundary_terms.append(float(0.5 * comp.edge_lengths @ (f[:-1] + f[1:])))
-        reports[name] = PohozaevReport(residual=abs(sum(boundary_terms) - interior),
-                                       boundary_terms=boundary_terms,
-                                       interior_term=interior)
+        boundary_terms = [float(np.vdot(coef, field.values(pts)[0]).real) for pts, coef in bound]
+        inner = float(interior[name])
+        reports[name] = PohozaevReport(residual=abs(sum(boundary_terms) - inner),
+                                       boundary_terms=boundary_terms, interior_term=inner)
     return reports
 
 

@@ -830,6 +830,22 @@ class TestPohozaevMode:
         assert code == 3
         assert "radial" in capsys.readouterr().err
 
+    def test_cylinder_exits_3_before_solving(self, tmp_path, capsys, monkeypatch):
+        # F = i z G is not periodic in x, so on the cylinder the balance
+        # misses the seam flux, 2 pi int (4 e^u + u_y^2) dy on the
+        # x-independent minimum of MINIMIZE_CFG: its residual read 81.6,
+        # 82.4 and 82.7 at levels 2-4
+        solves = []
+        monkeypatch.setattr(cli, "_solve_problem", lambda cfg: solves.append(cfg))
+        code, out = run_cli(tmp_path, "pohozaev", MINIMIZE_CFG + """
+    [pohozaev]
+    state = solve
+    fields = position
+""")
+        assert code == 3
+        assert "periodic on the cylinder" in capsys.readouterr().err
+        assert solves == [] and not (out / "pohozaev.json").exists()
+
 
 class TestTestfnMode:
     def test_graded_halfdisk_slopes(self, tmp_path, capsys):

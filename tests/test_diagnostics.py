@@ -54,7 +54,13 @@ def annulus_points(seed, n=100):
     rng = np.random.default_rng(seed)
     rho = rng.uniform(0.55, 0.95, size=n)
     th = rng.uniform(0.0, TWO_PI, size=n)
-    return rho * np.cos(th), rho * np.sin(th), rng
+    return rho * np.exp(1j * th), rng
+
+
+def plane(field, z):
+    """The field at z as a plane vector field (Re F, Im F)."""
+    F = field.values(z)[0]
+    return np.stack([F.real, F.imag], axis=-1)
 
 
 class TestVectorFields:
@@ -62,17 +68,16 @@ class TestVectorFields:
         # the dilation is exact: F = z and F' = 1 with no rounding
         x = np.array([0.3, -1.2, 1e-300, -0.0])
         y = np.array([0.7, 2.0, -3.5, 1e300])
-        F, dF = position_field().values(x, y)
+        F, dF = position_field().values(x + 1j * y)
         assert np.array_equal(F.real, x) and np.array_equal(F.imag, y)
         assert np.array_equal(dF, np.ones(4))
-        assert np.array_equal(position_field()(x, y), np.stack([x, y], axis=-1))
 
 
 class TestHolomorphicField:
     def test_unit_trace_is_rotation(self, annulus3):
         F = holomorphic_field(annulus3, (1.0,))
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        vals = F(np.cos(th), np.sin(th))
+        vals = plane(F, np.exp(1j * th))
         tau = np.stack([-np.sin(th), np.cos(th)], axis=-1)
         assert np.allclose(vals, tau, atol=1e-13)
 
@@ -83,17 +88,17 @@ class TestHolomorphicField:
         f = (0.3 + np.cos(th) + 0.5 * np.cos(2 * th)
              + 0.2 * np.sin(th) + 0.7 * np.sin(2 * th))
         tau = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        vals = F(np.cos(th), np.sin(th))
+        vals = plane(F, np.exp(1j * th))
         assert np.allclose(vals, f[:, None] * tau, atol=1e-12)
 
     def test_derivative_against_centred_differences(self, annulus3):
         # holomorphy: dF/dx = F' and dF/dy = i F'
         F = holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2, 0.7))
-        x, y, _ = annulus_points(7)
-        dF = F.values(x, y)[1]
+        z, _ = annulus_points(7)
+        dF = F.values(z)[1]
         eps = 1e-6
-        fd_x = (F.values(x + eps, y)[0] - F.values(x - eps, y)[0]) / (2 * eps)
-        fd_y = (F.values(x, y + eps)[0] - F.values(x, y - eps)[0]) / (2 * eps)
+        fd_x = (F.values(z + eps)[0] - F.values(z - eps)[0]) / (2 * eps)
+        fd_y = (F.values(z + 1j * eps)[0] - F.values(z - 1j * eps)[0]) / (2 * eps)
         assert np.allclose(dF, fd_x, atol=1e-8)
         assert np.allclose(1j * dF, fd_y, atol=1e-8)
 
@@ -101,26 +106,42 @@ class TestHolomorphicField:
         # 2 DF(w, w) = div F |w|^2 pointwise for holomorphic F, with DF
         # taken by centred differences of the plane field itself
         F = holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2, 0.7))
-        x, y, rng = annulus_points(11)
+        z, rng = annulus_points(11)
         w = rng.normal(size=(100, 2))
         eps = 1e-6
-        J = np.stack([(F(x + eps, y) - F(x - eps, y)) / (2 * eps),
-                      (F(x, y + eps) - F(x, y - eps)) / (2 * eps)], axis=-1)
+        J = np.stack([(plane(F, z + eps) - plane(F, z - eps)) / (2 * eps),
+                      (plane(F, z + 1j * eps) - plane(F, z - 1j * eps)) / (2 * eps)], axis=-1)
         quad = 2.0 * np.einsum("ni,nij,nj->n", w, J, w)
         div = J[..., 0, 0] + J[..., 1, 1]
         assert np.max(np.abs(quad - div * np.einsum("ni,ni->n", w, w))) < 1e-7
-        assert np.allclose(div, 2.0 * F.values(x, y)[1].real, atol=1e-8)
+        assert np.allclose(div, 2.0 * F.values(z)[1].real, atol=1e-8)
 
     def test_complex_constant_coefficient(self):
         # c0 is complex in general: the term i c0 z rotates and dilates,
         # and c0 = -i is the position field
         c0 = 0.5 - 2.0j
-        x, y, _ = annulus_points(3)
-        F, dF = HolomorphicField([c0]).values(x, y)
-        assert np.allclose(F, 1j * c0 * (x + 1j * y), rtol=1e-15, atol=0)
-        assert np.array_equal(dF, np.full(len(x), 1j * c0))
-        P = HolomorphicField([-1j]).values(x, y)
-        assert all(np.array_equal(a, b) for a, b in zip(P, position_field().values(x, y)))
+        z, _ = annulus_points(3)
+        F, dF = HolomorphicField([c0]).values(z)
+        assert np.allclose(F, 1j * c0 * z, rtol=1e-15, atol=0)
+        assert np.array_equal(dF, np.full(len(z), 1j * c0))
+        P = HolomorphicField([-1j]).values(z)
+        assert all(np.array_equal(a, b) for a, b in zip(P, position_field().values(z)))
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_values_match_explicit_laurent_sum(self, d):
+        # F = i z G and F' = i (G + z G') summed term by term, with complex
+        # coefficients throughout, c0 included
+        rng = np.random.default_rng(d)
+        c = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        z, _ = annulus_points(13 + d)
+        G = np.full(z.shape, c[0])
+        Gp = np.zeros(z.shape, dtype=complex)
+        for k in range(1, d + 1):
+            G += c[k] * z**k + np.conj(c[k]) * z ** (-k)
+            Gp += k * (c[k] * z ** (k - 1) - np.conj(c[k]) * z ** (-k - 1))
+        F, dF = HolomorphicField(c).values(z)
+        for got, want in ((F, 1j * z * G), (dF, 1j * (G + z * Gp))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_aliasing_guard(self, annulus3):
         d_bad = annulus3.components[0].n_edges // 4

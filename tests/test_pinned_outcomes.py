@@ -6,7 +6,8 @@ and what each run certifies is compared with the committed table
 ``pinned_outcomes.json``: exit code, ``converged``, ``morse_index``,
 Newton iterations per level, ``total`` and ``total_eps`` to 1e-10
 relative, ``sup``, the Gauss-Bonnet defect within the contract's bound,
-negative counts, and the gamma = 4 Pohozaev residuals to 1e-9 relative.
+negative counts, the gamma = 4 Pohozaev residuals to 1e-9 relative, and
+both sides of its position balance to 1e-10 relative.
 
 The tolerances are solver-level: the same discretization is solved, so
 only rounding may move a value.  Saddle states are pinned by energies
@@ -83,7 +84,9 @@ def run(mode: str, text: str, tmp: Path) -> tuple[dict, list]:
                 "sup": data["sup"]}
         elif path.stem == "pohozaev":
             outcome["pohozaev"] = {"gamma": data["source"]["parameter"],
-                                   **{f: data[f]["residual"] for f in ("position", "holomorphic")}}
+                                   **{f: data[f]["residual"] for f in ("position", "holomorphic")},
+                                   "position_interior": data["position"]["interior_term"],
+                                   "position_boundary": data["position"]["boundary_terms"]}
         elif path.stem == "spectrum":
             outcome["negative_count"] = data["negative_count"]
     return outcome, reports
@@ -103,6 +106,10 @@ def test_outcome_is_pinned(name, tmp_path):
             # the holomorphic residual is rounding-level: an absolute floor
             for field in ("position", "holomorphic"):
                 assert got[key][field] == pytest.approx(pinned[field], rel=1e-9, abs=1e-12)
+            # the holomorphic residual's floor hides its sides, so the
+            # position balance is pinned side by side, not only by difference
+            for field in ("position_interior", "position_boundary"):
+                assert got[key][field] == pytest.approx(pinned[field], rel=1e-10), field
         else:
             rep = got[key]
             for field in ("converged", "morse_index", "iterations"):
