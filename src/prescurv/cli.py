@@ -679,6 +679,13 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
         raise ConfigError("the Pohozaev balance needs a field on the surface, and no "
                           "holomorphic field F = i z G is periodic on the cylinder")
     poh = cfg.section("pohozaev")
+    # the fields need only the mesh, so a bad field fails before any solve
+    try:
+        fields = {name: position_field() if name == "position" else
+                  holomorphic_field(cfg.mesh, poh["cos_coeffs"], poh["sin_coeffs"])
+                  for name in poh["fields"]}
+    except ValueError as exc:
+        raise ConfigError(f"bad [pohozaev] coefficients: {exc}") from exc
     if poh["state"] == "family":
         prob, u, _, source = _last_family_state(cfg)
         code = 0
@@ -686,12 +693,6 @@ def _run_pohozaev(cfg: ExperimentConfig) -> int:
         prob, reports, code = _solve_problem(cfg)
         u = reports[-1].state
         source = {"state": "solve", "converged": reports[-1].converged, "eps": prob.eps}
-    try:
-        fields = {name: position_field() if name == "position" else
-                  holomorphic_field(prob.mesh, poh["cos_coeffs"], poh["sin_coeffs"])
-                  for name in poh["fields"]}
-    except ValueError as exc:
-        raise ConfigError(f"bad [pohozaev] coefficients: {exc}") from exc
     payload = {"source": source}
     for name, rep in pohozaev_report(prob, u, fields).items():
         payload[name] = dataclasses.asdict(rep)

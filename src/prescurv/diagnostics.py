@@ -33,7 +33,10 @@ Four instruments, all pure functions of a state and its problem data:
     along the boundary, the ratio D = h/sqrt(|K|) and its tangential
     derivative at each candidate, concentration fractions, and the
     local boundary-minus-interior gap that equals 2 pi per bubble for
-    mass-bounded families.
+    mass-bounded families.  Every window and nearest edge is a query of
+    a ``domain.point_tree`` of triangle centroids or boundary edge
+    midpoints, so distances cross the cylinder's seam as the surface
+    does; this module makes no case of the seam.
   * ``testfunction_energy_curve`` tabulates the energy of the bubble
     test functions phi_mu anchored at a boundary point against the
     small parameter 1/sqrt(mu^2 q2^2 - 1); the slope columns reproduce
@@ -54,13 +57,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
-from .domain import BoundaryPoint, Mesh, tangential_derivative
+from .domain import BoundaryPoint, Mesh, point_tree, tangential_derivative, wrapped
 from .energy import Problem, exp_lumped
 from .exact import BUBBLE_RATIOS, boundary_bubble_state
 
-TWO_PI = 2.0 * math.pi
 
 # slack of the D >= 1 verdict at blow-up candidates
 D_TOL = 1e-6
@@ -192,8 +193,7 @@ def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
         sel = np.nonzero(sizes == m)[0]
         idx = col[starts[sel, None] + np.arange(m)]
         rel = coords[idx] - coords[dofs[sel]][:, None, :]
-        if mesh.spec.kind == "cylinder":
-            rel[..., 0] = (rel[..., 0] + math.pi) % TWO_PI - math.pi
+        rel[..., 0] = wrapped(mesh, rel[..., 0])
         scale = np.abs(rel).max(axis=(1, 2))
         x, y = np.moveaxis(rel / scale[:, None, None], -1, 0)
         V = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
@@ -358,26 +358,11 @@ def mass_measures(prob: Problem, u: np.ndarray) -> MassMeasures:
     )
 
 
-def _edge_midpoints(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edge midpoints and their flat edge indices; cylinder
-    midpoints get periodic images so plain trees measure wrapped
-    distances correctly."""
-    pts, idx = [], []
-    offset = 0
-    for comp in mesh.components:
-        q = mesh.vertices[comp.verts]
-        mid = 0.5 * (q[:-1] + q[1:])
-        pts.append(mid)
-        idx.append(np.arange(offset, offset + len(mid)))
-        offset += len(mid)
-    P = np.vstack(pts)
-    I = np.concatenate(idx)
-    if mesh.spec.kind == "cylinder":
-        left = P + np.array([-TWO_PI, 0.0])
-        right = P + np.array([TWO_PI, 0.0])
-        P = np.vstack([P, left, right])
-        I = np.concatenate([I, I, I])
-    return P, I
+def _edge_midpoints(mesh: Mesh) -> np.ndarray:
+    """Boundary edge midpoints, component by component: the order of the
+    flat boundary masses."""
+    paths = [mesh.vertices[comp.verts] for comp in mesh.components]
+    return np.vstack([0.5 * (q[:-1] + q[1:]) for q in paths])
 
 
 def _centroids(mesh: Mesh) -> np.ndarray:
@@ -390,12 +375,10 @@ def boundary_projection_tv(prob: Problem, u: np.ndarray,
     """Total-variation distance between the interior density pushed to
     its nearest boundary edge and the boundary density itself."""
     mm = measures if measures is not None else mass_measures(prob, u)
-    pts, idx = _edge_midpoints(prob.mesh)
-    tree = cKDTree(pts)
-    _, nearest = tree.query(_centroids(prob.mesh))
-    n_edges = sum(len(e) for e in mm.boundary_density)
-    proj = np.zeros(n_edges)
-    np.add.at(proj, idx[nearest], mm.interior_density)
+    mids = _edge_midpoints(prob.mesh)
+    _, nearest = point_tree(prob.mesh, mids).query(_centroids(prob.mesh))
+    proj = np.zeros(len(mids))
+    np.add.at(proj, nearest, mm.interior_density)
     bnd = np.concatenate(mm.boundary_density)
     return float(0.5 * np.abs(proj - bnd).sum())
 
@@ -497,21 +480,35 @@ def blowup_monitor(states: Sequence[tuple[Problem, np.ndarray]],
     bounded_mass = bool(
         measures[-1].interior_total <= bounded_ratio * measures[0].interior_total)
 
+    edge_scale = float(max(np.median(c.edge_lengths) for c in mesh.components))
     if window is None:
-        window = float(max(5.0 * np.median(c.edge_lengths) for c in mesh.components))
+        window = 5.0 * edge_scale
+
+    def within(tree, pts) -> np.ndarray:
+        """Mask of the tree's points within ``window`` of any of ``pts``;
+        a negative window holds none (SciPy's ball would hold all)."""
+        mask = np.zeros(tree.n, dtype=bool)
+        for hits in tree.query_ball_point(pts, max(window, 0.0)):
+            mask[hits] = True
+        return mask
 
     threshold = sup_u - sup_window
-    mid_pts, mid_idx = _edge_midpoints(mesh)
-    boundary_tree = cKDTree(mid_pts)
+    edge_tree = point_tree(mesh, _edge_midpoints(mesh))
+    cents = _centroids(mesh)
+    tri_tree = point_tree(mesh, cents)
     # a breach means large values away from the boundary; dofs inside the
     # boundary layer legitimately track the boundary supremum
-    dof_dist, _ = boundary_tree.query(mesh.dof_coords)
+    dof_dist, _ = edge_tree.query(mesh.dof_coords)
     far_dofs = dof_dist > far_distance
     interior_max = float(u[far_dofs].max()) if far_dofs.any() else -math.inf
     interior_breach = diverging and interior_max > threshold
 
+    # local signed masses of the last state around each candidate cluster;
+    # the union of their triangles is the concentration mask
+    mm = measures[-1]
+    edge_masses = np.concatenate(mm.boundary_masses)
+    near = np.zeros(len(cents), dtype=bool)
     candidates: list[BlowupCandidate] = []
-    member_coords: list[np.ndarray] = []
     if diverging:
         for c, comp in enumerate(mesh.components):
             path = comp.verts[:-1] if comp.closed else comp.verts
@@ -522,7 +519,9 @@ def blowup_monitor(states: Sequence[tuple[Problem, np.ndarray]],
             mask = uvals > threshold
             for run in _clusters(mask, comp.closed):
                 rep = run[np.argmax(uvals[run])]
-                member_coords.append(mesh.vertices[path[run]])
+                members = mesh.vertices[path[run]]
+                tris = within(tri_tree, members)
+                near |= tris
                 candidates.append(BlowupCandidate(
                     component=c,
                     coords=mesh.vertices[path[rep]].copy(),
@@ -531,40 +530,15 @@ def blowup_monitor(states: Sequence[tuple[Problem, np.ndarray]],
                     D_tau=float(Dtau[rep]),
                     cluster_size=len(run),
                     whole_component=len(run) == len(path),
-                    local_interior_mass=0.0,
-                    local_boundary_mass=0.0,
+                    local_interior_mass=float(mm.interior_masses[tris].sum()),
+                    local_boundary_mass=float(edge_masses[within(edge_tree, members)].sum()),
                 ))
 
-    cents = _centroids(mesh)
-    dist_boundary, _ = boundary_tree.query(cents)
+    dist_boundary, _ = edge_tree.query(cents)
+    far_tris = dist_boundary > far_distance
+    concentration = np.array([m.interior_density[near].sum() for m in measures])
+    far_fractions = np.array([m.interior_density[far_tris].sum() for m in measures])
 
-    concentration = np.zeros(len(states))
-    far_fractions = np.zeros(len(states))
-    if candidates:
-        allpts = np.vstack(member_coords)
-        if mesh.spec.kind == "cylinder":
-            allpts = np.vstack([allpts, allpts + np.array([-TWO_PI, 0.0]),
-                                allpts + np.array([TWO_PI, 0.0])])
-        dist_cand, _ = cKDTree(allpts).query(cents)
-        near = dist_cand <= window
-        for k, mm in enumerate(measures):
-            concentration[k] = float(mm.interior_density[near].sum())
-    for k, mm in enumerate(measures):
-        far_fractions[k] = float(mm.interior_density[dist_boundary > far_distance].sum())
-
-    # local signed masses around each candidate cluster, last state
-    mm = measures[-1]
-    flat_edges = np.concatenate(mm.boundary_masses)
-    for cand, pts in zip(candidates, member_coords):
-        tree = cKDTree(pts)
-        d_tri, _ = tree.query(cents)
-        cand.local_interior_mass = float(mm.interior_masses[d_tri <= window].sum())
-        d_edge, _ = tree.query(mid_pts)
-        near_edges = np.zeros(len(flat_edges), dtype=bool)
-        near_edges[mid_idx[d_edge <= window]] = True
-        cand.local_boundary_mass = float(flat_edges[near_edges].sum())
-
-    edge_scale = float(max(np.median(c.edge_lengths) for c in mesh.components))
     d_geq_one = all(c.D >= 1.0 - D_TOL for c in candidates)
     d_tau_zero = all(abs(c.D_tau) < 10.0 * edge_scale for c in candidates)
     # far mass vanishes only in the limit; accept a clear downward trend

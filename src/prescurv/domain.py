@@ -21,6 +21,13 @@ on the quotient.  Boundary components are stored as ordered vertex
 paths carrying the analytic arc-length parameter and analytic outward
 normals/tangents of the model curve.
 
+This module alone decides that x wraps with period 2 pi on the
+cylinder: :func:`wrapped` turns an x offset into the one the surface
+measures, :func:`distance2` measures from the dofs to a point, and
+:func:`point_tree` gives k-d trees whose queries measure distance on
+the surface.  Every distance the package takes comes from these, and no
+other module imports ``scipy.spatial``.
+
 Levels nest: :func:`build_mesh` at level + 1 doubles both counts of
 the logical grid ``Mesh.grid``, so coarse vertex (i, j) is fine vertex
 (2i, 2j).  :func:`coarsen` builds the level below and :func:`prolong`
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 _KINDS = ("cylinder", "annulus", "halfdisk")
 CIRCUMFERENCE = 2.0 * math.pi  # cylinder cross-section length is fixed
@@ -374,12 +382,29 @@ def tangential_derivative(mesh: Mesh, component: int, f: np.ndarray) -> np.ndarr
     return deriv
 
 
+def wrapped(mesh: Mesh, dx):
+    """The x offset ``dx`` as the surface measures it: on the cylinder
+    its representative in [-pi, pi), elsewhere ``dx`` itself."""
+    if mesh.spec.kind == "cylinder":
+        return (dx + math.pi) % CIRCUMFERENCE - math.pi
+    return dx
+
+
 def distance2(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     """Squared distance from each dof to the point q, measured across
     the seam on the cylinder."""
     xy = mesh.dof_coords
-    dx = xy[:, 0] - q[0]
-    if mesh.spec.kind == "cylinder":
-        dx = (dx + math.pi) % CIRCUMFERENCE - math.pi
+    dx = wrapped(mesh, xy[:, 0] - q[0])
     dy = xy[:, 1] - q[1]
     return dx**2 + dy**2
+
+
+def point_tree(mesh: Mesh, pts: np.ndarray) -> cKDTree:
+    """A k-d tree on the points ``pts`` (shape (n, 2)) whose queries
+    measure distance on the surface.  On the cylinder the tree holds x
+    mod 2 pi in a box periodic in x alone (a zero box size leaves y
+    open), and query points wrap by themselves."""
+    if mesh.spec.kind == "cylinder":
+        pts = np.column_stack([pts[:, 0] % CIRCUMFERENCE, pts[:, 1]])
+        return cKDTree(pts, boxsize=(CIRCUMFERENCE, 0.0))
+    return cKDTree(pts)

@@ -67,7 +67,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, zpttrf, zpttrs
 
 from .domain import Mesh
-from .fields import CurvatureSpec, eval_K, perturb
+from .fields import CurvatureSpec, eval_h, eval_K, perturb
 
 EXP_CLAMP = 700.0  # exp argument cap; beyond this the state is a blow-up
 CIRCULANT_RTOL = 1e-12  # largest departure from its symbol, relative, of a matrix inverted by it
@@ -590,11 +590,9 @@ class Problem:
         # nodal h per component, zero off the component; a corner dof can
         # carry different values for the two components meeting there
         self.h_dof = []
-        dof = mesh.vertex_dof
         for c, comp in enumerate(mesh.components):
             vals = np.zeros(mesh.n_dof)
-            pts = mesh.vertices[comp.verts]
-            vals[dof[comp.verts]] = data.h[c](pts[:, 0], pts[:, 1], comp.s)
+            vals[mesh.vertex_dof[comp.verts]] = eval_h(data, mesh, c)
             self.h_dof.append(vals)
         self.chi_gen = float(
             data.K_bg * self.ops.w_int.sum()

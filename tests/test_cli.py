@@ -846,6 +846,22 @@ class TestPohozaevMode:
         assert "periodic on the cylinder" in capsys.readouterr().err
         assert solves == [] and not (out / "pohozaev.json").exists()
 
+    def test_bad_coefficients_exit_3_before_solving(self, tmp_path, capsys, monkeypatch):
+        # degree 4 on the 16 outer edges of level 0 trips the aliasing
+        # guard, which needs only the mesh: no solve is paid for it
+        solves = []
+        monkeypatch.setattr(cli, "_solve_problem", lambda cfg: solves.append(cfg))
+        code, out = run_cli(tmp_path, "pohozaev", SADDLE_CFG.format(method="minimize").replace(
+            "level = 3", "level = 0") + """
+    [pohozaev]
+    state = solve
+    fields = holomorphic
+    cos_coeffs = 0 0 0 0 1
+""")
+        assert code == 3
+        assert "trig degree too high" in capsys.readouterr().err
+        assert solves == [] and not (out / "pohozaev.json").exists()
+
 
 class TestTestfnMode:
     def test_graded_halfdisk_slopes(self, tmp_path, capsys):

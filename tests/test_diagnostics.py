@@ -16,7 +16,7 @@ from prescurv.diagnostics import (
     recovered_gradient,
 )
 from prescurv.diagnostics import testfunction_energy_curve as energy_curve
-from prescurv.domain import DomainSpec, build_mesh
+from prescurv.domain import DomainSpec, build_mesh, distance2
 from prescurv.energy import Problem, exp_lumped
 from prescurv.exact import (
     BUBBLE_RATIOS,
@@ -506,6 +506,31 @@ class TestBlowupMonitor:
         assert abs(cand.D - math.sqrt(2.0)) < 1e-9
         assert abs(cand.mass_gap - TWO_PI) < 0.05 * TWO_PI
         assert diag.interior_vanishing and not diag.interior_breach
+
+    @pytest.fixture(scope="class")
+    def seam_bumps(self):
+        """The same boundary bump family on the cylinder, centred at whole
+        grid steps k of the bottom circle: k = 0 is the seam vertex."""
+        mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=3))
+        prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[1.5, 0.5], K_bg=-1.0))
+        comp = mesh.components[0]
+
+        def diag(k):
+            bump = np.exp(-distance2(mesh, mesh.vertices[comp.verts[k]]) / 0.005)
+            return blowup_monitor([(prob, a * bump) for a in (0.5, 3.0, 8.0)])
+        return comp.n_edges, diag
+
+    @pytest.mark.parametrize("step", [0, 1, 2, 3, -2])
+    def test_masses_do_not_see_the_seam(self, seam_bumps, step):
+        # a shift by whole grid steps maps the mesh onto itself; the
+        # interior mass near a seam-centred bump read 2.596 for 4.176
+        n, diag = seam_bumps
+        far, got = diag(n // 2), diag(step % n)
+        (want, ), (cand, ) = far.candidates, got.candidates
+        for field in ("local_interior_mass", "local_boundary_mass"):
+            assert getattr(cand, field) == pytest.approx(getattr(want, field), rel=1e-12)
+        assert got.concentration == pytest.approx(far.concentration, rel=1e-12)
+        assert got.tv_projection == pytest.approx(far.tv_projection, rel=1e-12)
 
     def test_bounded_family_vacuous_flags(self, annulus3):
         prob = Problem(annulus3, CurvatureSpec(K=-1.0, h=[2.0, -3.0], K_bg=0.0))

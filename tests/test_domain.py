@@ -13,8 +13,11 @@ from prescurv.domain import (
     DomainSpec,
     build_mesh,
     coarsen,
+    distance2,
+    point_tree,
     prolong,
     tangential_derivative,
+    wrapped,
 )
 
 def refine(mesh):
@@ -212,6 +215,35 @@ def test_prolong_exact_for_logically_linear_fields(spec):
         u[coarse.vertex_dof[coarse.grid[:-1]]] = (a * ci + b * cj)[:-1]
         v = (P @ u)[fine.vertex_dof[fine.grid]]
         assert np.allclose(v[away], (0.5 * (a * fi + b * fj))[away], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [DomainSpec("cylinder", L=1.0, level=2),
+                                  DomainSpec("annulus", r=0.5, level=2)])
+def test_point_tree_measures_on_the_surface(spec):
+    # queries on both sides of the seam, and beyond the period, find the
+    # distances that distance2 measures from the same points
+    mesh = build_mesh(spec)
+    tree = point_tree(mesh, mesh.dof_coords)
+    rng = np.random.default_rng(3)
+    q = np.column_stack([rng.uniform(-1.0, 8.0, 40), rng.uniform(0.0, 1.0, 40)])
+    dist, nearest = tree.query(q)
+    want = np.array([np.sqrt(distance2(mesh, p).min()) for p in q])
+    assert np.allclose(dist, want, rtol=0, atol=1e-12)
+    assert np.allclose(dist**2, [distance2(mesh, p)[i] for p, i in zip(q, nearest)],
+                       rtol=0, atol=1e-12)
+    inside = tree.query_ball_point(q, 0.3)
+    assert [sorted(i) for i in inside] == [
+        list(np.flatnonzero(distance2(mesh, p) <= 0.09)) for p in q]
+
+
+def test_wrapped_only_on_the_cylinder():
+    dx = np.array([-7.0, -math.pi, -1.0, 0.0, 3.0, math.pi, 6.5])
+    cyl = build_mesh(DomainSpec("cylinder", L=1.0, level=0))
+    ann = build_mesh(DomainSpec("annulus", r=0.5, level=0))
+    assert wrapped(ann, dx) is dx
+    w = wrapped(cyl, dx)
+    assert np.all((-math.pi <= w) & (w < math.pi))
+    assert np.allclose(np.cos(w), np.cos(dx)) and np.allclose(np.sin(w), np.sin(dx))
 
 
 def test_spec_validation():

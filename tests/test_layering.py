@@ -49,3 +49,54 @@ def test_detects_a_private_import(tmp_path):
                       "x = en._band_order, en.__doc__, sp._quad\n")
     assert sorted(private_imports(module)) == ["energy._band_order", "energy._fourier_solver",
                                                "spectral._quad"]
+
+
+def imports_spatial(path: Path) -> bool:
+    """Whether ``path`` reaches ``scipy.spatial``: by ``import``, by
+    ``from ... import`` of the package or of a name in it, or as an
+    attribute of an imported ``scipy``."""
+    def spatial(name: str) -> bool:
+        return name == "scipy.spatial" or name.startswith("scipy.spatial.")
+
+    tree = ast.parse(path.read_text(), str(path))
+    scipy_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if spatial(alias.name):
+                    return True
+                if alias.name == "scipy" or (alias.name.startswith("scipy.")
+                                             and not alias.asname):
+                    scipy_names.add(alias.asname or "scipy")
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if spatial(module) or any(spatial(f"{module}.{a.name}") for a in node.names):
+                return True
+    return any(isinstance(node, ast.Attribute) and node.attr == "spatial"
+               and isinstance(node.value, ast.Name) and node.value.id in scipy_names
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_only_domain_measures_distance(path):
+    # domain owns the cylinder's seam, so it alone builds k-d trees:
+    # every distance in the package is the mesh's own
+    assert imports_spatial(path) == (path.stem == "domain")
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.spatial", "import scipy.spatial.distance as d",
+    "from scipy.spatial import cKDTree", "from scipy import spatial",
+    "from scipy.spatial.distance import cdist", "import scipy as sc\nsc.spatial.KDTree",
+    "import scipy.sparse\nscipy.spatial.KDTree"])
+def test_detects_a_spatial_import(tmp_path, source):
+    module = tmp_path / "module.py"
+    module.write_text(source + "\n")
+    assert imports_spatial(module)
+
+
+def test_other_scipy_imports_pass(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import scipy.sparse as sp\nfrom scipy.linalg import solve\n"
+                      "from . import spatial\nsp.spatial\n")
+    assert not imports_spatial(module)

@@ -1,13 +1,17 @@
 """Pinned outcomes: "results unchanged" as a test.
 
-The four benchmark configs (seed 1), a half-disk L4 ``minimize`` and the
-strip spectra at R = 5 and R = 10 run in-process through ``cli.main``,
-and what each run certifies is compared with the committed table
-``pinned_outcomes.json``: exit code, ``converged``, ``morse_index``,
-Newton iterations per level, ``total`` and ``total_eps`` to 1e-10
-relative, ``sup``, the Gauss-Bonnet defect within the contract's bound,
-negative counts, the gamma = 4 Pohozaev residuals to 1e-9 relative, and
-both sides of its position balance to 1e-10 relative.
+The four benchmark configs (seed 1), a half-disk L4 ``minimize``, the
+strip spectra at R = 5 and R = 10, and the blow-up verdicts of the
+annulus gamma family and the half-disk bubble family run in-process
+through ``cli.main``, and what each run certifies is compared with the
+committed table ``pinned_outcomes.json``: exit code, ``converged``,
+``morse_index``, Newton iterations per level, ``total`` and
+``total_eps`` to 1e-10 relative, ``sup``, the Gauss-Bonnet defect within
+the contract's bound, negative counts, the gamma = 4 Pohozaev residuals
+to 1e-9 relative, both sides of its position balance to 1e-10 relative,
+and the blow-up candidates (cluster sizes, D, local masses),
+concentration, far fractions and projection distance to 1e-12 relative
+with the verdict flags.
 
 The tolerances are solver-level: the same discretization is solved, so
 only rounding may move a value.  Saddle states are pinned by energies
@@ -54,6 +58,27 @@ parameters = 2
 [spectrum]
 state = family
 """
+GAMMA_BLOWUP = """[domain]
+kind = annulus
+r = 0.5
+level = 4
+[sweep]
+family = gamma
+parameters = 4 8 16
+h1 = 2
+"""
+BUBBLE_BLOWUP = """[domain]
+kind = halfdisk
+R = 2
+level = 4
+[sweep]
+family = bubble
+parameters = 1.0 0.3 0.03
+"""
+FLAGS = ("diverging", "bounded_mass", "d_geq_one", "d_tau_zero", "interior_vanishing",
+         "interior_breach")
+CANDIDATE = ("cluster_size", "whole_component", "D", "local_interior_mass",
+             "local_boundary_mass")
 
 
 def cases() -> dict:
@@ -63,6 +88,8 @@ def cases() -> dict:
     out["halfdisk_minimize_L4"] = ("solve", HALFDISK)
     for R in (5, 10):
         out[f"strip_R{R}"] = ("spectrum", STRIP.format(R=R))
+    out["gamma_blowup_L4"] = ("blowup", GAMMA_BLOWUP)
+    out["bubble_blowup_L4"] = ("blowup", BUBBLE_BLOWUP)
     return out
 
 
@@ -89,6 +116,11 @@ def run(mode: str, text: str, tmp: Path) -> tuple[dict, list]:
                                    "position_boundary": data["position"]["boundary_terms"]}
         elif path.stem == "spectrum":
             outcome["negative_count"] = data["negative_count"]
+        elif path.stem == "blowup":
+            outcome["blowup"] = {
+                "candidates": [{f: c[f] for f in CANDIDATE} for c in data["candidates"]],
+                **{f: data[f] for f in ("concentration", "far_fractions", "tv_projection")},
+                "flags": {f: data[f] for f in FLAGS}}
     return outcome, reports
 
 
@@ -110,6 +142,15 @@ def test_outcome_is_pinned(name, tmp_path):
             # position balance is pinned side by side, not only by difference
             for field in ("position_interior", "position_boundary"):
                 assert got[key][field] == pytest.approx(pinned[field], rel=1e-10), field
+        elif key == "blowup":
+            diag = got[key]
+            assert diag["flags"] == pinned["flags"]
+            assert len(diag["candidates"]) == len(pinned["candidates"])
+            for cand, want_cand in zip(diag["candidates"], pinned["candidates"]):
+                for field in CANDIDATE:
+                    assert cand[field] == pytest.approx(want_cand[field], rel=1e-12), field
+            for field in ("concentration", "far_fractions", "tv_projection"):
+                assert diag[field] == pytest.approx(pinned[field], rel=1e-12), field
         else:
             rep = got[key]
             for field in ("converged", "morse_index", "iterations"):
