@@ -161,7 +161,8 @@ SCHEMA = {
     },
     "solver": {
         "method": (_one_of("minimize", "mountain-pass", "continuation"), "minimize"),
-        "tol": (float, 1e-8),
+        "tol": (_checked(float, lambda v: 0 < v < math.inf,
+                         "the dual-norm residual to reach, must be finite and positive"), 1e-8),
         "max_iter": (int, 100),
         "eps": (_checked(float, lambda v: v >= 0, "needs a weight >= 0"), 0.0),
         "eps_schedule": (_checked(_floats, lambda v: v and min(v) >= 0,
@@ -202,8 +203,11 @@ SCHEMA = {
     },
     "testfn": {"q2": (float, None), "tail": (int, 4), "ratios": (_floats, None)},
     # None leaves the monitor's own default
-    "monitor": {key: (float, None) for key in ("window", "sup_window", "growth_min",
-                                               "bounded_ratio", "far_distance", "far_tol")},
+    "monitor": {"window": (_checked(float, lambda v: 0 < v < math.inf,
+                                    "must be finite and positive"), None),
+                **{key: (_checked(float, math.isfinite, "must be finite"), None)
+                   for key in ("sup_window", "growth_min", "bounded_ratio",
+                               "far_distance", "far_tol")}},
 }
 
 
@@ -288,8 +292,7 @@ class ExperimentConfig:
 
 def _lapack() -> str:
     """Name and version of the LAPACK that SciPy was built against; Morse
-    counts, B on the half-disk and Newton's fallback directions run on its
-    ``dpbtrf`` and ``dtbsv``."""
+    counts and B on the half-disk run on its ``dpbtrf`` and ``dtbsv``."""
     lapack = scipy.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
     return f"{lapack.get('name', 'unknown')} {lapack.get('version', 'unknown')}"
 

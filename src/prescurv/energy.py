@@ -45,13 +45,12 @@ them, for three uses:
   :mod:`prescurv.spectral`: Sturm counts of the mode blocks where
   Weyl's bracket of the departure certifies them, else the pivots of
   the band factor;
-* :meth:`Operators.preconditioner`, that of Newton's MINRES in
+* :meth:`Operators.preconditioner`, that of Newton's Krylov solves in
   :mod:`prescurv.solve`: the inverse of the mode blocks, stacked into
   one tridiagonal matrix that LAPACK's ``zpttrf`` factors (L D L^H) and
   ``zpttrs`` solves, where the departure is at rounding level and every
   block is positive definite (rotation-invariant states), else B^{-1};
-* :meth:`Operators.solve_B`, B^{-1} the same way, else by the band
-  factor, which also gives Newton's fallback directions.
+* :meth:`Operators.solve_B`, B^{-1} the same way, else by the band factor.
 """
 
 from __future__ import annotations
@@ -312,10 +311,11 @@ class Operators:
     length).  ``B = S + diag(w_int)`` is the H1 Gram matrix of dual norms.
     ``S_symbol``, read from S's stencil on periodic grids, is its Fourier
     symbol, None on the half-disk.  Every matrix ``scale * S + diag(d)``
-    is counted (:meth:`negatives`), preconditioned (:meth:`preconditioner`)
-    and, for B, solved (:meth:`solve_B`) from its :meth:`symbol` where
-    that is exact enough, and from :meth:`factor`, the band L D L^T,
-    everywhere else.
+    is counted (:meth:`negatives`) from its :meth:`symbol` where that is
+    exact enough, else from :meth:`factor`, the band L D L^T.  It is
+    preconditioned (:meth:`preconditioner`) by the symbol's inverse where
+    that is exact enough and positive definite, else by B^{-1}, which
+    :meth:`solve_B` applies from B's symbol or from its band factor.
     """
 
     mesh: Mesh

@@ -45,8 +45,6 @@ from .domain import BoundaryPoint, Mesh, distance2
 from .energy import Problem
 from .fields import CurvatureSpec, background_for
 
-TWO_PI = 2.0 * math.pi
-
 
 # -- half-plane profiles ----------------------------------------------------
 
@@ -76,18 +74,6 @@ def eval_bubble(lam: float, s0: float, K0: float, h0: float, s, t) -> np.ndarray
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     denom = (s - s0) ** 2 + (t + t0) ** 2 - lam**2
     return 2.0 * np.log(2.0 * lam / denom) - math.log(-K0)
-
-
-def bubble_masses(lam: float, K0: float, h0: float) -> tuple[float, float]:
-    """Interior and boundary masses of the bubble: (beta, beta + 2 pi)
-    with beta = 2 pi (h0/sqrt(h0^2 + K0) - 1), independent of lam."""
-    if lam <= 0:
-        raise ValueError("profile scale lam must be positive")
-    disc = h0**2 + K0
-    if disc <= 0 or h0 <= 0:
-        raise ValueError("boundary ratio at most one: mass is infinite")
-    beta = TWO_PI * (h0 / math.sqrt(disc) - 1.0)
-    return beta, beta + TWO_PI
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Critical-point search for the curvature energy.
 
-One Newton engine, a diagonally regularized Newton iteration with
-backtracking, serves two acceptance tests:
+One Newton engine, an inexact Newton iteration with backtracking,
+serves two acceptance tests:
 
 * :func:`minimize` - energy Armijo acceptance along descent directions,
   certified as a local minimum by an exact Morse index of zero at the
@@ -9,22 +9,21 @@ backtracking, serves two acceptance tests:
 * :func:`newton_polish` - residual-decrease acceptance, which converges
   to critical points of any index.
 
-Its directions come from a short preconditioned MINRES (Paige &
-Saunders 1975, :func:`_minres`) that stops once the true dual norm of
-its residual is within a forcing term of the gradient's: Eisenstat &
-Walker's (1996) second rule for saddle polishes, 1e-6 for descent
-steps.  The band L D L^T of the shifted Hessian (``Operators.factor``,
-the factorization that also counts Morse indices) is the fallback.
-MINRES is preconditioned by ``Operators.preconditioner``.  Where the
-shifted Hessian is block-circulant on a periodic grid (rotation-invariant
-states on the cylinder and the annulus) and every Fourier mode block of
-its symbol is positive definite, that is the inverse of the symbol,
-T. Chan's optimal circulant (Chan 1988), which is the Hessian's exact
-inverse up to its departure from the symbol, so MINRES takes one
+Its directions come from a short preconditioned Krylov solve that stops
+once the true dual norm of its residual is within a forcing term of the
+gradient's: conjugate gradients cut short at nonpositive curvature for
+descent steps (:func:`_cg`, a line-search Newton-CG; Steihaug 1983,
+Nocedal & Wright 2006, Algorithm 7.1), MINRES for saddle polishes
+(Paige & Saunders 1975, :func:`_minres`).  ``Operators.preconditioner``
+preconditions both.  Where the Hessian is block-circulant on a periodic
+grid (rotation-invariant states on the cylinder and the annulus) and
+every Fourier mode block of its symbol is positive definite, that is the
+inverse of the symbol, T. Chan's optimal circulant (Chan 1988), exact up
+to the Hessian's departure from the symbol, so the solve takes one
 iteration.  Everywhere else it is B^{-1}, the inverse of the H1 Gram
 matrix, to which the Hessian is spectrally equivalent uniformly in the
 mesh size (Mardal & Winther 2011), so the iteration count does not grow
-under refinement, and the norm MINRES tracks is then the dual norm itself.
+under refinement, and the norm the recurrences track is the dual norm.
 
 Three drivers build on them:
 
@@ -66,12 +65,8 @@ from .spectral import morse_index
 
 ARMIJO_C = 1e-4
 BLOWUP_SUP = 50.0
-# Newton regularization sigma * diag(w): first nonzero shift, number of
-# factorization tries (sigma grows 4x per try) and line-search halvings
-SIGMA_FLOOR = 1e-10
-SIGMA_TRIES = 60
-MAX_BACKTRACKS = 50
-# MINRES Newton directions: iteration cap, and the range of the forcing
+MAX_BACKTRACKS = 50  # line-search halvings
+# Krylov Newton directions: iteration cap, and the range of the forcing
 # term eta, the largest accepted linear residual (dual norm) relative to
 # the gradient's
 KRYLOV_MAXITER = 200
@@ -176,50 +171,67 @@ def _minres(A, b: np.ndarray, M: Callable, norm: Callable, target: float,
     return None, maxiter
 
 
-def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarray,
-                      target: float, sigma: float,
-                      descent: bool) -> tuple[np.ndarray, float, dict]:
-    """Direction from the Newton system (H + sigma diag(w)) d = -g, where
-    H = ``scale * S + diag(diag)`` is the Hessian, its shift, and trace
-    keys ``linear`` (the solver used) and ``krylov_its`` (MINRES iterations).
+def _cg(A, b: np.ndarray, M: Callable, norm: Callable, target: float,
+        maxiter: int = KRYLOV_MAXITER) -> tuple[np.ndarray, int, bool]:
+    """Preconditioned conjugate gradients for A x = b from x = 0, with A
+    symmetric and M an SPD approximation of A^{-1}; returns (x, iterations,
+    whether x meets ``target``), checked as in :func:`_minres`.
 
-    :func:`_minres` runs first, at the current shift, and stops once the
-    dual norm of the linear residual is at most ``target``, checked on
-    the true residual, preconditioned by ``Operators.preconditioner`` of
-    the shifted Hessian, which is always SPD.  When MINRES gives up, or its
-    direction is not acceptable, sigma is grown from ``SIGMA_FLOOR`` until
-    the band L D L^T of the shifted Hessian (``Operators.factor``) gives
-    an acceptable direction; a factorization that raises counts as a
-    failed try.  w carries the quadrature weights so sigma is comparable
-    to the potential coefficient.  Either direction must be finite and,
-    when ``descent`` is set, point downhill.
+    At the first direction p with p^T A p <= 0 it returns the last
+    iterate, or M b if p is the first direction; at ``maxiter`` or an M
+    inner product that is negative or not finite, the last iterate.  Each
+    such iterate has b^T x > 0 (Steihaug 1983): with b = -g, it descends.
     """
-    w, gn = prob.ops.w_int, float(np.linalg.norm(g))
+    x, r = np.zeros_like(b), b.copy()
+    p = M(r)
+    rz = float(r @ p)
+    for its in range(1, maxiter + 1):
+        q = A @ p
+        curv = float(p @ q)
+        if curv <= 0.0:
+            return (x if its > 1 else p), its, False
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * q
+        z = M(r)
+        rz, rz_old = float(r @ z), rz
+        if not 0.0 <= rz < math.inf:
+            return x, its, False
+        if rz <= target * target and norm(b - A @ x) <= target:
+            return x, its, True
+        p = z + (rz / rz_old) * p
+    return x, maxiter, False
 
-    def acceptable(d: Optional[np.ndarray]) -> bool:
-        return d is not None and bool(np.all(np.isfinite(d))) and (
-            not descent or float(g @ d) < -1e-14 * gn * float(np.linalg.norm(d)))
 
-    shifted = diag + sigma * w
-    d, its = _minres(prob.ops.plus_diagonal(scale, shifted), -g,
-                     prob.ops.preconditioner(scale, shifted), prob.ops.dual_norm, target)
-    if acceptable(d):
-        return d, sigma, {"linear": "minres", "krylov_its": its}
-    for _ in range(SIGMA_TRIES):
-        try:
-            d = prob.ops.factor(scale, diag + sigma * w).solve(-g)
-        except RuntimeError:
-            d = None
-        if acceptable(d):
-            return d, sigma, {"linear": "ldlt", "krylov_its": its}
-        sigma = max(4.0 * sigma, SIGMA_FLOOR)
-    raise RuntimeError("could not regularize the Newton system"
-                       + (" into a descent direction" if descent else ""))
+def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarray,
+                      target: float, descent: bool) -> tuple[np.ndarray, dict]:
+    """Direction from the Newton system H d = -g, H = ``scale * S +
+    diag(diag)`` the Hessian, to a dual-norm residual of ``target``, and
+    trace keys ``linear`` and ``krylov_its``.  With ``descent`` set,
+    :func:`_cg` solves it (``linear`` "cg") or is cut short ("curvature");
+    else :func:`_minres` does ("minres").  A MINRES that gives up, a
+    direction that is not finite and, under ``descent``, one that does
+    not point downhill raise.
+    """
+    A, M = prob.ops.plus_diagonal(scale, diag), prob.ops.preconditioner(scale, diag)
+    if descent:
+        d, its, solved = _cg(A, -g, M, prob.ops.dual_norm, target)
+        linear = "cg" if solved else "curvature"
+    else:
+        d, its = _minres(A, -g, M, prob.ops.dual_norm, target)
+        linear = "minres"
+        if d is None:
+            raise RuntimeError(f"MINRES gave up on the Newton system after {its} iterations")
+    if not np.all(np.isfinite(d)):
+        raise RuntimeError("the Newton direction is not finite")
+    if descent and not float(g @ d) < -1e-14 * float(np.linalg.norm(g) * np.linalg.norm(d)):
+        raise RuntimeError("the Newton direction does not descend")
+    return d, {"linear": linear, "krylov_its": its}
 
 
 def _newton(prob: Problem, u: np.ndarray, tol: float,
             max_iter: int, blowup_threshold: float, armijo: bool) -> SolveReport:
-    """Regularized Newton iteration behind :func:`minimize` and
+    """Inexact Newton iteration behind :func:`minimize` and
     :func:`newton_polish`; ``armijo`` selects the acceptance test.
 
     With ``armijo`` set, directions must descend and steps must satisfy
@@ -232,21 +244,21 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
     ``-blowup_threshold``, where e^u vanishes and the energy can fall
     without bound, stops it as a downward escape.
 
-    Without ``armijo`` each direction solves its linear system only to
-    the forcing term eta (Dembo, Eisenstat & Steihaug 1982) relative to
-    ``res``, chosen by Eisenstat & Walker's (1996) second rule: eta = 0.9
-    (res / res_prev)^2, clipped to [``FORCING_MIN``, ``FORCING_MAX``],
-    which gives 0.1 at the first step.  Loose while the residual falls
+    Each direction solves its linear system only to the forcing term
+    eta (Dembo, Eisenstat & Steihaug 1982) relative to ``res``
+    (:func:`_newton_direction`).  Without ``armijo`` eta follows
+    Eisenstat & Walker's (1996) second rule: eta = 0.9 (res /
+    res_prev)^2, clipped to [``FORCING_MIN``, ``FORCING_MAX``], which
+    gives 0.1 at the first step.  Loose while the residual falls
     slowly and tight as it falls fast, it keeps the local convergence
     superlinear without solving further than the step needs.  Their
     safeguard, max(eta, 0.9 eta_prev^2) where that term exceeds 0.1,
     cannot engage under the cap of 0.1.  Descent directions keep eta at
-    ``FORCING_MIN``: an early MINRES iterate on an indefinite Hessian
-    leans toward preconditioned steepest descent, which can follow an
-    energy that is unbounded below to a downward escape where the
-    Newton direction reaches the local minimum.
+    ``FORCING_MIN``: an early Krylov iterate leans toward preconditioned
+    steepest descent, which can follow an energy that is unbounded below
+    to a downward escape where the Newton direction reaches the local
+    minimum.
     """
-    sigma = 0.0
     trace: list[dict] = []
     blow = False
     message = ""
@@ -261,8 +273,8 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
         res_prev = res
         e = prob.energy(u) if armijo else None
         try:
-            d, sigma, linear = _newton_direction(prob, *prob.hessian_parts(u),
-                                                 g, eta * res, sigma, armijo)
+            d, linear = _newton_direction(prob, *prob.hessian_parts(u),
+                                          g, eta * res, armijo)
         except RuntimeError as exc:
             message = str(exc)
             break
@@ -292,15 +304,12 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
                 t *= 0.5
         trace.append({"iter": it, "residual": res,
                       "energy": None if e is None else e.total_eps,
-                      "step": t, "sigma": sigma, "backtracks": bt, "mode": mode, **linear})
+                      "step": t, "backtracks": bt, "mode": mode, **linear})
         if not ok:
             message = ("line search failed to reduce the "
                        + ("energy" if mode == "armijo" else "residual"))
             break
         u = u + t * d
-        # a full step means the shift is no longer needed, so the last
-        # steps of the basin converge quadratically
-        sigma = 0.0 if t == 1.0 or sigma < 1e-14 else 0.5 * sigma
         if mode == "armijo":
             g = prob.gradient(u)
             res = prob.ops.dual_norm(g)

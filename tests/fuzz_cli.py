@@ -2,14 +2,17 @@
 outcomes checked against the committed table ``fuzz_cli_outcomes.json``.
 
 Each row of the table is one config: its exit code, its method, and how
-many Newton directions MINRES gave and how many the factorization
-fallback gave, counted over every level and every solve of the run.
+many Newton directions met their forcing term (``solved``: conjugate
+gradients or MINRES) and how many conjugate gradients cut short at
+nonpositive curvature or its iteration cap (``curvature``), counted over
+every level and every solve of the run.  The summary line adds the total
+Krylov iterations, a work count that the table does not pin.
 Config i is drawn from ``random.Random(i)`` alone, so editing one draw
 moves no other.  The draws cover the three domains at levels 1-3,
 random K and h, both signs of the boundary ratio, the three methods and
 the ``solve`` and ``spectrum`` modes.
 
-It takes about a minute, so pytest does not collect it; CI runs it
+It takes about ten seconds, so pytest does not collect it; CI runs it
 as its own step, with numerical warnings as errors.  Run from the
 repository root, to compare with the table or to rewrite it::
 
@@ -67,14 +70,16 @@ def draw(i: int) -> tuple[str, str, str]:
 
 
 def outcome(i: int) -> dict:
-    """Exit code, method and direction counts of config i."""
+    """Exit code, method and direction counts of config i, and its Krylov
+    iterations under ``krylov_its``, which the table leaves out."""
     mode, method, text = draw(i)
     counts, real = Counter(), solve._newton_direction
 
     def counted(*args, **kwargs):
-        d, sigma, linear = real(*args, **kwargs)
-        counts["minres" if linear["linear"] == "minres" else "fallback"] += 1
-        return d, sigma, linear
+        d, linear = real(*args, **kwargs)
+        counts["curvature" if linear["linear"] == "curvature" else "solved"] += 1
+        counts["krylov_its"] += linear["krylov_its"]
+        return d, linear
 
     solve._newton_direction = counted
     try:
@@ -86,12 +91,13 @@ def outcome(i: int) -> dict:
                                  "--out", str(Path(tmp) / "out")])
     finally:
         solve._newton_direction = real
-    return {"exit": code, "method": method,
-            "minres": counts["minres"], "fallback": counts["fallback"]}
+    return {"exit": code, "method": method, "solved": counts["solved"],
+            "curvature": counts["curvature"], "krylov_its": counts["krylov_its"]}
 
 
 def main(argv: list[str]) -> int:
     rows = {str(i): outcome(i) for i in range(N_CONFIGS)}
+    krylov_its = sum(row.pop("krylov_its") for row in rows.values())
     if argv == ["--write"]:
         TABLE.write_text(json.dumps(rows, indent=1) + "\n")
         return 0
@@ -104,10 +110,10 @@ def main(argv: list[str]) -> int:
         print(f"config {i}: {pinned.get(i)} -> {rows[i]}")
     total = Counter()
     for row in rows.values():
-        total.update({"minres": row["minres"], "fallback": row["fallback"],
+        total.update({"solved": row["solved"], "curvature": row["curvature"],
                       f"exit {row['exit']}": 1})
     print(f"{len(rows) - len(moved)} of {len(rows)} outcomes as pinned;",
-          dict(sorted(total.items())))
+          dict(sorted(total.items())), f"krylov iterations {krylov_its}")
     return 1 if moved else 0
 
 

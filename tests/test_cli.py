@@ -64,6 +64,17 @@ GAMMA_SWEEP_CFG = """
     h1 = 2.0
 """
 
+BUBBLE_FAMILY_CFG = """
+    [domain]
+    kind = halfdisk
+    R = 2
+    level = 3
+
+    [sweep]
+    family = bubble
+    parameters = 1.0 0.3 0.03
+"""
+
 RANDOM_INIT_CFG = MINIMIZE_CFG + """
     init = random
     seed = 7
@@ -340,11 +351,22 @@ class TestConfigErrors:
         ("pohozaev", POHOZAEV_FAMILY_CFG.replace("parameters = 2", "parameters = 2.5")),
         ("exact-sweep", GAMMA_SWEEP_CFG.format(parameters="4, 2.5, 8")),
         ("blowup", GAMMA_SWEEP_CFG.format(parameters="4, 8.000001")),
+        # tol = inf certified the zero state after no Newton step; nan and
+        # -1 ran a whole solve to "line search failed to reduce the residual"
+        ("solve", MINIMIZE_CFG.replace("tol = 1e-10", "tol = inf")),
+        ("solve", MINIMIZE_CFG.replace("tol = 1e-10", "tol = nan")),
+        ("solve", MINIMIZE_CFG.replace("tol = 1e-10", "tol = -1")),
+        # window = -1 with far_tol = nan printed diverging=True candidates=1
+        ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    window = -1\n"),
+        ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    window = nan\n"),
+        ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    far_tol = nan\n"),
+        ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    sup_window = inf\n"),
     ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
             "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
             "q2-0", "blowup_threshold-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
             "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text",
-            "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001"])
+            "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001", "tol-inf", "tol-nan", "tol-negative",
+            "window-negative", "window-nan", "far_tol-nan", "sup_window-inf"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
         code, _ = run_cli(tmp_path, mode, text)
         err = capsys.readouterr().err

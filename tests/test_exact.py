@@ -13,7 +13,6 @@ from prescurv.exact import (
     annulus_gamma_state,
     annulus_log_problem,
     annulus_log_state,
-    bubble_masses,
     bubble_profile,
     disk_eigenfunction,
     eval_annulus_gamma,
@@ -52,33 +51,6 @@ def test_bubble_values_and_symmetry():
     assert np.allclose(left, right, rtol=1e-14)
     with pytest.raises(ValueError, match="above one"):
         eval_bubble(1.0, 0.0, -1.0, 0.9, 0.0, 0.0)
-
-
-def test_bubble_masses_closed_form():
-    beta, bnd = bubble_masses(1.0, -1.0, SQRT2)
-    assert beta == pytest.approx(2 * math.pi * (SQRT2 - 1), rel=1e-14)
-    # quoted reference decimals are loose roundings of the closed form
-    assert beta == pytest.approx(2.5966, rel=0.01)
-    assert bnd == pytest.approx(8.8798, rel=0.01)
-    assert bnd - beta == pytest.approx(2 * math.pi, rel=1e-15)
-
-
-@given(st.floats(min_value=0.1, max_value=10.0))
-def test_bubble_masses_lambda_independent(lam):
-    ref = bubble_masses(1.0, -1.0, SQRT2)
-    got = bubble_masses(lam, -1.0, SQRT2)
-    assert got[0] == pytest.approx(ref[0], rel=1e-12)
-    assert got[1] == pytest.approx(ref[1], rel=1e-12)
-
-
-def test_bubble_masses_limits_and_errors():
-    beta, bnd = bubble_masses(1.0, -1.0, 1e6)
-    assert 0 < beta < 1e-5
-    assert bnd == pytest.approx(2 * math.pi, abs=1e-5)
-    with pytest.raises(ValueError, match="infinite"):
-        bubble_masses(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="infinite"):
-        bubble_masses(1.0, -4.0, 1.5)
 
 
 def test_annulus_log_values():
@@ -227,7 +199,10 @@ def test_bubble_mass_quadrature_coarse():
     prof = bubble_profile(1.0)
     prob, _ = halfplane_problem(mesh, prof)
     u = profile_state(mesh, prof)
-    beta, bnd = bubble_masses(1.0, -1.0, SQRT2)
+    # the closed form: interior mass beta = 2 pi (h0 / sqrt(h0^2 + K0) - 1)
+    # for any lam, boundary mass beta + 2 pi
+    beta = 2 * math.pi * (SQRT2 / math.sqrt(SQRT2**2 - 1.0) - 1.0)
+    bnd = beta + 2 * math.pi
     assert prob.interior_mass(u) == pytest.approx(beta, rel=0.05)
     flat_mass = prob.boundary_masses(u)[0]
     assert flat_mass == pytest.approx(bnd, rel=0.05)

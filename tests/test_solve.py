@@ -113,11 +113,20 @@ class TestMinimize:
         mesh = build_mesh(DomainSpec("annulus", r=0.5, level=3))
         prob = annulus_gamma_problem(mesh, gamma=2, h1=2.0)
         init = annulus_gamma_state(mesh, gamma=2, h1=2.0)
-        rep = minimize(prob, init=init, tol=1e-10)
+        saddle = newton_polish(prob, init, tol=1e-10)
+        assert saddle.converged
+        # at the polished saddle the residual is below tol, so no step is taken
+        rep = minimize(prob, init=saddle.state, tol=1e-10)
+        assert rep.iterations == 0 and not rep.line_search_trace
         assert not rep.converged
         assert rep.residual_norm < 1e-10
         assert rep.morse_index >= 1
         assert "not a local minimum" in rep.message
+        # from the interpolant, off the saddle by the discretization error,
+        # Newton-CG descends away from it to a downward escape
+        away = minimize(prob, init=init, tol=1e-10)
+        assert not away.converged and away.message == "state escaped downward"
+        assert away.energy.total < saddle.energy.total
 
     def test_floor_does_not_stall_relaxed_low_state(self):
         # the energy terms cancel to a small total, so a floor scaled by
@@ -131,7 +140,10 @@ class TestMinimize:
 
     def test_regularization_path(self):
         # at u = -10 the boundary term dominates, 1^T H 1 < 0, so the
-        # plain Newton system is indefinite and the shift must engage
+        # Newton system is indefinite: CG meets nonpositive curvature at its
+        # first direction and steps along -B^{-1} g until the Hessian is
+        # positive definite on the Krylov space, then solves; the path is
+        # pinned step by step
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
         init = np.full(prob.n_dof, -10.0)
         one = np.ones(prob.n_dof)
@@ -139,19 +151,17 @@ class TestMinimize:
         rep = minimize(prob, init=init, tol=1e-10)
         assert rep.converged, rep.message
         assert rep.morse_index == 0
-        assert any(entry["sigma"] > 0 for entry in rep.line_search_trace)
-        assert rep.line_search_trace[-1]["sigma"] == 0
-        assert rep.iterations <= 6
-        # MINRES fails on the first two steps, so sigma grows and the band
-        # L D L^T solves
-        first, second = rep.line_search_trace[:2]
-        assert 0 < first["sigma"] < second["sigma"]
-        assert first["linear"] == second["linear"] == "ldlt"
+        assert rep.iterations == 9
+        trace = rep.line_search_trace
+        assert [e["linear"] for e in trace] == ["curvature"] * 5 + ["cg"] * 4
+        assert all(e["krylov_its"] == 1 and e["step"] == 1.0 for e in trace)
+        es = [e["energy"] for e in trace]
+        assert all(b < a for a, b in zip(es, es[1:]))
 
     def test_minres_serves_a_near_singular_hessian(self):
         # near sup -40, e^u vanishes and H is close to the singular S;
-        # B-preconditioned MINRES, stopped on its true dual residual, still
-        # reaches FORCING_MIN there at sigma = 0
+        # B-preconditioned CG and MINRES, stopped on their true dual
+        # residuals, still reach FORCING_MIN there
         probs = []
         for level in (0, 1):
             mesh = build_mesh(DomainSpec("annulus", r=0.305, level=level))
@@ -162,8 +172,12 @@ class TestMinimize:
         coarse = minimize(probs[0], tol=1e-8)
         assert coarse.converged and coarse.morse_index == 0
         assert coarse.iterations == 21
-        assert all(e["linear"] == "minres" and e["sigma"] == 0.0
-                   for e in coarse.line_search_trace)
+        assert all(e["linear"] == "cg" for e in coarse.line_search_trace)
+        polish = newton_polish(probs[0], probs[0].zero_state(), tol=1e-8)
+        assert polish.converged and polish.iterations == 21
+        assert all(e["linear"] == "minres" for e in polish.line_search_trace)
+        # they agree up to the near-null constant mode
+        assert np.ptp(polish.state - coarse.state) < 1e-6
 
         def descend(prob, u):
             return minimize(prob, init=u, tol=1e-8)
@@ -174,11 +188,11 @@ class TestMinimize:
         # so the sup where the residual meets tol follows the steps taken
         assert rep.sup == pytest.approx(-40.39, abs=0.01)
 
-    def test_ldlt_serves_an_indefinite_start(self):
+    def test_curvature_cut_serves_an_indefinite_start(self):
         # the annulus minimize of CLI fuzz config 71 at its level 0: the
-        # Hessian at u = 0 has a negative eigenvalue, so the MINRES direction
-        # does not descend, and the band L D L^T takes the first step at a
-        # grown shift; MINRES takes every later one
+        # Hessian at u = 0 has a negative eigenvalue, and CG meets
+        # nonpositive curvature at its first direction, so the first step
+        # is -B^{-1} g; CG solves every later one
         mesh = build_mesh(DomainSpec("annulus", r=0.8, level=0))
         prob = Problem(mesh, CurvatureSpec(
             K="-(0.674) + 0.008*cos(x)", h=["-0.49 + 0.38*sin(y)", "0.79 + -0.05*cos(x)"],
@@ -187,8 +201,8 @@ class TestMinimize:
         rep = minimize(prob, tol=1e-8)
         assert rep.converged and rep.morse_index == 0
         first, *rest = rep.line_search_trace
-        assert first["linear"] == "ldlt" and first["sigma"] > 0 and first["krylov_its"] > 0
-        assert rest and all(e["linear"] == "minres" for e in rest)
+        assert first["linear"] == "curvature" and first["krylov_its"] == 1
+        assert rest and all(e["linear"] == "cg" for e in rest)
 
     def test_iteration_limit_sets_message(self):
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=2)
@@ -246,12 +260,13 @@ class TestNewtonPolish:
         init = annulus_gamma_state(mesh, gamma=2, h1=2.0) + 0.1
         polish = newton_polish(prob, init)
         descent = minimize(cylinder_problem(h=0.5, K_bg=-1.0, level=2))
-        keys = {"iter", "residual", "energy", "step", "sigma", "backtracks", "mode",
+        keys = {"iter", "residual", "energy", "step", "backtracks", "mode",
                 "linear", "krylov_its"}
         assert polish.line_search_trace and descent.line_search_trace
         for entry in polish.line_search_trace + descent.line_search_trace:
             assert set(entry) == keys
-            assert entry["linear"] in ("minres", "ldlt")
+        assert all(e["linear"] == "minres" for e in polish.line_search_trace)
+        assert all(e["linear"] in ("cg", "curvature") for e in descent.line_search_trace)
         assert all(e["mode"] == "residual" and e["energy"] is None
                    for e in polish.line_search_trace)
 
@@ -277,7 +292,7 @@ class TestKrylovNewton:
         assert rep.converged and rep.levels[-1]["method"] == "finish"
         # the radial minimum's certificate is a Fourier-mode Sturm count
         assert sizes.count(prob.n_dof) == 0
-        assert all(e["linear"] == "minres" for e in rep.line_search_trace)
+        assert all(e["linear"] == "cg" for e in rep.line_search_trace)
 
     def test_iterations_do_not_grow_with_level(self, monkeypatch):
         for level in (2, 3, 4):
@@ -285,7 +300,7 @@ class TestKrylovNewton:
             # on radial states the Hessian's own symbol is its exact inverse
             radial = minimize(prob, tol=1e-10)
             assert radial.converged, radial.message
-            assert all(e["linear"] == "minres" and e["krylov_its"] == 1
+            assert all(e["linear"] == "cg" and e["krylov_its"] == 1
                        for e in radial.line_search_trace), (level, radial.line_search_trace)
             # with that path off B preconditions every step, to the same iterates
             with monkeypatch.context() as m:
@@ -293,7 +308,7 @@ class TestKrylovNewton:
                 rep = minimize(prob, tol=1e-10)
             assert rep.converged, rep.message
             its = [e["krylov_its"] for e in rep.line_search_trace]
-            assert all(e["linear"] == "minres" for e in rep.line_search_trace)
+            assert all(e["linear"] == "cg" for e in rep.line_search_trace)
             assert 1 < max(its) <= 10, (level, its)
             assert rep.iterations == radial.iterations
             assert np.max(np.abs(rep.state - radial.state)) < 1e-12
@@ -330,14 +345,19 @@ class TestKrylovNewton:
 
     @pytest.mark.parametrize("fake", ["_stalled", "_raising", "_inaccurate"])
     def test_failed_minres_falls_back_to_lu(self, monkeypatch, fake):
+        # a polish whose MINRES gives up fails its step, and nested falls
+        # back to its direct solve, here a descent, which runs CG alone
         prob = cylinder_problem(h=0.5, K_bg=-1.0, level=3)
-        krylov = minimize(prob, tol=1e-10)
+        ref = minimize(prob, tol=1e-10)
         monkeypatch.setattr(solve, "_minres", getattr(self, fake))
-        lu = minimize(prob, tol=1e-10)
-        assert krylov.converged and lu.converged
-        assert all(e["linear"] == "ldlt" for e in lu.line_search_trace)
-        assert lu.iterations == krylov.iterations
-        assert np.max(np.abs(lu.state - krylov.state)) < 1e-10
+        rep = nested(prob, None, _descend,
+                     lambda p, u: newton_polish(p, u, tol=1e-10))
+        assert ref.converged and rep.converged, rep.message
+        assert [e["method"] for e in rep.levels] == ["direct"] + ["finish", "direct"] * 3
+        finishes = [e for e in rep.levels if e["method"] == "finish"]
+        assert all(e["message"].startswith("MINRES gave up") for e in finishes)
+        assert rep.iterations == ref.iterations
+        assert np.max(np.abs(rep.state - ref.state)) < 1e-10
 
 
 class TestMinres:
@@ -399,6 +419,76 @@ class TestMinres:
         A_nan = A.copy()
         A_nan.data[0] = np.nan
         assert solve._minres(A_nan, b, M, norm, target) == (None, 1)
+
+
+class TestCG:
+    """solve._cg against SciPy's cg, kept here as a reference."""
+
+    @staticmethod
+    def spd_system(seed, n=400):
+        """TestMinres.system with its diagonal made positive and dominant."""
+        A, M, norm, b = TestMinres.system(seed, n)
+        A = A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0)
+        return A.tocsr(), M, norm, b
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rel", [1e-2, 1e-6])
+    def test_matches_scipy_on_spd_systems(self, seed, rel):
+        A, M, norm, b = self.spd_system(seed)
+        target = rel * norm(b)
+        iterates = []
+        spla.cg(A, b, rtol=1e-15, maxiter=2000,
+                M=spla.LinearOperator(A.shape, matvec=M, dtype=float),
+                callback=lambda x: iterates.append(x.copy()))
+        met = [norm(b - A @ x) <= target for x in iterates]
+        assert any(met)
+        first = met.index(True)
+        x, its, solved = solve._cg(A, b, M, norm, target, maxiter=2000)
+        assert solved and norm(b - A @ x) <= target
+        # the recurrence estimate stops it within an iteration of SciPy's
+        # first iterate that meets the target, along the same iterates
+        assert abs(its - (first + 1)) <= 1, (its, first)
+        ref = iterates[its - 1]
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stops_at_nonpositive_curvature(self, seed):
+        A, M, norm, b = TestMinres.system(seed)
+        x, its, solved = solve._cg(A, b, M, norm, 1e-6 * norm(b))
+        assert not solved and its < solve.KRYLOV_MAXITER
+        # with b = -g, every iterate before the cut descends: g^T x < 0
+        assert b @ x > 0
+        # the iterate before the cut is the unmodified CG iterate
+        ref = []
+        spla.cg(A, b, rtol=1e-15, maxiter=its - 1,
+                M=spla.LinearOperator(A.shape, matvec=M, dtype=float),
+                callback=lambda xk: ref.append(xk.copy()))
+        if its > 1:
+            assert np.linalg.norm(x - ref[-1]) <= 1e-10 * np.linalg.norm(x)
+
+    def test_first_iteration_cut_returns_M_b(self):
+        A, M, norm, b = TestMinres.system(0)
+        neg = -(A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0)).tocsr()
+        x, its, solved = solve._cg(neg, b, M, norm, 1e-6 * norm(b))
+        assert (its, solved) == (1, False)
+        assert np.array_equal(x, M(b))
+
+    def test_solved_only_on_the_true_residual(self):
+        # the recurrence estimate meets the target, the true residual never
+        A, M, norm, b = self.spd_system(0)
+        x, its, solved = solve._cg(A, b, M, lambda r: math.inf, 1e-2 * norm(b), maxiter=20)
+        assert (its, solved) == (20, False)
+        assert norm(b - A @ x) <= 1e-2 * norm(b)
+
+    def test_iteration_cap_returns_the_last_iterate(self):
+        A, M, norm, b = self.spd_system(0)
+        x, its, solved = solve._cg(A, b, M, norm, 0.0, maxiter=3)
+        assert (its, solved) == (3, False)
+        ref = []
+        spla.cg(A, b, rtol=1e-15, maxiter=3,
+                M=spla.LinearOperator(A.shape, matvec=M, dtype=float),
+                callback=lambda xk: ref.append(xk.copy()))
+        assert np.linalg.norm(x - ref[-1]) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestRelaxedEndpoints:
