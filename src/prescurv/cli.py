@@ -383,15 +383,15 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # JSON has no NaN or infinity
     return obj
 
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -625,7 +625,7 @@ def _run_classify(cfg: ExperimentConfig) -> int:
                "h_integral": regime.h_integral, "annulus_case": regime.annulus_case,
                "level_set_transverse": regime.level_set_transverse}
     _write_json(os.path.join(cfg.out_dir, "regime.json"), payload)
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -723,7 +723,7 @@ def _run_testfn(cfg: ExperimentConfig) -> int:
                "fitted_slopes": fitted, "energy_end": float(curve.energy[-1])}
     _write_json(os.path.join(cfg.out_dir, "testfn.json"), payload)
     print("fitted slopes: " + json.dumps(_jsonable(payload["fitted_slopes"]),
-                                         sort_keys=True))
+                                         sort_keys=True, allow_nan=False))
     return 0
 
 

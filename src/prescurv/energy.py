@@ -28,6 +28,9 @@ stencil (5 points on the cylinder), the diagonal is minus the row sum.
 Every other matrix is ``scale * S + diag(d)``, the H1 Gram matrix ``B =
 S + diag(w_int)`` and each Hessian, written into a copy of S's values at
 the cached positions of its diagonal (:meth:`Operators.plus_diagonal`).
+A :class:`Problem` assembles its :class:`Operators` on first read of
+``ops``, unless they are shared with it, so that nodal data alone costs
+no assembly.
 
 On the periodic grids of the cylinder and the annulus (dofs ``j * n +
 i``, i periodic), S's Fourier symbol is read off the stencil: the ring
@@ -56,6 +59,7 @@ them, for three uses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -576,6 +580,12 @@ class Problem:
     values ``K_dof``, ``h_dof`` and ``chi_gen`` are those of ``data``.
     Energy, gradient and Hessian are ``scale`` = 1 + 2 eps times those
     of ``data``, which is the relaxed functional I + eps J exactly.
+
+    ``ops`` are the operators passed in, shared with other problems on
+    the same mesh, or else assembled when something first reads them;
+    ``chi_gen`` and the constant vectors derived from ``ops`` follow on
+    first read too.  A caller that needs only the nodal data, such as the
+    Pohozaev balance of a closed-form state, assembles nothing.
     """
 
     def __init__(self, mesh: Mesh, spec: CurvatureSpec, ops: Optional[Operators] = None,
@@ -584,7 +594,8 @@ class Problem:
             raise ValueError("spec lists a different number of boundary components")
         self.mesh, self.spec, self.eps, self.scale = mesh, spec, eps, 1.0 + 2.0 * eps
         self.data = data = perturb(spec, eps) if eps else spec
-        self.ops = ops if ops is not None else assemble(mesh)
+        if ops is not None:
+            self.ops = ops
         xy = mesh.dof_coords
         self.K_dof = eval_K(data, xy[:, 0], xy[:, 1])
         # nodal h per component, zero off the component; a corner dof can
@@ -594,15 +605,28 @@ class Problem:
             vals = np.zeros(mesh.n_dof)
             vals[mesh.vertex_dof[comp.verts]] = eval_h(data, mesh, c)
             self.h_dof.append(vals)
-        self.chi_gen = float(
-            data.K_bg * self.ops.w_int.sum()
-            + sum(hb * w.sum() for hb, w in zip(data.h_bg, self.ops.wb))
+
+    @cached_property
+    def ops(self) -> Operators:
+        return assemble(self.mesh)
+
+    @cached_property
+    def chi_gen(self) -> float:
+        return float(
+            self.data.K_bg * self.ops.w_int.sum()
+            + sum(hb * w.sum() for hb, w in zip(self.data.h_bg, self.ops.wb))
         )
-        # constant dual vectors of the linear terms
-        self._lin = data.K_bg * self.ops.w_int + sum(
-            hb * w for hb, w in zip(data.h_bg, self.ops.wb)
+
+    @cached_property
+    def _lin(self) -> np.ndarray:
+        """Constant dual vector of the linear terms."""
+        return self.data.K_bg * self.ops.w_int + sum(
+            hb * w for hb, w in zip(self.data.h_bg, self.ops.wb)
         )
-        self._bh = [w * h for w, h in zip(self.ops.wb, self.h_dof)]
+
+    @cached_property
+    def _bh(self) -> list[np.ndarray]:
+        return [w * h for w, h in zip(self.ops.wb, self.h_dof)]
 
     @property
     def n_dof(self) -> int:

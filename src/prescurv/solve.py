@@ -224,8 +224,13 @@ def _newton_direction(prob: Problem, scale: float, diag: np.ndarray, g: np.ndarr
             raise RuntimeError(f"MINRES gave up on the Newton system after {its} iterations")
     if not np.all(np.isfinite(d)):
         raise RuntimeError("the Newton direction is not finite")
-    if descent and not float(g @ d) < -1e-14 * float(np.linalg.norm(g) * np.linalg.norm(d)):
-        raise RuntimeError("the Newton direction does not descend")
+    if descent:
+        # a blown-up gradient overflows the norms to inf, which fails the
+        # test as it should, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            downhill = float(g @ d) < -1e-14 * float(np.linalg.norm(g) * np.linalg.norm(d))
+        if not downhill:
+            raise RuntimeError("the Newton direction does not descend")
     return d, {"linear": linear, "krylov_its": its}
 
 

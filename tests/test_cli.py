@@ -8,12 +8,14 @@ exit codes are all exercised on the real code path.
 import json
 import math
 import textwrap
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import forge_saddle_index
+import prescurv.energy as energy
 from prescurv import cli, spectral
 from prescurv.diagnostics import pohozaev_report, position_field
 from prescurv.domain import DomainSpec, build_mesh
@@ -193,6 +195,25 @@ DOWNWARD_CFG = """
     [solver]
     method = minimize
     eps = 0.05
+"""
+
+# a constant start at 750: the gradient's norm overflows, so Newton's
+# first direction cannot be shown to descend and the residual is inf
+OVERFLOW_CFG = """
+    [domain]
+    kind = cylinder
+    L = 1.0
+    level = 1
+
+    [curvature]
+    K = -1
+    h = 0.5
+    K_bg = -1
+
+    [solver]
+    method = minimize
+    init = constant
+    init_value = 750
 """
 
 
@@ -514,6 +535,38 @@ class TestSolveMode:
         assert code == 2
         assert read_json(out, "report.json")["converged"] is False
 
+    def test_overflowing_descent_test_exits_2_without_a_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = run_cli(tmp_path, "solve", OVERFLOW_CFG)
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: the Newton direction does not descend\n"
+
+    def test_report_json_is_strict_json(self, tmp_path):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(tmp_path, "solve", OVERFLOW_CFG)
+        assert code == 2
+        rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert rep["residual_norm"] is None
+        assert [e["residual_norm"] for e in rep["levels"]] == [None, None]
+
+    def test_non_finite_floats_are_null(self):
+        assert cli._jsonable({"a": np.float64("nan"), "b": -math.inf,
+                              "c": [np.inf, 1.5], "d": np.array([np.nan])}) == {
+            "a": None, "b": None, "c": [None, 1.5], "d": [None]}
+
+    def test_minimize_assembles_once_per_level(self, tmp_path, monkeypatch):
+        levels, real = [], energy.assemble
+        monkeypatch.setattr(energy, "assemble",
+                            lambda mesh: levels.append(mesh.spec.level) or real(mesh))
+        code, _ = run_cli(tmp_path, "solve", MINIMIZE_CFG)
+        assert code == 0
+        assert sorted(levels) == [0, 1, 2]
+
     @pytest.mark.parametrize("mode", ["solve", "spectrum"])
     def test_downward_escape_exits_2(self, tmp_path, capsys, mode):
         # Newton stops once the sup passes -blowup_threshold, instead of
@@ -823,6 +876,18 @@ class TestPohozaevMode:
         assert code == 0
         assert built == [2]
         assert read_json(out, "pohozaev.json")["source"] == {"state": "family", "parameter": 2.0}
+
+    def test_family_state_assembles_nothing(self, tmp_path, monkeypatch):
+        # the balance reads the mesh and the nodal data, never the operators
+        assembled, real, build = [], energy.assemble, cli.annulus_gamma_problem
+        monkeypatch.setattr(energy, "assemble", lambda mesh: assembled.append(mesh) or real(mesh))
+        code, lazy = run_cli(tmp_path, "pohozaev", POHOZAEV_FAMILY_CFG, out="lazy")
+        assert code == 0 and assembled == []
+        monkeypatch.setattr(cli, "annulus_gamma_problem",
+                            lambda mesh, p, h1, ops=None: build(mesh, p, h1, real(mesh)))
+        code, eager = run_cli(tmp_path, "pohozaev", POHOZAEV_FAMILY_CFG, out="eager")
+        assert code == 0
+        assert (lazy / "pohozaev.json").read_bytes() == (eager / "pohozaev.json").read_bytes()
 
     def test_solved_state_against_the_data_it_solves(self, tmp_path):
         # the continuation ends at eps = 0.05, so the balance reads the

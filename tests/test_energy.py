@@ -283,6 +283,22 @@ def test_chi_gen_matches_geometry(ann):
     assert Problem(cylm, spec2).chi_gen == pytest.approx(-2 * math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_operators_assembled_on_first_read_match_shared_ones(ann, eps):
+    # a Problem without shared operators assembles them when first read,
+    # and every value it derives from them is that of an eager build
+    spec = CurvatureSpec(K="-1 - 0.3*sin(x)", h=["0.4 + 0.2*cos(x)", "-0.7"],
+                         K_bg=-0.5, h_bg=(0.1, -0.2))
+    lazy, eager = Problem(ann, spec, eps=eps), Problem(ann, spec, assemble(ann), eps=eps)
+    assert "ops" not in vars(lazy)
+    u = np.random.default_rng(5).normal(0, 0.6, ann.n_dof)
+    assert lazy.chi_gen == eager.chi_gen
+    assert np.array_equal(lazy.gradient(u), eager.gradient(u))
+    assert lazy.energy(u) == eager.energy(u)
+    assert lazy.interior_mass(u) == eager.interior_mass(u)
+    assert lazy.ops is lazy.ops
+
+
 def test_dual_norm_is_Binv_quadratic(cyl_small):
     ops = assemble(cyl_small)
     r = RNG.normal(0, 1, ops.n_dof)

@@ -725,6 +725,28 @@ class TestContinuation:
             (3, "finish"), (0, "direct"), (1, "direct"), (2, "direct"), (3, "direct")]
         assert later.levels[0]["message"] == later.message == later.levels[-1]["message"]
 
+    def test_weights_share_one_assembly_per_level(self, monkeypatch):
+        # every weight's problem at prob's level reads prob's operators;
+        # the coarse levels of the first weight's nested solve assemble
+        # once each, and the later weight's polish adds none
+        levels, made, real = [], [], energy.assemble
+        monkeypatch.setattr(energy, "assemble",
+                            lambda mesh: levels.append(mesh.spec.level) or real(mesh))
+
+        class Recorded(Problem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(solve, "Problem", Recorded)
+        prob = saddle_problem(level=3)
+        reports = continuation(prob, first_vertex, eps_schedule=(0.05, 0.02))
+        assert [(r.eps, r.converged) for r in reports] == [(0.05, True), (0.02, True)]
+        relaxed = [p for p in made if p.mesh is prob.mesh]
+        assert [p.eps for p in relaxed] == [0.05, 0.02]
+        assert all(p.ops is prob.ops for p in relaxed)
+        assert sorted(levels) == [0, 1, 2, 3]
+
     def test_tracks_saddle_branch(self):
         prob = saddle_problem(level=3)
         reports = continuation(prob, first_vertex, eps_schedule=(0.05, 0.02), tol=1e-8)

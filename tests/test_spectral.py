@@ -58,8 +58,30 @@ def test_negative_count_iterative_path_and_escalation():
     assert rep.negative_count == 23
 
 
+def ldl_count(A, neg_tol=0.0):
+    """Eigenvalues of the dense symmetric A below -neg_tol: by Sylvester's
+    law, the negative eigenvalues of D in the Bunch-Kaufman factorization
+    A + neg_tol I = L D L^T, whose D has 1x1 and 2x2 blocks."""
+    _, D, _ = scipy.linalg.ldl(A + neg_tol * np.eye(len(A)), overwrite_a=True)
+    return int((scipy.linalg.eigvalsh_tridiagonal(np.diag(D), np.diag(D, 1)) < 0).sum())
+
+
 def dense_count(Q, neg_tol=1e-10):
-    return int((np.linalg.eigvalsh(Q.toarray()) < -neg_tol).sum())
+    return ldl_count(Q.toarray(), neg_tol)
+
+
+@pytest.mark.parametrize("n_neg,pairs", [(37, False), (0, False), (150, True)])
+def test_ldl_count_matches_eigvalsh(n_neg, pairs):
+    # the dense reference itself, against eigenvalues: zero-diagonal swap
+    # pairs force 2x2 pivots, and the shift moves eigenvalues across the cut
+    n = 300
+    Q, _ = random_inertia_matrix(np.random.default_rng(n_neg), n, n_neg)
+    A = Q.toarray()
+    if pairs:
+        A = _swap_pairs(n).toarray() + 1e-3 * A
+    lam = np.linalg.eigvalsh(A)
+    for tol in (0.0, 1e-10, *(-0.5 * (lam[k] + lam[k + 1]) for k in (n // 3, n // 2))):
+        assert ldl_count(A, tol) == (lam < -tol).sum()
 
 
 @pytest.mark.parametrize("n,seed", [(700, 10), (850, 11), (1000, 12)])
@@ -284,7 +306,7 @@ def test_bordered_halfdisk_count_matches_dense(level):
         d[centre] += s - s0
         A = ops.plus_diagonal(1.0, d).toarray()
         factor = ops.factor(1.0, d)
-        counts.append((np.linalg.eigvalsh(A) < 0).sum())
+        counts.append(ldl_count(A))
         assert factor.negatives == counts[-1]
         x = factor.solve(r)
         assert np.linalg.norm(A @ x - r) <= 1e-12 * np.abs(A).sum(axis=1).max() * np.linalg.norm(x)
