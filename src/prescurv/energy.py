@@ -64,7 +64,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, zpttrf, zpttrs
@@ -200,12 +199,14 @@ def _band_order(mesh: Mesh) -> tuple[np.ndarray, bool]:
 def _band_entries(A: sp.csr_matrix, order: np.ndarray):
     """Where the lower triangle of the symmetric matrix A goes in LAPACK
     lower band storage, rows and columns taken in ``order``: ``A.data[k]``
-    is band entry ``(r, c)``, the matrix entry (c + r, c)."""
+    is band entry ``(r, c)``, the matrix entry (c + r, c), column by
+    column, so that a range of columns is one slice."""
     pos = np.empty_like(order)
     pos[order] = np.arange(len(order))
     rows = pos[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
     cols = pos[A.indices]
     k = np.flatnonzero(rows >= cols)
+    k = k[np.lexsort((rows[k], cols[k]))]
     return rows[k] - cols[k], cols[k], k
 
 
@@ -225,33 +226,49 @@ def _dense(ab: np.ndarray, t: int, size: int) -> np.ndarray:
     ``dpbtf2`` reads a trailing block: the entries on and below the
     diagonal, up to kd below it, are the matrix's; the others alias
     other entries.  Needs t + size <= n."""
-    kd = ab.shape[0] - 1
-    flat = ab.reshape(-1, order="F")
-    return as_strided(flat[t * (kd + 1):], (size, size), (flat.strides[0], kd * flat.strides[0]))
+    kd, step = ab.shape[0] - 1, ab.itemsize
+    return np.ndarray((size, size), float, ab, t * (kd + 1) * step, (step, kd * step))
 
 
-def _ldlt(ab: np.ndarray, dofs: np.ndarray) -> Factor:
+def _ldlt(ab: np.ndarray, at: np.ndarray, values: np.ndarray, dofs: np.ndarray) -> Factor:
     """Unpivoted L D L^T of the symmetric band matrix ``ab`` (LAPACK lower
-    band storage, Fortran order), which is overwritten by L; ``dofs[c]``
-    names column c in errors.
+    band storage, Fortran order), which is overwritten by L: its entries
+    are ``values`` at the sorted flat positions ``at``, 0 elsewhere, and
+    ``dofs[c]`` names column c in errors.
 
     LAPACK's band Cholesky ``dpbtrf`` runs from the last restart until a
     pivot c is not positive.  What the failed call left is not read:
-    columns restart .. c - 1 are factored again from a copy of the input,
-    and their last kd columns give, by one triangular solve, their block
-    L21 of L in rows c .. c + kd and column c of the Schur block.  Its
-    (c, c) entry p is eliminated as a 1 x 1 pivot: L21 and the column
-    times sign(p) / sqrt|p| go into the band, with D = sign(p) at c and 1
-    elsewhere.  The rest of the block updates the columns after c, and
-    the factorization restarts there in place, so each column is factored
-    at most twice whatever the count.  The inertia is exact by Sylvester's
-    law and the Haynsworth additivity of Schur complements; a pivot that
-    is zero or not finite raises.  ``solve`` is the band triangular solve
-    ``dtbsv`` with L, a multiply by D and ``dtbsv`` with L^T.
+    columns restart .. c - 1 are written again and factored again, and
+    their last kd columns give, by one triangular solve, their block L21
+    of L in rows c .. c + kd and column c of the Schur block.  Its (c, c)
+    entry p is eliminated as a 1 x 1 pivot: L21 and the column times
+    sign(p) / sqrt|p| go into the band, with D = sign(p) at c and 1
+    elsewhere.  The rest of the block updates the input's columns after
+    c in a strip of 2 kd + 2 columns, which later restarts update again
+    and which moves on, with its updates, once a restart passes its end.
+    Columns are written again from the strip, else from ``values``; the
+    factorization restarts after c in place, so each column is factored
+    at most twice whatever the count, and no second band is made.  The
+    inertia is exact by Sylvester's law and the Haynsworth additivity of
+    Schur complements; a pivot that is zero or not finite raises.
+    ``solve`` is the band triangular solve ``dtbsv`` with L, a multiply by
+    D and ``dtbsv`` with L^T.
     """
     kd, n = ab.shape[0] - 1, ab.shape[1]
-    source = ab.copy(order="F")  # the input, each restart's leading block updated
-    sign = np.ones(n)
+    strip, s0 = ab[:, :0], 0  # the input's columns s0, ... as restarts updated them
+
+    def fill(dst: np.ndarray, a: int) -> np.ndarray:
+        # the input's columns a, ... (a >= s0) into dst; rows past the matrix stay 0
+        b, r = a + dst.shape[1], min(kd + 1, n - a)
+        k = min(max(s0 + strip.shape[1], a), b)
+        dst[:r, :k - a] = strip[:r, a - s0:k - s0]
+        if k < b:
+            dst[:r, k - a:] = 0.0
+            lo, hi = at.searchsorted((k * (kd + 1), b * (kd + 1)))
+            dst.reshape(-1, order="F")[at[lo:hi] - a * (kd + 1)] = values[lo:hi]
+        return dst
+
+    negative = []  # the columns whose pivot is negative
     start, stop, reach = 0, n, 0
     while True:
         info = dpbtrf(ab[:, start:stop], lower=1, overwrite_ab=1)[1] if stop > start else 0
@@ -261,30 +278,33 @@ def _ldlt(ab: np.ndarray, dofs: np.ndarray) -> Factor:
             # after it, and LAPACK blocks columns only when kd exceeds its block
             stop = start + info - 1
             reach = max(reach, min(n, stop + kd + 1))
-            ab[:, start:stop] = source[:, start:stop]
+            fill(ab[:, start:stop], start)
+            # A21: rows c .. c + w - 1 of the p columns before c, read before they are factored
+            c, p, w = stop, min(kd, stop - start), min(kd + 1, n - stop)
+            band = np.triu(np.ones((w, p), dtype=bool), p - kd)  # A21's entries within kd
+            A21 = np.where(band, _dense(ab, c - p, p + w)[p:, :p], 0.0)
             continue
         if not np.isfinite(ab[0, start:stop]).all():
             raise RuntimeError("inertia count unavailable: a pivot is not finite")
         if stop == n:
             break
-        # column c of the Schur block of rows c .. c + w - 1, from the p
-        # columns before c that reach it: L21 = A21 L11^-T, S = A22 - L21 L21^T
-        c, p, w = stop, min(kd, stop - start), min(kd + 1, n - stop)
-        band = np.triu(np.ones((w, p), dtype=bool), p - kd)  # A21's entries within kd
-        A21 = np.where(band, _dense(source, c - p, p + w)[p:, :p], 0.0)
+        # column c of the Schur block: L21 = A21 L11^-T, S = A22 - L21 L21^T
         X = solve_triangular(np.tril(_dense(ab, c - p, p)), A21.T, lower=True,
                              check_finite=False)
-        col = source[:w, c] - X.T @ X[:, 0]
+        if c + w > s0 + strip.shape[1]:  # the strip moves on to start at c
+            strip, s0 = fill(np.zeros((kd + 1, min(2 * kd + 2, n - c)), order="F"), c), c
+        col = strip[:w, c - s0] - X.T @ X[:, 0]
         pivot = col[0]
         if not np.isfinite(pivot):
             raise RuntimeError("inertia count unavailable: a pivot is not finite")
         if pivot == 0.0:
             raise RuntimeError(f"inertia count unavailable: pivot {dofs[c]} is 0, the"
                                " factorization is exactly singular")
-        sign[c] = np.sign(pivot)
+        if pivot < 0:
+            negative.append(c)
         rows, cols = np.nonzero(band)  # L21[b, a] is band entry (p + b - a, c - p + a)
         ab[p + rows - cols, c - p + cols] = X[cols, rows]
-        ab[:w, c] = col * (sign[c] / np.sqrt(abs(pivot)))
+        ab[:w, c] = col * (np.sign(pivot) / np.sqrt(abs(pivot)))
         # eliminating c leaves A22 - U below it, U = L21 L21^T + col col^T /
         # pivot; zero padded, row b of U from its diagonal on is the update
         # of band column c + 1 + b
@@ -292,16 +312,17 @@ def _ldlt(ab: np.ndarray, dofs: np.ndarray) -> Factor:
         Z = np.zeros((p + 1, 2 * m))
         Z[:p, :m], Z[p, :m] = X[:, 1:], col[1:]
         U = (Z[:, :m] * np.append(np.ones(p), 1.0 / pivot)[:, None]).T @ Z
-        step = U.strides[1]
-        source[:m, c + 1:c + w] -= as_strided(U, (m, m), (step, U.strides[0] + step))
-        ab[:reach - c - 1, c + 1:reach] = source[:reach - c - 1, c + 1:reach]
+        skew = (U.strides[1], U.strides[0] + U.strides[1])
+        strip[:m, c + 1 - s0:c + w - s0] -= np.ndarray((m, m), float, U, 0, skew)
+        fill(ab[:, c + 1:reach], c + 1)
         start, stop, reach = c + 1, n, 0
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = dtbsv(kd, ab, r, lower=1)
-        return dtbsv(kd, ab, sign * y, lower=1, trans=1, overwrite_x=1)
+        y[negative] *= -1.0
+        return dtbsv(kd, ab, y, lower=1, trans=1, overwrite_x=1)
 
-    return Factor(int((sign < 0).sum()), solve)
+    return Factor(len(negative), solve)
 
 
 @dataclass
@@ -333,13 +354,15 @@ class Operators:
     def n_dof(self) -> int:
         return self.mesh.n_dof
 
-    @property
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row of each entry of ``S.data``."""
+        return np.repeat(np.arange(self.n_dof), np.diff(self.S.indptr))
+
+    @cached_property
     def _diag_pos(self) -> np.ndarray:
         """Positions of S's diagonal entries in ``S.data``, row by row."""
-        if "diag_pos" not in self._cache:
-            rows = np.repeat(np.arange(self.n_dof), np.diff(self.S.indptr))
-            self._cache["diag_pos"] = np.flatnonzero(self.S.indices == rows)
-        return self._cache["diag_pos"]
+        return np.flatnonzero(self.S.indices == self._rows)
 
     def plus_diagonal(self, scale: float, d: np.ndarray) -> sp.csr_matrix:
         """``scale * S + diag(d)``, sharing S's index arrays."""
@@ -369,8 +392,8 @@ class Operators:
         """The band order and whether its last dof is a border
         (:func:`_band_order`), the number n of dofs in the band, the
         half-bandwidth kd of S there, and the flat positions ``at`` in band
-        storage of ``S.data[k]`` (:func:`_band_entries`); built at the
-        first factorization, not by :func:`assemble`."""
+        storage of ``S.data[k]`` (:func:`_band_entries`), column by column;
+        built at the first factorization, not by :func:`assemble`."""
         if "band" not in self._cache:
             order, bordered = _band_order(self.mesh)
             n = len(order) - bordered
@@ -387,7 +410,8 @@ class Operators:
         and columns of ``fixed`` dofs replaced by identity rows, which add
         only the eigenvalue 1; its solver works in dof order.
 
-        The dofs of the band go to :func:`_ldlt`.  A border dof (the
+        The dofs of the band go to :func:`_ldlt`, with the entries that it
+        writes again after a failed pivot.  A border dof (the
         half-disk's centre) stays out: the matrix is [[A', a], [a^T,
         alpha]], and by Haynsworth's inertia additivity its count is A''s
         plus one where s = alpha - a^T A'^-1 a, from one solve with A''s
@@ -397,17 +421,18 @@ class Operators:
         order, n, kd, at, k = self._band_map
         A = self.plus_diagonal(scale, d)
         if fixed is not None:
-            rows = np.repeat(np.arange(self.n_dof), np.diff(A.indptr))
-            A.data[fixed[rows] | fixed[A.indices]] = 0.0
+            A.data[fixed[self._rows] | fixed[A.indices]] = 0.0
             A.data[self._diag_pos[fixed]] = 1.0
+        inside, border = order[:n], order[n:]
+        values, row = A.data[k], A[border].toarray()[:, order]
+        del A  # the band holds the matrix from here on
         ab = np.zeros((kd + 1, n), order="F")
-        ab.T.reshape(-1)[at] = A.data[k]
-        inner, inside, border = _ldlt(ab, order), order[:n], order[n:]
+        ab.T.reshape(-1)[at] = values
+        inner = _ldlt(ab, at, values, order)
         negatives = inner.negatives
         if len(border):
-            row = A[border[0]].toarray()[0][order]
-            a, z = row[:n], inner.solve(row[:n])
-            s = row[n] - a @ z
+            a, z = row[0, :n], inner.solve(row[0, :n])
+            s = row[0, n] - a @ z
             if not np.isfinite(s):
                 raise RuntimeError("inertia count unavailable: a pivot is not finite")
             if s == 0.0:

@@ -119,7 +119,8 @@ def band_ldlt(Q, shift=0.0, order=None):
     ab = np.zeros((int(r.max(initial=0)) + 1, Q.shape[0]), order="F")
     ab[r, c] = Q.data[k]
     ab[0] += shift
-    return energy._ldlt(ab, order)
+    at = np.flatnonzero(ab.T)  # the entries that _ldlt writes again after a failed pivot
+    return energy._ldlt(ab, at, ab.T.ravel()[at], order)
 
 
 def negative_count(Q, neg_tol=NEG_TOL, order=None):

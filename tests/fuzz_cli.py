@@ -5,8 +5,11 @@ Each row of the table is one config: its exit code, its method, and how
 many Newton directions met their forcing term (``solved``: conjugate
 gradients or MINRES) and how many conjugate gradients cut short at
 nonpositive curvature or its iteration cap (``curvature``), counted over
-every level and every solve of the run.  The summary line adds the total
-Krylov iterations, a work count that the table does not pin.
+every level and every solve of the run.  The summary line adds work
+counts that the table does not pin: the total Krylov iterations, and the
+band L D L^T factorizations (``energy._ldlt`` calls), the columns their
+``dpbtrf`` calls factored (a failed call's ``info``, else its order) and
+their restarts (the failed calls).
 Config i is drawn from ``random.Random(i)`` alone, so editing one draw
 moves no other.  The draws cover the three domains at levels 1-3,
 random K and h, both signs of the boundary ratio, the three methods and
@@ -32,11 +35,13 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import prescurv.energy as energy
 import prescurv.solve as solve
 from prescurv import cli
 
 TABLE = Path(__file__).resolve().parent / "fuzz_cli_outcomes.json"
 N_CONFIGS = 150
+WORK = ("krylov_its", "band_factors", "band_columns", "band_restarts")
 
 
 def draw(i: int) -> tuple[str, str, str]:
@@ -70,10 +75,11 @@ def draw(i: int) -> tuple[str, str, str]:
 
 
 def outcome(i: int) -> dict:
-    """Exit code, method and direction counts of config i, and its Krylov
-    iterations under ``krylov_its``, which the table leaves out."""
+    """Exit code, method and direction counts of config i, and the work
+    counts of :data:`WORK`, which the table leaves out."""
     mode, method, text = draw(i)
     counts, real = Counter(), solve._newton_direction
+    ldlt, dpbtrf = energy._ldlt, energy.dpbtrf
 
     def counted(*args, **kwargs):
         d, linear = real(*args, **kwargs)
@@ -81,7 +87,18 @@ def outcome(i: int) -> dict:
         counts["krylov_its"] += linear["krylov_its"]
         return d, linear
 
+    def factored(ab, *args):
+        counts["band_factors"] += 1
+        return ldlt(ab, *args)
+
+    def band(ab, **kwargs):
+        c, info = dpbtrf(ab, **kwargs)
+        counts["band_columns"] += info or ab.shape[1]
+        counts["band_restarts"] += info > 0
+        return c, info
+
     solve._newton_direction = counted
+    energy._ldlt, energy.dpbtrf = factored, band
     try:
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "exp.ini").write_text(text)
@@ -91,13 +108,14 @@ def outcome(i: int) -> dict:
                                  "--out", str(Path(tmp) / "out")])
     finally:
         solve._newton_direction = real
+        energy._ldlt, energy.dpbtrf = ldlt, dpbtrf
     return {"exit": code, "method": method, "solved": counts["solved"],
-            "curvature": counts["curvature"], "krylov_its": counts["krylov_its"]}
+            "curvature": counts["curvature"], **{k: counts[k] for k in WORK}}
 
 
 def main(argv: list[str]) -> int:
     rows = {str(i): outcome(i) for i in range(N_CONFIGS)}
-    krylov_its = sum(row.pop("krylov_its") for row in rows.values())
+    work = {k: sum(row.pop(k) for row in rows.values()) for k in WORK}
     if argv == ["--write"]:
         TABLE.write_text(json.dumps(rows, indent=1) + "\n")
         return 0
@@ -113,7 +131,9 @@ def main(argv: list[str]) -> int:
         total.update({"solved": row["solved"], "curvature": row["curvature"],
                       f"exit {row['exit']}": 1})
     print(f"{len(rows) - len(moved)} of {len(rows)} outcomes as pinned;",
-          dict(sorted(total.items())), f"krylov iterations {krylov_its}")
+          dict(sorted(total.items())), f"krylov iterations {work['krylov_its']};",
+          f"band factorizations {work['band_factors']}, columns {work['band_columns']},",
+          f"restarts {work['band_restarts']}")
     return 1 if moved else 0
 
 

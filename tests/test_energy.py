@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,6 +393,32 @@ class TestSolveB:
         sizes = self.counted_band(monkeypatch)
         assert self.residual(ops, 4) <= 1e-10
         assert sizes == [mesh.n_dof]
+
+    @pytest.mark.parametrize("kind,c", [("halfdisk", None), ("annulus", 0.5)])
+    def test_factor_holds_one_band(self, monkeypatch, kind, c):
+        # the traced peak of a factorization stays within a quarter band
+        # above what was in use: B on the half-disk (definite), and on the
+        # annulus S - c diag(w_int), whose constants make one pivot
+        # negative, so that the band L D L^T restarts past it
+        ops = assemble(build_mesh(DomainSpec(kind, r=0.8, level=4)))
+        d = ops.w_int if c is None else -c * ops.w_int
+        ops.factor(1.0, d)  # builds the band map, which stays cached
+        bands, real = [], energy._ldlt
+
+        def counted(ab, *args):
+            bands.append(ab.nbytes)
+            return real(ab, *args)
+
+        monkeypatch.setattr(energy, "_ldlt", counted)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            negatives = ops.factor(1.0, d).negatives
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert negatives == (0 if c is None else 1)
+        assert peak < 1.25 * bands[0]
 
     @pytest.mark.parametrize("numbering", ["rolled", "random"])
     def test_other_numbering_is_rejected(self, numbering):

@@ -224,6 +224,29 @@ def test_band_count_matches_dense(n, kd, n_neg):
     assert np.linalg.norm(Q @ x - r) <= 1e-12 * abs(Q).sum(axis=1).max() * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("kd", [6, 13])
+@pytest.mark.parametrize("gap", ["consecutive", "kd - 1", "kd", "last kd"])
+def test_restart_windows_overlap(monkeypatch, kd, gap):
+    # a positive definite band matrix with diagonal entries pushed far
+    # negative, each one negative pivot at its column: restarts whose
+    # updates overlap those of the restart before, a run of them longer
+    # than the columns that the kernel keeps updates for, and restarts in
+    # the last kd columns.  Each column is still factored at most twice
+    n = 240
+    columns = {"consecutive": range(40, 40 + 3 * kd), "kd - 1": range(40, n - kd, kd - 1),
+               "kd": range(40, n - kd, kd), "last kd": [n - kd, n - kd + 1, n - 3, n - 1]}[gap]
+    rng = np.random.default_rng(kd)
+    A = random_band_matrix(rng, n, kd, 0).toarray()
+    A[columns, columns] = -10.0 * np.abs(A).max()
+    Q = sp.csr_matrix(A)
+    sizes, work = watch_counts(monkeypatch)
+    factor, r = band_ldlt(Q), rng.standard_normal(n)
+    assert factor.negatives == dense_count(Q) == len(columns)
+    assert sizes == [n] and work[0] <= 2 * n
+    x = factor.solve(r)
+    assert np.linalg.norm(Q @ x - r) <= 1e-12 * abs(Q).sum(axis=1).max() * np.linalg.norm(x)
+
+
 @pytest.mark.parametrize("at", ["first", "last"])
 def test_failing_pivot_at_either_end(monkeypatch, at):
     # a positive definite band matrix with one diagonal entry pushed
