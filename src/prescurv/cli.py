@@ -13,17 +13,18 @@ levels tried; their wall seconds go to standard output.
 Configs are plain INI files (key = value sections, ``#`` comments),
 checked whole against one table, :data:`SCHEMA`, which declares every
 section and key once with its cast, bound and default; an empty value
-takes the default.  An unknown section or key, [DEFAULT] keys included,
-is a config error that names it, and so is a shape key of another
-domain kind or a key of another [sweep] family; keys that the mode does
-not read are accepted.  configparser folds key case, so the annulus r
-and the half-disk R are one key, read by each kind as its own.  Runners
-read only typed values.  Every run writes a ``manifest.json`` echoing
-the resolved settings, the Python, NumPy and SciPy versions, SciPy's
-LAPACK library and the thread variables next to the mode's own
-JSON/CSV/.dat artifacts, so repeated runs with the same config and seed
-produce bit-identical files.  Curve artifacts come with a generated
-gnuplot script instead of rendered images.
+takes the default, and every number given must be finite.  An unknown
+section or key, [DEFAULT] keys included, is a config error that names
+it, and so is a shape key of another domain kind or a key of another
+[sweep] family; keys that the mode does not read are accepted.
+configparser folds key case, so the annulus r and the half-disk R are
+one key, read by each kind as its own.  Runners read only typed values.
+Every run writes a ``manifest.json`` echoing the resolved settings, the
+Python, NumPy and SciPy versions, SciPy's LAPACK library and the thread
+variables next to the mode's own JSON/CSV/.dat artifacts, so repeated
+runs with the same config and seed produce bit-identical files.  Curve
+artifacts come with a generated gnuplot script instead of rendered
+images.
 
 Exit codes: 0 success, 2 solver failure (its reason on stderr), 3 config
 error.  The environment variable ``PRESCURV_THREADS`` caps the
@@ -161,9 +162,9 @@ SCHEMA = {
     },
     "solver": {
         "method": (_one_of("minimize", "mountain-pass", "continuation"), "minimize"),
-        "tol": (_checked(float, lambda v: 0 < v < math.inf,
-                         "the dual-norm residual to reach, must be finite and positive"), 1e-8),
-        "max_iter": (int, 100),
+        "tol": (_checked(float, lambda v: v > 0,
+                         "the dual-norm residual to reach, must be positive"), 1e-8),
+        "max_iter": (_checked(int, lambda v: v >= 0, "must be at least 0"), 100),
         "eps": (_checked(float, lambda v: v >= 0, "needs a weight >= 0"), 0.0),
         "eps_schedule": (_checked(_floats, lambda v: v and min(v) >= 0,
                                   "needs at least one weight, all >= 0"),
@@ -203,11 +204,9 @@ SCHEMA = {
     },
     "testfn": {"q2": (float, None), "tail": (int, 4), "ratios": (_floats, None)},
     # None leaves the monitor's own default
-    "monitor": {"window": (_checked(float, lambda v: 0 < v < math.inf,
-                                    "must be finite and positive"), None),
-                **{key: (_checked(float, math.isfinite, "must be finite"), None)
-                   for key in ("sup_window", "growth_min", "bounded_ratio",
-                               "far_distance", "far_tol")}},
+    "monitor": {"window": (_checked(float, lambda v: v > 0, "must be positive"), None),
+                **{key: (float, None) for key in ("sup_window", "growth_min", "bounded_ratio",
+                                                  "far_distance", "far_tol")}},
 }
 
 
@@ -227,9 +226,15 @@ def _value(section: str, key: str, raw: str, cast: Callable, default):
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
+        # every number a config gives is finite, whatever its key's bound
+        bad = [v for v in (value if isinstance(value, list) else [value])
+               if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"must be finite, not {bad[0]!r}")
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+    return value
 
 
 def _section(name: str, raw: dict[str, str]) -> dict:

@@ -15,12 +15,12 @@ Four instruments, all pure functions of a state and its problem data:
     2 Re F'.  Boundary gradients are reconstructed by quadratic
     least-squares fits on two-ring vertex patches (the raw one-sided
     P1 gradient would cap the convergence order at one), applied as one
-    sparse recovery operator over every component's path, cached per
-    mesh; tangential derivatives come from centered differences.  Both
-    sides are complex dot products: the state fixes one coefficient c
-    per boundary vertex or quadrature point, and a field adds Re(conj(c) F)
-    and, inside, a real multiple of Re F'.  The balance is for plane
-    domains: on the cylinder no field of this form is periodic in x.
+    sparse recovery operator over every component's path; tangential
+    derivatives come from centered differences.  Both sides are complex
+    dot products: the state fixes one coefficient c per boundary vertex
+    or quadrature point, and a field adds Re(conj(c) F) and, inside, a
+    real multiple of Re F'.  The balance is for plane domains: on the
+    cylinder no field of this form is periodic in x.
   * ``HolomorphicField`` evaluates F and F' together at complex points
     by Horner's rule on one Laurent polynomial.  ``position_field`` is
     the dilation F = z, and ``holomorphic_field`` builds
@@ -222,14 +222,10 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray, dofs: np.ndarray) -> np.ndarra
     order accurate even on one-sided boundary patches, where averaging
     the adjacent triangle gradients is not.  The fits are linear in u,
     so they form one sparse recovery operator (patch recovery,
-    Zienkiewicz & Zhu 1992), built once per mesh and dof set and kept
-    in the mesh cache; each call is a single sparse product.
+    Zienkiewicz & Zhu 1992), built per call and applied as a single
+    sparse product.
     """
-    dofs = np.asarray(dofs, dtype=np.intp)
-    key = ("recovery", dofs.tobytes())
-    if key not in mesh._cache:
-        mesh._cache[key] = _recovery_matrix(mesh, dofs)
-    return (mesh._cache[key] @ u).reshape(-1, 2)
+    return (_recovery_matrix(mesh, np.asarray(dofs, dtype=np.intp)) @ u).reshape(-1, 2)
 
 
 # -- Pohozaev balance --------------------------------------------------------

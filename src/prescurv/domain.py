@@ -30,15 +30,16 @@ other module imports ``scipy.spatial``.
 
 Levels nest: :func:`build_mesh` at level + 1 doubles both counts of
 the logical grid ``Mesh.grid``, so coarse vertex (i, j) is fine vertex
-(2i, 2j).  :func:`coarsen` builds the level below and :func:`prolong`
-the P1 prolongation from a mesh to the one a level finer, which carries
-nested solves up a level.
+(2i, 2j).  :func:`coarsen` builds the level below, :func:`inject` takes
+a field down a level and :func:`prolong` is the P1 prolongation up a
+level; nested solves move between levels by these alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,25 +124,20 @@ class Mesh:
     # logical (i, j) -> geometric vertex: i along the periodic or angular
     # direction with its seam column, j across (half-disk centre: j = 0)
     grid: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def tri_areas(self) -> np.ndarray:
-        if "tri_areas" not in self._cache:
-            x, y = self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
-            self._cache["tri_areas"] = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                                              - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-        return self._cache["tri_areas"]
+        x, y = self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
+        return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
-    @property
+    @cached_property
     def dof_coords(self) -> np.ndarray:
         """Coordinates of one representative geometric vertex per dof."""
-        if "dof_coords" not in self._cache:
-            coords = np.zeros((self.n_dof, 2))
-            # reversed so the first occurrence wins
-            coords[self.vertex_dof[::-1]] = self.vertices[::-1]
-            self._cache["dof_coords"] = coords
-        return self._cache["dof_coords"]
+        coords = np.zeros((self.n_dof, 2))
+        # reversed so the first occurrence wins
+        coords[self.vertex_dof[::-1]] = self.vertices[::-1]
+        return coords
 
     def boundary_point(self, component: int, index: int) -> BoundaryPoint:
         comp = self.components[component]
@@ -176,10 +172,24 @@ def coarsen(mesh: Mesh) -> Mesh:
     return build_mesh(replace(mesh.spec, level=mesh.spec.level - 1))
 
 
+def _check_refines(coarse: Mesh, fine: Mesh) -> None:
+    if fine.spec != replace(coarse.spec, level=coarse.spec.level + 1):
+        raise ValueError("fine mesh is not the refinement of the coarse mesh")
+
+
+def inject(coarse: Mesh, fine: Mesh, u: np.ndarray) -> np.ndarray:
+    """The field ``u`` on ``fine``, the same domain one level finer than
+    ``coarse``, at the dofs of ``coarse``: coarse vertex (i, j) takes the
+    value of fine vertex (2i, 2j)."""
+    _check_refines(coarse, fine)
+    out = np.empty(coarse.n_dof)
+    out[coarse.vertex_dof[coarse.grid]] = u[fine.vertex_dof[fine.grid[::2, ::2]]]
+    return out
+
+
 def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     """P1 prolongation from ``coarse`` to ``fine``, the same domain one
-    level finer, as the sparse ``n_fine_dof x n_coarse_dof`` matrix,
-    cached on ``fine``.
+    level finer, as the sparse ``n_fine_dof x n_coarse_dof`` matrix.
 
     Coarse vertex (i, j) is fine vertex (2i, 2j).  A fine vertex between
     two coarse ones takes their mean, along a grid line or along the
@@ -188,19 +198,15 @@ def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     the half-disk fan, where the centre is grid row 0, it is a start for
     Newton rather than the exact interpolant.
     """
-    if fine.spec != replace(coarse.spec, level=coarse.spec.level + 1):
-        raise ValueError("fine mesh is not the refinement of the coarse mesh")
-    if "prolong" not in fine._cache:
-        I, J = np.indices(fine.grid.shape)
-        ends = (coarse.grid[I // 2, J // 2], coarse.grid[(I + 1) // 2, (J + 1) // 2])
-        rows = fine.vertex_dof[fine.grid].ravel()
-        # seam twins repeat a dof; keep one row each
-        dofs, first = np.unique(rows, return_index=True)
-        cols = np.concatenate([coarse.vertex_dof[e].ravel()[first] for e in ends])
-        fine._cache["prolong"] = sp.csr_matrix(
-            (np.full(len(cols), 0.5), (np.tile(dofs, 2), cols)),
-            shape=(fine.n_dof, coarse.n_dof))
-    return fine._cache["prolong"]
+    _check_refines(coarse, fine)
+    I, J = np.indices(fine.grid.shape)
+    ends = (coarse.grid[I // 2, J // 2], coarse.grid[(I + 1) // 2, (J + 1) // 2])
+    rows = fine.vertex_dof[fine.grid].ravel()
+    # seam twins repeat a dof; keep one row each
+    dofs, first = np.unique(rows, return_index=True)
+    cols = np.concatenate([coarse.vertex_dof[e].ravel()[first] for e in ends])
+    return sp.csr_matrix((np.full(len(cols), 0.5), (np.tile(dofs, 2), cols)),
+                         shape=(fine.n_dof, coarse.n_dof))
 
 
 def _grid_triangles(cell_a, cell_b, cell_c, cell_d):

@@ -58,7 +58,7 @@ them, for three uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -348,7 +348,6 @@ class Operators:
     w_int: np.ndarray
     wb: list[np.ndarray]
     S_symbol: Optional[CirculantSymbol] = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_dof(self) -> int:
@@ -387,22 +386,20 @@ class Operators:
                                scale * sym.departure + float(np.abs(dd - mean[:, None]).max()),
                                scale * sym.norm + float(np.abs(mean).max()))
 
-    @property
+    @cached_property
     def _band_map(self):
         """The band order and whether its last dof is a border
         (:func:`_band_order`), the number n of dofs in the band, the
         half-bandwidth kd of S there, and the flat positions ``at`` in band
         storage of ``S.data[k]`` (:func:`_band_entries`), column by column;
         built at the first factorization, not by :func:`assemble`."""
-        if "band" not in self._cache:
-            order, bordered = _band_order(self.mesh)
-            n = len(order) - bordered
-            r, c, k = _band_entries(self.S, order)
-            inside = r + c < n  # the border's row and column stay out
-            r, c, k = r[inside], c[inside], k[inside]
-            kd = int(r.max())
-            self._cache["band"] = (order, n, kd, r + (kd + 1) * c, k)
-        return self._cache["band"]
+        order, bordered = _band_order(self.mesh)
+        n = len(order) - bordered
+        r, c, k = _band_entries(self.S, order)
+        inside = r + c < n  # the border's row and column stay out
+        r, c, k = r[inside], c[inside], k[inside]
+        kd = int(r.max())
+        return order, n, kd, r + (kd + 1) * c, k
 
     def factor(self, scale: float, d: np.ndarray,
                fixed: Optional[np.ndarray] = None) -> Factor:
@@ -465,13 +462,15 @@ class Operators:
         departure, where there is one, else :meth:`solve_B`."""
         return _fourier_solver(self.symbol(scale, d)) or self.solve_B
 
-    def solve_B(self, r: np.ndarray) -> np.ndarray:
-        """B^{-1} r: Fourier-diagonal on periodic grids, else by the band
+    @cached_property
+    def _B_inverse(self) -> Callable[[np.ndarray], np.ndarray]:
+        """B^{-1}: Fourier-diagonal on periodic grids, else by the band
         L D L^T of :meth:`factor`."""
-        if "B_solve" not in self._cache:
-            self._cache["B_solve"] = (_fourier_solver(self.symbol(1.0, self.w_int))
-                                      or self.factor(1.0, self.w_int).solve)
-        return self._cache["B_solve"](r)
+        return _fourier_solver(self.symbol(1.0, self.w_int)) or self.factor(1.0, self.w_int).solve
+
+    def solve_B(self, r: np.ndarray) -> np.ndarray:
+        """B^{-1} r, from :attr:`_B_inverse`."""
+        return self._B_inverse(r)
 
     def dual_norm(self, r: np.ndarray) -> float:
         """H1-dual norm sqrt(r^T B^{-1} r) of a residual covector; inf or

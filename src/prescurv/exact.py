@@ -191,9 +191,11 @@ def boundary_bubble_state(mesh: Mesh, point: BoundaryPoint, q2: float,
                           mu: float) -> Optional[np.ndarray]:
     """phi_mu = log 4 mu^2 - 2 log(mu^2 |x - q|^2 - 1) at the dofs, the
     hyperbolic metric (K = -1) outside the disk of radius 1/mu about
-    q = point + q2 * normal; None where that disk reaches a dof."""
-    wall = mu**2 * distance2(mesh, point.coords + q2 * point.normal) - 1.0
-    if wall.min() <= 0:
+    q = point + q2 * normal; None where that disk reaches a dof, or where
+    the wall is not finite (an overflowing offset)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wall = mu**2 * distance2(mesh, point.coords + q2 * point.normal) - 1.0
+    if not wall.min() > 0:
         return None
     return math.log(4.0 * mu**2) - 2.0 * np.log(wall)
 

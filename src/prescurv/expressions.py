@@ -33,6 +33,7 @@ _FUNCS = {
 }
 
 _CONSTS = {"pi": math.pi, "e": math.e}
+_NAMES = ("x", "y", "s")  # the variables
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -57,11 +58,10 @@ class ExpressionError(ValueError):
 
 
 class Expr:
-    """A compiled scalar expression over the variables in ``names``."""
+    """A compiled scalar expression over the variables ``x, y, s``."""
 
-    def __init__(self, text: str, names: tuple[str, ...] = ("x", "y", "s")):
+    def __init__(self, text: str):
         self.text = text
-        self.names = names
         try:
             tree = ast.parse(text, mode="eval")
         except SyntaxError as exc:
@@ -69,7 +69,7 @@ class Expr:
         self._validate(tree)
         self.used_names = frozenset(
             node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id in names
+            if isinstance(node, ast.Name) and node.id in _NAMES
         )
         self._code = compile(tree, "<expr>", "eval")
 
@@ -85,7 +85,7 @@ class Expr:
                 if node.keywords:
                     raise ExpressionError("keyword arguments are not allowed")
             if isinstance(node, ast.Name):
-                if node.id not in self.names and node.id not in _FUNCS and node.id not in _CONSTS:
+                if node.id not in _NAMES and node.id not in _FUNCS and node.id not in _CONSTS:
                     raise ExpressionError(f"unknown name {node.id!r} in {self.text!r}")
             if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"non-numeric constant in {self.text!r}")
@@ -94,7 +94,7 @@ class Expr:
         env = dict(_FUNCS)
         env.update(_CONSTS)
         shape = None
-        for name in self.names:
+        for name in _NAMES:
             val = np.asarray(kwargs.get(name, 0.0), dtype=float)
             env[name] = val
             if val.shape:

@@ -21,24 +21,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from .domain import BoundaryPoint, Mesh, tangential_derivative
 from .expressions import Expr
 
-FieldLike = Union[float, int, str, Expr, Callable, "Field"]
+FieldLike = Union[float, int, str, Expr, "Field"]
 
 
 class Field:
     """Scalar field over ``(x, y, s)``, normalized from several input forms.
 
     Accepts a number (constant field), an expression string, a compiled
-    :class:`Expr`, a callable ``f(x, y, s)``, or another ``Field``.
-    Affine reparametrizations ``a*f + b`` stay inside the class so the
-    perturbed problems of the continuation scheme keep exact closed
-    forms under mesh refinement.
+    :class:`Expr`, or another ``Field``.  Affine reparametrizations
+    ``a*f + b`` stay inside the class so the perturbed problems of the
+    continuation scheme keep exact closed forms under mesh refinement.
     """
 
     def __init__(self, obj: FieldLike, scale: float = 1.0, shift: float = 0.0):
@@ -48,7 +47,7 @@ class Field:
             obj = obj._base
         if isinstance(obj, str):
             obj = Expr(obj)
-        if not (isinstance(obj, (int, float, Expr)) or callable(obj)):
+        if not isinstance(obj, (int, float, Expr)):
             raise TypeError(f"cannot interpret {obj!r} as a scalar field")
         self._base = float(obj) if isinstance(obj, (int, float)) else obj
         self._scale = float(scale)
@@ -56,11 +55,7 @@ class Field:
 
     @property
     def is_constant(self) -> bool:
-        if isinstance(self._base, float):
-            return True
-        if isinstance(self._base, Expr):
-            return not self._base.used_names
-        return False
+        return isinstance(self._base, float) or not self._base.used_names
 
     def constant_value(self) -> float:
         if not self.is_constant:
@@ -75,19 +70,14 @@ class Field:
         x = np.asarray(x, dtype=float)
         if isinstance(self._base, float):
             vals = np.full(x.shape, self._base)
-        elif isinstance(self._base, Expr):
-            vals = self._base(x=x, y=y, s=s)
         else:
-            vals = np.asarray(self._base(x, y, s), dtype=float)
+            vals = self._base(x=x, y=y, s=s)
         return self._scale * vals + self._shift
 
     def describe(self) -> str:
         if isinstance(self._base, float):
             return repr(self.constant_value())
-        if isinstance(self._base, Expr):
-            text = self._base.text
-        else:
-            text = getattr(self._base, "__name__", "<callable>")
+        text = self._base.text
         if (self._scale, self._shift) == (1.0, 0.0):
             return text
         return f"{self._scale!r}*({text}) + {self._shift!r}"

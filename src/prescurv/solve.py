@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domain import BoundaryPoint, coarsen, prolong
+from .domain import BoundaryPoint, coarsen, inject, prolong
 from .energy import EnergyBreakdown, Problem, exp_lumped
 from .exact import BUBBLE_RATIOS, boundary_bubble_state
 from .fields import eval_D_field
@@ -554,11 +554,7 @@ def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
     mesh, coarse = prob.mesh, None
     if mesh.spec.level > 0:
         coarse_mesh = coarsen(mesh)
-        coarse_init = init
-        if init is not None:  # injection: coarse vertex (i, j) is fine (2i, 2j)
-            coarse_init = np.empty(coarse_mesh.n_dof)
-            coarse_init[coarse_mesh.vertex_dof[coarse_mesh.grid]] = (
-                init[mesh.vertex_dof[mesh.grid[::2, ::2]]])
+        coarse_init = None if init is None else inject(coarse_mesh, mesh, init)
         with contextlib.suppress(RuntimeError):
             coarse = _nested(Problem(coarse_mesh, prob.spec, eps=prob.eps), coarse_init,
                              direct, finish, levels)

@@ -9,7 +9,8 @@ every level and every solve of the run.  The summary line adds work
 counts that the table does not pin: the total Krylov iterations, and the
 band L D L^T factorizations (``energy._ldlt`` calls), the columns their
 ``dpbtrf`` calls factored (a failed call's ``info``, else its order) and
-their restarts (the failed calls).
+their restarts (the failed calls), and the calls of the mesh-level
+functions in :data:`CALLED`.
 Config i is drawn from ``random.Random(i)`` alone, so editing one draw
 moves no other.  The draws cover the three domains at levels 1-3,
 random K and h, both signs of the boundary ratio, the three methods and
@@ -35,13 +36,18 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import prescurv.domain as domain
 import prescurv.energy as energy
 import prescurv.solve as solve
 from prescurv import cli
 
 TABLE = Path(__file__).resolve().parent / "fuzz_cli_outcomes.json"
 N_CONFIGS = 150
-WORK = ("krylov_its", "band_factors", "band_columns", "band_restarts")
+# functions whose calls are counted wherever a prescurv module binds them
+CALLED = (domain.build_mesh, energy.assemble, domain.prolong)
+MODULES = [module for name, module in sys.modules.items() if name.startswith("prescurv.")]
+WORK = ("krylov_its", "band_factors", "band_columns", "band_restarts",
+        *(f.__name__ for f in CALLED))
 
 
 def draw(i: int) -> tuple[str, str, str]:
@@ -97,8 +103,18 @@ def outcome(i: int) -> dict:
         counts["band_restarts"] += info > 0
         return c, info
 
+    def tallied(f):
+        def call(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+        return call
+
+    bound = [(module, f) for module in MODULES for f in CALLED
+             if getattr(module, f.__name__, None) is f]
     solve._newton_direction = counted
     energy._ldlt, energy.dpbtrf = factored, band
+    for module, f in bound:
+        setattr(module, f.__name__, tallied(f))
     try:
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "exp.ini").write_text(text)
@@ -109,6 +125,8 @@ def outcome(i: int) -> dict:
     finally:
         solve._newton_direction = real
         energy._ldlt, energy.dpbtrf = ldlt, dpbtrf
+        for module, f in bound:
+            setattr(module, f.__name__, f)
     return {"exit": code, "method": method, "solved": counts["solved"],
             "curvature": counts["curvature"], **{k: counts[k] for k in WORK}}
 
@@ -133,7 +151,8 @@ def main(argv: list[str]) -> int:
     print(f"{len(rows) - len(moved)} of {len(rows)} outcomes as pinned;",
           dict(sorted(total.items())), f"krylov iterations {work['krylov_its']};",
           f"band factorizations {work['band_factors']}, columns {work['band_columns']},",
-          f"restarts {work['band_restarts']}")
+          f"restarts {work['band_restarts']};",
+          "calls", ", ".join(f"{f.__name__} {work[f.__name__]}" for f in CALLED))
     return 1 if moved else 0
 
 

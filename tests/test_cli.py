@@ -217,6 +217,34 @@ OVERFLOW_CFG = """
 """
 
 
+def reads_floats(cast) -> bool:
+    """Whether a SCHEMA cast reads a number, or a list of numbers, as floats."""
+    try:
+        value = cast("2")
+    except (ValueError, cli.ConfigError):
+        return False
+    return all(isinstance(v, float) for v in (value if isinstance(value, list) else [value]))
+
+
+def number_keys():
+    """(section, switch, key) of every key of cli.SCHEMA whose cast reads
+    floats, where switch is the section key that selects the key's
+    variant, as {"kind": "annulus"}, and empty for a key of every variant."""
+    for section, keys in cli.SCHEMA.items():
+        for key, spec in keys.items():
+            variants = spec.items() if isinstance(spec, dict) else [(None, {key: spec})]
+            for choice, variant in variants:
+                for name, (cast, _) in variant.items():
+                    if reads_floats(cast):
+                        yield section, {key: choice} if choice else {}, name
+
+
+NUMBER_KEYS = list(number_keys())
+# the keys a section needs, all valid
+VALID_KEYS = {"curvature": {"K": "-1", "h": "0.5"},
+              "sweep": {"family": "log", "parameters": "2"}}
+
+
 def run_cli(tmp_path, mode, text, out="out", name="exp.ini"):
     cfg = tmp_path / name
     cfg.write_text(textwrap.dedent(text))
@@ -382,17 +410,35 @@ class TestConfigErrors:
         ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    window = nan\n"),
         ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    far_tol = nan\n"),
         ("blowup", BUBBLE_FAMILY_CFG + "    [monitor]\n    sup_window = inf\n"),
+        # ran a whole nested solve to "no convergence within max_iter=-3"
+        ("solve", MINIMIZE_CFG + "    max_iter = -3\n"),
     ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
             "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
             "q2-0", "blowup_threshold-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
             "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text",
             "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001", "tol-inf", "tol-nan", "tol-negative",
-            "window-negative", "window-nan", "far_tol-nan", "sup_window-inf"])
+            "window-negative", "window-nan", "far_tol-nan", "sup_window-inf", "max_iter-negative"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
         code, _ = run_cli(tmp_path, mode, text)
         err = capsys.readouterr().err
         assert code == 3, err
         assert err.startswith("config error")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section,switch,key", NUMBER_KEYS,
+                             ids=[f"{s}-{''.join(w.values())}-{k}" for s, w, k in NUMBER_KEYS])
+    def test_non_finite_numbers_exit_3(self, tmp_path, capsys, section, switch, key, value):
+        # each key of SCHEMA that reads floats, in an otherwise valid config
+        config = {"domain": {"kind": "cylinder"}}
+        config.setdefault(section, {}).update({**VALID_KEYS.get(section, {}), **switch,
+                                               key: value})
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for name, keys in config.items())
+        code, _ = run_cli(tmp_path, "solve", text)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("config error") and f"[{section}]" in err and value in err
         assert "Traceback" not in err
 
 
@@ -620,6 +666,14 @@ class TestSolveMode:
         """)
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_overflowing_bubble_offset_exits_2(self, tmp_path, capsys):
+        # q2 = 1e200 puts every bubble's wall at 0 * inf: no endpoint is built
+        code, _ = run_cli(tmp_path, "solve",
+                          SADDLE_CFG.format(method="mountain-pass") + "    q2 = 1e200\n")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "test function schedule exhausted" in err and "q2=1e+200" in err
 
     def test_mountain_pass_at_eps_0_has_no_constant_start(self, tmp_path, capsys):
         # flat background and a negative boundary datum: at eps = 0 no
@@ -951,6 +1005,13 @@ class TestPohozaevMode:
 
 
 class TestTestfnMode:
+    def test_overflowing_offset_exits_3(self, tmp_path, capsys):
+        # mu^2 |x - q|^2 at q2 = 1e200 is 0 * inf: no wall, and no traceback
+        code, _ = run_cli(tmp_path, "testfn", TESTFN_CFG.replace("q2 = 0.1", "q2 = 1e200"))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "mu d(x, q) > 1 fails on the mesh" in err
+
     def test_graded_halfdisk_slopes(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "testfn", TESTFN_CFG)
         assert code == 0

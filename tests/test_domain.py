@@ -14,6 +14,7 @@ from prescurv.domain import (
     build_mesh,
     coarsen,
     distance2,
+    inject,
     point_tree,
     prolong,
     tangential_derivative,
@@ -195,9 +196,20 @@ def test_prolong_rows_and_coarse_dofs(spec):
     v = P @ u
     assert np.array_equal(v[fine.vertex_dof[fine.grid[::2, ::2]]],
                           u[coarse.vertex_dof[coarse.grid]])
-    assert prolong(coarse, fine) is P
+    assert np.array_equal(inject(coarse, fine, v), u)
     with pytest.raises(ValueError):
         prolong(fine, coarse)
+
+
+def test_replaced_vertices_recompute_geometry():
+    # a mesh made from another by dataclasses.replace derives its areas and
+    # dof coordinates from its own vertices, not from the other's
+    mesh = build_mesh(DomainSpec("annulus", r=0.5, level=1))
+    areas, coords = mesh.tri_areas, mesh.dof_coords
+    moved = replace(mesh, vertices=2.0 * mesh.vertices)
+    assert np.array_equal(moved.tri_areas, 4.0 * areas)
+    assert np.array_equal(moved.dof_coords, 2.0 * coords)
+    assert np.array_equal(mesh.tri_areas, areas)
 
 
 @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind)

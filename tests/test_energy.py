@@ -429,7 +429,7 @@ class TestSolveB:
         j, i = np.divmod(np.arange(mesh.n_dof), 64)
         perm = (j * 64 + (i + 1) % 64 if numbering == "rolled"
                 else np.random.default_rng(5).permutation(mesh.n_dof))
-        mesh = dataclasses.replace(mesh, vertex_dof=perm[mesh.vertex_dof], _cache={})
+        mesh = dataclasses.replace(mesh, vertex_dof=perm[mesh.vertex_dof])
         with pytest.raises(ValueError, match="numbered"):
             assemble(mesh)
 
@@ -439,7 +439,7 @@ class TestSolveB:
         mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=2))
         vertices = mesh.vertices.copy()
         vertices[mesh.grid[5, 3]] += 1e-6
-        mesh = dataclasses.replace(mesh, vertices=vertices, _cache={})
+        mesh = dataclasses.replace(mesh, vertices=vertices)
         ops = assemble(mesh)
         assert ops.S_symbol.departure > 1e-9 * ops.S_symbol.norm
         sizes = self.counted_band(monkeypatch)

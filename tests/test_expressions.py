@@ -70,13 +70,6 @@ def test_rejects_unknown_function_even_if_builtin():
         Expr("eval('1')")
 
 
-def test_custom_names():
-    f = Expr("a + b", names=("a", "b"))
-    assert f(a=1.0, b=2.0) == pytest.approx(3.0)
-    with pytest.raises(ExpressionError):
-        Expr("x", names=("a", "b"))
-
-
 def test_repr_shows_source():
     assert "x + 1" in repr(Expr("x + 1"))
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prescurv.domain import DomainSpec, build_mesh
+from prescurv.expressions import Expr
 from prescurv.fields import (
     CurvatureSpec,
     Field,
@@ -34,12 +35,14 @@ def ann():
 def test_field_forms_agree():
     const = Field(-2.0)
     text = Field("-2")
-    func = Field(lambda x, y, s: -2.0 * np.ones_like(x))
+    compiled = Field(Expr("-2 + 0*x"))
     x = np.linspace(0, 1, 4)
-    for f in (const, text, func):
+    for f in (const, text, compiled):
         assert np.allclose(f(x, x), -2.0)
-    assert const.is_constant and text.is_constant
+    assert const.is_constant and text.is_constant and not compiled.is_constant
     assert const.constant_value() == -2.0
+    with pytest.raises(TypeError):
+        Field(lambda x, y, s: -2.0 * np.ones_like(x))
 
 
 def test_field_affine_collapses():
