@@ -314,22 +314,29 @@ def _load_curvature(c: dict, mesh) -> CurvatureSpec:
         else:
             K_bg, h_bg = c["K_bg"], tuple(c["h_bg"] or (0.0,) * n_comp)
         spec = CurvatureSpec(K=c["K"], h=h, K_bg=K_bg, h_bg=h_bg)
-        eval_K(spec, *mesh.dof_coords.T)
+        K = eval_K(spec, *mesh.dof_coords.T)
     except ValueError as exc:
         raise ConfigError(f"bad [curvature] section: {exc}") from exc
-    _check_seams(spec, mesh)
+    # a finite number can still give an expression that overflows
+    h_paths = [eval_h(spec, mesh, i) for i in range(n_comp)]
+    for name, vals in [("K", K), *((f"h on boundary component {i}", v)
+                                   for i, v in enumerate(h_paths))]:
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"[curvature] {name} is not finite at every node")
+    _check_seams(spec, mesh, h_paths)
     return spec
 
 
-def _check_seams(spec: CurvatureSpec, mesh) -> None:
+def _check_seams(spec: CurvatureSpec, mesh, h_paths: list[np.ndarray]) -> None:
     """Reject data that jump across the seam of a closed boundary
     component: the ratio D = h/sqrt(|K|) then has no tangential
-    derivative there, which the regime classifier and the anchors need."""
+    derivative there, which the regime classifier and the anchors need.
+    ``h_paths`` holds h along each component's vertex path."""
     for c, comp in enumerate(mesh.components):
         if not comp.closed:
             continue
         x, y = mesh.vertices[comp.verts].T
-        for name, vals in (("h", eval_h(spec, mesh, c)), ("K", spec.K(x, y))):
+        for name, vals in (("h", h_paths[c]), ("K", spec.K(x, y))):
             try:
                 tangential_derivative(mesh, c, vals)
             except ValueError as exc:
@@ -454,7 +461,8 @@ def _write_plot_script(out_dir: str, dat_name: str, x: int, ys: list[tuple[int, 
 def _write_state_csv(path: str, mesh, u: np.ndarray) -> None:
     # 17 significant digits round-trip every double exactly.  Where the
     # coordinates take fewer distinct values than there are rows, as on
-    # tensor grids (cylinder L5: 609 for 49,664 rows), each is formatted once
+    # tensor grids (cylinder L5: 608 for 49,664 rows, x = 0 and y = 0 sharing
+    # the bit pattern of 0.0), each is formatted once
     # and gathered, in 0.6x the time.  The annulus's polar grid has 1.4 per
     # row, where gathering took 1.1x the time.  Values are told apart by bit
     # pattern, which keeps -0.0 apart from 0.0

@@ -15,14 +15,21 @@ Four instruments, all pure functions of a state and its problem data:
     2 Re F'.  Boundary gradients are reconstructed by quadratic
     least-squares fits on two-ring vertex patches (the raw one-sided
     P1 gradient would cap the convergence order at one), applied as one
-    sparse recovery operator over every component's path; tangential
-    derivatives come from centered differences.  Both sides are complex
-    dot products: the state fixes one coefficient c per boundary vertex
-    or quadrature point, and a field adds Re(conj(c) F) and, inside, a
-    real multiple of Re F'.  The balance is for plane domains: on the
-    cylinder no field of this form is periodic in x.
+    sparse recovery operator over every component's path; the patches
+    of one size are fitted together by Gram-Schmidt, with no LAPACK call
+    per patch.  Tangential derivatives come from centered differences.
+    Both sides are complex dot products: the state fixes one coefficient
+    c per boundary vertex or quadrature point, and a field adds
+    Re(conj(c) F) and, inside, a real multiple of Re F'.  Inside, the
+    state's coefficients are summed once into moments against the powers
+    of z, and each field reads its interior term off them with its
+    Laurent coefficients: no field is evaluated at interior points, and
+    the terms in grad u (when K_bg = 0) and grad K (when K is constant)
+    are not formed.  The balance is for plane domains: on the cylinder no
+    field of this form is periodic in x.
   * ``HolomorphicField`` evaluates F and F' together at complex points
-    by Horner's rule on one Laurent polynomial.  ``position_field`` is
+    by Horner's rule on one Laurent polynomial, along the boundary
+    paths of the balance.  ``position_field`` is
     the dilation F = z, and ``holomorphic_field`` builds
     F(z) = i z G(z) from a real trigonometric polynomial f on the unit
     circle, with G its Laurent extension to the annulus, so F = f tau on
@@ -83,18 +90,24 @@ class HolomorphicField:
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
+    def _laurent(self) -> tuple[int, np.ndarray]:
+        """Lowest power lo and coefficients a with F = sum_j a_j z^(lo + j):
+        F = i z G runs over the powers 1 - d .. d + 1."""
+        c = self.coeffs
+        return 2 - len(c), 1j * np.concatenate([np.conj(c[:0:-1]), c])
+
     def values(self, z) -> tuple[np.ndarray, np.ndarray]:
         """F and F' at the complex points z, by Horner's rule.
 
-        F = i z G is the Laurent polynomial i sum_p a_p z^p over
-        p = 1 - d .. d + 1, so F = z^(1-d) P and
-        F' = z^-d ((1 - d) P + z P') with P of degree 2d; one in-place
-        Horner loop gives P and P'.  No reciprocal is taken for d <= 1.
+        With F = z^(1-d) P and P of degree 2d,
+        F' = z^-d ((1 - d) P + z P'); one in-place Horner loop gives P
+        and P'.  No reciprocal is taken for d <= 1.  ``pohozaev_report``
+        evaluates fields only on the boundary paths: its interior side
+        reads the coefficients against moments of the state.
         """
         z = np.asarray(z, dtype=complex)
-        c = self.coeffs
-        d = len(c) - 1
-        b = 1j * np.concatenate([np.conj(c[:0:-1]), c])
+        lo, b = self._laurent()
+        d = 1 - lo
         P = np.full(z.shape, b[-1])
         if d == 0:  # F = i c0 z: the dilation stays exact
             return P * z, P
@@ -148,6 +161,32 @@ def holomorphic_field(mesh: Mesh, cos_coeffs: Sequence[float],
 # -- gradient recovery -------------------------------------------------------
 
 
+def _linear_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows 1-2 of pinv(V), V = [1, x, y, x^2, xy, y^2], for patches of
+    equal size along axis 0, with V of full column rank.
+
+    Modified Gram-Schmidt runs over the columns in the order 1, x^2, xy,
+    y^2, x, y, one patch per row of each array.  With x and y last, the
+    rows of R^-1 Q^T they take are q4 / r44 - r45 q5 / (r44 r55) and
+    q5 / r55, so no other column of R^-1 is formed.
+    """
+    def dot(a, b):
+        return np.einsum("...gm,gm->...g", a, b)
+
+    q = np.stack([np.ones_like(x), x * x, x * y, y * y, x, y])
+    for j in range(4):
+        q[j] /= np.sqrt(dot(q[j], q[j]))[:, None]
+        q[j + 1:] -= dot(q[j + 1:], q[j])[..., None] * q[j]
+    qx, qy = q[4], q[5]
+    r44 = np.sqrt(dot(qx, qx))
+    qx /= r44[:, None]
+    r45 = dot(qy, qx)
+    qy -= r45[:, None] * qx
+    wy = qy / dot(qy, qy)[:, None]
+    wx = (qx - r45[:, None] * wy) / r44[:, None]
+    return np.stack([wx, wy], axis=1)
+
+
 def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
     """Sparse R of shape (2 len(dofs), n_dof) whose row pair 2i, 2i + 1
     holds the linear part of the least-squares quadratic fit at dofs[i].
@@ -157,8 +196,9 @@ def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
     monomials [1, x, y, x^2, xy, y^2] is pinv(V) (u[patch] - u[center]),
     so rows 1-2 of pinv(V) over the scale are the patch weights and
     minus their sum the center weight.  Patches of equal size share one
-    batched fit.  With at least six points pinv(V) = R^-1 Q^T from the
-    reduced QR of V; a smaller patch (the half-disk's five-point corner)
+    batched fit: with at least six points ``_linear_rows`` orthogonalizes
+    the columns of every patch of the group at once, with no LAPACK call
+    per patch.  A smaller patch (the half-disk's five-point corner)
     leaves the fit underdetermined and keeps ``pinv``'s minimum-norm
     solution.
     """
@@ -196,11 +236,10 @@ def _recovery_matrix(mesh: Mesh, dofs: np.ndarray) -> sp.csr_matrix:
         rel[..., 0] = wrapped(mesh, rel[..., 0])
         scale = np.abs(rel).max(axis=(1, 2))
         x, y = np.moveaxis(rel / scale[:, None, None], -1, 0)
-        V = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-        if m >= V.shape[2]:
-            Q, R = np.linalg.qr(V)
-            W = np.linalg.solve(R, np.swapaxes(Q, 1, 2))[:, 1:3]
+        if m >= 6:
+            W = _linear_rows(x, y)
         else:  # underdetermined: the minimum-norm fit
+            V = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
             W = np.linalg.pinv(V)[:, 1:3]
         W /= scale[:, None, None]
         W = np.concatenate([W, -W.sum(axis=2, keepdims=True)], axis=2)
@@ -241,6 +280,23 @@ def _p1_gradients(mesh: Mesh, *nodal: np.ndarray) -> list[np.ndarray]:
     return [scale * sum(f[d] * e for d, e in zip(dofs, edges)) for f in nodal]
 
 
+def _powers(z: Optional[np.ndarray], powers: set[int]):
+    """Yield (q, z^q) for each q of ``powers``, with None for z^0.
+    Positive powers are running products of z, negative ones of one
+    reciprocal."""
+    if 0 in powers:
+        yield 0, None
+    for sign in (1, -1):
+        base = zq = None
+        for n in range(1, max((sign * q for q in powers), default=0) + 1):
+            if base is None:
+                base = zq = z if sign > 0 else 1.0 / z
+            else:
+                zq = zq * base
+            if sign * n in powers:
+                yield sign * n, zq
+
+
 @dataclass
 class PohozaevReport:
     """Two sides of the domain-variation balance and their mismatch."""
@@ -255,7 +311,12 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
     """Both sides of the balance for each of ``fields``, keyed as given;
     the residual tends to zero under refinement when u solves the
     interior equation.  Everything that depends on the state alone is
-    computed once; only F and F' are evaluated per field."""
+    computed once: the boundary recovery, one coefficient per boundary
+    vertex, and the interior moments M_p = sum conj(lin) z^p and
+    N_q = sum kk z^q over the quadrature points, for every power the
+    fields' F and F' use.  A field F = sum_p a_p z^p then costs its
+    boundary values and sum_p Re a_p (M_p + p N_(p-1)).  The P1 gradient
+    of u is formed only when K_bg != 0, that of K only when K varies."""
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
 
@@ -280,25 +341,45 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
 
     # interior side, 3-point edge-midpoint quadrature per triangle; slot s
     # is the midpoint of the edge from vertex s to vertex s + 1, where e^u
-    # is e^{u_a/2} e^{u_b/2}.  Per slot the state gives one complex
-    # coefficient of F (the K_bg and grad K terms) and one of Re F'.
+    # is e^{u_a/2} e^{u_b/2}.  Per slot the state gives one complex weight
+    # lin of F (the K_bg and grad K terms) and one real weight kk of Re F'.
+    # With F = sum_p a_p z^p a field's term is Re sum_p a_p (M_p + p N_(p-1))
+    # over the moments M_p = sum conj(lin) z^p and N_q = sum kk z^q, so no
+    # field is evaluated inside.  A term whose factor vanishes identically
+    # is skipped: grad u when K_bg = 0, grad K when K is constant.
+    laurent = {name: field._laurent() for name, field in fields.items()}
+    lo = min((p for p, _ in laurent.values()), default=1)
+    hi = max((p + len(a) - 1 for p, a in laurent.values()), default=1)
+    K_bg, varying = prob.data.K_bg, not prob.data.K.is_constant
     tri, K = mesh.triangles, prob.K_dof
     tris = mesh.vertex_dof[tri]
     z = mesh.vertices.view(complex).ravel()
-    grad_u, grad_K = _p1_gradients(mesh, u, K)
+    live = [f for f, term in ((u, K_bg != 0.0), (K, varying)) if term]
+    p1 = _p1_gradients(mesh, *live) if live else []
     eh = exp_lumped(u)[1]
     weight = (4.0 / 3.0) * mesh.tri_areas
-    lin_u = prob.data.K_bg * weight * grad_u
-    interior = dict.fromkeys(fields, 0.0)
+    lin_u = K_bg * weight * p1[0] if K_bg else 0.0
+    # powers of z the moments need; N_-1 meets p a_p = 0
+    powers = set(range(lo, hi + 1)) if live else set()
+    powers |= {p - 1 for p in range(lo, hi + 1) if p}
+    M = np.zeros(hi - lo + 1, dtype=complex)
+    N = np.zeros(hi - lo + 1, dtype=complex)  # N[p - lo] is N_(p-1)
     for s, t in ((0, 1), (1, 2), (2, 0)):
         a, b = tris[:, s], tris[:, t]
-        mid = 0.5 * (z[tri[:, s]] + z[tri[:, t]])
         e = weight * eh[a] * eh[b]
-        lin = lin_u + e * grad_K
+        lin = lin_u + e * p1[-1] if varying else lin_u
         kk = e * (K[a] + K[b])
-        for name, field in fields.items():
-            F, dF = field.values(mid)
-            interior[name] += np.vdot(lin, F).real + kk @ dF.real
+        mid = 0.5 * (z[tri[:, s]] + z[tri[:, t]]) if powers - {0} else None
+        for q, zq in _powers(mid, powers):
+            if live and lo <= q <= hi:
+                M[q - lo] += np.conj(lin.sum()) if zq is None else np.vdot(lin, zq)
+            if lo <= q + 1 <= hi:
+                N[q + 1 - lo] += kk.sum() if zq is None else complex(
+                    *(kk @ zq.view(float).reshape(-1, 2)))
+    interior = {}
+    for name, (p, coef) in laurent.items():
+        k = np.arange(p, p + len(coef))
+        interior[name] = (coef @ (M[k - lo] + k * N[k - lo])).real
 
     reports = {}
     for name, field in fields.items():

@@ -231,16 +231,26 @@ class TestPohozaev:
         u = annulus_gamma_state(annulus3, 2, 2.0)
         assert one_report(prob, u, HolomorphicField([0])).residual == 0.0
 
-    @pytest.mark.parametrize("coeffs", [None, ((0.3, 1.0, 0.5), (0.2, 0.7))],
-                             ids=["position", "holomorphic"])
-    def test_interior_matches_general_field_integrand(self, annulus3, coeffs):
+    @pytest.mark.parametrize("field,K,K_bg", [
+        (field, *data) for data in (("-1 - 0.1*x + 0.05*y", -0.5), (-1.0, 0.0))
+        for field in ("position", "holomorphic", "degree-4")],
+        ids=[f"{field}{tag}" for tag in ("", "-constant-K")
+             for field in ("position", "holomorphic", "degree-4")])
+    def test_interior_matches_general_field_integrand(self, annulus3, field, K, K_bg):
         # the integrand of a general plane field, with its Jacobian, the
         # Dirichlet terms 2 DF(w, w) - div F |w|^2 and e^u of the midpoint
-        # mean; grad K != 0 and K_bg != 0 exercise every term
-        prob = Problem(annulus3, CurvatureSpec(K="-1 - 0.1*x + 0.05*y", h=[2.0, -3.0], K_bg=-0.5))
+        # mean; grad K != 0 and K_bg != 0 exercise every term, constant K
+        # with K_bg = 0 the terms the report skips
+        prob = Problem(annulus3, CurvatureSpec(K=K, h=[2.0, -3.0], K_bg=K_bg))
         x, y = annulus3.dof_coords.T
         u = 0.3 * np.sin(3 * x) + 0.1 * y + 0.2 * x * y
-        F = position_field() if coeffs is None else holomorphic_field(annulus3, *coeffs)
+        if field == "position":
+            F = position_field()
+        elif field == "holomorphic":
+            F = holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2, 0.7))
+        else:  # sin coefficients and a complex c0; F' runs down to z^-4
+            F = holomorphic_field(annulus3, (0.3, 1.0, 0.5, -0.4, 0.2), (0.2, 0.7, 0.1, -0.3))
+            F.coeffs[0] = 0.3 + 0.4j
         tris = annulus3.vertex_dof[annulus3.triangles]
         pts = annulus3.vertices[annulus3.triangles]
         grads = reference_stiffness(annulus3)[1]
@@ -358,22 +368,49 @@ class TestPohozaev:
 
     def test_fields_share_one_state_pass(self, annulus3, monkeypatch):
         # the state's gradients and boundary recovery are computed once for
-        # all fields, and each field's report is the one it gets alone
+        # all fields, and each field's report is the one it gets alone; the
+        # gamma family (K_bg = 0, constant K) forms no P1 gradient at all
         import prescurv.diagnostics as diagnostics
-        prob = annulus_gamma_problem(annulus3, 3, 2.0)
-        u = annulus_gamma_state(annulus3, 3, 2.0)
         fields = {"position": position_field(),
                   "holomorphic": holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2,))}
-        alone = {name: one_report(prob, u, F) for name, F in fields.items()}
+        cases = [(annulus_gamma_problem(annulus3, 3, 2.0),
+                  annulus_gamma_state(annulus3, 3, 2.0), []),
+                 (Problem(annulus3, CurvatureSpec(K="-1 - 0.1*x", h=[2.0, -3.0], K_bg=-0.5)),
+                  0.3 * np.sin(3 * annulus3.dof_coords[:, 0]), ["_p1_gradients"])]
         calls = []
         for name in ("_p1_gradients", "recovered_gradient", "tangential_derivative"):
             real = getattr(diagnostics, name)
             monkeypatch.setattr(diagnostics, name, lambda *a, _f=real, _n=name: (
                 calls.append(_n), _f(*a))[1])
-        together = pohozaev_report(prob, u, fields)
-        assert sorted(calls) == ["_p1_gradients", "recovered_gradient",
-                                 "tangential_derivative", "tangential_derivative"]
-        assert together == alone
+        for prob, u, gradients in cases:
+            alone = {name: one_report(prob, u, F) for name, F in fields.items()}
+            calls.clear()
+            together = pohozaev_report(prob, u, fields)
+            assert sorted(calls) == [*gradients, "recovered_gradient",
+                                     "tangential_derivative", "tangential_derivative"]
+            assert together == alone
+
+    def test_gamma_report_work(self, annulus3, monkeypatch):
+        # fields are evaluated on the boundary paths only, no P1 gradient is
+        # formed (K_bg = 0, K constant), and every boundary patch has six or
+        # more points, so the recovery makes no QR call
+        import prescurv.diagnostics as diagnostics
+        prob = annulus_gamma_problem(annulus3, 3, 2.0)
+        u = annulus_gamma_state(annulus3, 3, 2.0)
+        points, values = [], HolomorphicField.values
+        monkeypatch.setattr(HolomorphicField, "values",
+                            lambda self, z: (points.append(np.asarray(z)), values(self, z))[1])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(diagnostics, "_p1_gradients", forbidden)
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        pohozaev_report(prob, u, {"position": position_field(),
+                                  "holomorphic": holomorphic_field(annulus3, (0.0, 1.0))})
+        paths = [annulus3.vertices[c.verts].view(complex).ravel() for c in annulus3.components]
+        assert len(points) == 2 * len(paths)
+        assert all(any(np.array_equal(z, p) for p in paths) for z in points)
 
 
 class TestMassMeasures:
