@@ -124,6 +124,8 @@ def _anchor(raw: str):
         component, index = (int(t) for t in raw.split(","))
     except ValueError:
         raise ValueError("expected argmax-d, origin or component,index") from None
+    if component < 0 or index < 0:
+        raise ValueError(f"component and index must be at least 0, not {raw!r}")
     return component, index
 
 
@@ -498,6 +500,9 @@ def _initial_state(cfg: ExperimentConfig, prob: Problem) -> np.ndarray:
         return np.zeros(prob.n_dof)
     if s["init"] == "constant":
         return np.full(prob.n_dof, s["init_value"])
+    if s["seed"] < 0:
+        raise ConfigError(f"bad value for [solver] seed: init = random needs a seed"
+                          f" of at least 0, not {s['seed']}")
     rng = np.random.default_rng(s["seed"])
     return 0.1 * rng.standard_normal(prob.n_dof)
 

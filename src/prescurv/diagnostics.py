@@ -20,16 +20,16 @@ Four instruments, all pure functions of a state and its problem data:
     per patch.  Tangential derivatives come from centered differences.
     Both sides are complex dot products: the state fixes one coefficient
     c per boundary vertex or quadrature point, and a field adds
-    Re(conj(c) F) and, inside, a real multiple of Re F'.  Inside, the
-    state's coefficients are summed once into moments against the powers
-    of z, and each field reads its interior term off them with its
-    Laurent coefficients: no field is evaluated at interior points, and
-    the terms in grad u (when K_bg = 0) and grad K (when K is constant)
-    are not formed.  The balance is for plane domains: on the cylinder no
-    field of this form is periodic in x.
-  * ``HolomorphicField`` evaluates F and F' together at complex points
-    by Horner's rule on one Laurent polynomial, along the boundary
-    paths of the balance.  ``position_field`` is
+    Re(conj(c) F) and, inside, a real multiple of Re F'.  The state's
+    coefficients are summed once into moments against the powers of z,
+    per boundary component and over the interior, and each field reads
+    both sides off them with its Laurent coefficients: no field is
+    evaluated at any point, and the terms in grad u (when K_bg = 0) and
+    grad K (when K is constant) are not formed.  The balance is for plane
+    domains: on the cylinder no field of this form is periodic in x.
+  * ``HolomorphicField`` holds F as one Laurent polynomial, which
+    ``laurent`` gives as its lowest power and coefficients; the
+    balance reads fields through it alone.  ``position_field`` is
     the dilation F = z, and ``holomorphic_field`` builds
     F(z) = i z G(z) from a real trigonometric polynomial f on the unit
     circle, with G its Laurent extension to the annulus, so F = f tau on
@@ -90,43 +90,11 @@ class HolomorphicField:
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
-    def _laurent(self) -> tuple[int, np.ndarray]:
+    def laurent(self) -> tuple[int, np.ndarray]:
         """Lowest power lo and coefficients a with F = sum_j a_j z^(lo + j):
         F = i z G runs over the powers 1 - d .. d + 1."""
         c = self.coeffs
         return 2 - len(c), 1j * np.concatenate([np.conj(c[:0:-1]), c])
-
-    def values(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """F and F' at the complex points z, by Horner's rule.
-
-        With F = z^(1-d) P and P of degree 2d,
-        F' = z^-d ((1 - d) P + z P'); one in-place Horner loop gives P
-        and P'.  No reciprocal is taken for d <= 1.  ``pohozaev_report``
-        evaluates fields only on the boundary paths: its interior side
-        reads the coefficients against moments of the state.
-        """
-        z = np.asarray(z, dtype=complex)
-        lo, b = self._laurent()
-        d = 1 - lo
-        P = np.full(z.shape, b[-1])
-        if d == 0:  # F = i c0 z: the dilation stays exact
-            return P * z, P
-        dP = np.zeros(z.shape, dtype=complex)
-        for bj in b[-2::-1]:
-            dP *= z
-            dP += P
-            P *= z
-            P += bj
-        if d == 1:
-            return P, dP
-        w = 1.0 / z
-        dP *= z
-        dP += (1 - d) * P
-        for _ in range(d - 1):
-            P *= w
-            dP *= w
-        dP *= w
-        return P, dP
 
 
 def position_field() -> HolomorphicField:
@@ -311,19 +279,24 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
     """Both sides of the balance for each of ``fields``, keyed as given;
     the residual tends to zero under refinement when u solves the
     interior equation.  Everything that depends on the state alone is
-    computed once: the boundary recovery, one coefficient per boundary
-    vertex, and the interior moments M_p = sum conj(lin) z^p and
-    N_q = sum kk z^q over the quadrature points, for every power the
-    fields' F and F' use.  A field F = sum_p a_p z^p then costs its
-    boundary values and sum_p Re a_p (M_p + p N_(p-1)).  The P1 gradient
+    computed once: the boundary recovery, the boundary moments
+    B_(c,p) = sum conj(coef) z^p over the vertices of each component c,
+    and the interior moments M_p = sum conj(lin) z^p and N_q = sum kk z^q
+    over the quadrature points, for every power the fields' F and F'
+    use.  A field F = sum_p a_p z^p then costs sum_p Re a_p B_(c,p) per
+    component and sum_p Re a_p (M_p + p N_(p-1)) inside.  The P1 gradient
     of u is formed only when K_bg != 0, that of K only when K varies."""
     mesh = prob.mesh
     u = np.asarray(u, dtype=float)
+    laurent = {name: field.laurent() for name, field in fields.items()}
+    lo = min((p for p, _ in laurent.values()), default=1)
+    hi = max((p + len(a) - 1 for p, a in laurent.values()), default=1)
 
     # boundary side, trapezoid over each component with normals from one
     # recovery along every component's path.  In complex form F.nu and
     # grad u.F are Re(conj(nu) F) and Re(conj(grad u) F), so the integrand
-    # is Re(conj(c) F) with one state coefficient c per path vertex.
+    # is Re(conj(c) F) with one state coefficient c per path vertex, and
+    # a field's term is Re sum_p a_p B_(c,p).
     paths = [mesh.vertex_dof[comp.verts] for comp in mesh.components]
     grads = np.split(recovered_gradient(mesh, u, np.concatenate(paths)),
                      np.cumsum([len(d) for d in paths])[:-1])
@@ -336,20 +309,21 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
         coef = ((4.0 * prob.K_dof[dofs] * exp_lumped(upath)[0] - np.abs(grad) ** 2) * nu
                 + 2.0 * dnu * grad)
         half = 0.5 * comp.edge_lengths
-        trapezoid = np.append(half, 0.0) + np.insert(half, 0, 0.0)
-        bound.append((mesh.vertices[comp.verts].view(complex).ravel(), trapezoid * coef))
+        coef *= np.append(half, 0.0) + np.insert(half, 0, 0.0)
+        B = np.zeros(hi - lo + 1, dtype=complex)
+        for q, zq in _powers(mesh.vertices[comp.verts].view(complex).ravel(),
+                             set(range(lo, hi + 1))):
+            B[q - lo] = np.conj(coef.sum()) if zq is None else np.vdot(coef, zq)
+        bound.append(B)
 
     # interior side, 3-point edge-midpoint quadrature per triangle; slot s
     # is the midpoint of the edge from vertex s to vertex s + 1, where e^u
     # is e^{u_a/2} e^{u_b/2}.  Per slot the state gives one complex weight
     # lin of F (the K_bg and grad K terms) and one real weight kk of Re F'.
     # With F = sum_p a_p z^p a field's term is Re sum_p a_p (M_p + p N_(p-1))
-    # over the moments M_p = sum conj(lin) z^p and N_q = sum kk z^q, so no
-    # field is evaluated inside.  A term whose factor vanishes identically
-    # is skipped: grad u when K_bg = 0, grad K when K is constant.
-    laurent = {name: field._laurent() for name, field in fields.items()}
-    lo = min((p for p, _ in laurent.values()), default=1)
-    hi = max((p + len(a) - 1 for p, a in laurent.values()), default=1)
+    # over the moments M_p = sum conj(lin) z^p and N_q = sum kk z^q.  A term
+    # whose factor vanishes identically is skipped: grad u when K_bg = 0,
+    # grad K when K is constant.
     K_bg, varying = prob.data.K_bg, not prob.data.K.is_constant
     tri, K = mesh.triangles, prob.K_dof
     tris = mesh.vertex_dof[tri]
@@ -376,15 +350,12 @@ def pohozaev_report(prob: Problem, u: np.ndarray,
             if lo <= q + 1 <= hi:
                 N[q + 1 - lo] += kk.sum() if zq is None else complex(
                     *(kk @ zq.view(float).reshape(-1, 2)))
-    interior = {}
-    for name, (p, coef) in laurent.items():
-        k = np.arange(p, p + len(coef))
-        interior[name] = (coef @ (M[k - lo] + k * N[k - lo])).real
 
     reports = {}
-    for name, field in fields.items():
-        boundary_terms = [float(np.vdot(coef, field.values(pts)[0]).real) for pts, coef in bound]
-        inner = float(interior[name])
+    for name, (p, a) in laurent.items():
+        k = np.arange(p, p + len(a))
+        boundary_terms = [float((a @ B[k - lo]).real) for B in bound]
+        inner = float((a @ (M[k - lo] + k * N[k - lo])).real)
         reports[name] = PohozaevReport(residual=abs(sum(boundary_terms) - inner),
                                        boundary_terms=boundary_terms, interior_term=inner)
     return reports

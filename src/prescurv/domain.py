@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 _KINDS = ("cylinder", "annulus", "halfdisk")
@@ -187,9 +186,9 @@ def inject(coarse: Mesh, fine: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """P1 prolongation from ``coarse`` to ``fine``, the same domain one
-    level finer, as the sparse ``n_fine_dof x n_coarse_dof`` matrix.
+def prolong(coarse: Mesh, fine: Mesh, u: np.ndarray) -> np.ndarray:
+    """The field ``u`` on ``coarse`` prolonged to ``fine``, the same
+    domain one level finer, by P1 interpolation.
 
     Coarse vertex (i, j) is fine vertex (2i, 2j).  A fine vertex between
     two coarse ones takes their mean, along a grid line or along the
@@ -200,13 +199,10 @@ def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     """
     _check_refines(coarse, fine)
     I, J = np.indices(fine.grid.shape)
-    ends = (coarse.grid[I // 2, J // 2], coarse.grid[(I + 1) // 2, (J + 1) // 2])
-    rows = fine.vertex_dof[fine.grid].ravel()
-    # seam twins repeat a dof; keep one row each
-    dofs, first = np.unique(rows, return_index=True)
-    cols = np.concatenate([coarse.vertex_dof[e].ravel()[first] for e in ends])
-    return sp.csr_matrix((np.full(len(cols), 0.5), (np.tile(dofs, 2), cols)),
-                         shape=(fine.n_dof, coarse.n_dof))
+    v = 0.5 * u[coarse.vertex_dof[coarse.grid]]
+    out = np.empty(fine.n_dof)
+    out[fine.vertex_dof[fine.grid]] = v[I // 2, J // 2] + v[(I + 1) // 2, (J + 1) // 2]
+    return out
 
 
 def _grid_triangles(cell_a, cell_b, cell_c, cell_d):

@@ -262,7 +262,10 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
     ``FORCING_MIN``: an early Krylov iterate leans toward preconditioned
     steepest descent, which can follow an energy that is unbounded below
     to a downward escape where the Newton direction reaches the local
-    minimum.
+    minimum.  A MINRES target is floored at ``tol`` / 10: near tol,
+    eta * res can lie below the dual norm that rounding lets b - A x
+    reach, and a direction solved to tol / 10 already takes the residual
+    below tol.
     """
     trace: list[dict] = []
     blow = False
@@ -278,8 +281,9 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
         res_prev = res
         e = prob.energy(u) if armijo else None
         try:
-            d, linear = _newton_direction(prob, *prob.hessian_parts(u),
-                                          g, eta * res, armijo)
+            d, linear = _newton_direction(prob, *prob.hessian_parts(u), g,
+                                          eta * res if armijo else max(eta * res, 0.1 * tol),
+                                          armijo)
         except RuntimeError as exc:
             message = str(exc)
             break
@@ -561,7 +565,7 @@ def _nested(prob: Problem, init: Optional[np.ndarray], direct: Callable,
     if coarse is not None and coarse.converged:
         with contextlib.suppress(RuntimeError):
             rep = _attempt(levels, prob, "finish", finish,
-                           prolong(coarse_mesh, mesh) @ coarse.state)
+                           prolong(coarse_mesh, mesh, coarse.state))
             if rep.converged:
                 if rep.path is None:
                     rep.path = coarse.path

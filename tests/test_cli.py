@@ -415,13 +415,19 @@ class TestConfigErrors:
         # the expressions overflow to inf: "the Newton direction is not finite"
         ("solve", MINIMIZE_CFG.replace("h = 0.5", "h = 1e400")),
         ("solve", MINIMIZE_CFG.replace("K = -1", "K = -1e400")),
+        # default_rng raised a traceback
+        ("solve", RANDOM_INIT_CFG.replace("seed = 7", "seed = -1")),
+        # index -1 wrapped to the last component's last vertex
+        ("testfn", TESTFN_CFG.replace("anchor = origin", "anchor = -1,-1")),
+        ("testfn", TESTFN_CFG.replace("anchor = origin", "anchor = 0,-1")),
     ], ids=["K-positive", "h_bg-text", "L-inf", "R-inf", "grade-inf", "grade-1e6",
             "schedule-empty", "schedule-negative", "eps-negative", "path_points-0", "path_points-2",
             "q2-0", "blowup_threshold-0", "disk_form-0.5", "n_r-0", "strip-on-cylinder", "h1-text",
             "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text",
             "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001", "tol-inf", "tol-nan", "tol-negative",
             "window-negative", "window-nan", "far_tol-nan", "sup_window-inf", "max_iter-negative",
-            "h-overflow", "K-overflow"])
+            "h-overflow", "K-overflow", "seed-negative", "anchor-negative",
+            "anchor-index-negative"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
         code, _ = run_cli(tmp_path, mode, text)
         err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from prescurv.diagnostics import (
     recovered_gradient,
 )
 from prescurv.diagnostics import testfunction_energy_curve as energy_curve
-from prescurv.domain import DomainSpec, build_mesh, distance2
+from prescurv.domain import DomainSpec, build_mesh, distance2, tangential_derivative
 from prescurv.energy import Problem, exp_lumped
 from prescurv.exact import (
     BUBBLE_RATIOS,
@@ -57,18 +57,41 @@ def annulus_points(seed, n=100):
     return rho * np.exp(1j * th), rng
 
 
+def laurent_sum(field, z):
+    """F and F' at the points z, summed term by term from the field's
+    Laurent coefficients."""
+    lo, a = field.laurent()
+    p = np.arange(lo, lo + len(a))
+    z = np.asarray(z, dtype=complex)[..., None]
+    return z**p @ a, z ** (p - 1) @ (p * a)
+
+
+def explicit_field(coeffs, z):
+    """F = i z G and F' = i (G + z G') with G = c0 + sum_k (c_k z^k +
+    conj(c_k) z^-k), summed term by term."""
+    G = np.full(z.shape, coeffs[0], dtype=complex)
+    Gp = np.zeros(z.shape, dtype=complex)
+    for k, c in enumerate(coeffs[1:], start=1):
+        G += c * z**k + np.conj(c) * z ** (-k)
+        Gp += k * (c * z ** (k - 1) - np.conj(c) * z ** (-k - 1))
+    return 1j * z * G, 1j * (G + z * Gp)
+
+
 def plane(field, z):
     """The field at z as a plane vector field (Re F, Im F)."""
-    F = field.values(z)[0]
+    F = laurent_sum(field, z)[0]
     return np.stack([F.real, F.imag], axis=-1)
 
 
 class TestVectorFields:
     def test_position_field(self):
-        # the dilation is exact: F = z and F' = 1 with no rounding
+        # the dilation is exact: its one Laurent term is z, so F = z and
+        # F' = 1 with no rounding
+        lo, a = position_field().laurent()
+        assert lo == 1 and np.array_equal(a, [1.0])
         x = np.array([0.3, -1.2, 1e-300, -0.0])
         y = np.array([0.7, 2.0, -3.5, 1e300])
-        F, dF = position_field().values(x + 1j * y)
+        F, dF = laurent_sum(position_field(), x + 1j * y)
         assert np.array_equal(F.real, x) and np.array_equal(F.imag, y)
         assert np.array_equal(dF, np.ones(4))
 
@@ -95,10 +118,10 @@ class TestHolomorphicField:
         # holomorphy: dF/dx = F' and dF/dy = i F'
         F = holomorphic_field(annulus3, (0.3, 1.0, 0.5), (0.2, 0.7))
         z, _ = annulus_points(7)
-        dF = F.values(z)[1]
+        dF = laurent_sum(F, z)[1]
         eps = 1e-6
-        fd_x = (F.values(z + eps)[0] - F.values(z - eps)[0]) / (2 * eps)
-        fd_y = (F.values(z + 1j * eps)[0] - F.values(z - 1j * eps)[0]) / (2 * eps)
+        fd_x = (laurent_sum(F, z + eps)[0] - laurent_sum(F, z - eps)[0]) / (2 * eps)
+        fd_y = (laurent_sum(F, z + 1j * eps)[0] - laurent_sum(F, z - 1j * eps)[0]) / (2 * eps)
         assert np.allclose(dF, fd_x, atol=1e-8)
         assert np.allclose(1j * dF, fd_y, atol=1e-8)
 
@@ -114,33 +137,29 @@ class TestHolomorphicField:
         quad = 2.0 * np.einsum("ni,nij,nj->n", w, J, w)
         div = J[..., 0, 0] + J[..., 1, 1]
         assert np.max(np.abs(quad - div * np.einsum("ni,ni->n", w, w))) < 1e-7
-        assert np.allclose(div, 2.0 * F.values(z)[1].real, atol=1e-8)
+        assert np.allclose(div, 2.0 * laurent_sum(F, z)[1].real, atol=1e-8)
 
     def test_complex_constant_coefficient(self):
         # c0 is complex in general: the term i c0 z rotates and dilates,
         # and c0 = -i is the position field
         c0 = 0.5 - 2.0j
+        lo, a = HolomorphicField([c0]).laurent()
+        assert lo == 1 and np.array_equal(a, [1j * c0])
         z, _ = annulus_points(3)
-        F, dF = HolomorphicField([c0]).values(z)
+        F, dF = laurent_sum(HolomorphicField([c0]), z)
         assert np.allclose(F, 1j * c0 * z, rtol=1e-15, atol=0)
         assert np.array_equal(dF, np.full(len(z), 1j * c0))
-        P = HolomorphicField([-1j]).values(z)
-        assert all(np.array_equal(a, b) for a, b in zip(P, position_field().values(z)))
+        P = HolomorphicField([-1j]).laurent()
+        assert all(np.array_equal(a, b) for a, b in zip(P, position_field().laurent()))
 
     @pytest.mark.parametrize("d", range(5))
     def test_values_match_explicit_laurent_sum(self, d):
-        # F = i z G and F' = i (G + z G') summed term by term, with complex
-        # coefficients throughout, c0 included
+        # the Laurent form's F and F' against i z G and i (G + z G'), with
+        # complex coefficients throughout, c0 included
         rng = np.random.default_rng(d)
         c = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
         z, _ = annulus_points(13 + d)
-        G = np.full(z.shape, c[0])
-        Gp = np.zeros(z.shape, dtype=complex)
-        for k in range(1, d + 1):
-            G += c[k] * z**k + np.conj(c[k]) * z ** (-k)
-            Gp += k * (c[k] * z ** (k - 1) - np.conj(c[k]) * z ** (-k - 1))
-        F, dF = HolomorphicField(c).values(z)
-        for got, want in ((F, 1j * z * G), (dF, 1j * (G + z * Gp))):
+        for got, want in zip(laurent_sum(HolomorphicField(c), z), explicit_field(c, z)):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_aliasing_guard(self, annulus3):
@@ -260,12 +279,7 @@ class TestPohozaev:
         for a in range(3):
             b = (a + 1) % 3
             z = 0.5 * (pts[:, a] + pts[:, b]) @ np.array([1.0, 1j])
-            G = np.full(z.shape, F.coeffs[0])
-            Gp = np.zeros(z.shape, dtype=complex)
-            for k, c in enumerate(F.coeffs[1:], start=1):
-                G += c * z**k + np.conj(c) * z ** (-k)
-                Gp += k * c * z ** (k - 1) - k * np.conj(c) * z ** (-k - 1)
-            Fz, dPhi = 1j * z * G, 1j * (G + z * Gp)
+            Fz, dPhi = explicit_field(F.coeffs, z)
             Fv = np.stack([Fz.real, Fz.imag], axis=-1)
             J = np.stack([np.stack([dPhi.real, -dPhi.imag], axis=-1),
                           np.stack([dPhi.imag, dPhi.real], axis=-1)], axis=-2)
@@ -279,6 +293,40 @@ class TestPohozaev:
                 - div * np.einsum("tk,tk->t", w, w))
         interior = one_report(prob, u, F).interior_term
         assert abs(interior - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
+    @pytest.mark.parametrize("kind,d", [*(("annulus", d) for d in range(5)), ("halfdisk", None)],
+                             ids=[*(f"annulus-degree-{d}" for d in range(5)), "halfdisk-position"])
+    def test_boundary_terms_match_per_vertex_sum(self, annulus3, kind, d):
+        # each component's term is the trapezoid sum over its path of
+        # 4K e^u (F.nu) + 2 (du/dnu)(grad u.F) - |grad u|^2 (F.nu), with F
+        # summed term by term at every vertex: complex coefficients of
+        # degree 0-4 on the annulus, c0 included, and the position field
+        # on the half-disk's open paths
+        if kind == "annulus":
+            mesh = annulus3
+            rng = np.random.default_rng(20 + d)
+            field = HolomorphicField(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+        else:
+            mesh = build_mesh(DomainSpec("halfdisk", R=2.0, level=3, grade=2.0))
+            field = position_field()
+        prob = Problem(mesh, CurvatureSpec(K="-1 - 0.1*x + 0.05*y", h=[2.0, -3.0], K_bg=-0.5))
+        x, y = mesh.dof_coords.T
+        u = 0.3 * np.sin(3 * x) + 0.1 * y + 0.2 * x * y
+        got = one_report(prob, u, field).boundary_terms
+        assert len(got) == len(mesh.components)
+        for c, comp in enumerate(mesh.components):
+            assert comp.closed == (kind == "annulus")
+            dofs = mesh.vertex_dof[comp.verts]
+            F = explicit_field(field.coeffs, mesh.vertices[comp.verts] @ np.array([1.0, 1j]))[0]
+            Fv = np.stack([F.real, F.imag], axis=-1)
+            dnu = np.einsum("ik,ik->i", recovered_gradient(mesh, u, dofs), comp.normals)
+            grad = (tangential_derivative(mesh, c, u[dofs])[:, None] * comp.tangents
+                    + dnu[:, None] * comp.normals)
+            F_nu = np.einsum("ik,ik->i", Fv, comp.normals)
+            f = ((4.0 * prob.K_dof[dofs] * np.exp(u[dofs]) - np.einsum("ik,ik->i", grad, grad))
+                 * F_nu + 2.0 * dnu * np.einsum("ik,ik->i", grad, Fv))
+            pieces = 0.5 * comp.edge_lengths * np.stack([f[:-1], f[1:]])
+            assert abs(got[c] - pieces.sum()) <= 1e-12 * np.abs(pieces).sum()
 
     def test_flat_state_divergence_identity(self):
         # u = 0, K constant: the residual is pure quadrature mismatch
@@ -391,15 +439,17 @@ class TestPohozaev:
             assert together == alone
 
     def test_gamma_report_work(self, annulus3, monkeypatch):
-        # fields are evaluated on the boundary paths only, no P1 gradient is
-        # formed (K_bg = 0, K constant), and every boundary patch has six or
-        # more points, so the recovery makes no QR call
+        # powers of z are taken once per boundary path and once per
+        # quadrature slot, for every field at once, and no field is
+        # evaluated at any point; no P1 gradient is formed (K_bg = 0, K
+        # constant), and every boundary patch has six or more points, so
+        # the recovery makes no QR call
         import prescurv.diagnostics as diagnostics
         prob = annulus_gamma_problem(annulus3, 3, 2.0)
         u = annulus_gamma_state(annulus3, 3, 2.0)
-        points, values = [], HolomorphicField.values
-        monkeypatch.setattr(HolomorphicField, "values",
-                            lambda self, z: (points.append(np.asarray(z)), values(self, z))[1])
+        points, powers = [], diagnostics._powers
+        monkeypatch.setattr(diagnostics, "_powers",
+                            lambda z, q: (points.append(z), powers(z, q))[1])
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called")
@@ -409,8 +459,10 @@ class TestPohozaev:
         pohozaev_report(prob, u, {"position": position_field(),
                                   "holomorphic": holomorphic_field(annulus3, (0.0, 1.0))})
         paths = [annulus3.vertices[c.verts].view(complex).ravel() for c in annulus3.components]
-        assert len(points) == 2 * len(paths)
-        assert all(any(np.array_equal(z, p) for p in paths) for z in points)
+        z, tri = annulus3.vertices.view(complex).ravel(), annulus3.triangles
+        mids = [0.5 * (z[tri[:, s]] + z[tri[:, t]]) for s, t in ((0, 1), (1, 2), (2, 0))]
+        assert len(points) == len(paths) + len(mids)
+        assert all(np.array_equal(a, b) for a, b in zip(points, paths + mids))
 
 
 class TestMassMeasures:

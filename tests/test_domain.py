@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from prescurv.domain import (
@@ -183,22 +184,39 @@ def test_coarsen_inverts_refine(spec):
     assert coarsen(mesh).spec.level == spec.level - 1
 
 
+def prolongation_matrix(coarse, fine):
+    """The P1 prolongation as a sparse n_fine_dof x n_coarse_dof matrix:
+    each fine grid vertex averages the coarse vertices (i // 2, j // 2)
+    and ((i + 1) // 2, (j + 1) // 2), one row per dof."""
+    I, J = np.indices(fine.grid.shape)
+    ends = (coarse.grid[I // 2, J // 2], coarse.grid[(I + 1) // 2, (J + 1) // 2])
+    rows = fine.vertex_dof[fine.grid].ravel()
+    # seam twins repeat a dof; keep one row each
+    dofs, first = np.unique(rows, return_index=True)
+    cols = np.concatenate([coarse.vertex_dof[e].ravel()[first] for e in ends])
+    return sp.csr_matrix((np.full(len(cols), 0.5), (np.tile(dofs, 2), cols)),
+                         shape=(fine.n_dof, coarse.n_dof))
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + str(s.grade))
 def test_prolong_rows_and_coarse_dofs(spec):
     fine = refine(build_mesh(spec))
     coarse = coarsen(fine)
-    P = prolong(coarse, fine)
-    assert P.shape == (fine.n_dof, coarse.n_dof)
+    P = prolongation_matrix(coarse, fine)
     assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(fine.n_dof))
     # coarse vertex (i, j) is fine vertex (2i, 2j), and keeps its value
     assert np.array_equal(fine.vertices[fine.grid[::2, ::2]], coarse.vertices[coarse.grid])
-    u = np.random.default_rng(5).standard_normal(coarse.n_dof)
-    v = P @ u
-    assert np.array_equal(v[fine.vertex_dof[fine.grid[::2, ::2]]],
-                          u[coarse.vertex_dof[coarse.grid]])
-    assert np.array_equal(inject(coarse, fine, v), u)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        u = rng.standard_normal(coarse.n_dof)
+        v = prolong(coarse, fine, u)
+        assert v.shape == (fine.n_dof,)
+        assert np.array_equal(v, P @ u)
+        assert np.array_equal(v[fine.vertex_dof[fine.grid[::2, ::2]]],
+                              u[coarse.vertex_dof[coarse.grid]])
+        assert np.array_equal(inject(coarse, fine, v), u)
     with pytest.raises(ValueError):
-        prolong(fine, coarse)
+        prolong(fine, coarse, np.zeros(fine.n_dof))
 
 
 def test_replaced_vertices_recompute_geometry():
@@ -216,7 +234,6 @@ def test_replaced_vertices_recompute_geometry():
 def test_prolong_exact_for_logically_linear_fields(spec):
     coarse = build_mesh(spec)
     fine = refine(coarse)
-    P = prolong(coarse, fine)
     ci, cj = np.indices(coarse.grid.shape)
     fi, fj = np.indices(fine.grid.shape)
     # the last grid column is the seam twin of the first, so a field
@@ -225,7 +242,7 @@ def test_prolong_exact_for_logically_linear_fields(spec):
     for a, b in ((0.0, 1.0), (1.0, 0.0), (0.7, -2.0)):
         u = np.empty(coarse.n_dof)
         u[coarse.vertex_dof[coarse.grid[:-1]]] = (a * ci + b * cj)[:-1]
-        v = (P @ u)[fine.vertex_dof[fine.grid]]
+        v = prolong(coarse, fine, u)[fine.vertex_dof[fine.grid]]
         assert np.allclose(v[away], (0.5 * (a * fi + b * fj))[away], rtol=0, atol=1e-12)
 
 

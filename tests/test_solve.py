@@ -237,6 +237,18 @@ class TestMinimize:
 
 
 class TestNewtonPolish:
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_polish_target_floor(self, level):
+        # at L5 the gamma = 4 polish reaches 1.1e-10, just above tol, where
+        # the forcing term's eta * res ~ 1e-16 lies below what rounding lets
+        # MINRES reach; the target's floor at tol / 10 lets it finish
+        mesh = build_mesh(DomainSpec("annulus", r=0.5, level=level))
+        prob = annulus_gamma_problem(mesh, gamma=4, h1=2.0)
+        rep = newton_polish(prob, annulus_gamma_state(mesh, gamma=4, h1=2.0), tol=1e-10)
+        assert rep.converged, rep.message
+        assert rep.residual_norm < 1e-10
+        assert rep.iterations <= 6
+
     def test_polish_recovers_saddle_from_nearby(self):
         prob = saddle_problem(level=3, eps=0.05)
         p = prob.mesh.boundary_point(0, 0)
