@@ -18,7 +18,9 @@ section or key, [DEFAULT] keys included, is a config error that names
 it, and so is a shape key of another domain kind or a key of another
 [sweep] family; keys that the mode does not read are accepted.
 configparser folds key case, so the annulus r and the half-disk R are
-one key, read by each kind as its own.  Runners read only typed values.
+one key, read by each kind as its own.  [curvature] K and h are
+expressions, in the language that :mod:`prescurv.fields` describes.
+Runners read only typed values.
 Every run writes a ``manifest.json`` echoing the resolved settings, the
 Python, NumPy and SciPy versions, SciPy's LAPACK library and the thread
 variables next to the mode's own JSON/CSV/.dat artifacts, so repeated
@@ -317,10 +319,11 @@ def _load_curvature(c: dict, mesh) -> CurvatureSpec:
             K_bg, h_bg = c["K_bg"], tuple(c["h_bg"] or (0.0,) * n_comp)
         spec = CurvatureSpec(K=c["K"], h=h, K_bg=K_bg, h_bg=h_bg)
         K = eval_K(spec, *mesh.dof_coords.T)
-    except ValueError as exc:
+        h_paths = [eval_h(spec, mesh, i) for i in range(n_comp)]
+    # Python arithmetic on the numbers of an expression raises, as 1/0 does
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad [curvature] section: {exc}") from exc
     # a finite number can still give an expression that overflows
-    h_paths = [eval_h(spec, mesh, i) for i in range(n_comp)]
     for name, vals in [("K", K), *((f"h on boundary component {i}", v)
                                    for i, v in enumerate(h_paths))]:
         if not np.isfinite(vals).all():

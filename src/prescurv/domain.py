@@ -161,8 +161,17 @@ def build_mesh(spec: DomainSpec) -> Mesh:
         mesh = _build_annulus(spec)
     else:
         mesh = _build_halfdisk(spec)
-    if mesh.tri_areas.min() <= 0:
-        raise ValueError("mesh construction produced a non-positive triangle")
+    # the geometry of a domain far from unit size need not fit in a double
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = mesh.tri_areas
+    if not 0 < areas.min() <= areas.max() < math.inf:
+        raise ValueError("mesh construction produced a triangle whose area is not "
+                         "finite and positive")
+    # tangential_derivative divides by products of adjacent edge lengths
+    for comp in mesh.components:
+        ds = comp.edge_lengths
+        if not (ds * np.roll(ds, 1) if comp.closed else ds[1:] * ds[:-1]).min() > 0:
+            raise ValueError("boundary edges are too short to differentiate along")
     return mesh
 
 

@@ -14,73 +14,148 @@ while ``max D > 1`` together with a negative total boundary datum puts
 the problem in the saddle-point regime.  :func:`regime_classify` samples
 these hypotheses on a mesh and reports the matching regime with witness
 data.
+
+``K`` and each ``h`` are :class:`Field` objects: arithmetic expressions
+such as ``-1 - 0.5*cos(s)``.  An expression reads the ambient coordinates ``x``
+and ``y`` and the boundary arc-length parameter ``s`` (0 in the
+interior); numbers; the constants ``pi`` and ``e``; the elementwise
+functions sin, cos, tan, exp, log, sqrt, abs, arctan (or atan), sinh,
+cosh, tanh, min and max; and the operators ``+ - * / **`` and unary
+sign.  Anything else, attributes, keywords and other names included, is
+rejected at parse time with an :class:`ExpressionError` naming it.
 """
 
 from __future__ import annotations
 
+import ast
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .domain import BoundaryPoint, Mesh, tangential_derivative
-from .expressions import Expr
 
-FieldLike = Union[float, int, str, Expr, "Field"]
+_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "arctan": np.arctan,
+    "atan": np.arctan,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "tanh": np.tanh,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+
+_CONSTS = {"pi": math.pi, "e": math.e}
+_NAMES = ("x", "y", "s")  # the variables
+_GLOBALS = {"__builtins__": {}, **_FUNCS, **_CONSTS}
+
+_ALLOWED_NODES = (
+    ast.Expression,
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.Call,
+    ast.Name,
+    ast.Constant,
+    ast.Load,
+    ast.Add,
+    ast.Sub,
+    ast.Mult,
+    ast.Div,
+    ast.Pow,
+    ast.USub,
+    ast.UAdd,
+)
+
+
+class ExpressionError(ValueError):
+    """Raised when an expression fails to parse or uses a forbidden name."""
+
+
+def _parse(text: str):
+    """The variables that ``text`` reads, and its compiled code; rejects
+    anything outside the expression language."""
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from exc
+    for node in ast.walk(tree):
+        if not isinstance(node, _ALLOWED_NODES):
+            raise ExpressionError(f"forbidden syntax {type(node).__name__!r} in {text!r}")
+        if isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
+                raise ExpressionError(f"unknown function call in {text!r}")
+            if node.keywords:
+                raise ExpressionError("keyword arguments are not allowed")
+        if isinstance(node, ast.Name):
+            if node.id not in _NAMES and node.id not in _FUNCS and node.id not in _CONSTS:
+                raise ExpressionError(f"unknown name {node.id!r} in {text!r}")
+        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            raise ExpressionError(f"non-numeric constant in {text!r}")
+    names = frozenset(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id in _NAMES)
+    return names, compile(tree, "<expr>", "eval")
 
 
 class Field:
-    """Scalar field over ``(x, y, s)``, normalized from several input forms.
+    """Scalar field ``scale * f + shift`` over ``(x, y, s)``, with ``f``
+    an expression of the language above.
 
-    Accepts a number (constant field), an expression string, a compiled
-    :class:`Expr`, or another ``Field``.  Affine reparametrizations
-    ``a*f + b`` stay inside the class so the perturbed problems of the
-    continuation scheme keep exact closed forms under mesh refinement.
+    Accepts a finite number, held as the expression of its ``repr``, an
+    expression string, or another ``Field``.  Affine reparametrizations
+    stay inside the class so the perturbed problems of the continuation
+    scheme keep exact closed forms under mesh refinement.
     """
 
-    def __init__(self, obj: FieldLike, scale: float = 1.0, shift: float = 0.0):
+    def __init__(self, obj, scale: float = 1.0, shift: float = 0.0):
         if isinstance(obj, Field):
-            # collapse nested affine wraps
+            # collapse nested affine wraps, sharing the parsed expression
             scale, shift = scale * obj._scale, scale * obj._shift + shift
-            obj = obj._base
-        if isinstance(obj, str):
-            obj = Expr(obj)
-        if not isinstance(obj, (int, float, Expr)):
-            raise TypeError(f"cannot interpret {obj!r} as a scalar field")
-        self._base = float(obj) if isinstance(obj, (int, float)) else obj
+            self.text, self.used_names, self._code = obj.text, obj.used_names, obj._code
+        else:
+            if isinstance(obj, (int, float)):
+                obj = repr(float(obj))
+            if not isinstance(obj, str):
+                raise TypeError(f"cannot interpret {obj!r} as a scalar field")
+            self.text = obj
+            self.used_names, self._code = _parse(obj)
         self._scale = float(scale)
         self._shift = float(shift)
 
     @property
     def is_constant(self) -> bool:
-        return isinstance(self._base, float) or not self._base.used_names
+        return not self.used_names
 
     def constant_value(self) -> float:
         if not self.is_constant:
             raise ValueError("field is not constant")
-        base = self._base if isinstance(self._base, float) else float(self._base())
-        return self._scale * base + self._shift
+        return float(self(0.0, 0.0))
 
     def affine(self, scale: float, shift: float = 0.0) -> "Field":
         return Field(self, scale=scale, shift=shift)
 
     def __call__(self, x, y, s=0.0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if isinstance(self._base, float):
-            vals = np.full(x.shape, self._base)
-        else:
-            vals = self._base(x=x, y=y, s=s)
-        return self._scale * vals + self._shift
+        """Values at the broadcast shape of ``x``, ``y`` and ``s``.  They
+        may be infinite or NaN, without a warning: callers check."""
+        env = {"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float),
+               "s": np.asarray(s, dtype=float)}
+        shape = np.broadcast_shapes(*(v.shape for v in env.values()))
+        with np.errstate(all="ignore"):
+            vals = np.asarray(self._scale * eval(self._code, _GLOBALS, env) + self._shift,
+                              dtype=float)
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
 
     def describe(self) -> str:
-        if isinstance(self._base, float):
-            return repr(self.constant_value())
-        text = self._base.text
         if (self._scale, self._shift) == (1.0, 0.0):
-            return text
-        return f"{self._scale!r}*({text}) + {self._shift!r}"
+            return self.text
+        return f"{self._scale!r}*({self.text}) + {self._shift!r}"
 
     def __repr__(self) -> str:
         return f"Field({self.describe()})"
@@ -102,7 +177,7 @@ class CurvatureSpec:
     K_bg: float = 0.0
     h_bg: tuple[float, ...] = ()
 
-    def __init__(self, K: FieldLike, h, K_bg: float = 0.0, h_bg=None):
+    def __init__(self, K, h, K_bg: float = 0.0, h_bg=None):
         h_fields = tuple(Field(item) for item in h)
         h_bg = (0.0,) * len(h_fields) if h_bg is None else tuple(float(v) for v in h_bg)
         if len(h_bg) != len(h_fields):
@@ -228,8 +303,8 @@ class Regime:
 _MARGIN = 1e-9
 
 
-def _level_set_transverse(D_vals, D_tau, tol: float = 1e-9):
-    """True iff D-1 only vanishes or changes sign where D_tau is nonzero."""
+def _level_set_transverse(D_vals, D_tau):
+    """True iff D-1 only vanishes or changes sign where |D_tau| exceeds 1e-9."""
     crossing = False
     ok = True
     for vals, taus in zip(D_vals, D_tau):
@@ -238,12 +313,12 @@ def _level_set_transverse(D_vals, D_tau, tol: float = 1e-9):
         flips = g[:-1] * g[1:] < 0
         if on.any():
             crossing = True
-            ok &= bool(np.all(np.abs(taus[on]) > tol))
+            ok &= bool(np.all(np.abs(taus[on]) > 1e-9))
         if flips.any():
             crossing = True
             idx = np.nonzero(flips)[0]
             near = np.maximum(np.abs(taus[idx]), np.abs(taus[idx + 1]))
-            ok &= bool(np.all(near > tol))
+            ok &= bool(np.all(near > 1e-9))
     return ok if crossing else None
 
 

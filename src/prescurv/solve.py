@@ -269,11 +269,12 @@ def _newton(prob: Problem, u: np.ndarray, tol: float,
     """
     trace: list[dict] = []
     blow = False
-    message = ""
     g = prob.gradient(u)
     res = res_prev = prob.ops.dual_norm(g)
+    # no direction solves to a target that is not finite
+    message = "" if math.isfinite(res) else "the residual of the start is not finite"
     it = 0
-    for it in range(max_iter):
+    for it in range(0 if message else max_iter):
         if res < tol:
             break
         eta = FORCING_MIN if armijo else min(
@@ -363,11 +364,11 @@ def minimize(prob: Problem, init: Optional[np.ndarray] = None, tol: float = 1e-8
     return rep
 
 
-def newton_polish(prob: Problem, init: np.ndarray, tol: float = 1e-10, max_iter: int = 60,
+def newton_polish(prob: Problem, init: np.ndarray, tol: float = 1e-10,
                   blowup_threshold: float = BLOWUP_SUP) -> SolveReport:
-    """Residual-driven Newton iteration; converges to critical points of
-    any index, so it finishes saddle searches."""
-    return _newton(prob, np.array(init, dtype=float), tol, max_iter,
+    """Residual-driven Newton iteration of at most 60 steps; converges to
+    critical points of any index, so it finishes saddle searches."""
+    return _newton(prob, np.array(init, dtype=float), tol, 60,
                    blowup_threshold, armijo=False)
 
 

@@ -73,15 +73,15 @@ class SpectrumReport:
     neg_tol: float = NEG_TOL
 
 
-def morse_index(prob: Problem, u: np.ndarray, fixed: Optional[np.ndarray] = None,
-                neg_tol: float = NEG_TOL) -> SpectrumReport:
+def morse_index(prob: Problem, u: np.ndarray,
+                fixed: Optional[np.ndarray] = None) -> SpectrumReport:
     """Index of a state: eigenvalues of the Hessian of ``prob`` at ``u``
-    below ``-neg_tol``, optionally restricted away from
+    below ``-NEG_TOL``, optionally restricted away from
     Dirichlet-fixed dofs, counted by
     :meth:`prescurv.energy.Operators.negatives` on the Hessian shifted by
-    ``neg_tol``."""
+    ``NEG_TOL``."""
     scale, d = prob.hessian_parts(u)
-    return SpectrumReport(prob.ops.negatives(scale, d + neg_tol, fixed), 0, neg_tol)
+    return SpectrumReport(prob.ops.negatives(scale, d + NEG_TOL, fixed), 0)
 
 
 # -- separable disk model ----------------------------------------------------

@@ -415,6 +415,20 @@ class TestConfigErrors:
         # the expressions overflow to inf: "the Newton direction is not finite"
         ("solve", MINIMIZE_CFG.replace("h = 0.5", "h = 1e400")),
         ("solve", MINIMIZE_CFG.replace("K = -1", "K = -1e400")),
+        # the values overflow or are log(0), which warned before the
+        # nodal values were rejected
+        ("solve", MINIMIZE_CFG.replace("K = -1", "K = -exp(exp(10*x))")),
+        ("solve", MINIMIZE_CFG.replace("K = -1", "K = -1 - 0*log(x)")),
+        ("solve", MINIMIZE_CFG.replace("h = 0.5", "h = 0.5 + log(x)")),
+        # Python arithmetic on the numbers raised a traceback
+        ("solve", MINIMIZE_CFG.replace("K = -1", "K = -1/0")),
+        ("solve", MINIMIZE_CFG.replace("h = 0.5", "h = 10**400")),
+        # the mesh geometry does not fit in a double: adjacent inner-circle
+        # edges multiply to 0, or the triangle areas overflow
+        ("classify", SADDLE_CFG.format(method="minimize").replace("r = 0.8", "r = 1e-200")),
+        ("classify", SADDLE_CFG.format(method="minimize").replace("r = 0.8", "r = 1e-300")),
+        ("solve", TESTFN_CFG.replace("R = 10", "R = 1e160")),
+        ("solve", TESTFN_CFG.replace("R = 10", "R = 1e300")),
         # default_rng raised a traceback
         ("solve", RANDOM_INIT_CFG.replace("seed = 7", "seed = -1")),
         # index -1 wrapped to the last component's last vertex
@@ -426,8 +440,9 @@ class TestConfigErrors:
             "tail-1", "tail-0", "m_cap-negative", "m_cap-exhausted", "early-parameter-text",
             "gamma-2.5", "gamma-sweep-2.5", "gamma-8.000001", "tol-inf", "tol-nan", "tol-negative",
             "window-negative", "window-nan", "far_tol-nan", "sup_window-inf", "max_iter-negative",
-            "h-overflow", "K-overflow", "seed-negative", "anchor-negative",
-            "anchor-index-negative"])
+            "h-overflow", "K-overflow", "K-exp-overflow", "K-log-0", "h-log-0", "K-division-by-0",
+            "h-int-overflow", "r-1e-200", "r-1e-300", "R-1e160", "R-1e300", "seed-negative",
+            "anchor-negative", "anchor-index-negative"])
     def test_bad_values_exit_3_without_traceback(self, tmp_path, capsys, mode, text):
         code, _ = run_cli(tmp_path, mode, text)
         err = capsys.readouterr().err
@@ -596,7 +611,8 @@ class TestSolveMode:
             warnings.simplefilter("error", RuntimeWarning)
             code, _ = run_cli(tmp_path, "solve", OVERFLOW_CFG)
         assert code == 2
-        assert capsys.readouterr().err == "solver failure: the Newton direction does not descend\n"
+        assert (capsys.readouterr().err
+                == "solver failure: the residual of the start is not finite\n")
 
     def test_report_json_is_strict_json(self, tmp_path):
         def refuse(token):

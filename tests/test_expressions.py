@@ -5,44 +5,44 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prescurv.expressions import Expr, ExpressionError
+from prescurv.fields import ExpressionError, Field
 
 
 def test_scalar_arithmetic():
-    f = Expr("2*x + y**2 - 1")
-    assert f(x=3.0, y=2.0) == pytest.approx(9.0)
+    f = Field("2*x + y**2 - 1")
+    assert f(3.0, 2.0) == pytest.approx(9.0)
 
 
 def test_functions_and_constants():
-    f = Expr("sin(pi*x) + exp(0) + sqrt(4)")
-    assert f(x=0.5) == pytest.approx(4.0)
-    g = Expr("log(e)")
-    assert g() == pytest.approx(1.0)
+    f = Field("sin(pi*x) + exp(0) + sqrt(4)")
+    assert f(0.5, 0.0) == pytest.approx(4.0)
+    g = Field("log(e)")
+    assert g.constant_value() == pytest.approx(1.0)
 
 
 def test_vectorized_broadcast():
-    f = Expr("x*y")
+    f = Field("x*y")
     x = np.linspace(0, 1, 5)
-    out = f(x=x, y=2.0)
+    out = f(x, 2.0)
     assert out.shape == (5,)
     assert np.allclose(out, 2 * x)
 
 
 def test_constant_expression_broadcasts_to_input_shape():
-    f = Expr("-1")
-    out = f(x=np.zeros(7))
-    assert out.shape == (7,)
-    assert np.all(out == -1.0)
+    for f in (Field("-1"), Field(-1)):
+        out = f(np.zeros(7), 0.0)
+        assert out.shape == (7,)
+        assert np.all(out == -1.0)
 
 
 def test_min_max_are_elementwise():
-    f = Expr("max(x, y)")
-    assert np.allclose(f(x=np.array([0.0, 2.0]), y=1.0), [1.0, 2.0])
+    f = Field("max(x, y)")
+    assert np.allclose(f(np.array([0.0, 2.0]), 1.0), [1.0, 2.0])
 
 
 def test_missing_variable_defaults_to_zero():
-    f = Expr("x + s")
-    assert f(x=1.5) == pytest.approx(1.5)
+    f = Field("x + s")
+    assert f(1.5, 0.0) == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize(
@@ -62,16 +62,16 @@ def test_missing_variable_defaults_to_zero():
 )
 def test_rejects_forbidden_syntax(bad):
     with pytest.raises(ExpressionError):
-        Expr(bad)
+        Field(bad)
 
 
 def test_rejects_unknown_function_even_if_builtin():
     with pytest.raises(ExpressionError):
-        Expr("eval('1')")
+        Field("eval('1')")
 
 
 def test_repr_shows_source():
-    assert "x + 1" in repr(Expr("x + 1"))
+    assert "x + 1" in repr(Field("x + 1"))
 
 
 @given(
@@ -79,11 +79,11 @@ def test_repr_shows_source():
     st.floats(min_value=-10, max_value=10),
 )
 def test_matches_python_eval_on_polynomial(x, y):
-    f = Expr("0.5*x**2 - 3*y + x*y")
-    assert f(x=x, y=y) == pytest.approx(0.5 * x**2 - 3 * y + x * y, abs=1e-12)
+    f = Field("0.5*x**2 - 3*y + x*y")
+    assert f(x, y) == pytest.approx(0.5 * x**2 - 3 * y + x * y, abs=1e-12)
 
 
 @given(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi))
 def test_trig_matches_numpy(s):
-    f = Expr("sin(s)*cos(s)")
-    assert f(s=s) == pytest.approx(math.sin(s) * math.cos(s), abs=1e-14)
+    f = Field("sin(s)*cos(s)")
+    assert f(0.0, 0.0, s) == pytest.approx(math.sin(s) * math.cos(s), abs=1e-14)

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prescurv.domain import DomainSpec, build_mesh
-from prescurv.expressions import Expr
 from prescurv.fields import (
     CurvatureSpec,
+    ExpressionError,
     Field,
     RegimeKind,
     background_for,
@@ -35,14 +35,24 @@ def ann():
 def test_field_forms_agree():
     const = Field(-2.0)
     text = Field("-2")
-    compiled = Field(Expr("-2 + 0*x"))
+    varying = Field("-2 + 0*x")
     x = np.linspace(0, 1, 4)
-    for f in (const, text, compiled):
+    for f in (const, text, varying):
         assert np.allclose(f(x, x), -2.0)
-    assert const.is_constant and text.is_constant and not compiled.is_constant
+    assert const.is_constant and text.is_constant and not varying.is_constant
     assert const.constant_value() == -2.0
     with pytest.raises(TypeError):
         Field(lambda x, y, s: -2.0 * np.ones_like(x))
+
+
+def test_field_values_may_be_non_finite_without_a_warning():
+    # callers reject the values that are not finite; a number must be finite
+    with np.errstate(all="raise"):
+        vals = Field("log(x) + exp(exp(10*x))")(np.array([0.0, 1.0]), 0.0)
+    assert vals.tolist() == [-np.inf, np.inf]
+    for number in (math.inf, math.nan):
+        with pytest.raises(ExpressionError):
+            Field(number)
 
 
 def test_field_affine_collapses():

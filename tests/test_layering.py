@@ -1,6 +1,8 @@
 """Module boundaries of ``prescurv``: no module of the package imports a
 private name (one with a leading underscore) from another, so that each
-module's representation choices stay behind its public API."""
+module's representation choices stay behind its public API, and every
+name a module imports is read there, so a deletion leaves no dead
+import behind."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,36 @@ def test_detects_a_private_import(tmp_path):
                       "x = en._band_order, en.__doc__, sp._quad\n")
     assert sorted(private_imports(module)) == ["energy._band_order", "energy._fourier_solver",
                                                "spectral._quad"]
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Each name that ``path`` binds by ``import`` or ``from ... import``
+    (``__future__`` excepted) and never reads: as a name, or as the root
+    of an attribute chain such as ``scipy.sparse.linalg``."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    assert unread_imports(path) == []
+
+
+def test_detects_an_unread_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import math\nimport scipy.sparse\nimport numpy as np\n"
+                      "from typing import Optional, Union\nfrom .energy import Problem\n"
+                      "x: Optional[int] = np.pi + scipy.sparse.eye(1)\n")
+    assert unread_imports(module) == ["math", "Union", "Problem"]
 
 
 def imports_spatial(path: Path) -> bool:

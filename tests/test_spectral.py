@@ -30,6 +30,13 @@ from prescurv.spectral import (
 )
 
 
+def count_below(prob, u, cut):
+    """Eigenvalues of the Hessian of ``prob`` at ``u`` below ``cut``,
+    counted as :func:`morse_index` counts those below ``-NEG_TOL``."""
+    scale, d = prob.hessian_parts(u)
+    return prob.ops.negatives(scale, d - cut)
+
+
 def random_inertia_matrix(rng, n, n_neg):
     """Sparse-ish symmetric matrix with exactly n_neg negative eigenvalues."""
     vals = np.concatenate([
@@ -476,10 +483,11 @@ def test_disk_form_kernel_rayleigh_refines():
 
 
 class TestFourierInertia:
-    """Counts of morse_index on periodic grids from Sturm sequences of the
-    Fourier mode blocks, with the band LDL^T only where the Hessian is not
-    circulant.  Three test names still say SuperLU (``splu``), kept so
-    that the test ids stay stable."""
+    """Counts of ``Operators.negatives``, which morse_index reads, on
+    periodic grids from Sturm sequences of the Fourier mode blocks, with
+    the band LDL^T only where the Hessian is not circulant.  Three test
+    names still say SuperLU (``splu``), kept so that the test ids stay
+    stable."""
 
     @staticmethod
     def counted_band(monkeypatch):
@@ -512,8 +520,7 @@ class TestFourierInertia:
                               .negative_count))
         sizes = self.counted_band(monkeypatch)
         for u, s, count in cases:
-            rep = morse_index(prob, u, neg_tol=NEG_TOL - s)
-            assert (rep.negative_count, rep.k_used) == (count, 0)
+            assert count_below(prob, u, s - NEG_TOL) == count
         assert sizes == []
         assert any(count % 2 for _, _, count in cases)
 
@@ -545,7 +552,7 @@ class TestFourierInertia:
         sizes = self.counted_band(monkeypatch)
         assert morse_index(prob, u).negative_count == dense_count(Q)
         assert sizes == []
-        assert morse_index(prob, u, neg_tol=-cut).negative_count == (lq < cut).sum()
+        assert count_below(prob, u, cut) == (lq < cut).sum()
         assert sizes == [prob.n_dof]
 
     def test_diagonal_spread_brackets_the_cut(self, monkeypatch):
@@ -562,19 +569,19 @@ class TestFourierInertia:
         u[i] += delta / d[i]
         assert prob.ops.symbol(*prob.hessian_parts(u)) is not None
         sizes = self.counted_band(monkeypatch)
-        morse_index(prob, u, neg_tol=-(lam + delta / 4))
+        count_below(prob, u, lam + delta / 4)
         assert sizes == [prob.n_dof]
 
     def test_eigenvalue_at_the_cut_reaches_splu(self, monkeypatch):
         # with h = 0 and e^u = 0 the Hessian is the stiffness matrix,
-        # whose constant null vector sits on the cut at neg_tol = 0, so
+        # whose constant null vector sits on the cut at 0, so
         # the two Sturm counts differ
         mesh = build_mesh(DomainSpec("cylinder", L=1.0, level=1))
         prob = Problem(mesh, CurvatureSpec(K=-1.0, h=[0.0, 0.0], K_bg=0.0))
         u = np.full(prob.n_dof, -800.0)
         assert (prob.hessian(u) != prob.ops.S).nnz == 0
         sizes = self.counted_band(monkeypatch)
-        morse_index(prob, u, neg_tol=0.0)
+        count_below(prob, u, 0.0)
         assert sizes and sizes[0] == prob.n_dof
 
     @pytest.mark.parametrize("case", ["bumped", "saddle", "halfdisk", "fixed"])
