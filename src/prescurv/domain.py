@@ -49,6 +49,12 @@ CIRCUMFERENCE = 2.0 * math.pi  # cylinder cross-section length is fixed
 # relative mismatch of a closed path's two seam values that still counts
 # as periodic in tangential_derivative
 SEAM_TOL = 1e-8
+# Most vertices a mesh may have.  The mesh holds about 100 bytes a vertex,
+# and its assembly, solves and band factors take many times that, so a
+# larger mesh would exhaust a workstation's memory long before a result.
+# The largest mesh of the tests, the fuzz and the benchmark (annulus
+# r = 0.5 at level 6) has 66,560 vertices, 63 times fewer.
+MAX_VERTICES = 2**22
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,34 @@ class DomainSpec:
             raise ValueError("refinement level must be >= 0")
         if self.grade < 1:
             raise ValueError("grading exponent must be >= 1")
+        # every kind has more than 4**level = 2**(2 level) vertices; refused
+        # by that bound first, so that no absurd level forms 2**level
+        if 2 * self.level >= MAX_VERTICES.bit_length():
+            raise ValueError(f"a level-{self.level} mesh has more than 4**{self.level} "
+                             f"vertices, above the limit of {MAX_VERTICES:,}")
+        try:
+            n_i, n_j = grid_counts(self)
+        except OverflowError:  # 16 L / 2 pi is beyond a double
+            raise ValueError(f"a cylinder of length {self.L:g} has more vertices than a "
+                             f"double holds, above the limit of {MAX_VERTICES:,}") from None
+        n_vert = {"cylinder": (n_i + 1) * (n_j + 1), "annulus": n_i * (n_j + 1),
+                  "halfdisk": 1 + n_j * (n_i + 1)}[self.kind]
+        if n_vert > MAX_VERTICES:
+            raise ValueError(f"the {self.kind} mesh has {n_vert:,} vertices, above the "
+                             f"limit of {MAX_VERTICES:,}")
+
+
+def grid_counts(spec: DomainSpec) -> tuple[int, int]:
+    """Intervals (n_i, n_j) of the logical grid of ``spec``'s mesh: n_i
+    around the cylinder or along the circle or arc, n_j across.  The
+    level-0 counts are fixed, so each level doubles both."""
+    scale = 2**spec.level
+    if spec.kind == "cylinder":
+        return 16 * scale, max(1, round(16 * spec.L / CIRCUMFERENCE)) * scale
+    if spec.kind == "annulus":
+        return 16 * scale, max(1, round(16 * (1 - spec.r) / (2 * math.pi))) * scale
+    n_th = 8 * scale  # angular intervals over [0, pi]
+    return n_th, max(2, n_th // 2)
 
 
 @dataclass
@@ -126,9 +160,19 @@ class Mesh:
 
     @cached_property
     def tri_areas(self) -> np.ndarray:
-        x, y = self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
-        return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        """Signed areas in triangle order, by the triangle formula
+        0.5 ((x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0)) of corners (p0, p1,
+        p2).  The corners are read as slices of the two coordinate grids,
+        one gather each, in the blocks of :func:`_triangle_corners`."""
+        g = self.grid.T
+        areas = np.empty(len(self.triangles))
+        start = 0
+        for (x0, x1, x2), (y0, y1, y2) in zip(_triangle_corners(self.spec.kind, self.vertices[:, 0][g]),
+                                              _triangle_corners(self.spec.kind, self.vertices[:, 1][g])):
+            block = areas[start:start + x0.size].reshape(x0.shape)
+            block[...] = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+            start += x0.size
+        return areas
 
     @cached_property
     def dof_coords(self) -> np.ndarray:
@@ -201,7 +245,7 @@ def prolong(coarse: Mesh, fine: Mesh, u: np.ndarray) -> np.ndarray:
 
     Coarse vertex (i, j) is fine vertex (2i, 2j).  A fine vertex between
     two coarse ones takes their mean, along a grid line or along the
-    (i, j)-(i+1, j+1) diagonal that :func:`_grid_triangles` cuts each
+    (i, j)-(i+1, j+1) diagonal that :func:`_triangle_corners` cuts each
     cell by, so fields linear in the logical grid prolong exactly.  On
     the half-disk fan, where the centre is grid row 0, it is a start for
     Newton rather than the exact interpolant.
@@ -214,17 +258,47 @@ def prolong(coarse: Mesh, fine: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_triangles(cell_a, cell_b, cell_c, cell_d):
-    """Split quad cells (a, b, c, d) in CCW order into two CCW triangles
-    along a-c, which every builder takes from grid (i, j)-(i+1, j+1)."""
-    a, b, c, d = (x.ravel() for x in (cell_a, cell_b, cell_c, cell_d))
-    return np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+def _triangle_corners(kind: str, g: np.ndarray):
+    """The corners of a mesh's triangles as views of the (j, i) grid array
+    ``g`` (vertex ids or coordinates): two blocks of (p0, p1, p2), each
+    corner a (rows, cols) array over the cells.
+
+    Cell (i, j) has corners (a, b, c, d) in counterclockwise order, a at
+    (i, j) and c at (i+1, j+1).  On the cylinder b is (i+1, j); on the
+    annulus and the half-disk, where i runs along the circle and j
+    outwards, b is (i, j+1).  Each cell is cut along a-c, which is the
+    grid (i, j)-(i+1, j+1) diagonal on every kind.  The first block holds
+    the triangles (a, b, c) of every cell and the second the triangles
+    (a, c, d).  The half-disk's row j = 0 is its centre, where a = d, so
+    its triangles (a, b, c) are the fan and its (a, c, d) are left out.
+    """
+    a, c = g[:-1, :-1], g[1:, 1:]
+    if kind == "cylinder":
+        b, d = g[:-1, 1:], g[1:, :-1]
+    else:
+        b, d = g[1:, :-1], g[:-1, 1:]
+    lo = int(kind == "halfdisk")
+    return (a, b, c), (a[lo:], c[lo:], d[lo:])
+
+
+def _grid_triangles(kind: str, grid: np.ndarray) -> np.ndarray:
+    """The (M, 3) counterclockwise triangles of a mesh of ``kind`` with
+    logical grid ``grid``, in the order of :func:`_triangle_corners`: the
+    first triangle of every cell in row-major (j, i) order, then the
+    second.  Each corner view is written once into one array."""
+    blocks = _triangle_corners(kind, grid.T)
+    tri = np.empty((sum(p0.size for p0, _, _ in blocks), 3), dtype=grid.dtype)
+    start = 0
+    for corners in blocks:
+        block = tri[start:start + corners[0].size].reshape(*corners[0].shape, 3)
+        for k, corner in enumerate(corners):
+            block[..., k] = corner
+        start += corners[0].size
+    return tri
 
 
 def _build_cylinder(spec: DomainSpec) -> Mesh:
-    n_s = 16 * 2**spec.level
-    # base axial count fixed at level 0 so refinement scales both counts by 2
-    n_t = max(1, round(16 * spec.L / CIRCUMFERENCE)) * 2**spec.level
+    n_s, n_t = grid_counts(spec)
     s = np.linspace(0.0, CIRCUMFERENCE, n_s + 1)
     t = np.linspace(0.0, spec.L, n_t + 1)
     ss, tt = np.meshgrid(s, t)
@@ -234,8 +308,7 @@ def _build_cylinder(spec: DomainSpec) -> Mesh:
         return j * (n_s + 1) + i
 
     grid = vid(*np.meshgrid(np.arange(n_s + 1), np.arange(n_t + 1), indexing="ij"))
-    g = grid.T  # cells in row-major (j, i) order
-    triangles = _grid_triangles(g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1])
+    triangles = _grid_triangles(spec.kind, grid)
 
     # seam vertices i = n_s share dofs with i = 0
     row = np.arange(n_s + 1) % n_s
@@ -262,9 +335,7 @@ def _build_cylinder(spec: DomainSpec) -> Mesh:
 
 
 def _build_annulus(spec: DomainSpec) -> Mesh:
-    n_th = 16 * 2**spec.level
-    # base radial count fixed at level 0 so refinement scales both counts by 2
-    n_r = max(1, round(16 * (1 - spec.r) / (2 * math.pi))) * 2**spec.level
+    n_th, n_r = grid_counts(spec)
     theta = 2 * math.pi * np.arange(n_th) / n_th
     rho = np.linspace(spec.r, 1.0, n_r + 1)
     tt, rr = np.meshgrid(theta, rho)
@@ -274,9 +345,7 @@ def _build_annulus(spec: DomainSpec) -> Mesh:
         return j * n_th + np.asarray(i) % n_th
 
     grid = vid(*np.meshgrid(np.arange(n_th + 1), np.arange(n_r + 1), indexing="ij"))
-    g = grid.T
-    # counterclockwise quad order: radially out first, then along the circle
-    triangles = _grid_triangles(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
+    triangles = _grid_triangles(spec.kind, grid)
     n_vert = n_th * (n_r + 1)
     vertex_dof = np.arange(n_vert)
 
@@ -299,8 +368,7 @@ def _build_annulus(spec: DomainSpec) -> Mesh:
 
 
 def _build_halfdisk(spec: DomainSpec) -> Mesh:
-    n_th = 8 * 2**spec.level  # angular intervals over [0, pi]
-    n_r = max(2, n_th // 2)
+    n_th, n_r = grid_counts(spec)
     theta = math.pi * np.arange(n_th + 1) / n_th
     k = np.arange(1, n_r + 1)
     rho = spec.R * (k / n_r) ** spec.grade
@@ -315,12 +383,8 @@ def _build_halfdisk(spec: DomainSpec) -> Mesh:
     vertices = np.vstack([[0.0, 0.0], ring_coords])
 
     kk, ii = np.meshgrid(np.arange(n_r + 1), np.arange(n_th + 1))
-    grid = np.where(kk == 0, 0, vid(kk, ii))
-    g = grid.T  # row k = 0 is the centre
-    fan = np.column_stack([g[0, :-1], g[1, :-1], g[1, 1:]])
-    # counterclockwise quad order: radially out first, then along the arc
-    triangles = np.concatenate([fan, _grid_triangles(g[1:-1, :-1], g[2:, :-1],
-                                                     g[2:, 1:], g[1:-1, 1:])])
+    grid = np.where(kk == 0, 0, vid(kk, ii))  # row k = 0 is the centre
+    triangles = _grid_triangles(spec.kind, grid)
     n_vert = len(vertices)
     vertex_dof = np.arange(n_vert)
 

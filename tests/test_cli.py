@@ -8,6 +8,7 @@ exit codes are all exercised on the real code path.
 import json
 import math
 import textwrap
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -449,6 +450,30 @@ class TestConfigErrors:
         assert code == 3, err
         assert err.startswith("config error")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("domain,count", [
+        ("kind = cylinder\nlevel = 40", "more than 4**40 vertices"),
+        ("kind = cylinder\nL = 1e7", "432,901,464 vertices"),
+        ("kind = cylinder\nL = 1e150", "43,290,144,520,995,533,300,029,067,518,"),
+        *[(f"kind = {kind}\nlevel = {10**9}", f"more than 4**{10**9} vertices")
+          for kind in ("cylinder", "annulus", "halfdisk")],
+    ], ids=["cylinder-level-40", "L-1e7", "L-1e150", "cylinder-level-1e9",
+            "annulus-level-1e9", "halfdisk-level-1e9"])
+    def test_mesh_above_the_vertex_limit_exits_3_before_any_array(self, tmp_path, capsys,
+                                                                  domain, count):
+        # level 40 used to exit 1 from NumPy's allocation error in build_mesh;
+        # the count is refused before an array of the mesh exists
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, "classify",
+                              f"[domain]\n{domain}\n[curvature]\nK = -1\nh = 0.5\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("config error: bad [domain] section: ") and count in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("section,switch,key", NUMBER_KEYS,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from prescurv import domain
 from prescurv.domain import (
     DomainSpec,
     build_mesh,
     coarsen,
     distance2,
+    grid_counts,
     inject,
     point_tree,
     prolong,
@@ -290,7 +293,103 @@ def test_spec_validation():
                 DomainSpec("halfdisk", **{size: bad})
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "halfdisk", "level": 11}, "the halfdisk mesh has 134,225,921 vertices"),
+    ({"kind": "cylinder", "level": 12}, r"more than 4\*\*12 vertices"),
+    ({"kind": "annulus", "level": 10**9}, r"more than 4\*\*1000000000 vertices"),
+    ({"kind": "cylinder", "L": 1e7}, "the cylinder mesh has 432,901,464 vertices"),
+    ({"kind": "cylinder", "L": 1e308}, "more vertices than a double holds"),
+])
+def test_spec_refuses_a_mesh_above_the_vertex_limit(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DomainSpec(**kwargs)
+
+
+@pytest.mark.parametrize("spec", [DomainSpec("cylinder", L=3.0, level=2),
+                                  DomainSpec("annulus", r=0.1, level=2),
+                                  DomainSpec("halfdisk", level=2)], ids=lambda s: s.kind)
+def test_vertex_limit_counts_the_vertices_the_builders_make(spec, monkeypatch):
+    mesh = build_mesh(spec)
+    n_i, n_j = grid_counts(spec)
+    assert mesh.grid.shape == (n_i + 1, n_j + 1)
+    n_vert = len(mesh.vertices)
+    # replace(spec) runs the spec's checks again, against the patched limit
+    monkeypatch.setattr(domain, "MAX_VERTICES", n_vert - 1)
+    with pytest.raises(ValueError, match=f"has {n_vert:,} vertices"):
+        replace(spec)
+    monkeypatch.setattr(domain, "MAX_VERTICES", n_vert)
+    replace(spec)
+
+
 @given(st.sampled_from(["cylinder", "annulus", "halfdisk"]), st.integers(0, 2))
 def test_orientation_property(kind, level):
     mesh = build_mesh(DomainSpec(kind, level=level))
     assert mesh.tri_areas.min() > 0
+
+
+def reference_triangles(mesh):
+    """The triangles as the builders wrote them before they were written in
+    place: two np.stack of raveled corner views, concatenated, and on the
+    half-disk the fan's column_stack in front."""
+    g = mesh.grid.T
+
+    def split(a, b, c, d):
+        a, b, c, d = (x.ravel() for x in (a, b, c, d))
+        return np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+
+    if mesh.spec.kind == "cylinder":
+        return split(g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1])
+    if mesh.spec.kind == "annulus":
+        return split(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
+    fan = np.column_stack([g[0, :-1], g[1, :-1], g[1, 1:]])
+    return np.concatenate([fan, split(g[1:-1, :-1], g[2:, :-1], g[2:, 1:], g[1:-1, 1:])])
+
+
+def reference_areas(mesh):
+    """The triangle formula on (M, 3) gathers of the corner coordinates."""
+    x, y = mesh.vertices[:, 0][mesh.triangles], mesh.vertices[:, 1][mesh.triangles]
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("spec", [DomainSpec("cylinder", L=1.0), DomainSpec("annulus", r=0.5),
+                                  DomainSpec("halfdisk", R=2.0),
+                                  DomainSpec("halfdisk", R=2.0, grade=2.0)],
+                         ids=lambda s: s.kind + str(s.grade))
+def test_triangles_and_areas_match_the_gather_formulas(spec, level):
+    mesh = build_mesh(replace(spec, level=level))
+    want = reference_triangles(mesh)
+    assert mesh.triangles.dtype == want.dtype and mesh.triangles.shape == want.shape
+    assert np.array_equal(mesh.triangles, want)
+    assert np.array_equal(mesh.tri_areas, reference_areas(mesh))
+    # a mesh whose vertices moved off the grid's geometry reads its own
+    rng = np.random.default_rng(level)
+    moved = replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
+    assert np.array_equal(moved.tri_areas, reference_areas(moved))
+
+
+def kept_bytes(mesh):
+    arrays = [mesh.vertices, mesh.triangles, mesh.vertex_dof, mesh.grid, mesh.tri_areas]
+    for comp in mesh.components:
+        arrays += [comp.verts, comp.s, comp.normals, comp.tangents]
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("spec", [DomainSpec("cylinder", L=1.0, level=5),
+                                  DomainSpec("annulus", r=0.5, level=6),
+                                  DomainSpec("halfdisk", R=1.0, level=5)], ids=lambda s: s.kind)
+def test_build_allocates_little_beyond_what_the_mesh_keeps(spec):
+    # the traced peak of build_mesh against the bytes of the arrays the mesh
+    # keeps, its areas included.  Measured: 2.31-2.32 when the triangles were
+    # stacked and concatenated and the areas computed from (M, 3) gathers;
+    # 1.44 (cylinder), 1.43 (annulus) and 1.50 (half-disk) since both are
+    # written from views of the grid
+    build_mesh(spec)
+    tracemalloc.start()
+    try:
+        mesh = build_mesh(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * kept_bytes(mesh)
